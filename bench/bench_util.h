@@ -7,6 +7,9 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -42,14 +45,42 @@ struct BenchArgs {
   double flush_period_ms = 0.0;  // --flush-period-ms=X: stream exports during
                                  // the run every X ms of sim time (0 = only
                                  // at the end)
-  int lp_threads = 1;  // --lp-threads=N: parallel LP simulation for the
-                       // datacenter-capable benches (N worker threads; 1 =
-                       // sequential). Results are bit-identical at any N.
 };
 
 inline BenchArgs& GlobalBenchArgs() {
   static BenchArgs args;
   return args;
+}
+
+[[noreturn]] inline void BadFlagValue(std::string_view flag, const char* text) {
+  std::cerr << "invalid value for " << flag << ": '" << text << "' (try --help)\n";
+  std::exit(2);
+}
+
+// Numeric flag values must parse completely: no trailing characters, no sign
+// on an unsigned value, nothing out of range. Anything else exits with 2.
+inline std::uint64_t ParseUintFlag(std::string_view flag, const char* text) {
+  if (*text < '0' || *text > '9') {
+    BadFlagValue(flag, text);
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) {
+    BadFlagValue(flag, text);
+  }
+  return value;
+}
+
+// As ParseUintFlag, for doubles; inf and nan are rejected too.
+inline double ParseDoubleFlag(std::string_view flag, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(value)) {
+    BadFlagValue(flag, text);
+  }
+  return value;
 }
 
 // Parses --quick / --seed=N / --window-scale=X / --help and removes them
@@ -64,9 +95,9 @@ inline void ParseBenchArgs(int* argc, char** argv) {
     if (arg == "--quick") {
       args.quick = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+      args.seed = ParseUintFlag("--seed", argv[i] + 7);
     } else if (arg.rfind("--window-scale=", 0) == 0) {
-      args.window_scale = std::strtod(argv[i] + 15, nullptr);
+      args.window_scale = ParseDoubleFlag("--window-scale", argv[i] + 15);
       if (args.window_scale <= 0.0) {
         std::cerr << "--window-scale must be > 0\n";
         std::exit(2);
@@ -83,14 +114,8 @@ inline void ParseBenchArgs(int* argc, char** argv) {
       args.attr_out = std::string(arg.substr(11));
     } else if (arg == "--attr-out" && i + 1 < *argc) {
       args.attr_out = argv[++i];
-    } else if (arg.rfind("--lp-threads=", 0) == 0) {
-      args.lp_threads = static_cast<int>(std::strtol(argv[i] + 13, nullptr, 10));
-      if (args.lp_threads < 1) {
-        std::cerr << "--lp-threads must be >= 1\n";
-        std::exit(2);
-      }
     } else if (arg.rfind("--flush-period-ms=", 0) == 0) {
-      args.flush_period_ms = std::strtod(argv[i] + 18, nullptr);
+      args.flush_period_ms = ParseDoubleFlag("--flush-period-ms", argv[i] + 18);
       if (args.flush_period_ms < 0.0) {
         std::cerr << "--flush-period-ms must be >= 0\n";
         std::exit(2);
@@ -99,7 +124,7 @@ inline void ParseBenchArgs(int* argc, char** argv) {
       std::cout << "Usage: " << argv[0]
                 << " [--quick] [--seed=N] [--window-scale=X]"
                    " [--trace-out=P] [--metrics-out=P] [--attr-out=P]"
-                   " [--flush-period-ms=X] [--lp-threads=N]\n"
+                   " [--flush-period-ms=X]\n"
                 << "  --quick           ~8x shorter measurement windows (CI smoke)\n"
                 << "  --seed=N          experiment seed (default 42)\n"
                 << "  --window-scale=X  multiply warmup+measurement windows by X\n"
@@ -108,10 +133,7 @@ inline void ParseBenchArgs(int* argc, char** argv) {
                 << "  --attr-out=P      write that run's per-service latency attribution\n"
                    "                    (SLO-miss blame ledger) as CSV to P\n"
                 << "  --flush-period-ms=X  also rewrite those artefacts every X ms of\n"
-                   "                    simulated time during the run (streaming export)\n"
-                << "  --lp-threads=N    run multi-node simulations as N parallel logical\n"
-                   "                    processes (datacenter-capable benches; results are\n"
-                   "                    bit-identical to --lp-threads=1)\n";
+                   "                    simulated time during the run (streaming export)\n";
       std::exit(0);
     } else if (arg.rfind("--benchmark", 0) == 0) {
       argv[kept++] = argv[i];  // google-benchmark flag: leave for the caller
@@ -122,10 +144,6 @@ inline void ParseBenchArgs(int* argc, char** argv) {
   }
   *argc = kept;
 }
-
-// Worker threads for the parallel LP simulation (datacenter-capable benches
-// pass this through to ClusterConfig::lp_threads; 1 = sequential engine).
-inline int LpThreads() { return GlobalBenchArgs().lp_threads; }
 
 // True when --trace-out or --metrics-out was given, i.e. the bench should
 // run one arm with a telemetry hub attached.

@@ -49,7 +49,6 @@ datacenter::ClusterConfig BaseCluster(int num_nodes, double rps_per_node) {
   config.serving.warmup_us = bench::WarmupWindowUs();
   config.serving.duration_us = bench::MeasureWindowUs();
   config.serving.seed = bench::GlobalBenchArgs().seed;
-  config.lp_threads = bench::LpThreads();
   // One replica per GPU so every node carries load from the start.
   config.serving.models = {ResNetService(rps_per_node * num_nodes,
                                          /*replicas=*/2 * num_nodes,

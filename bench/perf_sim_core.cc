@@ -19,20 +19,15 @@
 //                          link flaps and cancels (incremental rebalance path)
 //   serving_inprocess      repeated serving::RunServing of the ext_online_serving
 //                          base configuration at --quick windows
-//   cluster_serving_lpN    repeated datacenter::RunCluster of a 4-node x 2-GPU
-//                          cluster with lp_threads = N for N in {1, 2, 4, 8}
-//                          (the parallel logical-process engine; results are
-//                          bit-identical across N, only wall clock may differ)
+//   cluster_serving        repeated datacenter::RunCluster of a 4-node x 2-GPU
+//                          cluster
 //   ext_online_serving     wall clock of the sibling binary with --quick, when
 //                          it is present next to this one
 //
 // Wall-clock numbers are real time (std::chrono::steady_clock), everything
-// else is deterministic. Each JSON row records the lp_threads it ran with
-// (1 for the single-threaded benches). Results go to BENCH_simcore.json
-// (see --out) via the bench_json writer; CI validates the JSON and archives
-// it per commit — baseline only, no gating thresholds yet. On a single-CPU
-// runner the lpN rows measure synchronization overhead, not speedup; no
-// threshold asserts a parallel speedup anywhere.
+// else is deterministic. Results go to BENCH_simcore.json (see --out) via the
+// bench_json writer; CI validates the JSON and archives it per commit —
+// baseline only, no gating thresholds yet.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -74,7 +69,6 @@ struct Measurement {
   double wall_ms_min = 0.0;  // best of `repeats` (least scheduler noise)
   double wall_ms_mean = 0.0;
   int repeats = 0;
-  int lp_threads = 1;   // LP worker threads the bench ran with (1 = sequential)
   double extra = -1.0;  // bench-specific: see per-bench comment
 };
 
@@ -357,11 +351,8 @@ serving::ServingConfig ServingQuickConfig() {
 
 // A 4-node x 2-GPU datacenter cluster (ResNet50 at 180 rps per node, one
 // replica per GPU) at --quick windows — the ext_datacenter_serving scaling
-// arm's shape, small enough to repeat. `lp_threads` selects the engine: 1 is
-// the sequential loop, >1 the conservative parallel LP engine. All thread
-// counts produce bit-identical ClusterResults, so the rows measure pure
-// engine overhead/speedup on identical work.
-datacenter::ClusterConfig ClusterQuickConfig(int lp_threads) {
+// arm's shape, small enough to repeat.
+datacenter::ClusterConfig ClusterQuickConfig() {
   serving::ModelServiceConfig resnet;
   resnet.workload =
       workloads::MakeWorkload(workloads::ModelId::kResNet50, workloads::TaskType::kInference);
@@ -381,7 +372,6 @@ datacenter::ClusterConfig ClusterQuickConfig(int lp_threads) {
   config.serving.duration_us = bench::kDurationUs * 0.125;
   config.serving.seed = bench::GlobalBenchArgs().seed;
   config.serving.models = {resnet};
-  config.lp_threads = lp_threads;
   return config;
 }
 
@@ -463,17 +453,15 @@ int main(int argc, char** argv) {
     });
     m.extra = m.wall_ms_min;  // extra = ms per run (same thing here)
   }
-  for (const int lp_threads : {1, 2, 4, 8}) {
-    const datacenter::ClusterConfig config = ClusterQuickConfig(lp_threads);
+  {
+    const datacenter::ClusterConfig config = ClusterQuickConfig();
     std::size_t completed = 0;
-    Measurement& m =
-        Measure("cluster_serving_lp" + std::to_string(lp_threads), repeats, [&]() {
-          const datacenter::ClusterResult result = datacenter::RunCluster(config);
-          ORION_CHECK(result.requests_forwarded > 0);
-          completed = result.serving.models[0].completed;
-          return completed;
-        });
-    m.lp_threads = lp_threads;
+    Measurement& m = Measure("cluster_serving", repeats, [&]() {
+      const datacenter::ClusterResult result = datacenter::RunCluster(config);
+      ORION_CHECK(result.requests_forwarded > 0);
+      completed = result.serving.models[0].completed;
+      return completed;
+    });
     m.extra = static_cast<double>(completed);  // extra = requests completed
   }
   {
@@ -503,7 +491,6 @@ int main(int argc, char** argv) {
     entry["name"] = m.name;
     entry["events"] = m.events;
     entry["repeats"] = m.repeats;
-    entry["lp_threads"] = m.lp_threads;
     entry["wall_ms_min"] = m.wall_ms_min;
     entry["wall_ms_mean"] = m.wall_ms_mean;
     if (m.events > 0 && m.wall_ms_min > 0.0) {

@@ -74,18 +74,9 @@ struct ClusterConfig {
   // is ignored here: the GPU count is cluster.num_nodes * gpus_per_node.
   serving::ServingConfig serving;
 
-  // Parallel discrete-event simulation. With lp_threads > 1 the run is
-  // partitioned into logical processes — one per node plus one for the
-  // cluster/fabric — synchronized with conservative lookahead derived from
-  // the NIC latency. Results are bit-identical to the sequential run; the
-  // engine silently falls back to the sequential loop when a configuration
-  // is outside the parallel path's preconditions (single node, network
-  // modelling off, round-robin replica routing, tracing on, or zero
-  // lookahead). See DESIGN.md §16.
+  // Kept only because perfbench/workloads.cc sets it to 1; RunCluster
+  // checks that it is 1.
   int lp_threads = 1;
-  // Debug: run the sequential engine on the same config first and
-  // ORION_CHECK that the parallel result is bit-identical.
-  bool lp_oracle = false;
 };
 
 // Per-node activity over the whole run.
@@ -116,9 +107,8 @@ ClusterResult RunCluster(const ClusterConfig& config);
 // True when the two results are indistinguishable down to the last bit:
 // every counter equal, every double bit-identical (std::bit_cast, so -0.0
 // != 0.0 and NaN payloads count), every latency recorder's raw sample
-// sequence identical element-wise and in order. This is the contract the
-// parallel engine keeps with the sequential one; `ClusterConfig::lp_oracle`
-// makes RunCluster enforce it on every run.
+// sequence identical element-wise and in order. Same-seed runs must satisfy
+// it; the determinism tests and perfbench's repeat check assert it.
 bool ClusterResultsBitIdentical(const ClusterResult& a, const ClusterResult& b);
 
 }  // namespace datacenter

@@ -77,14 +77,6 @@ class Fabric : public gpusim::HostLinkModel {
   // with CancelTransfer while the transfer is in flight.
   TransferId StartTransfer(int src, int dst, std::size_t bytes, Callback done);
 
-  // StartTransfer minus the setup phase: the transfer begins streaming at the
-  // current simulator time. The parallel LP runtime uses this to apply a
-  // transfer whose setup latency elapsed on the sender's clock — the receiver
-  // schedules it at the wire timestamp and the observable behaviour (byte
-  // accrual order, completion time, floating-point results) is identical to
-  // a StartTransfer whose setup ended now.
-  TransferId StartTransferNoSetup(int src, int dst, std::size_t bytes, Callback done);
-
   // gpusim::HostLinkModel — copy-engine chunks from an attached Device.
   void StartHostCopy(int gpu, std::size_t bytes, bool to_device,
                      std::function<void()> done) override;

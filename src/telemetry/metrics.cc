@@ -37,7 +37,6 @@ std::string MetricRegistry::EncodeKey(const std::string& name, const Labels& lab
 MetricRegistry::Metric* MetricRegistry::GetOrCreate(const std::string& name,
                                                     const Labels& labels, MetricKind kind) {
   const std::string key = EncodeKey(name, labels);
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = metrics_.find(key);
   if (it != metrics_.end()) {
     ORION_CHECK_MSG(it->second->kind == kind,
@@ -57,7 +56,6 @@ MetricRegistry::Metric* MetricRegistry::GetOrCreate(const std::string& name,
 const MetricRegistry::Metric* MetricRegistry::Find(const std::string& name,
                                                    const Labels& labels) const {
   const std::string key = EncodeKey(name, labels);
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = metrics_.find(key);
   return it != metrics_.end() ? it->second.get() : nullptr;
 }
@@ -93,7 +91,6 @@ const Histogram* MetricRegistry::FindHistogram(const std::string& name,
 }
 
 std::vector<MetricRow> MetricRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<MetricRow> rows;
   rows.reserve(metrics_.size());
   for (const auto& [key, metric] : metrics_) {
@@ -130,7 +127,6 @@ std::vector<MetricRow> MetricRegistry::Snapshot() const {
 }
 
 void MetricRegistry::ResetWindows() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, metric] : metrics_) {
     (void)key;
     if (metric->kind == MetricKind::kHistogram) {

@@ -4,6 +4,7 @@
 // failover, and the request accounting identity under all of it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "src/datacenter/cluster.h"
@@ -268,12 +269,52 @@ TEST(DatacenterTest, SloAttainmentRecoversAfterNodeDeath) {
 }
 
 TEST(DatacenterTest, AccountingIdentityHoldsThroughNodeDeath) {
-  const ClusterResult result = RunCluster(FailoverCluster());
-  const ModelServingResult& model = result.serving.models[0];
-  // The engine CHECKs the identity internally (including requests cut off
-  // mid-network by the NIC going dark); assert it end-to-end here too.
-  EXPECT_EQ(model.total_offered, model.total_completed + model.total_shed +
-                                     model.total_dropped + model.left_in_system);
+  // One death (node 0), then two (node 0, then node 1 while node 0's
+  // replacements and re-homed requests are still settling on the survivors).
+  ClusterConfig twice = FailoverCluster();
+  fault::FaultEvent second = twice.serving.fault_plan.events[0];
+  second.at_us = SecToUs(3.0);
+  second.node = 1;
+  twice.serving.fault_plan.events.push_back(second);
+  for (const ClusterConfig& config : {FailoverCluster(), twice}) {
+    const std::size_t deaths = config.serving.fault_plan.events.size();
+    const ClusterResult result = RunCluster(config);
+    const ModelServingResult& model = result.serving.models[0];
+    EXPECT_EQ(result.node_faults, deaths);
+    EXPECT_EQ(result.nodes_alive_end, 3u - deaths);
+    // The engine CHECKs the identity internally (including requests cut off
+    // mid-network by the NIC going dark); assert it end-to-end here too.
+    EXPECT_EQ(model.total_offered, model.total_completed + model.total_shed +
+                                       model.total_dropped + model.left_in_system)
+        << deaths << " node death(s)";
+  }
+}
+
+// Node-fault churn on a 4-node cluster: two kills mid-run while requests are
+// in flight over the network. No request is lost in transit — every offered
+// request is accounted for — and a same-seed rerun is bit-identical.
+TEST(ParallelBitIdentityTest, NoMessageLossUnderNodeFaultChurn) {
+  for (std::uint64_t seed : {5u, 17u}) {
+    ClusterConfig config = SmallCluster(4, 2);
+    config.serving.seed = seed;
+    config.serving.models[0].rps = 240.0;
+    for (int i = 0; i < 2; ++i) {
+      fault::FaultEvent down;
+      down.kind = fault::FaultKind::kNodeDown;
+      down.at_us = SecToUs(1.0 + 0.7 * i);
+      down.node = i;  // nodes 0 then 1 die mid-run
+      config.serving.fault_plan.events.push_back(down);
+    }
+    const ClusterResult first = RunCluster(config);
+    const ClusterResult again = RunCluster(config);
+    EXPECT_EQ(first.node_faults, 2u);
+    EXPECT_GT(first.requests_forwarded, 0u);
+    const ModelServingResult& m = first.serving.models[0];
+    EXPECT_EQ(m.total_offered, m.total_completed + m.total_shed + m.total_dropped +
+                                   m.left_in_system)
+        << "seed=" << seed;
+    EXPECT_TRUE(ClusterResultsBitIdentical(first, again)) << "seed=" << seed;
+  }
 }
 
 TEST(DatacenterTest, NodeDownOnDeadNodeIsSkipped) {
@@ -291,10 +332,7 @@ TEST(DatacenterTest, SameSeedClusterRunsAreIdentical) {
   const ClusterConfig config = FailoverCluster();
   const ClusterResult a = RunCluster(config);
   const ClusterResult b = RunCluster(config);
-  ExpectServingResultsEqual(a.serving, b.serving);
-  EXPECT_EQ(a.requests_forwarded, b.requests_forwarded);
-  EXPECT_DOUBLE_EQ(a.request_bytes_moved, b.request_bytes_moved);
-  EXPECT_DOUBLE_EQ(a.response_bytes_moved, b.response_bytes_moved);
+  EXPECT_TRUE(ClusterResultsBitIdentical(a, b));
 }
 
 }  // namespace
