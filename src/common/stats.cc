@@ -74,28 +74,4 @@ void LatencyRecorder::SortIfNeeded() const {
   }
 }
 
-void TimeWeightedStats::AddInterval(TimeUs start, TimeUs end, double value) {
-  ORION_CHECK_MSG(end >= start, "interval ends before it starts: " << start << " .. " << end);
-  const DurationUs width = end - start;
-  if (width <= 0.0) {
-    return;
-  }
-  weighted_sum_ += width * value;
-  total_time_ += width;
-  intervals_.emplace_back(width, value);
-}
-
-double TimeWeightedStats::FractionAbove(double threshold) const {
-  if (total_time_ <= 0.0) {
-    return 0.0;
-  }
-  double above = 0.0;
-  for (const auto& [width, value] : intervals_) {
-    if (value > threshold) {
-      above += width;
-    }
-  }
-  return above / total_time_;
-}
-
 }  // namespace orion

@@ -1,12 +1,9 @@
-// Statistics utilities: streaming moments, percentile recorders, and
-// time-weighted averages for utilization traces.
+// Statistics utilities: streaming moments and percentile recorders.
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
 #include <cstddef>
 #include <vector>
-
-#include "src/common/time_types.h"
 
 namespace orion {
 
@@ -61,24 +58,6 @@ class LatencyRecorder {
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
   double sum_ = 0.0;
-};
-
-// Time-weighted average over a piecewise-constant signal, e.g. GPU compute
-// utilization sampled between simulator events.
-class TimeWeightedStats {
- public:
-  // Records that the signal held `value` over [start, end).
-  void AddInterval(TimeUs start, TimeUs end, double value);
-
-  double average() const { return total_time_ > 0.0 ? weighted_sum_ / total_time_ : 0.0; }
-  DurationUs total_time() const { return total_time_; }
-  // Fraction of observed time during which the signal exceeded `threshold`.
-  double FractionAbove(double threshold) const;
-
- private:
-  double weighted_sum_ = 0.0;
-  DurationUs total_time_ = 0.0;
-  std::vector<std::pair<DurationUs, double>> intervals_;
 };
 
 }  // namespace orion

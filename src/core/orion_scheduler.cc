@@ -52,7 +52,6 @@ void OrionScheduler::BindCounters() {
   be_throttle_skips_ = reg.GetCounter("orion.be_throttle_skips");
   be_profile_skips_ = reg.GetCounter("orion.be_profile_skips");
   be_polls_ = reg.GetCounter("orion.be_polls");
-  be_polls_coalesced_ = reg.GetCounter("orion.be_polls_coalesced");
   clients_quarantined_ = reg.GetCounter("orion.clients_quarantined");
   runaway_quarantines_ = reg.GetCounter("orion.runaway_quarantines");
   be_ops_dropped_ = reg.GetCounter("orion.be_ops_dropped");
@@ -119,7 +118,6 @@ void OrionScheduler::Enqueue(ClientId client, SchedOp op) {
         return;
       }
       be.queue.push_back(std::move(op));
-      ++state_epoch_;  // a new queue head can change the scan's outcome
       PollBestEffort();
       return;
     }
@@ -142,7 +140,6 @@ void OrionScheduler::OnClientCrash(ClientId client) {
       continue;
     }
     be.quarantined = true;
-    ++state_epoch_;  // queue drop + DUR recredit change gating state
     be_ops_dropped_->Inc(static_cast<double>(be.queue.size()));
     be.queue.clear();
     // Recredit the dead client's expected outstanding time so the
@@ -168,7 +165,6 @@ void OrionScheduler::OnClientCrash(ClientId client) {
 }
 
 void OrionScheduler::OnDeviceDegraded() {
-  ++state_epoch_;  // SM_THRESHOLD re-resolution changes the sm check
   const int effective = rt_->device().effective_sms();
   if (options_.sm_threshold > 0) {
     // An explicitly tuned threshold scales with the surviving fraction of
@@ -188,7 +184,6 @@ void OrionScheduler::OnDeviceDegraded() {
 
 void OrionScheduler::SubmitHp(SchedOp op) {
   if (IsComputeOp(op.op)) {
-    ++state_epoch_;  // hp_outstanding_ / running profile feed ScheduleBe
     ++hp_outstanding_;
     hp_running_profiles_.push_back(
         ViewOf(op.op, hp_profile_, rt_->device().spec(), options_.conservative_profile_miss)
@@ -196,7 +191,6 @@ void OrionScheduler::SubmitHp(SchedOp op) {
     auto on_complete = std::move(op.on_complete);
     rt_->Submit(op.op, hp_stream_, [this, on_complete = std::move(on_complete)]() {
       ORION_CHECK(hp_outstanding_ > 0);
-      ++state_epoch_;
       --hp_outstanding_;
       if (!hp_running_profiles_.empty()) {
         hp_running_profiles_.pop_front();
@@ -243,15 +237,6 @@ void OrionScheduler::PollBestEffort() {
     return;
   }
   be_polls_->Inc();
-  // Poll-epoch guard: bursty completions at one timestamp wake the
-  // scheduler once per completion, but a scan is only worth running if the
-  // clock advanced or some gating input changed since the last one. A
-  // skipped poll is provably redundant — it would block or find empty
-  // queues exactly as the previous scan did.
-  if (sim_->now() == last_poll_now_ && state_epoch_ == last_poll_epoch_) {
-    be_polls_coalesced_->Inc();
-    return;
-  }
   // Keep draining while some queue head is schedulable; stop after a full
   // round with no progress (every head blocked or all queues empty).
   bool progress = true;
@@ -302,10 +287,6 @@ void OrionScheduler::PollBestEffort() {
       break;  // restart the round-robin scan from the new cursor
     }
   }
-  // Record post-scan state: the final no-progress round already saw every
-  // mutation the scan itself made.
-  last_poll_now_ = sim_->now();
-  last_poll_epoch_ = state_epoch_;
 }
 
 void OrionScheduler::SubmitBe(BeClient& be, SchedOp op) {
@@ -326,7 +307,6 @@ void OrionScheduler::SubmitBe(BeClient& be, SchedOp op) {
   rt_->Submit(op.op, be.stream,
               [this, client = be.id, expected, trusted,
                on_complete = std::move(on_complete)]() {
-    ++state_epoch_;  // outstanding time shrank; throttle math changes
     for (BeClient& b : be_clients_) {
       if (b.id == client) {
         b.outstanding_us = std::max(0.0, b.outstanding_us - expected);
@@ -344,11 +324,8 @@ void OrionScheduler::SubmitBe(BeClient& be, SchedOp op) {
   // event after the kernel and poll it with cudaEventQuery (§5.1.2).
   be_submitted_ = std::make_shared<gpusim::GpuEvent>();
   be_submitted_client_ = be.id;
-  rt_->RecordEvent(be.stream, be_submitted_.get(), [this, keepalive = be_submitted_]() {
-    // The event's done flip is what un-blocks the DUR throttle; a poll
-    // after it must not be coalesced against a poll before it.
-    ++state_epoch_;
-  });
+  // The capture keeps the event alive until the device writes `done`.
+  rt_->RecordEvent(be.stream, be_submitted_.get(), [keepalive = be_submitted_] {});
 }
 
 void OrionScheduler::ArmWatchdog() {
@@ -401,7 +378,6 @@ void OrionScheduler::ArmWatchdog() {
     // itself runs out on the device (no preemption).
     runaway_quarantines_->Inc();
     MarkQuarantine(be_submitted_client_, "runaway-quarantine");
-    ++state_epoch_;  // throttle reset below
     const ClientId owner = be_submitted_client_;
     be_submitted_ = nullptr;
     be_submitted_client_ = -1;

@@ -98,10 +98,8 @@ class OrionScheduler : public Scheduler {
   std::size_t be_kernels_submitted() const { return CounterCount(be_kernels_submitted_); }
   std::size_t be_throttle_skips() const { return CounterCount(be_throttle_skips_); }
   std::size_t be_profile_skips() const { return CounterCount(be_profile_skips_); }
-  // Poll-epoch guard statistics: wake-ups seen vs. wake-ups answered with a
-  // provably redundant scan that was skipped.
+  // Best-effort wake-ups, each a full queue scan.
   std::size_t be_polls() const { return CounterCount(be_polls_); }
-  std::size_t be_polls_coalesced() const { return CounterCount(be_polls_coalesced_); }
 
   // --- Fault statistics. ---
   std::size_t clients_quarantined() const { return CounterCount(clients_quarantined_); }
@@ -134,12 +132,7 @@ class OrionScheduler : public Scheduler {
     double outstanding_trusted_us = 0.0;
   };
 
-  // Attempts to submit best-effort work; called on every wake-up. Bursty
-  // completions at one sim timestamp trigger one queue scan, not N: a poll
-  // is skipped iff the clock has not advanced AND no scheduler state that
-  // can change a gating decision mutated since the last completed poll
-  // (every mutation site bumps state_epoch_), so a skipped poll is exactly
-  // a scan that would have found what the previous scan found.
+  // Attempts to submit best-effort work; called on every wake-up.
   void PollBestEffort();
   // Listing 1's schedule_be(): is this (kernel or graph) op suitable now?
   bool ScheduleBe(const runtime::Op& op, const BeClient& be);
@@ -171,13 +164,6 @@ class OrionScheduler : public Scheduler {
 
   int sm_threshold_ = 0;
 
-  // Poll-epoch guard (see PollBestEffort). state_epoch_ is bumped by every
-  // mutation a poll's decisions read: enqueues, hp/be completions, the
-  // recorded-event flip, quarantines, device degradation.
-  std::uint64_t state_epoch_ = 0;
-  std::uint64_t last_poll_epoch_ = 0;
-  TimeUs last_poll_now_ = -1.0;  // no poll ran yet (sim time is >= 0)
-
   // Telemetry. Counters are bound in Attach against the hub registry (or the
   // private fallback when no hub is installed); null before Attach.
   static std::size_t CounterCount(const telemetry::Counter* c) {
@@ -193,7 +179,6 @@ class OrionScheduler : public Scheduler {
   telemetry::Counter* be_throttle_skips_ = nullptr;
   telemetry::Counter* be_profile_skips_ = nullptr;
   telemetry::Counter* be_polls_ = nullptr;
-  telemetry::Counter* be_polls_coalesced_ = nullptr;
   telemetry::Counter* clients_quarantined_ = nullptr;
   telemetry::Counter* runaway_quarantines_ = nullptr;
   telemetry::Counter* be_ops_dropped_ = nullptr;

@@ -1198,8 +1198,8 @@ class ClusterEngine : public NodeHost {
                           : 1.0;
       out.throughput_rps =
           static_cast<double>(out.completed) / UsToSec(config_.duration_us);
-      out.latency = model.latency->window();
-      out.queueing = model.queueing->window();
+      out.latency = *model.latency;
+      out.queueing = *model.queueing;
       out.batches = static_cast<std::size_t>(model.batches->AsCount());
       out.mean_batch_size =
           out.batches > 0 ? model.batched_requests->value() /
@@ -1210,8 +1210,8 @@ class ClusterEngine : public NodeHost {
         out.prefills = static_cast<std::size_t>(model.prefills->AsCount());
         out.decode_steps = static_cast<std::size_t>(model.decode_steps->AsCount());
         out.kv_evictions = static_cast<std::size_t>(model.kv_evictions->AsCount());
-        out.ttft = model.ttft->window();
-        out.tpot = model.tpot->window();
+        out.ttft = *model.ttft;
+        out.tpot = *model.tpot;
       }
       out.total_offered = static_cast<std::size_t>(model.total_offered->AsCount());
       out.total_completed = static_cast<std::size_t>(model.total_completed->AsCount());

@@ -377,20 +377,6 @@ void Device::ComputeRates(std::vector<std::pair<RunningKernel*, double>>* rates)
   }
 }
 
-double Device::CurrentSlowdown() const {
-  double compute = 0.0;
-  double membw = 0.0;
-  for (const RunningKernel& rk : running_) {
-    if (rk.sm_needed <= 0 || rk.granted <= kGrantEpsilon) {
-      continue;
-    }
-    const double share = std::min(1.0, rk.granted / rk.sm_needed);
-    compute += rk.desc.compute_util * share;
-    membw += rk.desc.membw_util * share / membw_factor_;
-  }
-  return std::max({1.0, compute, membw});
-}
-
 void Device::AdvanceTo(TimeUs now) {
   const DurationUs dt = now - last_update_;
   if (dt <= 0.0) {

@@ -233,7 +233,6 @@ class Device {
   void FinishOp(StreamId stream, CompletionCb done);
   void StartNextCopy();
   void CheckDeviceSync();
-  double CurrentSlowdown() const;
   void DeliverCallback(CompletionCb cb);
 
   Simulator* sim_;

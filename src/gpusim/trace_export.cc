@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <ostream>
 
-#include "src/common/check.h"
-
 namespace orion {
 namespace gpusim {
 namespace {
@@ -54,21 +52,6 @@ int TraceCollector::RecordInto(Device& device, const std::string& track_name) {
     entries_.push_back(Entry{track, record});
   });
   return track;
-}
-
-void TraceCollector::AddRecord(int track, KernelExecRecord record) {
-  ORION_CHECK(track >= 0 && track < static_cast<int>(track_names_.size()));
-  entries_.push_back(Entry{track, std::move(record)});
-}
-
-std::vector<KernelExecRecord> TraceCollector::TrackRecords(int track) const {
-  std::vector<KernelExecRecord> records;
-  for (const Entry& entry : entries_) {
-    if (entry.track == track) {
-      records.push_back(entry.record);
-    }
-  }
-  return records;
 }
 
 std::size_t TraceCollector::WriteChromeTraceEvents(std::ostream& os, int pid_base,

@@ -27,11 +27,6 @@ class TraceCollector {
   // devices' use. Returns the track index.
   int RecordInto(Device& device, const std::string& track_name = "");
 
-  // Adds an empty track without a device (records appended via AddRecord) —
-  // used by exporters/tests that merge externally collected records.
-  int AddTrack(const std::string& track_name);
-  void AddRecord(int track, KernelExecRecord record);
-
   const std::vector<std::string>& track_names() const { return track_names_; }
 
   // One collected record with the track it belongs to, in completion order
@@ -44,9 +39,6 @@ class TraceCollector {
   std::size_t size() const { return entries_.size(); }
   void Clear() { entries_.clear(); }
 
-  // Records of one track, in completion order.
-  std::vector<KernelExecRecord> TrackRecords(int track) const;
-
   // Chrome trace-event format: a JSON array of {"name","ph":"X","ts","dur",
   // "pid","tid"} events, timestamps in µs, one pid per track (offset by
   // `pid_base`). Loadable by chrome://tracing and https://ui.perfetto.dev.
@@ -58,6 +50,9 @@ class TraceCollector {
   std::size_t WriteChromeTraceEvents(std::ostream& os, int pid_base, bool* first) const;
 
  private:
+  // Appends a named track; "gpu<track index>" when the name is empty.
+  int AddTrack(const std::string& track_name);
+
   std::vector<std::string> track_names_;
   std::vector<Entry> entries_;
 };

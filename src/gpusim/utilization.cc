@@ -20,16 +20,10 @@ void UtilizationTracker::Record(TimeUs start, TimeUs end, double compute, double
     if (last.end == start && last.compute == compute && last.membw == membw &&
         last.sm_busy == sm_busy) {
       last.end = end;
-      compute_.AddInterval(start, end, compute);
-      membw_.AddInterval(start, end, membw);
-      sm_busy_.AddInterval(start, end, sm_busy);
       return;
     }
   }
   samples_.push_back(UtilizationSample{start, end, compute, membw, sm_busy});
-  compute_.AddInterval(start, end, compute);
-  membw_.AddInterval(start, end, membw);
-  sm_busy_.AddInterval(start, end, sm_busy);
 }
 
 UtilizationSample UtilizationTracker::AverageOver(TimeUs from, TimeUs to) const {
@@ -73,13 +67,6 @@ std::vector<UtilizationSample> UtilizationTracker::Timeline(TimeUs from, TimeUs 
     out.push_back(AverageOver(lo, hi));
   }
   return out;
-}
-
-void UtilizationTracker::Clear() {
-  samples_.clear();
-  compute_ = TimeWeightedStats();
-  membw_ = TimeWeightedStats();
-  sm_busy_ = TimeWeightedStats();
 }
 
 }  // namespace gpusim

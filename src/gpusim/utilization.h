@@ -3,14 +3,13 @@
 // The device model reports piecewise-constant utilization between simulator
 // events: compute throughput utilization, memory bandwidth utilization, and
 // fraction of busy SMs (the three metrics defined in §2 of the paper).
-// Benches use both time-weighted averages (Table 1) and downsampled
-// timelines (Figures 1, 8, 9).
+// One merged sample log backs both windowed time-weighted averages
+// (Table 1) and downsampled timelines (Figures 1, 8, 9).
 #ifndef SRC_GPUSIM_UTILIZATION_H_
 #define SRC_GPUSIM_UTILIZATION_H_
 
 #include <vector>
 
-#include "src/common/stats.h"
 #include "src/common/time_types.h"
 
 namespace orion {
@@ -28,12 +27,7 @@ class UtilizationTracker {
  public:
   void Record(TimeUs start, TimeUs end, double compute, double membw, double sm_busy);
 
-  // Time-weighted averages over everything recorded so far.
-  double AverageCompute() const { return compute_.average(); }
-  double AverageMembw() const { return membw_.average(); }
-  double AverageSmBusy() const { return sm_busy_.average(); }
-
-  // Averages restricted to [from, to) — used to skip warm-up.
+  // Time-weighted averages over [from, to) — a window skips warm-up.
   UtilizationSample AverageOver(TimeUs from, TimeUs to) const;
 
   // Downsamples the timeline into `buckets` equal-width windows over
@@ -41,13 +35,9 @@ class UtilizationTracker {
   std::vector<UtilizationSample> Timeline(TimeUs from, TimeUs to, int buckets) const;
 
   const std::vector<UtilizationSample>& samples() const { return samples_; }
-  void Clear();
 
  private:
   std::vector<UtilizationSample> samples_;
-  TimeWeightedStats compute_;
-  TimeWeightedStats membw_;
-  TimeWeightedStats sm_busy_;
 };
 
 }  // namespace gpusim

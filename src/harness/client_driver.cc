@@ -168,7 +168,7 @@ void ClientDriver::StartNextRequest() {
   if (pager_ != nullptr && pager_->IsRegistered(id_)) {
     // Touch the working set before the request's first kernel; the fault
     // stall (if any) lands in the service-time component of latency. The
-    // timed overload reports the stall for the kPaging attribution phase.
+    // reported stall feeds the kPaging attribution phase.
     pager_->Access(static_cast<int>(id_), [this](DurationUs stall_us) {
       if (crashed_) {
         return;  // process died while its pages were in flight

@@ -108,17 +108,12 @@ bool UnifiedMemoryPager::EvictLru() {
 }
 
 void UnifiedMemoryPager::Access(int client, std::function<void(DurationUs)> done) {
-  const TimeUs start = sim_->now();
-  Access(client, [this, start, done = std::move(done)]() { done(sim_->now() - start); });
-}
-
-void UnifiedMemoryPager::Access(int client, std::function<void()> done) {
   auto it = clients_.find(client);
   ORION_CHECK_MSG(it != clients_.end(), "unregistered pager client " << client);
   Client& c = it->second;
   if (c.released) {
     if (done) {
-      done();
+      done(0.0);
     }
     return;
   }
@@ -155,7 +150,7 @@ void UnifiedMemoryPager::Access(int client, std::function<void()> done) {
   if (faults == 0) {
     // Fully resident: no traffic, no events — the inert path.
     if (done) {
-      done();
+      done(0.0);
     }
     return;
   }
@@ -210,7 +205,7 @@ void UnifiedMemoryPager::Access(int client, std::function<void()> done) {
               ->Add(stall);
         }
         if (done) {
-          done();
+          done(stall);
         }
       });
 }

@@ -97,15 +97,11 @@ class UnifiedMemoryPager {
   bool IsRegistered(int client) const { return clients_.count(client) > 0; }
 
   // The client touches its working set (pages [0, ws_pages) in order).
-  // `done` fires when every faulted page is device-resident — synchronously
-  // when nothing faults. Faults on a full device evict the global LRU
-  // non-pinned page; dirty victims enqueue writeback traffic first.
-  void Access(int client, std::function<void()> done);
-
-  // Timed variant for latency attribution: `done` receives the access's
-  // fault stall (0 when nothing faulted). A thin wrapper over Access — it
-  // adds no events and perturbs nothing, so instrumented runs stay
-  // bit-identical to uninstrumented ones.
+  // `done` fires when every faulted page is device-resident — synchronously,
+  // with stall_us = 0, when nothing faults; otherwise stall_us is the fault
+  // stall (landing time minus access time). Faults on a full device evict
+  // the global LRU non-pinned page; dirty victims enqueue writeback traffic
+  // first.
   void Access(int client, std::function<void(DurationUs stall_us)> done);
 
   // Process exit / crash: every page of `client` is released (frames free

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/stats.h"
 #include "src/runtime/gpu_runtime.h"
 #include "src/sim/simulator.h"
 

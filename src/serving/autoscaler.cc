@@ -5,18 +5,6 @@
 namespace orion {
 namespace serving {
 
-const char* ScaleDecisionName(ScaleDecision decision) {
-  switch (decision) {
-    case ScaleDecision::kHold:
-      return "hold";
-    case ScaleDecision::kUp:
-      return "up";
-    case ScaleDecision::kDown:
-      return "down";
-  }
-  return "unknown";
-}
-
 double WindowAttainment(const ModelWindowSignals& signals) {
   if (signals.completions == 0) {
     return signals.arrivals == 0 ? 1.0 : 0.0;

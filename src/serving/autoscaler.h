@@ -46,8 +46,6 @@ struct ModelWindowSignals {
 
 enum class ScaleDecision { kHold, kUp, kDown };
 
-const char* ScaleDecisionName(ScaleDecision decision);
-
 // Which signal drove a decision — exported as the `reason` attribute on the
 // serving control track's scale-up/-down instants so a trace answers not
 // just *that* the fleet scaled but *why*.

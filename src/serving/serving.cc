@@ -20,30 +20,6 @@ const char* PriorityTierName(PriorityTier tier) {
   return "unknown";
 }
 
-std::size_t ServingResult::TotalOffered() const {
-  std::size_t total = 0;
-  for (const ModelServingResult& model : models) {
-    total += model.offered;
-  }
-  return total;
-}
-
-std::size_t ServingResult::TotalCompleted() const {
-  std::size_t total = 0;
-  for (const ModelServingResult& model : models) {
-    total += model.completed;
-  }
-  return total;
-}
-
-std::size_t ServingResult::TotalShed() const {
-  std::size_t total = 0;
-  for (const ModelServingResult& model : models) {
-    total += model.shed;
-  }
-  return total;
-}
-
 double ServingResult::MeanAttainment() const {
   std::size_t offered = 0;
   std::size_t met = 0;

@@ -167,9 +167,6 @@ struct ServingResult {
   // fleet cost the autoscaler is trying to minimise.
   double replica_seconds = 0.0;
 
-  std::size_t TotalOffered() const;
-  std::size_t TotalCompleted() const;
-  std::size_t TotalShed() const;
   double MeanAttainment() const;  // offered-weighted across services
 };
 

@@ -83,13 +83,6 @@ double MetricRegistry::GaugeValue(const std::string& name, const Labels& labels)
   return metric != nullptr && metric->kind == MetricKind::kGauge ? metric->gauge.value() : 0.0;
 }
 
-const Histogram* MetricRegistry::FindHistogram(const std::string& name,
-                                               const Labels& labels) const {
-  const Metric* metric = Find(name, labels);
-  return metric != nullptr && metric->kind == MetricKind::kHistogram ? &metric->histogram
-                                                                     : nullptr;
-}
-
 std::vector<MetricRow> MetricRegistry::Snapshot() const {
   std::vector<MetricRow> rows;
   rows.reserve(metrics_.size());
@@ -107,15 +100,15 @@ std::vector<MetricRow> MetricRegistry::Snapshot() const {
         row.value = metric->gauge.value();
         break;
       case MetricKind::kHistogram: {
-        const LatencyRecorder& window = metric->histogram.window();
-        row.count = window.count();
-        row.value = window.mean();
-        row.p50 = window.p50();
-        row.p95 = window.p95();
-        row.p99 = window.p99();
-        row.min = window.min();
-        row.max = window.max();
-        for (const double sample : window.samples()) {
+        const Histogram& histogram = metric->histogram;
+        row.count = histogram.count();
+        row.value = histogram.mean();
+        row.p50 = histogram.p50();
+        row.p95 = histogram.p95();
+        row.p99 = histogram.p99();
+        row.min = histogram.min();
+        row.max = histogram.max();
+        for (const double sample : histogram.samples()) {
           row.sum += sample;
         }
         break;
@@ -124,15 +117,6 @@ std::vector<MetricRow> MetricRegistry::Snapshot() const {
     rows.push_back(std::move(row));
   }
   return rows;
-}
-
-void MetricRegistry::ResetWindows() {
-  for (auto& [key, metric] : metrics_) {
-    (void)key;
-    if (metric->kind == MetricKind::kHistogram) {
-      metric->histogram.ResetWindow();
-    }
-  }
 }
 
 }  // namespace telemetry

@@ -1,4 +1,4 @@
-// Metric registry: labeled counters, gauges and per-window histograms.
+// Metric registry: labeled counters, gauges and histograms.
 //
 // One registry per run is the shared structured sink the ROADMAP asks for:
 // every layer (scheduler, serving engine, collective engine, fault injector,
@@ -10,10 +10,9 @@
 //     GetHistogram return a stable pointer — the same (name, labels) pair
 //     always yields the same object, so instrumentation sites can bind once
 //     and increment without lookups on the hot path.
-//   * Counters only grow; gauges are set/added freely; histograms record a
-//     resettable measurement window (exact percentiles via LatencyRecorder)
-//     plus whole-run streaming moments (OnlineStats), so windows can be
-//     snapshotted at sim-time boundaries without losing lifetime stats.
+//   * Counters only grow; gauges are set/added freely; a histogram is a
+//     LatencyRecorder that keeps every sample of the run, so its snapshot
+//     has exact percentiles.
 //   * Everything is deterministic: registration order does not affect
 //     Snapshot(), which sorts by (name, labels).
 #ifndef SRC_TELEMETRY_METRICS_H_
@@ -58,22 +57,8 @@ class Gauge {
   double value_ = 0.0;
 };
 
-// Distribution with a resettable window (exact percentiles) and whole-run
-// streaming moments that survive window resets.
-class Histogram {
- public:
-  void Add(double value) {
-    window_.Add(value);
-    lifetime_.Add(value);
-  }
-  const LatencyRecorder& window() const { return window_; }
-  const OnlineStats& lifetime() const { return lifetime_; }
-  void ResetWindow() { window_ = LatencyRecorder(); }
-
- private:
-  LatencyRecorder window_;
-  OnlineStats lifetime_;
-};
+// Whole-run distribution with exact percentiles.
+using Histogram = LatencyRecorder;
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
@@ -84,10 +69,10 @@ struct MetricRow {
   std::string name;
   Labels labels;
   MetricKind kind = MetricKind::kCounter;
-  double value = 0.0;      // counter / gauge value; histogram window mean
-  std::size_t count = 0;   // histogram window sample count
-  double p50 = 0.0, p95 = 0.0, p99 = 0.0;  // histogram window percentiles
-  double min = 0.0, max = 0.0, sum = 0.0;  // histogram window extremes / total
+  double value = 0.0;      // counter / gauge value; histogram mean
+  std::size_t count = 0;   // histogram sample count
+  double p50 = 0.0, p95 = 0.0, p99 = 0.0;  // histogram percentiles
+  double min = 0.0, max = 0.0, sum = 0.0;  // histogram extremes / total
 };
 
 class MetricRegistry {
@@ -103,17 +88,12 @@ class MetricRegistry {
   Gauge* GetGauge(const std::string& name, const Labels& labels = {});
   Histogram* GetHistogram(const std::string& name, const Labels& labels = {});
 
-  // Lookup without creating; 0.0 / nullptr when absent (tests, finalizers).
+  // Lookup without creating; 0.0 when absent (tests, finalizers).
   double CounterValue(const std::string& name, const Labels& labels = {}) const;
   double GaugeValue(const std::string& name, const Labels& labels = {}) const;
-  const Histogram* FindHistogram(const std::string& name, const Labels& labels = {}) const;
 
   // Deterministic snapshot, sorted by (name, labels).
   std::vector<MetricRow> Snapshot() const;
-
-  // Sim-time window boundary: resets every histogram's window recorder
-  // (lifetime moments, counters and gauges are untouched).
-  void ResetWindows();
 
   std::size_t size() const { return metrics_.size(); }
 

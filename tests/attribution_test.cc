@@ -186,17 +186,6 @@ TEST(LatencyRecorderTest, PercentileEdgeCases) {
   EXPECT_DOUBLE_EQ(spread.Percentile(100.0), spread.max());
 }
 
-TEST(LatencyRecorderTest, HistogramWindowResetKeepsLifetime) {
-  telemetry::Histogram histogram;
-  histogram.Add(1.0);
-  histogram.Add(3.0);
-  EXPECT_DOUBLE_EQ(histogram.window().p50(), 2.0);
-  histogram.ResetWindow();
-  EXPECT_TRUE(histogram.window().empty());
-  EXPECT_DOUBLE_EQ(histogram.window().Percentile(99.0), 0.0);
-  EXPECT_EQ(histogram.lifetime().count(), 2u);
-  EXPECT_DOUBLE_EQ(histogram.lifetime().mean(), 2.0);
-}
 
 // --- Blame report aggregation. ---
 

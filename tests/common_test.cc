@@ -150,21 +150,6 @@ TEST(LatencyRecorderTest, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(rec.p50(), 15.0);
 }
 
-TEST(TimeWeightedStatsTest, WeightsByDuration) {
-  TimeWeightedStats stats;
-  stats.AddInterval(0.0, 10.0, 1.0);
-  stats.AddInterval(10.0, 40.0, 0.0);
-  EXPECT_DOUBLE_EQ(stats.average(), 0.25);
-  EXPECT_DOUBLE_EQ(stats.total_time(), 40.0);
-  EXPECT_DOUBLE_EQ(stats.FractionAbove(0.5), 0.25);
-}
-
-TEST(TimeWeightedStatsTest, ZeroWidthIntervalIgnored) {
-  TimeWeightedStats stats;
-  stats.AddInterval(5.0, 5.0, 100.0);
-  EXPECT_DOUBLE_EQ(stats.average(), 0.0);
-}
-
 TEST(TableTest, RendersAlignedTable) {
   Table table({"name", "value"});
   table.AddRow({"alpha", Cell(1.5)});

@@ -166,7 +166,7 @@ ChurnOutcome RunChurn(std::uint64_t seed, bool check_shadow) {
       released[client] = true;
     } else {
       bool completed = false;
-      pager.Access(client, [&completed]() { completed = true; });
+      pager.Access(client, [&completed](DurationUs) { completed = true; });
       sim.RunUntilIdle();  // drain the fault transfers
       EXPECT_TRUE(completed || released[client]);
       shadow.Access(client);
@@ -237,7 +237,7 @@ TEST(PagerTest, FittingCollocationIsInert) {
   for (int round = 0; round < 10; ++round) {
     for (int c = 0; c < 2; ++c) {
       bool completed = false;
-      pager.Access(c, [&completed]() { completed = true; });
+      pager.Access(c, [&completed](DurationUs) { completed = true; });
       // Synchronous completion: no faults means no events were scheduled.
       EXPECT_TRUE(completed);
     }
@@ -259,13 +259,41 @@ TEST(PagerTest, CyclicScanOverCapacityFaultsEveryPage) {
   pager.RegisterClient(0, "scan", 9 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
   EXPECT_TRUE(pager.oversubscribed());
   bool completed = false;
-  pager.Access(0, [&completed]() { completed = true; });
+  pager.Access(0, [&completed](DurationUs) { completed = true; });
   sim.RunUntilIdle();
   ASSERT_TRUE(completed);
   EXPECT_EQ(pager.totals().faults, 1u);  // pre-warm left 8 of 9 resident
-  pager.Access(0, []() {});
+  pager.Access(0, [](DurationUs) {});
   sim.RunUntilIdle();
   EXPECT_EQ(pager.totals().faults, 1u + 9u);  // second pass misses everywhere
+}
+
+TEST(PagerTest, AccessReportsFaultStall) {
+  Simulator sim;
+  gpusim::Device device(&sim, SmallDevice(8));
+  PagingOptions options;
+  options.enabled = true;
+  UnifiedMemoryPager pager(&sim, &device, options);
+  pager.RegisterClient(0, "scan", 9 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
+  // A faulting access at t=50 reports landing time minus access time.
+  DurationUs stall = -1.0;
+  TimeUs landed = -1.0;
+  sim.ScheduleAt(50.0, [&]() {
+    pager.Access(0, [&](DurationUs stall_us) {
+      stall = stall_us;
+      landed = sim.now();
+    });
+  });
+  sim.RunUntilIdle();
+  EXPECT_GT(stall, 0.0);
+  EXPECT_DOUBLE_EQ(stall, landed - 50.0);
+  EXPECT_DOUBLE_EQ(pager.client_stall_us(0), stall);
+  // A fully resident access reports zero stall, synchronously.
+  pager.ReleaseClient(0);
+  pager.RegisterClient(1, "fits", 4 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
+  stall = -1.0;
+  pager.Access(1, [&stall](DurationUs stall_us) { stall = stall_us; });
+  EXPECT_DOUBLE_EQ(stall, 0.0);
 }
 
 TEST(PagerTest, DirtyEvictionsPayWritebacks) {
@@ -276,9 +304,9 @@ TEST(PagerTest, DirtyEvictionsPayWritebacks) {
   UnifiedMemoryPager pager(&sim, &device, options);
   pager.RegisterClient(0, "train", 6 * kPage, /*pinned=*/false, /*dirty_on_touch=*/true);
   pager.RegisterClient(1, "infer", 6 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
-  pager.Access(0, []() {});
+  pager.Access(0, [](DurationUs) {});
   sim.RunUntilIdle();
-  pager.Access(1, []() {});
+  pager.Access(1, [](DurationUs) {});
   sim.RunUntilIdle();
   // Client 1's faults evicted client 0's touched (dirty) pages.
   EXPECT_GT(pager.totals().evictions, 0u);
@@ -298,13 +326,13 @@ TEST(PagerTest, ReleaseFreesFramesImmediately) {
   EXPECT_EQ(pager.resident_bytes(0), 0u);
   // Client 1 can now fault everything in without evicting anyone.
   const std::uint64_t evictions_before = pager.totals().evictions;
-  pager.Access(1, []() {});
+  pager.Access(1, [](DurationUs) {});
   sim.RunUntilIdle();
   EXPECT_EQ(pager.totals().evictions, evictions_before);
   EXPECT_EQ(pager.resident_bytes(1), 8 * kPage);
   // Accessing a released client is a harmless no-op.
   bool completed = false;
-  pager.Access(0, [&completed]() { completed = true; });
+  pager.Access(0, [&completed](DurationUs) { completed = true; });
   EXPECT_TRUE(completed);
 }
 

@@ -220,35 +220,16 @@ TEST_F(OrionSchedulerTest, ThrottleDisabledSubmitsEverythingAtOnce) {
   EXPECT_EQ(scheduler_->be_kernels_submitted(), 4u);
 }
 
-// Poll-epoch guard: wake-ups at one timestamp with no intervening change to
-// any gating input run one queue scan; the rest are coalesced. hp memory
-// ops bypass the policy (§5.1.3) and change nothing a scan reads, so a
-// same-timestamp burst of them is the provably redundant case.
-TEST_F(OrionSchedulerTest, RedundantSameTimestampPollsCoalesce) {
-  const auto hp = MakeKernel("hp", 100.0, 0.9, 0.1, 40);
-  Attach(OrionOptions{}, {hp}, {});
-  for (int i = 0; i < 8; ++i) {
-    SchedOp op;
-    op.op.type = runtime::OpType::kMemcpyH2D;
-    op.op.bytes = 1 << 20;
-    scheduler_->Enqueue(0, std::move(op));
-  }
-  EXPECT_EQ(scheduler_->be_polls(), 8u);
-  EXPECT_EQ(scheduler_->be_polls_coalesced(), 7u);  // first scan ran, rest skipped
-  sim_.RunUntilIdle();
-}
-
-// The guard must never skip a poll whose outcome could differ: a new be
-// enqueue bumps the epoch, so its poll scans even at an already-polled
-// timestamp, and the kernel is submitted with no clock advance.
-TEST_F(OrionSchedulerTest, EpochBumpForcesScanAtSameTimestamp) {
+// A be enqueue polls even at a timestamp that was already polled, so the
+// kernel is submitted with no clock advance.
+TEST_F(OrionSchedulerTest, SameTimestampEnqueueIsScanned) {
   const auto be = MakeKernel("be", 50.0, 0.1, 0.8, 10);
   Attach(OrionOptions{}, {}, {be});
   SchedOp mem;
   mem.op.type = runtime::OpType::kMemcpyH2D;
   mem.op.bytes = 1 << 20;
   scheduler_->Enqueue(0, std::move(mem));  // polls at t=0 (empty be queue)
-  EnqueueKernel(1, be);                    // same timestamp, epoch bumped
+  EnqueueKernel(1, be);                    // same timestamp
   EXPECT_EQ(scheduler_->be_kernels_submitted(), 1u);
   sim_.RunUntilIdle();
   EXPECT_EQ(rt_->device().kernels_completed(), 1u);

@@ -46,22 +46,6 @@ TEST(MetricRegistryTest, KindCollisionAborts) {
   EXPECT_DEATH(registry.GetGauge("x"), "kind");
 }
 
-TEST(MetricRegistryTest, HistogramWindowResetsButLifetimeSurvives) {
-  MetricRegistry registry;
-  Histogram* h = registry.GetHistogram("latency_us");
-  h->Add(10.0);
-  h->Add(20.0);
-  EXPECT_EQ(h->window().count(), 2u);
-  EXPECT_EQ(h->lifetime().count(), 2u);
-  registry.ResetWindows();
-  EXPECT_EQ(h->window().count(), 0u);  // window cleared at the boundary
-  EXPECT_EQ(h->lifetime().count(), 2u);  // whole-run moments survive
-  h->Add(30.0);
-  EXPECT_EQ(h->window().count(), 1u);
-  EXPECT_EQ(h->lifetime().count(), 3u);
-  EXPECT_DOUBLE_EQ(h->lifetime().mean(), 20.0);
-}
-
 TEST(MetricRegistryTest, SnapshotIsSortedRegardlessOfRegistrationOrder) {
   MetricRegistry a;
   a.GetCounter("zz");

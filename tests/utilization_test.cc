@@ -12,9 +12,10 @@ TEST(UtilizationTrackerTest, RecordsAndAverages) {
   UtilizationTracker tracker;
   tracker.Record(0.0, 10.0, 1.0, 0.5, 0.8);
   tracker.Record(10.0, 30.0, 0.25, 0.5, 0.2);
-  EXPECT_NEAR(tracker.AverageCompute(), (10.0 * 1.0 + 20.0 * 0.25) / 30.0, 1e-12);
-  EXPECT_NEAR(tracker.AverageMembw(), 0.5, 1e-12);
-  EXPECT_NEAR(tracker.AverageSmBusy(), (10.0 * 0.8 + 20.0 * 0.2) / 30.0, 1e-12);
+  const UtilizationSample avg = tracker.AverageOver(0.0, 30.0);
+  EXPECT_NEAR(avg.compute, (10.0 * 1.0 + 20.0 * 0.25) / 30.0, 1e-12);
+  EXPECT_NEAR(avg.membw, 0.5, 1e-12);
+  EXPECT_NEAR(avg.sm_busy, (10.0 * 0.8 + 20.0 * 0.2) / 30.0, 1e-12);
 }
 
 TEST(UtilizationTrackerTest, MergesIdenticalAdjacentSamples) {
@@ -72,14 +73,6 @@ TEST(UtilizationTrackerTest, TimelineBucketStraddlingBoundaryAverages) {
   const auto timeline = tracker.Timeline(0.0, 100.0, 1);
   ASSERT_EQ(timeline.size(), 1u);
   EXPECT_NEAR(timeline[0].compute, 0.5, 1e-12);
-}
-
-TEST(UtilizationTrackerTest, ClearResetsEverything) {
-  UtilizationTracker tracker;
-  tracker.Record(0.0, 10.0, 1.0, 1.0, 1.0);
-  tracker.Clear();
-  EXPECT_TRUE(tracker.samples().empty());
-  EXPECT_DOUBLE_EQ(tracker.AverageCompute(), 0.0);
 }
 
 TEST(UtilizationTrackerDeathTest, ReversedIntervalAborts) {
