@@ -5,7 +5,7 @@
 // high-priority job's state is pinned device-resident (Orion's §5.1.3
 // stance); the best-effort job's state is demand-paged by the unified-memory
 // pager (src/memsub), so its per-iteration swap traffic is *measured* —
-// page faults riding the real copy engine — rather than assumed. The old
+// page faults riding the real copy engine — rather than assumed. The
 // closed-form prediction (stream exactly the memory deficit per iteration,
 // perfectly overlapped) is kept as the `deficit_GB` cross-check column: it
 // is the lower bound an ideal layer-by-layer prefetcher would pay, while the
@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
     harness::ClientConfig be;
     be.workload = workloads::MakeWorkload(workloads::ModelId::kResNet101,
                                           workloads::TaskType::kTraining, batch);
-    be.allow_swapping = true;
 
     harness::ExperimentConfig config;
     config.seed = bench::GlobalBenchArgs().seed;
@@ -46,12 +45,14 @@ int main(int argc, char** argv) {
     const auto ideal = harness::RunExperiment(config);
 
     config.scheduler = harness::SchedulerKind::kOrion;
-    config.orion = bench::OrionOptionsFor(hp, be);
     config.paging.enabled = true;
     config.paging.pin_high_priority = true;
     // §5.1.3's other half: without PCIe priority the hp job's input copies
     // share the link fairly with the scan's paging flood.
     config.pcie_priority_scheduling = true;
+    // §5.1.1: the hp job trains, so SM_THRESHOLD is tuned — on the paged
+    // configuration itself, since an oversized pair only runs with paging.
+    config.orion.sm_threshold = harness::TuneSmThreshold(config).best_threshold;
     const auto orion = harness::RunExperiment(config);
 
     const double aggregate_gb =

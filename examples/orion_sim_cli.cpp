@@ -12,11 +12,21 @@
 //   arrivals  closed | poisson | uniform | apollo   (default: closed)
 //   rps       arrival rate (required for open-loop arrivals)
 //   hp        mark as the high-priority client
-//   swap      allow layer-by-layer swapping (§5.1.3)
+//   swap      page memory overflow through the unified-memory pager (§5.1.3);
+//             on any client it enables paging for the whole run
 // Scheduler: ideal | mig | temporal | streams | mps | reef | ticktock | orion.
+//
+// Bad input exits with status 2 and a message: unknown flags or client specs,
+// numeric values that do not parse completely or are not finite, and a shared
+// collocation that exceeds GPU memory with no :swap client.
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,8 +43,34 @@ int Usage(const char* argv0) {
             << " [--scheduler=NAME] [--device=v100|a100] [--seconds=N] [--seed=N]\n"
                "       [--dur-threshold=PCT] [--sm-threshold=N] [--pcie-priority]\n"
                "       --client=SPEC [--client=SPEC ...]\n"
-               "client SPEC: model:task[:arrivals[:rps]][:hp][:swap]\n";
+               "client SPEC: model:task[:arrivals[:rps]][:hp][:swap]\n"
+               "  :swap on any client pages memory overflow (required when a shared\n"
+               "  collocation exceeds GPU memory)\n";
   return 2;
+}
+
+int BadValue(const char* flag, const std::string& text) {
+  std::cerr << "invalid value for " << flag << ": '" << text << "'\n";
+  return 2;
+}
+
+// Numeric values must parse completely; doubles must also be finite (the
+// rule bench flags follow, see bench/bench_util.h).
+bool ParseDouble(const std::string& text, double* value) {
+  errno = 0;
+  char* end = nullptr;
+  *value = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && errno != ERANGE && std::isfinite(*value);
+}
+
+bool ParseUint(const std::string& text, std::uint64_t* value) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  *value = std::strtoull(text.c_str(), &end, 10);
+  return *end == '\0' && errno != ERANGE;
 }
 
 bool ParseModel(const std::string& token, workloads::ModelId* model) {
@@ -57,7 +93,8 @@ bool ParseModel(const std::string& token, workloads::ModelId* model) {
   return true;
 }
 
-bool ParseClient(const std::string& spec, harness::ClientConfig* client) {
+// A :swap token sets `*paging` (paging is per run, not per client).
+bool ParseClient(const std::string& spec, harness::ClientConfig* client, bool* paging) {
   std::istringstream ss(spec);
   std::string token;
   std::vector<std::string> tokens;
@@ -96,7 +133,9 @@ bool ParseClient(const std::string& spec, harness::ClientConfig* client) {
       if (index >= tokens.size()) {
         return false;  // open-loop arrivals need a rate
       }
-      client->rps = std::stod(tokens[index]);
+      if (!ParseDouble(tokens[index], &client->rps) || client->rps <= 0.0) {
+        return false;
+      }
       ++index;
     } else if (tokens[index] == "closed") {
       ++index;
@@ -106,7 +145,7 @@ bool ParseClient(const std::string& spec, harness::ClientConfig* client) {
     if (tokens[index] == "hp") {
       client->high_priority = true;
     } else if (tokens[index] == "swap") {
-      client->allow_swapping = true;
+      *paging = true;
     } else {
       return false;
     }
@@ -163,18 +202,33 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (arg.rfind("--seconds=", 0) == 0) {
-      config.duration_us = SecToUs(std::stod(value_of("--seconds=")));
+      double seconds = 0.0;
+      if (!ParseDouble(value_of("--seconds="), &seconds) || seconds <= 0.0) {
+        return BadValue("--seconds", value_of("--seconds="));
+      }
+      config.duration_us = SecToUs(seconds);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      config.seed = std::stoull(value_of("--seed="));
+      if (!ParseUint(value_of("--seed="), &config.seed)) {
+        return BadValue("--seed", value_of("--seed="));
+      }
     } else if (arg.rfind("--dur-threshold=", 0) == 0) {
-      config.orion.dur_threshold_frac = std::stod(value_of("--dur-threshold=")) / 100.0;
+      double pct = 0.0;
+      if (!ParseDouble(value_of("--dur-threshold="), &pct)) {
+        return BadValue("--dur-threshold", value_of("--dur-threshold="));
+      }
+      config.orion.dur_threshold_frac = pct / 100.0;
     } else if (arg.rfind("--sm-threshold=", 0) == 0) {
-      config.orion.sm_threshold = std::stoi(value_of("--sm-threshold="));
+      std::uint64_t sms = 0;
+      if (!ParseUint(value_of("--sm-threshold="), &sms) ||
+          sms > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+        return BadValue("--sm-threshold", value_of("--sm-threshold="));
+      }
+      config.orion.sm_threshold = static_cast<int>(sms);
     } else if (arg == "--pcie-priority") {
       config.pcie_priority_scheduling = true;
     } else if (arg.rfind("--client=", 0) == 0) {
       harness::ClientConfig client;
-      if (!ParseClient(value_of("--client="), &client)) {
+      if (!ParseClient(value_of("--client="), &client, &config.paging.enabled)) {
         std::cerr << "bad client spec: " << arg << "\n";
         return Usage(argv[0]);
       }
@@ -198,6 +252,21 @@ int main(int argc, char** argv) {
     std::cout << "(no --client given; running the default resnet50 inf+train demo)\n";
   }
 
+  // §5.1.3: a shared GPU must hold every client's state unless the pager
+  // services the overflow (RunExperiment aborts on it; reject it here).
+  const bool shares_gpu = config.scheduler != harness::SchedulerKind::kDedicated &&
+                          config.scheduler != harness::SchedulerKind::kMig;
+  std::size_t total_state = 0;
+  for (const harness::ClientConfig& client : config.clients) {
+    total_state += workloads::ApproxModelStateBytes(client.workload);
+  }
+  if (shares_gpu && total_state > config.device.memory_bytes && !config.paging.enabled) {
+    std::cerr << "collocation exceeds GPU memory by "
+              << Cell(static_cast<double>(total_state - config.device.memory_bytes) / 1e9, 2)
+              << " GB; add :swap to a client to page the overflow\n";
+    return 2;
+  }
+
   const auto result = harness::RunExperiment(config);
   std::cout << "scheduler: " << result.scheduler_name << " on " << config.device.name << "\n";
   Table table({"client", "completed", "throughput_rps", "p50_ms", "p99_ms", "queue_p99_ms",
@@ -213,9 +282,15 @@ int main(int argc, char** argv) {
   std::cout << "GPU: compute " << Cell(100.0 * result.utilization.compute, 1) << "%, membw "
             << Cell(100.0 * result.utilization.membw, 1) << "%, SMs busy "
             << Cell(100.0 * result.utilization.sm_busy, 1) << "%\n";
-  if (result.swapping_active) {
-    std::cout << "memory swapping active: deficit "
-              << Cell(static_cast<double>(result.memory_deficit_bytes) / 1e9, 2) << " GB\n";
+  if (result.paging_active) {
+    std::cout << "paging: deficit "
+              << Cell(static_cast<double>(result.memory_deficit_bytes) / 1e9, 2) << " GB, "
+              << result.paging.faults << " faults, "
+              << Cell(static_cast<double>(result.paging.fault_bytes_h2d +
+                                          result.paging.writeback_bytes_d2h) /
+                          1e9,
+                      2)
+              << " GB paged\n";
   }
   return 0;
 }

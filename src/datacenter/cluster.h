@@ -58,18 +58,8 @@ struct ClusterSpec {
   bool model_network = true;
 };
 
-// How the front-end picks a node for an admitted request. The replica within
-// the node is always picked by the serving::Router policy.
-enum class NodePolicy : std::uint8_t {
-  kLeastOutstanding,  // node whose best replica has the least predicted wait
-  kRoundRobin,        // rotate over nodes with an active replica
-};
-
-const char* NodePolicyName(NodePolicy policy);
-
 struct ClusterConfig {
   ClusterSpec cluster;
-  NodePolicy node_policy = NodePolicy::kLeastOutstanding;
   // Per-service workloads, policies, faults, telemetry. `serving.num_gpus`
   // is ignored here: the GPU count is cluster.num_nodes * gpus_per_node.
   serving::ServingConfig serving;

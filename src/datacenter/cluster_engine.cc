@@ -72,7 +72,6 @@ class ClusterEngine : public NodeHost {
       : config_(cluster_config.serving),
         spec_(cluster_config.cluster),
         topo_(cluster_config.cluster),
-        node_policy_(cluster_config.node_policy),
         router_(cluster_config.serving.policy, cluster_config.serving.models.size()),
         admission_(cluster_config.serving.admission),
         horizon_(cluster_config.serving.warmup_us + cluster_config.serving.duration_us) {
@@ -104,7 +103,6 @@ class ClusterEngine : public NodeHost {
             workloads::LlmWeightBytes(cfg.llm.model));
       }
     }
-    rr_node_cursor_.assign(config_.models.size(), 0);
 
     for (int n = 0; n < spec_.num_nodes; ++n) {
       nodes_.emplace_back(n, spec_.gpus_per_node, this);
@@ -578,19 +576,6 @@ class ClusterEngine : public NodeHost {
       }
       has[n] = true;
       node_best[n] = std::min(node_best[n], node.OutstandingUs(r));
-    }
-    if (node_policy_ == NodePolicy::kRoundRobin) {
-      std::vector<int> candidates;
-      for (int n = 0; n < spec_.num_nodes; ++n) {
-        if (has[static_cast<std::size_t>(n)]) {
-          candidates.push_back(n);
-        }
-      }
-      if (candidates.empty()) {
-        return -1;
-      }
-      return candidates[static_cast<std::size_t>(rr_node_cursor_[m]++ %
-                                                 candidates.size())];
     }
     int best = -1;
     for (int n = 0; n < spec_.num_nodes; ++n) {
@@ -1069,12 +1054,10 @@ class ClusterEngine : public NodeHost {
     for (Request& request : orphans) {
       RehomeOrphan(m, std::move(request), was_running);
     }
-    if (config_.replace_lost_replicas) {
-      if (AddReplica(m)) {
-        replacements_->Inc();
-      } else {
-        replacement_failures_->Inc();
-      }
+    if (AddReplica(m)) {
+      replacements_->Inc();
+    } else {
+      replacement_failures_->Inc();
     }
   }
 
@@ -1092,7 +1075,7 @@ class ClusterEngine : public NodeHost {
     }
     const int node = PickNode(m);
     if (node < 0) {
-      if (PendingReplicas(m) > 0 || (config_.replace_lost_replicas && was_running)) {
+      if (PendingReplicas(m) > 0 || was_running) {
         model.limbo.push_back(std::move(request));
       } else {
         model.total_dropped->Inc();
@@ -1292,7 +1275,6 @@ class ClusterEngine : public NodeHost {
   serving::ServingConfig config_;
   ClusterSpec spec_;
   ClusterTopology topo_;
-  NodePolicy node_policy_;
   Simulator sim_;
   serving::Router router_;
   serving::AdmissionController admission_;
@@ -1304,7 +1286,6 @@ class ClusterEngine : public NodeHost {
   std::vector<std::unique_ptr<interconnect::Fabric>> fabrics_;
   std::vector<std::unique_ptr<ModelState>> models_;
   std::vector<ReplicaRef> directory_;  // global replica id -> (node, slot)
-  std::vector<std::uint64_t> rr_node_cursor_;  // level-1 round-robin, per model
   std::uint64_t next_request_id_ = 0;
 
   // In-flight network payloads, keyed by a monotonically increasing op id so

@@ -5,16 +5,6 @@
 namespace orion {
 namespace datacenter {
 
-const char* NodePolicyName(NodePolicy policy) {
-  switch (policy) {
-    case NodePolicy::kLeastOutstanding:
-      return "least-outstanding";
-    case NodePolicy::kRoundRobin:
-      return "round-robin";
-  }
-  return "unknown";
-}
-
 ClusterTopology::ClusterTopology(const ClusterSpec& spec) : spec_(spec) {
   ORION_CHECK(spec.num_nodes >= 1);
   ORION_CHECK(spec.gpus_per_node >= 1);

@@ -1,11 +1,5 @@
 #include "src/fault/fault_plan.h"
 
-#include <istream>
-#include <ostream>
-#include <sstream>
-
-#include "src/common/check.h"
-
 namespace orion {
 namespace fault {
 
@@ -29,137 +23,6 @@ const char* FaultKindName(FaultKind kind) {
       return "node_down";
   }
   return "invalid";
-}
-
-bool ParseFaultKind(const std::string& name, FaultKind* kind) {
-  for (const FaultKind candidate :
-       {FaultKind::kDeviceDegrade, FaultKind::kLinkDegrade, FaultKind::kLinkDown,
-        FaultKind::kGpuDown, FaultKind::kClientCrash, FaultKind::kClientHang,
-        FaultKind::kProfilePoison, FaultKind::kNodeDown}) {
-    if (name == FaultKindName(candidate)) {
-      *kind = candidate;
-      return true;
-    }
-  }
-  return false;
-}
-
-const char* LinkDirName(LinkDir dir) {
-  switch (dir) {
-    case LinkDir::kForward:
-      return "fwd";
-    case LinkDir::kBackward:
-      return "bwd";
-    case LinkDir::kBoth:
-      return "both";
-  }
-  return "invalid";
-}
-
-bool ParseLinkDir(const std::string& name, LinkDir* dir) {
-  for (const LinkDir candidate : {LinkDir::kForward, LinkDir::kBackward, LinkDir::kBoth}) {
-    if (name == LinkDirName(candidate)) {
-      *dir = candidate;
-      return true;
-    }
-  }
-  return false;
-}
-
-void SaveFaultPlan(const FaultPlan& plan, std::ostream& os) {
-  os << "# orion fault plan v1\n";
-  for (const FaultEvent& e : plan.events) {
-    os << "event kind=" << FaultKindName(e.kind) << " at_us=" << e.at_us;
-    switch (e.kind) {
-      case FaultKind::kDeviceDegrade:
-        os << " gpu=" << e.gpu << " sms_lost=" << e.sms_lost
-           << " membw_factor=" << e.membw_factor;
-        break;
-      case FaultKind::kLinkDegrade:
-        os << " link=" << e.link << " dir=" << LinkDirName(e.dir) << " factor=" << e.factor
-           << " duration_us=" << e.duration_us;
-        break;
-      case FaultKind::kLinkDown:
-        os << " link=" << e.link << " dir=" << LinkDirName(e.dir)
-           << " duration_us=" << e.duration_us;
-        break;
-      case FaultKind::kGpuDown:
-        os << " gpu=" << e.gpu;
-        break;
-      case FaultKind::kClientCrash:
-        os << " client=" << e.client;
-        break;
-      case FaultKind::kClientHang:
-        os << " client=" << e.client << " runaway_us=" << e.runaway_us;
-        break;
-      case FaultKind::kProfilePoison:
-        os << " perturb_factor=" << e.perturb_factor << " drop_fraction=" << e.drop_fraction
-           << " seed=" << e.seed;
-        break;
-      case FaultKind::kNodeDown:
-        os << " node=" << e.node;
-        break;
-    }
-    os << "\n";
-  }
-}
-
-FaultPlan LoadFaultPlan(std::istream& is) {
-  FaultPlan plan;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::istringstream tokens(line);
-    std::string head;
-    tokens >> head;
-    ORION_CHECK_MSG(head == "event", "fault plan: unexpected line: " << line);
-    FaultEvent e;
-    std::string token;
-    while (tokens >> token) {
-      const std::size_t eq = token.find('=');
-      ORION_CHECK_MSG(eq != std::string::npos, "fault plan: malformed token: " << token);
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      if (key == "kind") {
-        ORION_CHECK_MSG(ParseFaultKind(value, &e.kind),
-                        "fault plan: unknown kind: " << value);
-      } else if (key == "at_us") {
-        e.at_us = std::stod(value);
-      } else if (key == "gpu") {
-        e.gpu = std::stoi(value);
-      } else if (key == "sms_lost") {
-        e.sms_lost = std::stoi(value);
-      } else if (key == "membw_factor") {
-        e.membw_factor = std::stod(value);
-      } else if (key == "link") {
-        e.link = std::stoi(value);
-      } else if (key == "dir") {
-        ORION_CHECK_MSG(ParseLinkDir(value, &e.dir), "fault plan: unknown dir: " << value);
-      } else if (key == "factor") {
-        e.factor = std::stod(value);
-      } else if (key == "duration_us") {
-        e.duration_us = std::stod(value);
-      } else if (key == "client") {
-        e.client = std::stoi(value);
-      } else if (key == "node") {
-        e.node = std::stoi(value);
-      } else if (key == "runaway_us") {
-        e.runaway_us = std::stod(value);
-      } else if (key == "perturb_factor") {
-        e.perturb_factor = std::stod(value);
-      } else if (key == "drop_fraction") {
-        e.drop_fraction = std::stod(value);
-      } else if (key == "seed") {
-        e.seed = std::stoull(value);
-      } else {
-        ORION_CHECK_MSG(false, "fault plan: unknown key: " << key);
-      }
-    }
-    plan.events.push_back(e);
-  }
-  return plan;
 }
 
 }  // namespace fault

@@ -4,7 +4,7 @@
 // of a workload trace. Orion's paper assumes a healthy device and fresh
 // profiles (§5.1.1, §7); production GPU sharing earns its keep when SMs
 // retire (ECC), links flap, clients crash or hang, and profiles go stale.
-// The plan is pure data (serialisable like profiles), the FaultInjector
+// The plan is pure data built in code by the caller, the FaultInjector
 // (fault_injector.h) schedules it on the discrete-event clock, and the
 // attacked layers implement the graceful-degradation responses.
 //
@@ -41,8 +41,6 @@
 #define SRC_FAULT_FAULT_PLAN_H_
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "src/common/time_types.h"
@@ -61,18 +59,14 @@ enum class FaultKind : std::uint8_t {
   kNodeDown,
 };
 
+// Stable name of a fault kind (the injector's trace markers use it).
 const char* FaultKindName(FaultKind kind);
-// Parses the name produced by FaultKindName; returns false on unknown names.
-bool ParseFaultKind(const std::string& name, FaultKind* kind);
 
 // Which direction(s) of a full-duplex link a link fault hits.
 enum class LinkDir : std::uint8_t { kForward, kBackward, kBoth };
 
-const char* LinkDirName(LinkDir dir);
-bool ParseLinkDir(const std::string& name, LinkDir* dir);
-
 // One timed fault. Only the fields of the event's kind are meaningful; the
-// rest keep their defaults (and serialisation only emits the relevant ones).
+// rest keep their defaults.
 struct FaultEvent {
   FaultKind kind = FaultKind::kDeviceDegrade;
   TimeUs at_us = 0.0;
@@ -107,10 +101,6 @@ struct FaultPlan {
 
   bool empty() const { return events.empty(); }
 };
-
-// Text (key=value per line) serialisation, same spirit as profile files.
-void SaveFaultPlan(const FaultPlan& plan, std::ostream& os);
-FaultPlan LoadFaultPlan(std::istream& is);
 
 }  // namespace fault
 }  // namespace orion

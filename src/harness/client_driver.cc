@@ -11,8 +11,7 @@ namespace harness {
 
 ClientDriver::ClientDriver(Simulator* sim, core::Scheduler* scheduler, core::ClientId id,
                            const ClientConfig& config, const gpusim::DeviceSpec& device,
-                           DurationUs op_overhead_us, Rng rng,
-                           std::size_t swap_bytes_per_request)
+                           DurationUs op_overhead_us, Rng rng)
     : sim_(sim),
       scheduler_(scheduler),
       id_(id),
@@ -62,31 +61,6 @@ ClientDriver::ClientDriver(Simulator* sim, core::Scheduler* scheduler, core::Cli
       captured[j].end_of_request = j + 1 == captured.size();
     }
     template_ops_ = std::move(captured);
-  }
-  if (swap_bytes_per_request > 0) {
-    // Layer-by-layer offloading (§5.1.3): spread the non-resident state over
-    // several swap-in copies interleaved with the request's kernels, so the
-    // PCIe traffic overlaps execution instead of serialising ahead of it.
-    constexpr int kSwapGroups = 8;
-    const std::size_t group_bytes = (swap_bytes_per_request + kSwapGroups - 1) / kSwapGroups;
-    std::vector<runtime::Op> with_swaps;
-    const std::size_t stride = std::max<std::size_t>(1, template_ops_.size() / kSwapGroups);
-    for (std::size_t i = 0; i < template_ops_.size(); ++i) {
-      if (i % stride == 0 && i / stride < kSwapGroups) {
-        runtime::Op swap;
-        swap.type = runtime::OpType::kMemcpyH2D;
-        swap.bytes = group_bytes;
-        swap.blocking = false;
-        with_swaps.push_back(swap);
-      }
-      with_swaps.push_back(template_ops_[i]);
-    }
-    // Re-stamp indices and the end-of-request marker.
-    for (std::size_t i = 0; i < with_swaps.size(); ++i) {
-      with_swaps[i].index_in_request = static_cast<std::uint32_t>(i);
-      with_swaps[i].end_of_request = i + 1 == with_swaps.size();
-    }
-    template_ops_ = std::move(with_swaps);
   }
   for (runtime::Op& op : template_ops_) {
     op.client_id = static_cast<std::uint64_t>(id_);

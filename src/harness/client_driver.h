@@ -40,14 +40,6 @@ struct ClientConfig {
   // granularity.
   bool use_cuda_graphs = false;
 
-  // §5.1.3 extension: layer-by-layer offloading. When the collocation does
-  // not fit in GPU memory, a best-effort client with allow_swapping streams
-  // the non-resident part of its model in and out every request (extra H2D
-  // traffic interleaved with its kernels). Without a swapping-enabled
-  // client, an over-capacity collocation is rejected (the paper's §5.1.3
-  // assumption that the cluster manager only collocates fitting jobs).
-  bool allow_swapping = false;
-
   // Unified-memory paging (src/memsub): hot fraction of this client's
   // registered footprint touched at the start of every request. The
   // registration itself always covers the full ApproxModelStateBytes
@@ -63,11 +55,9 @@ struct ClientConfig {
 
 class ClientDriver {
  public:
-  // `swap_bytes_per_request` > 0 interleaves that much extra H2D traffic
-  // into every request (layer-by-layer offloading of non-resident state).
   ClientDriver(Simulator* sim, core::Scheduler* scheduler, core::ClientId id,
                const ClientConfig& config, const gpusim::DeviceSpec& device,
-               DurationUs op_overhead_us, Rng rng, std::size_t swap_bytes_per_request = 0);
+               DurationUs op_overhead_us, Rng rng);
 
   void Start();
 

@@ -112,15 +112,11 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   }
 
   // --- Memory admission (§5.1.3). Shared-GPU collocations must fit in
-  // device memory; best-effort clients with allow_swapping absorb any
-  // overflow by streaming state in per request (layer-by-layer offloading).
-  // With unified-memory paging enabled (src/memsub) the admission check is
-  // waived instead: the pager admits any footprint and services the overflow
-  // as demand faults.
+  // device memory unless unified-memory paging (src/memsub) is enabled: the
+  // pager admits any footprint and services the overflow as demand faults.
   const bool shares_gpu = config.scheduler != SchedulerKind::kDedicated &&
                           config.scheduler != SchedulerKind::kMig;
   const bool paging = config.paging.enabled && shares_gpu;
-  std::vector<std::size_t> swap_bytes(config.clients.size(), 0);
   std::vector<std::size_t> state(config.clients.size(), 0);
   std::size_t memory_deficit = 0;
   if (shares_gpu) {
@@ -132,24 +128,10 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     if (total_state > config.device.memory_bytes) {
       memory_deficit = total_state - config.device.memory_bytes;
     }
-    if (memory_deficit > 0 && !paging) {
-      std::size_t swapper_state = 0;
-      for (std::size_t i = 0; i < config.clients.size(); ++i) {
-        if (config.clients[i].allow_swapping && !config.clients[i].high_priority) {
-          swapper_state += state[i];
-        }
-      }
-      ORION_CHECK_MSG(swapper_state >= memory_deficit,
-                      "collocation exceeds GPU memory by "
-                          << memory_deficit
-                          << " bytes and no best-effort client allows swapping (§5.1.3)");
-      for (std::size_t i = 0; i < config.clients.size(); ++i) {
-        if (config.clients[i].allow_swapping && !config.clients[i].high_priority) {
-          swap_bytes[i] = static_cast<std::size_t>(
-              static_cast<double>(memory_deficit) * state[i] / swapper_state);
-        }
-      }
-    }
+    ORION_CHECK_MSG(memory_deficit == 0 || paging,
+                    "collocation exceeds GPU memory by "
+                        << memory_deficit
+                        << " bytes; enable config.paging to page the overflow (§5.1.3)");
   }
 
   // --- Per-client telemetry labels. Collocations of one model against
@@ -280,7 +262,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     for (int i = 0; i < num_clients; ++i) {
       drivers.push_back(std::make_unique<ClientDriver>(
           &sim, sched.get(), i, config.clients[static_cast<std::size_t>(i)], config.device,
-          overhead, root_rng.Fork(i + 1), swap_bytes[static_cast<std::size_t>(i)]));
+          overhead, root_rng.Fork(i + 1)));
       bind_attribution(*drivers.back(), static_cast<std::size_t>(i));
       if (pager != nullptr) {
         drivers.back()->set_pager(pager.get());
@@ -347,7 +329,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.scheduler_name = SchedulerKindName(config.scheduler);
   result.window_us = config.duration_us;
   result.memory_deficit_bytes = memory_deficit;
-  result.swapping_active = memory_deficit > 0 && !paging;
   result.paging_active = pager != nullptr;
   if (pager != nullptr) {
     result.paging = pager->totals();

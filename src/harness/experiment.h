@@ -54,13 +54,14 @@ struct ExperimentConfig {
   baselines::TimeQuantumOptions time_quantum;
   std::vector<ClientConfig> clients;
 
-  // Unified-memory paging (src/memsub). When enabled on a shared-GPU run,
-  // every client's model state is registered with a page-granular pager
-  // instead of the closed-form §5.1.3 swap admission: requests fault their
-  // working set in on demand, paging traffic rides the real copy engine, and
-  // oversubscribed collocations are admitted rather than rejected. Inert
-  // when the collocation fits (no faults, bit-identical results). Ignored
-  // for Dedicated/MIG (each client owns its device's memory).
+  // Unified-memory paging (src/memsub), the §5.1.3 oversubscription path.
+  // When enabled on a shared-GPU run, every client's model state is
+  // registered with a page-granular pager: requests fault their working set
+  // in on demand and paging traffic rides the real copy engine. A shared run
+  // whose collocation exceeds device memory requires it (RunExperiment
+  // rejects the run otherwise). Inert when the collocation fits (no faults,
+  // bit-identical results). Ignored for Dedicated/MIG (each client owns its
+  // device's memory).
   memsub::PagingOptions paging;
 
   // Streaming telemetry export: when `telemetry` is set and period_us > 0,
@@ -112,9 +113,8 @@ struct ExperimentResult {
   gpusim::UtilizationSample utilization;  // averages over the window
   DurationUs window_us = 0.0;
   // §5.1.3 memory accounting: by how much the collocation exceeded GPU
-  // memory, and whether layer-by-layer swapping was engaged to absorb it.
+  // memory (the overflow the pager services; 0 when the collocation fits).
   std::size_t memory_deficit_bytes = 0;
-  bool swapping_active = false;
 
   // Fault accounting (zero on fault-free runs).
   std::size_t faults_injected = 0;

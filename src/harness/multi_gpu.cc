@@ -296,11 +296,7 @@ MultiGpuResult RunDdpExperiment(const MultiGpuConfig& config) {
     devices.push_back(&device);
   }
 
-  workloads::DdpIterationPlan plan = PlanDdpIteration(config.device, config.ddp);
-  if (!config.overlap_comm && plan.buckets.size() > 1) {
-    // Ablation: one monolithic all-reduce after the whole backward pass.
-    plan.buckets = {workloads::GradientBucket{plan.param_bytes, 1.0}};
-  }
+  const workloads::DdpIterationPlan plan = PlanDdpIteration(config.device, config.ddp);
 
   bool finished = false;
   DdpRun run(&sim, plan, std::move(devices), std::move(compute_streams), &engine, ring,

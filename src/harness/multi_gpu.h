@@ -48,9 +48,6 @@ struct MultiGpuConfig {
   DurationUs launch_overhead_us = 6.0;  // host cost per kernel launch
   std::uint64_t seed = 42;
   std::optional<BandwidthHogConfig> hog;
-  // false: one un-bucketed all-reduce after the backward pass (no
-  // comm/compute overlap) — the ablation arm of the DDP bench.
-  bool overlap_comm = true;
   // Collective fault-detection policy (step timeouts, ring re-formation).
   // Defaults keep detection off — required for fault plans with link/GPU
   // faults that should be survived rather than waited out.

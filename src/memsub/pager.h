@@ -51,8 +51,8 @@ namespace orion {
 namespace memsub {
 
 struct PagingOptions {
-  // Master switch: when false, harnesses keep the legacy closed-form
-  // swap-cost path and never construct a pager.
+  // Master switch: when false, harnesses never construct a pager (and a
+  // shared run must then fit in device memory).
   bool enabled = false;
   // Unified-memory migration granularity.
   std::size_t page_bytes = std::size_t{2} * 1024 * 1024;

@@ -86,12 +86,6 @@ TimeUs DynamicBatcher::LingerDeadline() const {
   return oldest + config_.max_queue_delay_us;
 }
 
-std::vector<Request> DynamicBatcher::TakeBatch() {
-  std::vector<Request> batch;
-  TakeBatchInto(&batch);
-  return batch;
-}
-
 void DynamicBatcher::TakeBatchInto(std::vector<Request>* out) {
   ORION_CHECK(!queue_.empty());
   const int take = config_.enabled ? config_.max_batch_size : 1;

@@ -64,11 +64,9 @@ class DynamicBatcher {
   // Only meaningful when !empty().
   TimeUs LingerDeadline() const;
 
-  // Removes and returns the next batch (up to max_batch_size requests, FIFO
-  // or deadline order per config.edf).
-  std::vector<Request> TakeBatch();
-  // Allocation-free variant for the dispatch hot path: fills `out` (cleared
-  // first, capacity retained) with the same batch TakeBatch would return.
+  // Removes the next batch (up to max_batch_size requests, FIFO or deadline
+  // order per config.edf) into `out`. `out` is cleared first and keeps its
+  // capacity, so a replica's reused buffer stops allocating on the hot path.
   void TakeBatchInto(std::vector<Request>* out);
 
   // Removes and returns everything queued (failover re-routing).

@@ -89,10 +89,9 @@ struct ServingConfig {
 
   // Replica deaths (kGpuDown / kClientCrash, where `client` is the replica
   // id) drive failover; other fault kinds are counted as skipped.
+  // A replacement replica is provisioned on a surviving GPU for every
+  // replica lost to a fault (independent of the autoscaler).
   fault::FaultPlan fault_plan;
-  // Provision a replacement replica on a surviving GPU for every replica
-  // lost to a fault (independent of the autoscaler).
-  bool replace_lost_replicas = true;
 
   DurationUs warmup_us = SecToUs(1.0);
   DurationUs duration_us = SecToUs(20.0);  // measurement window after warmup

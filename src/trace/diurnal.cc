@@ -29,59 +29,6 @@ double BurstMix::calm_multiplier() const {
   return (1.0 - burst_fraction * burst_factor) / (1.0 - burst_fraction);
 }
 
-ArrivalFit FitArrivals(const std::vector<TimeUs>& timestamps) {
-  ORION_CHECK_MSG(timestamps.size() >= 2, "fitting needs at least two timestamps");
-  ArrivalFit fit;
-  fit.count = timestamps.size();
-  const double span_us = timestamps.back() - timestamps.front();
-  ORION_CHECK(span_us > 0.0);
-  const auto gaps = static_cast<double>(timestamps.size() - 1);
-  const double mean_gap = span_us / gaps;
-  fit.mean_rps = kUsPerSec / mean_gap;
-  double var = 0.0;
-  for (std::size_t i = 1; i < timestamps.size(); ++i) {
-    const double d = (timestamps[i] - timestamps[i - 1]) - mean_gap;
-    var += d * d;
-  }
-  var /= gaps;
-  fit.interarrival_cv2 = var / (mean_gap * mean_gap);
-  return fit;
-}
-
-DiurnalConfig FitDiurnal(const std::vector<TimeUs>& timestamps, const DiurnalShape& shape) {
-  const ArrivalFit fit = FitArrivals(timestamps);
-  DiurnalConfig config;
-  config.mean_rps = fit.mean_rps;
-  config.shape = shape;
-  // For an MMPP-modulated Poisson process, excess interarrival variability
-  // over the Poisson floor (CV² = 1) comes from rate modulation. Invert the
-  // first-order relation CV² ≈ 1 + p(1-p)(f-1)²/(p f + 1 - p)² at the fixed
-  // design point p = 0.1 for the burst factor f; recordings at or below the
-  // Poisson floor get no bursts.
-  const double excess = fit.interarrival_cv2 - 1.0;
-  if (excess > 1e-3) {
-    const double p = 0.1;
-    // Solve p(1-p)(f-1)² = excess · (p f + 1 - p)² for f > 1 (quadratic).
-    const double a = p * (1.0 - p) - excess * p * p;
-    const double b = -2.0 * p * (1.0 - p) * (1.0 + excess);
-    const double c = (1.0 - p) * (p - excess * (1.0 - p));
-    double f = 1.0;
-    if (std::abs(a) > 1e-12) {
-      const double disc = b * b - 4.0 * a * c;
-      if (disc > 0.0) {
-        f = (-b + std::sqrt(disc)) / (2.0 * a);
-      }
-    }
-    // Keep the mean-1 identity satisfiable: p·f < 1.
-    const double f_max = 0.99 / p;
-    if (f > 1.0 + 1e-9) {
-      config.burst.burst_factor = std::min(f, f_max);
-      config.burst.burst_fraction = p;
-    }
-  }
-  return config;
-}
-
 DiurnalArrivals::DiurnalArrivals(const DiurnalConfig& config) : config_(config) {
   ORION_CHECK(config.mean_rps > 0.0);
   ORION_CHECK(config.shape.period_us > 0.0);
@@ -143,42 +90,8 @@ std::string DiurnalArrivals::name() const {
   return "diurnal-" + std::to_string(static_cast<int>(config_.mean_rps + 0.5)) + "rps";
 }
 
-DiurnalReplayArrivals::DiurnalReplayArrivals(std::vector<TimeUs> timestamps,
-                                             const DiurnalShape& shape)
-    : shape_(shape) {
-  ORION_CHECK_MSG(timestamps.size() >= 2, "replay needs at least two timestamps");
-  gaps_.reserve(timestamps.size() - 1);
-  for (std::size_t i = 1; i < timestamps.size(); ++i) {
-    const DurationUs gap = timestamps[i] - timestamps[i - 1];
-    ORION_CHECK_MSG(gap >= 0.0, "replay timestamps must be monotone");
-    gaps_.push_back(gap);
-  }
-}
-
-DurationUs DiurnalReplayArrivals::NextInterarrival(Rng& rng) {
-  (void)rng;
-  const DurationUs gap = gaps_[cursor_];
-  cursor_ = (cursor_ + 1) % gaps_.size();
-  // Dividing the gap by the instantaneous multiplier speeds replay up at the
-  // diurnal peak and slows it at the trough, preserving the recording's
-  // fine-grained burst structure.
-  const double m = std::max(1e-6, shape_.Multiplier(now_us_));
-  const DurationUs scaled = gap / m;
-  now_us_ += scaled;
-  return scaled;
-}
-
-std::string DiurnalReplayArrivals::name() const {
-  return "diurnal-replay-" + std::to_string(gaps_.size()) + "gaps";
-}
-
 std::unique_ptr<ArrivalProcess> MakeDiurnal(const DiurnalConfig& config) {
   return std::make_unique<DiurnalArrivals>(config);
-}
-
-std::unique_ptr<ArrivalProcess> MakeDiurnalReplay(std::vector<TimeUs> timestamps,
-                                                  const DiurnalShape& shape) {
-  return std::make_unique<DiurnalReplayArrivals>(std::move(timestamps), shape);
 }
 
 void DiurnalMix::AddService(const std::string& service, const DiurnalConfig& config) {
@@ -188,18 +101,6 @@ void DiurnalMix::AddService(const std::string& service, const DiurnalConfig& con
   const double phase = entry.config.shape.phase_rad;
   entry.config.shape = shape_;
   entry.config.shape.phase_rad = phase;
-  services_.push_back(std::move(entry));
-}
-
-void DiurnalMix::FitFromRecording(const std::string& service,
-                                  const std::vector<TimeUs>& timestamps) {
-  DiurnalShape shape = shape_;
-  // Stagger service peaks across the period so the mix's aggregate load is
-  // not a single synchronized wave.
-  shape.phase_rad += kTwoPi * static_cast<double>(services_.size()) / 8.0;
-  Entry entry;
-  entry.name = service;
-  entry.config = FitDiurnal(timestamps, shape);
   services_.push_back(std::move(entry));
 }
 

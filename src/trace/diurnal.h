@@ -1,4 +1,4 @@
-// Diurnal arrival synthesis: multi-hour load shapes fitted from recordings.
+// Diurnal arrival synthesis: multi-hour non-stationary load shapes.
 //
 // Production inference traffic is not stationary: request rate follows a
 // daily cycle (diurnal wave) with short bursty episodes superimposed. This
@@ -16,14 +16,6 @@
 //                          peak rate (Lewis & Shedler), so it composes with
 //                          the ArrivalProcess interface and stays bit-
 //                          deterministic under a fixed Rng.
-//   * FitArrivals        — moment fit (mean rate + interarrival CV²) of a
-//                          recorded timestamp vector; FitDiurnal maps the fit
-//                          onto a DiurnalConfig so a short recording can seed
-//                          a synthetic multi-hour workload.
-//   * MakeDiurnalReplay  — extends trace::ReplayArrivals-style replay to long
-//                          horizons: loops a recording's gaps while scaling
-//                          each gap by the inverse diurnal multiplier at the
-//                          current synthetic time (RNG-free).
 //   * DiurnalMix         — a per-service bundle of DiurnalConfigs with a
 //                          shared shape, the front door used by the
 //                          datacenter bench's 24h-compressed mix.
@@ -72,21 +64,6 @@ struct DiurnalConfig {
   BurstMix burst;
 };
 
-// Moment summary of a recorded arrival vector.
-struct ArrivalFit {
-  double mean_rps = 0.0;
-  double interarrival_cv2 = 1.0;  // squared coefficient of variation
-  std::size_t count = 0;
-};
-
-// Fits mean rate and interarrival CV² to recorded timestamps (needs >= 2).
-ArrivalFit FitArrivals(const std::vector<TimeUs>& timestamps);
-
-// Maps a fit onto a DiurnalConfig with the given shape: mean_rps from the
-// recording, and burstiness chosen so the synthetic process reproduces the
-// recording's interarrival CV² (cv2 <= 1 → no bursts; Poisson floor is 1).
-DiurnalConfig FitDiurnal(const std::vector<TimeUs>& timestamps, const DiurnalShape& shape);
-
 // Non-homogeneous Poisson arrivals: rate(t) = mean_rps * shape(t) * mmpp(t),
 // generated by thinning against the peak rate. Owns its absolute clock
 // (accumulated interarrivals), so each instance is an independent stream.
@@ -111,31 +88,10 @@ class DiurnalArrivals : public ArrivalProcess {
   bool burst_seeded_ = false;
 };
 
-// Replays a recording's gaps, looping past the end, with each gap divided by
-// the diurnal multiplier at the current synthetic time — a short recording
-// stretched over a multi-hour diurnal horizon. RNG-free and deterministic.
-class DiurnalReplayArrivals : public ArrivalProcess {
- public:
-  DiurnalReplayArrivals(std::vector<TimeUs> timestamps, const DiurnalShape& shape);
-
-  DurationUs NextInterarrival(Rng& rng) override;
-  std::string name() const override;
-
-  std::size_t trace_length() const { return gaps_.size(); }
-
- private:
-  std::vector<DurationUs> gaps_;
-  DiurnalShape shape_;
-  std::size_t cursor_ = 0;
-  TimeUs now_us_ = 0.0;
-};
-
 std::unique_ptr<ArrivalProcess> MakeDiurnal(const DiurnalConfig& config);
-std::unique_ptr<ArrivalProcess> MakeDiurnalReplay(std::vector<TimeUs> timestamps,
-                                                  const DiurnalShape& shape);
 
-// Per-service diurnal configs sharing one shape (phase-shifted per service so
-// peaks do not all align). Front door for multi-model datacenter mixes.
+// Per-service diurnal configs sharing one shape (each service keeps its own
+// phase so peaks need not align). Front door for multi-model datacenter mixes.
 class DiurnalMix {
  public:
   explicit DiurnalMix(const DiurnalShape& shape) : shape_(shape) {}
@@ -143,9 +99,6 @@ class DiurnalMix {
   // Adds a service with an explicit config (shape overridden by the mix's,
   // keeping the caller's phase if it set one explicitly via `phase_rad`).
   void AddService(const std::string& service, const DiurnalConfig& config);
-  // Fits a service's config from a recording (see FitDiurnal), phase-shifted
-  // by its index so service peaks stagger across the period.
-  void FitFromRecording(const std::string& service, const std::vector<TimeUs>& timestamps);
 
   std::size_t size() const { return services_.size(); }
   const std::string& service_name(std::size_t i) const { return services_[i].name; }

@@ -198,18 +198,6 @@ TEST(DatacenterTest, LeastOutstandingSpreadsLoadAcrossNodes) {
   }
 }
 
-TEST(DatacenterTest, RoundRobinNodePolicyAlsoBalances) {
-  ClusterConfig config = SmallCluster(3, 2);
-  config.serving.models[0].initial_replicas = 6;
-  config.serving.models[0].max_replicas = 8;
-  config.node_policy = NodePolicy::kRoundRobin;
-  const ClusterResult result = RunCluster(config);
-  for (const NodeSummary& node : result.nodes) {
-    EXPECT_GT(node.requests, 0u);
-  }
-  EXPECT_GE(result.serving.models[0].slo_attainment, 0.85);
-}
-
 TEST(DatacenterTest, NetworkLatencyShowsUpInEndToEndLatency) {
   ClusterConfig networked = SmallCluster(2, 2);
   ClusterConfig instant = SmallCluster(2, 2);

@@ -1,18 +1,30 @@
 // Diurnal arrival synthesis tests (src/trace/diurnal): mean-1 modulators,
-// moment fitting from recordings, fit → generate reproducibility under
-// reseeding, and long-horizon diurnal replay.
+// generated moments under reseeding, the rate wave, and the service mix.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/trace/diurnal.h"
-#include "src/trace/file_trace.h"
 
 namespace orion {
 namespace trace {
 namespace {
+
+// Mean rate (1/s) and squared interarrival CV over `n` draws from `process`.
+std::pair<double, double> RateAndCv2(ArrivalProcess& process, Rng& rng, int n) {
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double gap = process.NextInterarrival(rng);
+    sum += gap;
+    sum_sq += gap * gap;
+  }
+  const double mean = sum / n;
+  return {kUsPerSec / mean, (sum_sq / n - mean * mean) / (mean * mean)};
+}
 
 // --- Modulators. ---
 
@@ -52,60 +64,6 @@ TEST(BurstMixTest, ExpectedMultiplierIsOne) {
 
 // --- Fitting. ---
 
-TEST(FitArrivalsTest, RecoversMeanRateAndCv) {
-  // 1000 exponential gaps at 200 rps: mean within a few percent, CV² near
-  // the Poisson value of 1.
-  Rng rng(7);
-  std::vector<TimeUs> timestamps;
-  TimeUs t = 0.0;
-  for (int i = 0; i < 1000; ++i) {
-    t += rng.Exponential(kUsPerSec / 200.0);
-    timestamps.push_back(t);
-  }
-  const ArrivalFit fit = FitArrivals(timestamps);
-  EXPECT_NEAR(fit.mean_rps, 200.0, 20.0);
-  EXPECT_NEAR(fit.interarrival_cv2, 1.0, 0.25);
-  EXPECT_EQ(fit.count, 1000u);
-}
-
-TEST(FitDiurnalTest, BurstyRecordingGetsBursts) {
-  // A deterministic bursty pattern: clumps of short gaps separated by long
-  // silences → interarrival CV² well above 1.
-  std::vector<TimeUs> bursty;
-  TimeUs t = 0.0;
-  for (int clump = 0; clump < 50; ++clump) {
-    for (int i = 0; i < 10; ++i) {
-      t += 1000.0;  // 1 ms inside the clump
-      bursty.push_back(t);
-    }
-    t += 100000.0;  // 100 ms silence
-    bursty.push_back(t);
-  }
-  const DiurnalConfig config = FitDiurnal(bursty, DiurnalShape{});
-  EXPECT_GT(FitArrivals(bursty).interarrival_cv2, 1.5);
-  ASSERT_TRUE(config.burst.enabled());
-  EXPECT_GT(config.burst.burst_factor, 1.0);
-  // The mean-1 identity must stay satisfiable.
-  EXPECT_LT(config.burst.burst_fraction * config.burst.burst_factor, 1.0);
-}
-
-TEST(FitDiurnalTest, PoissonRecordingGetsNoBursts) {
-  Rng rng(11);
-  std::vector<TimeUs> timestamps;
-  TimeUs t = 0.0;
-  for (int i = 0; i < 2000; ++i) {
-    t += rng.Exponential(5000.0);
-    timestamps.push_back(t);
-  }
-  const DiurnalConfig config = FitDiurnal(timestamps, DiurnalShape{});
-  // At (or statistically below) the Poisson floor: nothing to explain.
-  if (FitArrivals(timestamps).interarrival_cv2 <= 1.0 + 1e-3) {
-    EXPECT_FALSE(config.burst.enabled());
-  } else {
-    EXPECT_LT(config.burst.burst_factor, 2.0);
-  }
-}
-
 // --- Generation. ---
 
 TEST(DiurnalArrivalsTest, SameSeedReproducesExactStream) {
@@ -136,8 +94,8 @@ TEST(DiurnalArrivalsTest, SameSeedReproducesExactStream) {
 }
 
 TEST(DiurnalArrivalsTest, FitGenerateReproducesUnderReseeding) {
-  // fit → generate → fit again with a fresh seed: the synthesized stream's
-  // moments match the fitted parameters, independent of the seed.
+  // Generate under two seeds: the synthesized stream's moments match the
+  // configured parameters, independent of the seed.
   DiurnalConfig config;
   config.mean_rps = 150.0;
   config.shape.peak_to_trough = 1.0;  // flat, so the mean is exact
@@ -147,10 +105,9 @@ TEST(DiurnalArrivalsTest, FitGenerateReproducesUnderReseeding) {
   for (const std::uint64_t seed : {1ull, 99ull}) {
     auto process = MakeDiurnal(config);
     Rng rng(seed);
-    const std::vector<TimeUs> recorded = RecordArrivals(*process, rng, 20000);
-    const ArrivalFit fit = FitArrivals(recorded);
-    EXPECT_NEAR(fit.mean_rps, 150.0, 15.0) << "seed " << seed;
-    EXPECT_GT(fit.interarrival_cv2, 1.1) << "seed " << seed;
+    const auto [mean_rps, cv2] = RateAndCv2(*process, rng, 20000);
+    EXPECT_NEAR(mean_rps, 150.0, 15.0) << "seed " << seed;
+    EXPECT_GT(cv2, 1.1) << "seed " << seed;
   }
 }
 
@@ -195,83 +152,34 @@ TEST(DiurnalArrivalsTest, RateFollowsTheWave) {
   EXPECT_GT(static_cast<double>(peak_half), 1.4 * static_cast<double>(trough_half));
 }
 
-// --- Replay over long horizons. ---
-
-TEST(DiurnalReplayTest, LoopsRecordingOverHorizonFarBeyondIt) {
-  // A 5-gap recording spanning ~5 ms drives a 60 s horizon: the replay must
-  // cycle the gaps indefinitely, never running dry.
-  const std::vector<TimeUs> recording = {0.0, 1000.0, 1500.0, 3000.0, 4500.0, 5000.0};
-  DiurnalShape flat;
-  flat.peak_to_trough = 1.0;
-  auto replay = MakeDiurnalReplay(recording, flat);
-  Rng rng(1);
-  TimeUs t = 0.0;
-  std::size_t count = 0;
-  while (t < SecToUs(60.0)) {
-    t += replay->NextInterarrival(rng);
-    ++count;
-  }
-  // 5 gaps x 5 ms per cycle → 200 requests/s for 60 s.
-  EXPECT_GT(count, 11000u);
-  // With a flat shape the gap sequence repeats exactly.
-  auto again = MakeDiurnalReplay(recording, flat);
-  std::vector<DurationUs> first_cycle;
-  for (int i = 0; i < 5; ++i) {
-    first_cycle.push_back(again->NextInterarrival(rng));
-  }
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    for (int i = 0; i < 5; ++i) {
-      EXPECT_DOUBLE_EQ(again->NextInterarrival(rng), first_cycle[static_cast<std::size_t>(i)]);
-    }
-  }
-}
-
-TEST(DiurnalReplayTest, WaveCompressesGapsAtThePeak) {
-  const std::vector<TimeUs> recording = {0.0, 1000.0, 2000.0, 3000.0};
-  DiurnalShape wave;
-  wave.period_us = SecToUs(1.0);  // short period so the replay spans peaks
-  wave.peak_to_trough = 3.0;      // amplitude 0.5: multiplier in [0.5, 1.5]
-  auto replay = MakeDiurnalReplay(recording, wave);
-  Rng rng(1);
-  // At t=0 the multiplier is exactly 1: the first gap replays unscaled.
-  EXPECT_DOUBLE_EQ(replay->NextInterarrival(rng), 1000.0);
-  double shortest = 1000.0;
-  double longest = 1000.0;
-  for (int i = 0; i < 2000; ++i) {
-    const DurationUs gap = replay->NextInterarrival(rng);
-    shortest = std::min(shortest, gap);
-    longest = std::max(longest, gap);
-  }
-  // The 1 ms recorded gap compresses to ~1/1.5 ms at the peak and stretches
-  // to ~1/0.5 ms at the trough.
-  EXPECT_LT(shortest, 700.0);
-  EXPECT_GT(longest, 1800.0);
-}
-
 // --- DiurnalMix. ---
 
-TEST(DiurnalMixTest, FittedServicesStaggerPhases) {
-  Rng rng(2);
-  std::vector<TimeUs> timestamps;
-  TimeUs t = 0.0;
-  for (int i = 0; i < 500; ++i) {
-    t += rng.Exponential(2000.0);
-    timestamps.push_back(t);
-  }
+TEST(DiurnalMixTest, AddServiceKeepsPhaseAndSharesPeriod) {
   DiurnalShape shape;
   shape.period_us = SecToUs(240.0);
+  shape.peak_to_trough = 2.0;
   DiurnalMix mix(shape);
-  mix.FitFromRecording("a", timestamps);
-  mix.FitFromRecording("b", timestamps);
+  DiurnalConfig a;
+  a.mean_rps = 500.0;
+  a.shape.period_us = SecToUs(10.0);  // overridden by the mix's period
+  DiurnalConfig b = a;
+  b.shape.phase_rad = 1.5;
+  mix.AddService("a", a);
+  mix.AddService("b", b);
   ASSERT_EQ(mix.size(), 2u);
   EXPECT_EQ(mix.service_name(0), "a");
-  EXPECT_NE(mix.service_config(0).shape.phase_rad, mix.service_config(1).shape.phase_rad);
-  // Both keep the mix's shared period and the recording's fitted rate.
-  EXPECT_DOUBLE_EQ(mix.service_config(0).shape.period_us, SecToUs(240.0));
-  EXPECT_NEAR(mix.service_config(1).mean_rps, 500.0, 60.0);
+  EXPECT_EQ(mix.service_name(1), "b");
+  // The caller's phase is kept; period and peak-to-trough come from the mix.
+  EXPECT_DOUBLE_EQ(mix.service_config(0).shape.phase_rad, 0.0);
+  EXPECT_DOUBLE_EQ(mix.service_config(1).shape.phase_rad, 1.5);
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    EXPECT_DOUBLE_EQ(mix.service_config(i).shape.period_us, SecToUs(240.0));
+    EXPECT_DOUBLE_EQ(mix.service_config(i).shape.peak_to_trough, 2.0);
+    EXPECT_DOUBLE_EQ(mix.service_config(i).mean_rps, 500.0);
+  }
   // MakeProcess is usable and deterministic per seed.
-  auto p0 = mix.MakeProcess(0);
-  auto p1 = mix.MakeProcess(0);
+  auto p0 = mix.MakeProcess(1);
+  auto p1 = mix.MakeProcess(1);
   Rng ra(9);
   Rng rb(9);
   for (int i = 0; i < 100; ++i) {

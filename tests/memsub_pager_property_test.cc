@@ -7,7 +7,8 @@
 // pager. After every operation the two must agree on the exact resident set.
 // Invariants checked throughout: resident bytes never exceed capacity,
 // pinned pages never leave the device, fault/eviction totals are consistent,
-// and the same seed replays bit-identically.
+// and the same seed replays bit-identically. The harness admission cases at
+// the end pin §5.1.3: an oversubscribed shared run needs the pager.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,6 +19,7 @@
 
 #include "src/common/rng.h"
 #include "src/gpusim/device.h"
+#include "src/harness/experiment.h"
 #include "src/memsub/pager.h"
 #include "src/sim/simulator.h"
 
@@ -345,6 +347,98 @@ TEST(PagerDeathTest, PinnedClientMustFit) {
   EXPECT_DEATH(pager.RegisterClient(0, "big", 5 * kPage, /*pinned=*/true,
                                     /*dirty_on_touch=*/false),
                "does not fit");
+}
+
+// --- Harness memory admission (§5.1.3). ---
+
+// Two big-batch training jobs that together exceed 16 GB. MPS keeps both
+// jobs running freely; these cases target admission, not a policy.
+harness::ExperimentConfig OversizedConfig(bool paging) {
+  using workloads::MakeWorkload;
+  using workloads::ModelId;
+  using workloads::TaskType;
+  harness::ExperimentConfig config;
+  config.scheduler = harness::SchedulerKind::kMps;
+  config.warmup_us = SecToUs(0.3);
+  config.duration_us = SecToUs(6.0);
+  harness::ClientConfig hp;
+  hp.workload = MakeWorkload(ModelId::kResNet50, TaskType::kTraining, 48);
+  hp.high_priority = true;
+  harness::ClientConfig be;
+  be.workload = MakeWorkload(ModelId::kResNet101, TaskType::kTraining, 48);
+  config.clients = {hp, be};
+  config.paging.enabled = paging;
+  config.paging.pin_high_priority = true;
+  return config;
+}
+
+TEST(SwappingTest, OversizedPairsAreDetected) {
+  std::size_t state = 0;
+  for (const harness::ClientConfig& client : OversizedConfig(false).clients) {
+    state += workloads::ApproxModelStateBytes(client.workload);
+  }
+  ASSERT_GT(state, gpusim::DeviceSpec::V100_16GB().memory_bytes)
+      << "test premise: the pair must exceed 16 GB";
+}
+
+TEST(SwappingDeathTest, RejectedWithoutASwapper) {
+  EXPECT_DEATH((void)harness::RunExperiment(OversizedConfig(false)),
+               "exceeds GPU memory.*enable config.paging");
+}
+
+TEST(SwappingTest, SwappingAbsorbsTheOverflow) {
+  const harness::ExperimentResult result = harness::RunExperiment(OversizedConfig(true));
+  EXPECT_TRUE(result.paging_active);
+  EXPECT_GT(result.memory_deficit_bytes, std::size_t{0});
+  EXPECT_GT(result.paging.faults, 0u);
+  // Both jobs still make progress.
+  for (const auto& client : result.clients) {
+    EXPECT_GT(client.completed, 0u) << client.name;
+  }
+}
+
+TEST(SwappingTest, SwappingCostsBestEffortThroughput) {
+  // The paged job pays PCIe time each iteration; compare against the same
+  // pair at a batch size that fits (no faults).
+  harness::ExperimentConfig fits = OversizedConfig(true);
+  for (harness::ClientConfig& client : fits.clients) {
+    client.workload = workloads::MakeWorkload(client.workload.model, client.workload.task);
+  }
+  const harness::ExperimentResult small = harness::RunExperiment(fits);
+  EXPECT_EQ(small.memory_deficit_bytes, 0u);
+  EXPECT_EQ(small.paging.faults, 0u);
+  const harness::ExperimentResult paged = harness::RunExperiment(OversizedConfig(true));
+  // The iterations are not equal work, so only require the paged run to be
+  // slower in iterations/s.
+  double small_be = 0.0;
+  double paged_be = 0.0;
+  for (std::size_t c = 0; c < small.clients.size(); ++c) {
+    if (!small.clients[c].high_priority) {
+      small_be = small.clients[c].throughput_rps;
+      paged_be = paged.clients[c].throughput_rps;
+    }
+  }
+  EXPECT_GT(small_be, paged_be);
+}
+
+TEST(SwappingTest, FittingPairsNeverSwap) {
+  harness::ExperimentConfig config;
+  config.scheduler = harness::SchedulerKind::kOrion;
+  config.warmup_us = SecToUs(0.3);
+  config.duration_us = SecToUs(2.0);
+  harness::ClientConfig hp;
+  hp.workload =
+      workloads::MakeWorkload(workloads::ModelId::kResNet50, workloads::TaskType::kInference);
+  hp.high_priority = true;
+  hp.arrivals = harness::ClientConfig::Arrivals::kPoisson;
+  hp.rps = 15.0;
+  harness::ClientConfig be;
+  be.workload =
+      workloads::MakeWorkload(workloads::ModelId::kMobileNetV2, workloads::TaskType::kTraining);
+  config.clients = {hp, be};
+  const harness::ExperimentResult result = harness::RunExperiment(config);
+  EXPECT_FALSE(result.paging_active);
+  EXPECT_EQ(result.memory_deficit_bytes, 0u);
 }
 
 }  // namespace

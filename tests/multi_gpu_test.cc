@@ -128,16 +128,6 @@ TEST(MultiGpuTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(MultiGpuTest, NoOverlapAblationUsesOneBucket) {
-  auto config = BaseConfig(2, interconnect::NodeTopology::NvLinkPairs(2));
-  config.overlap_comm = false;
-  const auto result = RunDdpExperiment(config);
-  EXPECT_EQ(result.buckets_per_iteration, 1u);
-  const auto overlapped = RunDdpExperiment(BaseConfig(2, interconnect::NodeTopology::NvLinkPairs(2)));
-  // Overlap hides communication: the overlapped run is no slower.
-  EXPECT_LE(overlapped.iteration_us.mean(), result.iteration_us.mean() + 1e-6);
-}
-
 }  // namespace
 }  // namespace harness
 }  // namespace orion

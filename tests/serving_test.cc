@@ -98,7 +98,8 @@ TEST(BatcherTest, DispatchesFullBatchImmediately) {
     batcher.Enqueue(MakeRequest(i), /*now=*/0.0);
   }
   EXPECT_TRUE(batcher.ShouldDispatch(0.0));
-  const auto batch = batcher.TakeBatch();
+  std::vector<Request> batch;
+  batcher.TakeBatchInto(&batch);
   EXPECT_EQ(batch.size(), 4u);
   EXPECT_TRUE(batcher.empty());
 }
@@ -114,7 +115,9 @@ TEST(BatcherTest, PartialBatchLingersUntilDelayBound) {
   // Bound is measured from the oldest enqueue, not the newest.
   EXPECT_DOUBLE_EQ(batcher.LingerDeadline(), 1100.0);
   EXPECT_TRUE(batcher.ShouldDispatch(1100.0));
-  EXPECT_EQ(batcher.TakeBatch().size(), 2u);
+  std::vector<Request> batch;
+  batcher.TakeBatchInto(&batch);
+  EXPECT_EQ(batch.size(), 2u);
 }
 
 TEST(BatcherTest, DisabledBatchingTakesSingles) {
@@ -125,7 +128,9 @@ TEST(BatcherTest, DisabledBatchingTakesSingles) {
   batcher.Enqueue(MakeRequest(0), 0.0);
   batcher.Enqueue(MakeRequest(1), 0.0);
   EXPECT_TRUE(batcher.ShouldDispatch(0.0));
-  EXPECT_EQ(batcher.TakeBatch().size(), 1u);
+  std::vector<Request> batch;
+  batcher.TakeBatchInto(&batch);
+  EXPECT_EQ(batch.size(), 1u);
   EXPECT_EQ(batcher.size(), 1u);
 }
 
@@ -162,16 +167,19 @@ TEST(BatcherTest, EdfDrainsDeadlineOrderUnderOverload) {
     edf.Enqueue(DeadlineRequest(i, deadlines[i]), /*now=*/0.0);
     fifo.Enqueue(DeadlineRequest(i, deadlines[i]), /*now=*/0.0);
   }
-  // EDF: batches come out in global deadline order across dispatches.
-  auto batch = edf.TakeBatch();
+  // EDF: batches come out in global deadline order across dispatches. The
+  // reused buffer is cleared by each take.
+  std::vector<Request> batch;
+  edf.TakeBatchInto(&batch);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_DOUBLE_EQ(batch[0].deadline_us, 1000.0);
   EXPECT_DOUBLE_EQ(batch[1].deadline_us, 2000.0);
-  batch = edf.TakeBatch();
+  edf.TakeBatchInto(&batch);
+  ASSERT_EQ(batch.size(), 2u);
   EXPECT_DOUBLE_EQ(batch[0].deadline_us, 3000.0);
   EXPECT_DOUBLE_EQ(batch[1].deadline_us, 4000.0);
   // FIFO control: arrival order, deadlines interleaved.
-  batch = fifo.TakeBatch();
+  fifo.TakeBatchInto(&batch);
   EXPECT_DOUBLE_EQ(batch[0].deadline_us, 5000.0);
   EXPECT_DOUBLE_EQ(batch[1].deadline_us, 1000.0);
 }
@@ -188,7 +196,8 @@ TEST(BatcherTest, EdfTiesBreakFifoAndLingerTracksOldestEnqueue) {
   // Linger bound still runs from the oldest enqueue time (t=100), even
   // though request 9 sorted to the front.
   EXPECT_DOUBLE_EQ(batcher.LingerDeadline(), 1100.0);
-  const auto batch = batcher.TakeBatch();
+  std::vector<Request> batch;
+  batcher.TakeBatchInto(&batch);
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_EQ(batch[0].id, 9u);
   EXPECT_EQ(batch[1].id, 7u);  // tie with 8: FIFO by id
@@ -589,22 +598,27 @@ TEST(ServingTest, TotalGpuLossRecoversViaReplacement) {
   EXPECT_GT(model.completed, model.offered * 8 / 10);
 }
 
-TEST(ServingTest, ReplicaCrashWithoutReplacementDropsOnlyWhenAlone) {
+TEST(ServingTest, LoneGpuDownFailsReplacementAndDrops) {
+  // One GPU and it dies: there is nowhere to re-provision, so replacement
+  // fails and every later arrival is dropped.
   ServingConfig config = LightConfig();
-  config.replace_lost_replicas = false;
-  fault::FaultEvent crash;
-  crash.kind = fault::FaultKind::kClientCrash;
-  crash.at_us = SecToUs(2.0);
-  crash.client = 0;
-  config.fault_plan.events.push_back(crash);
+  config.num_gpus = 1;
+  fault::FaultEvent death;
+  death.kind = fault::FaultKind::kGpuDown;
+  death.at_us = SecToUs(2.0);
+  death.gpu = 0;
+  config.fault_plan.events.push_back(death);
   const ServingResult result = RunServing(config);
   const ModelServingResult& model = result.models[0];
+  EXPECT_EQ(result.gpus_alive_end, 0u);
   EXPECT_EQ(result.replicas_lost, 1u);
   EXPECT_EQ(result.replacements, 0u);
+  EXPECT_EQ(result.replacement_failures, 1u);
   EXPECT_EQ(model.final_replicas, 0);
-  // Everything after the crash is dropped; everything before completed.
   EXPECT_GT(model.total_dropped, 0u);
   EXPECT_GT(model.total_completed, 0u);
+  EXPECT_EQ(model.total_offered, model.total_completed + model.total_shed +
+                                     model.total_dropped + model.left_in_system);
 }
 
 TEST(ServingTest, UnsupportedFaultKindsAreSkipped) {
