@@ -1,6 +1,7 @@
 // Extension bench: datacenter-scale serving (src/datacenter, DESIGN.md §12).
-// Three arms over the two-level control plane (global front-end router over
-// per-node engines joined by a NIC/ToR star network):
+// Three arms over the cluster engine (a front-end that routes each request
+// to a node, then to a replica on it; nodes joined by a NIC/ToR star
+// network):
 //
 //   1. Node-count scaling sweep — the same per-node load served by 1..8
 //      nodes x 2 GPUs: SLO attainment holds as the cluster grows, request
@@ -15,7 +16,10 @@
 //      compressed into the measurement window.
 //
 // Deterministic: same seed, same tables. `--quick` shrinks the windows for
-// the CI smoke run.
+// the CI smoke run. The closing ACCEPTANCE line encodes the EXPERIMENTS.md
+// verdicts — N=1 forwards nothing, request bytes rise with the node count,
+// the node-death arm drops nothing and replaces every lost replica, and a
+// same-seed rerun of that arm is bit-identical — and CI greps it.
 #include <iostream>
 
 #include "bench/bench_util.h"
@@ -60,15 +64,31 @@ const serving::ModelServingResult& Hp(const datacenter::ClusterResult& result) {
   return result.serving.models[0];
 }
 
-void ScalingArm() {
+// The verdicts the ACCEPTANCE line reports.
+struct Acceptance {
+  bool n1_forwards_none = false;
+  bool request_bytes_rise = true;
+  bool death_drops_none = false;
+  bool death_replaces_all = false;
+  bool death_rerun_identical = false;
+};
+
+void ScalingArm(Acceptance* acceptance) {
   std::cout << "-- Arm 1: node-count scaling sweep --\n"
             << "ResNet50 (hp, Poisson, 60 ms SLO) at 180 rps per node, one replica\n"
             << "per GPU, 2 GPUs per node. The N=1 row is the single-node serving\n"
             << "engine verbatim (no network is modeled). MB = NIC bytes moved.\n\n";
   Table table({"nodes", "offered rps", "attainment", "p50 ms", "p99 ms", "forwarded",
                "req MB", "resp MB"});
+  double prev_request_bytes = -1.0;
   for (const int nodes : {1, 2, 4, 8}) {
     const datacenter::ClusterResult result = datacenter::RunCluster(BaseCluster(nodes, 180.0));
+    if (nodes == 1) {
+      acceptance->n1_forwards_none = result.requests_forwarded == 0;
+    }
+    acceptance->request_bytes_rise =
+        acceptance->request_bytes_rise && result.request_bytes_moved > prev_request_bytes;
+    prev_request_bytes = result.request_bytes_moved;
     table.AddRow({Cell(nodes), Cell(180.0 * nodes, 0), Cell(Hp(result).slo_attainment),
                   Cell(UsToMs(Hp(result).latency.p50())),
                   Cell(UsToMs(Hp(result).latency.p99())), Cell(result.requests_forwarded),
@@ -78,7 +98,7 @@ void ScalingArm() {
   table.Print(std::cout);
 }
 
-void NodeFailoverArm() {
+void NodeFailoverArm(Acceptance* acceptance) {
   std::cout << "\n-- Arm 2: kill a node mid-run --\n"
             << "4 nodes x 3 GPUs (the fleet fills 8 of 12, leaving free GPUs for\n"
             << "re-placement); node 1 dies a third into the window. Its NIC goes\n"
@@ -97,6 +117,14 @@ void NodeFailoverArm() {
       config.serving.fault_plan.events.push_back(death);
     }
     const datacenter::ClusterResult result = datacenter::RunCluster(config);
+    if (kill) {
+      acceptance->death_drops_none = Hp(result).total_dropped == 0;
+      acceptance->death_replaces_all =
+          result.serving.replacements == result.serving.replicas_lost &&
+          result.serving.replacement_failures == 0;
+      acceptance->death_rerun_identical =
+          datacenter::ClusterResultsBitIdentical(result, datacenter::RunCluster(config));
+    }
     table.AddRow({kill ? "node death" : "healthy", Cell(Hp(result).slo_attainment),
                   Cell(UsToMs(Hp(result).latency.p99())), Cell(Hp(result).failed_over),
                   Cell(Hp(result).dropped), Cell(result.serving.replacements),
@@ -199,11 +227,22 @@ int main(int argc, char** argv) {
   bench::ParseBenchArgs(&argc, argv);
   bench::PrintHeader("Extension (datacenter serving)",
                      "multi-node clusters, node faults, diurnal load");
-  ScalingArm();
-  NodeFailoverArm();
+  Acceptance acceptance;
+  ScalingArm(&acceptance);
+  NodeFailoverArm(&acceptance);
   DiurnalArm();
   if (bench::TelemetryRequested()) {
     TelemetryArm();
   }
-  return 0;
+  auto yes = [](bool ok) { return ok ? "yes" : "no"; };
+  std::cout << "\nACCEPTANCE datacenter: n1-forwards-0=" << yes(acceptance.n1_forwards_none)
+            << " req-bytes-rise-with-nodes=" << yes(acceptance.request_bytes_rise)
+            << " node-death-drops-0=" << yes(acceptance.death_drops_none)
+            << " node-death-replaces-all=" << yes(acceptance.death_replaces_all)
+            << " node-death-rerun-bit-identical=" << yes(acceptance.death_rerun_identical)
+            << "\n";
+  const bool all = acceptance.n1_forwards_none && acceptance.request_bytes_rise &&
+                   acceptance.death_drops_none && acceptance.death_replaces_all &&
+                   acceptance.death_rerun_identical;
+  return all ? 0 : 1;
 }

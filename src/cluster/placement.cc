@@ -214,14 +214,6 @@ std::optional<int> PlacementEngine::BestGpuFor(const JobSignature& job,
                                                const std::vector<GpuResidents>& gpus,
                                                std::size_t gpu_memory_bytes,
                                                int max_jobs_per_gpu) {
-  return BestGpuFor(job, gpus, gpu_memory_bytes, max_jobs_per_gpu, nullptr);
-}
-
-std::optional<int> PlacementEngine::BestGpuFor(const JobSignature& job,
-                                               const std::vector<GpuResidents>& gpus,
-                                               std::size_t gpu_memory_bytes,
-                                               int max_jobs_per_gpu,
-                                               PlacementScore* score_out) {
   ORION_CHECK(max_jobs_per_gpu >= 1);
   std::optional<int> best;
   auto best_score = std::make_pair(std::numeric_limits<double>::infinity(),
@@ -246,9 +238,6 @@ std::optional<int> PlacementEngine::BestGpuFor(const JobSignature& job,
       best_score = score;
       best = static_cast<int>(g);
     }
-  }
-  if (score_out != nullptr) {
-    *score_out = best_score;
   }
   return best;
 }

@@ -108,18 +108,6 @@ class PlacementEngine {
   static std::optional<int> BestGpuFor(const JobSignature& job,
                                        const std::vector<GpuResidents>& gpus,
                                        std::size_t gpu_memory_bytes, int max_jobs_per_gpu);
-
-  // The comparable goodness of a BestGpuFor pick: (added interference,
-  // resident count), lower is better. The datacenter control plane compares
-  // the best placement of several nodes with it — comparing each node's
-  // winning score reproduces exactly the pick a flat BestGpuFor over the
-  // concatenated GPU list would make (ties resolve to the lower node, then
-  // the lower GPU index, matching the flat scan order).
-  using PlacementScore = std::pair<double, std::size_t>;
-  static std::optional<int> BestGpuFor(const JobSignature& job,
-                                       const std::vector<GpuResidents>& gpus,
-                                       std::size_t gpu_memory_bytes, int max_jobs_per_gpu,
-                                       PlacementScore* score_out);
 };
 
 }  // namespace cluster

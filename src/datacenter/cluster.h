@@ -3,23 +3,21 @@
 //
 // The serving engine (src/serving) answers "how do routing, batching,
 // admission, autoscaling and failover behave on ONE multi-GPU node". This
-// subsystem scales that question out: a ClusterTopology of `num_nodes`
-// server nodes, each with `gpus_per_node` GPUs, joined by a datacenter
-// network modeled as an interconnect::Fabric over a NIC/ToR star topology —
-// the same fluid-flow link model that times PCIe and NVLink transfers inside
-// a node, reused at NIC bandwidth and switch latency.
+// subsystem scales that question out: `num_nodes` server nodes, each with
+// `gpus_per_node` GPUs, joined by a datacenter network of NIC links into one
+// ToR switch, each NIC an interconnect::Fabric — the same fluid-flow link
+// model that times PCIe and NVLink transfers inside a node, reused at NIC
+// bandwidth and switch latency.
 //
-// Control is two-level:
-//   * a global front-end owns arrivals, SLO admission, the service limbo
-//     queues, the autoscaler and fault handling, and picks a *node* for each
-//     admitted request (least-outstanding across nodes);
-//   * a per-node engine (node_engine.h) owns that node's GPUs and replicas
-//     and picks the *replica* (the serving::Router policy), then batches and
-//     serves exactly as the single-node engine did.
+// One engine (cluster_engine.cc) owns every replica and GPU. GPUs are
+// indexed node-major (global = node * gpus_per_node + local), so fault plans
+// written against the single-node GPU space keep meaning on a cluster.
+// Routing is two-level: the front-end picks a *node* for each admitted
+// request (least-outstanding across nodes), then the serving::Router policy
+// picks a replica on that node, which batches and serves it.
 //
-// With num_nodes == 1 the network is not modeled and the cluster path
-// reduces to the original single-node engine — serving::RunServing is now a
-// thin wrapper over RunCluster and reproduces its previous results exactly.
+// With num_nodes == 1 the network is not modeled; serving::RunServing is a
+// thin wrapper over RunCluster on a one-node cluster.
 //
 // Faults: the fault::FaultPlan gains kNodeDown at this level. A node death
 // kills every replica on it, zeroes its NIC, and cancels in-flight transfers
@@ -39,23 +37,11 @@
 namespace orion {
 namespace datacenter {
 
-// Physical shape of the cluster and its network.
+// Physical shape of the cluster. The network is modeled whenever
+// num_nodes > 1; a single node never crosses it.
 struct ClusterSpec {
   int num_nodes = 1;
   int gpus_per_node = 4;
-
-  // NIC/ToR star fabric (per direction, full duplex). Defaults roughly match
-  // a 100 GbE NIC through one switch hop.
-  double nic_gbps = 12.5;
-  double nic_latency_us = 10.0;
-
-  // Request/response payloads crossing the network (serialized tensors).
-  std::size_t request_bytes = 32 * 1024;
-  std::size_t response_bytes = 128 * 1024;
-
-  // Model the network fabric (transfers, contention, NIC faults). Only takes
-  // effect with num_nodes > 1; a single node never crosses the network.
-  bool model_network = true;
 };
 
 struct ClusterConfig {

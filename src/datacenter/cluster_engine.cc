@@ -1,10 +1,11 @@
-// Global control plane over per-node engines, and the RunCluster /
-// RunServing entry points. See cluster.h for the architecture overview.
+// The serving engine — one ClusterEngine that owns every replica and GPU of
+// the cluster — and the RunCluster / RunServing entry points. See cluster.h
+// for the architecture overview.
 //
 // Compatibility contract: with num_nodes == 1 the network is not modeled and
-// every code path below reduces, event for event and float for float, to the
-// pre-split single-node serving engine — RunServing's results are unchanged.
-// The datacenter_test N=1 equivalence test pins this down field by field.
+// RunServing is RunCluster on a one-node cluster, event for event and float
+// for float. The datacenter_test N=1 equivalence test pins this down field by
+// field.
 #include "src/datacenter/cluster.h"
 
 #include <algorithm>
@@ -20,12 +21,15 @@
 #include <utility>
 #include <vector>
 
+#include "src/cluster/placement.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/datacenter/cluster_topology.h"
-#include "src/datacenter/node_engine.h"
 #include "src/interconnect/fabric.h"
 #include "src/serving/batch_cost.h"
+#include "src/serving/batcher.h"
+#include "src/serving/kv_cache.h"
+#include "src/serving/llm_cost.h"
+#include "src/serving/request.h"
 #include "src/sim/simulator.h"
 #include "src/trace/arrivals.h"
 #include "src/trace/diurnal.h"
@@ -60,21 +64,80 @@ std::unique_ptr<trace::ArrivalProcess> MakeArrivals(const serving::ModelServiceC
   return nullptr;
 }
 
-// Where a global replica id lives.
-struct ReplicaRef {
-  int node = -1;
-  int slot = -1;
+// The datacenter network (num_nodes > 1): a 100 GbE NIC per node through one
+// ToR switch hop, per direction, full duplex; and the serialized tensors a
+// request and its response carry across it.
+constexpr double kNicGbps = 12.5;
+constexpr double kNicLatencyUs = 10.0;
+constexpr std::size_t kRequestBytes = 32 * 1024;
+constexpr std::size_t kResponseBytes = 128 * 1024;
+
+// One replica process of a model service, resident on one GPU.
+struct Replica {
+  explicit Replica(const serving::BatchingConfig& batching) : batcher(batching) {}
+
+  // Per-replica LLM serving state (services with llm.enabled). The KV cache
+  // is carved out of the replica's GPU memory at creation; `in_flight` then
+  // doubles as the RUNNING SET of the continuous-batching iteration (join
+  // order = age order; the newest sequence is the eviction victim).
+  struct LlmState {
+    explicit LlmState(const serving::KvCacheConfig& kv_config) : kv(kv_config) {}
+    serving::KvCacheAllocator kv;
+    std::size_t kv_reserved_bytes = 0;  // counted against the GPU shard
+    int joined_this_step = 0;  // trailing in_flight entries that prefilled this step
+  };
+
+  int id = -1;   // replica id: creation order across the cluster
+  std::size_t model = 0;
+  int gpu = -1;  // global GPU index, node-major: node * gpus_per_node + local
+  enum class State { kProvisioning, kActive, kDraining, kDead } state = State::kProvisioning;
+  serving::DynamicBatcher batcher;
+  std::vector<Request> in_flight;
+  std::unique_ptr<LlmState> llm;  // null for fixed-cost services
+  bool busy = false;
+  TimeUs busy_until = 0.0;
+  TimeUs batch_start = 0.0;
+  serving::DispatchReason dispatch_reason = serving::DispatchReason::kFullBatch;
+  EventHandle completion;
+  EventHandle linger;
+  TimeUs active_since = 0.0;
+  double busy_in_eval_window_us = 0.0;  // autoscaler utilization signal
+
+  // Latency-attribution bookkeeping (only maintained when attribution is
+  // enabled — zero work otherwise). batch_iso_us is the in-flight
+  // batch/step's isolated-roofline cost (pre-slowdown), the kExecute price;
+  // idle_accum_us/idle_since integrate the replica's idle time so the ledger
+  // can split queue wait into capacity-bound kQueue vs linger (DESIGN.md §15).
+  double batch_iso_us = 0.0;
+  double idle_accum_us = 0.0;
+  TimeUs idle_since = 0.0;
 };
 
-class ClusterEngine : public NodeHost {
+struct GpuShard {
+  bool alive = true;
+  std::size_t used_bytes = 0;
+  std::vector<int> replicas;  // ids of resident (non-dead) replicas, ascending
+};
+
+// Liveness and the per-node activity a NodeSummary reports.
+struct NodeState {
+  bool alive = true;
+  std::size_t batches = 0;
+  std::size_t requests = 0;
+  std::size_t replicas_created = 0;
+  std::size_t replicas_killed = 0;
+};
+
+class ClusterEngine {
  public:
   explicit ClusterEngine(const ClusterConfig& cluster_config)
       : config_(cluster_config.serving),
         spec_(cluster_config.cluster),
-        topo_(cluster_config.cluster),
         router_(cluster_config.serving.policy, cluster_config.serving.models.size()),
         admission_(cluster_config.serving.admission),
         horizon_(cluster_config.serving.warmup_us + cluster_config.serving.duration_us) {
+    ORION_CHECK(spec_.num_nodes >= 1);
+    ORION_CHECK(spec_.gpus_per_node >= 1);
     ORION_CHECK(config_.max_replicas_per_gpu >= 1);
     ORION_CHECK_MSG(!config_.models.empty(), "serving needs at least one model service");
     Rng root(config_.seed);
@@ -98,15 +161,14 @@ class ClusterEngine : public NodeHost {
         models_.back()->llm_cost = std::make_unique<serving::LlmCostModel>(
             config_.device, cfg.llm, config_.launch_overhead_us);
         // Replica state = the weights; the KV cache is carved separately out
-        // of whatever device memory remains at placement (node_engine.cc).
+        // of whatever device memory remains at placement (CreateReplica).
         models_.back()->cost.OverrideStateBytes(
             workloads::LlmWeightBytes(cfg.llm.model));
       }
     }
 
-    for (int n = 0; n < spec_.num_nodes; ++n) {
-      nodes_.emplace_back(n, spec_.gpus_per_node, this);
-    }
+    nodes_.resize(static_cast<std::size_t>(spec_.num_nodes));
+    gpus_.resize(static_cast<std::size_t>(spec_.num_nodes * spec_.gpus_per_node));
     if (NetworkOn()) {
       // One fabric per NIC rather than one over the whole star. The star has
       // no shared links (every route is the single host<->node NIC hop), so
@@ -115,8 +177,7 @@ class ClusterEngine : public NodeHost {
       // mini-topology is the node; interconnect::kHostNode is the ToR side.
       for (int n = 0; n < spec_.num_nodes; ++n) {
         fabrics_.push_back(std::make_unique<interconnect::Fabric>(
-            &sim_, interconnect::NodeTopology::NicStar(1, spec_.nic_gbps,
-                                                       spec_.nic_latency_us)));
+            &sim_, interconnect::NodeTopology::NicStar(kNicGbps, kNicLatencyUs)));
       }
     }
     BindTelemetry();
@@ -143,128 +204,6 @@ class ClusterEngine : public NodeHost {
     return Finalize();
   }
 
-  // --- NodeHost. ---
-
-  Simulator& sim() override { return sim_; }
-  const serving::BatchingConfig& batching_config() const override { return config_.batching; }
-  const serving::BatchCostModel& model_cost(std::size_t model) const override {
-    return models_[model]->cost;
-  }
-  serving::PriorityTier model_tier(std::size_t model) const override {
-    return models_[model]->cfg.tier;
-  }
-  const serving::LlmServiceConfig* model_llm(std::size_t model) const override {
-    const ModelState& state = *models_[model];
-    return state.cfg.llm.enabled ? &state.cfg.llm : nullptr;
-  }
-  const serving::LlmCostModel& model_llm_cost(std::size_t model) const override {
-    ORION_CHECK(models_[model]->llm_cost != nullptr);
-    return *models_[model]->llm_cost;
-  }
-  std::size_t gpu_memory_bytes() const override { return config_.device.memory_bytes; }
-
-  bool attribution() const override {
-    // Queried by NodeEngine at construction (before BindTelemetry), so it
-    // reads the config directly instead of the cached attr_.
-    return config_.telemetry != nullptr && config_.telemetry->attribution_enabled();
-  }
-
-  void OnBatchServed(NodeEngine& node, Replica& r) override {
-    const TimeUs now = sim_.now();
-    ModelState& model = *models_[r.model];
-    const int batch_size = static_cast<int>(r.in_flight.size());
-    const int gpu_global = topo_.GlobalGpu(node.node_id(), r.gpu);
-    if (!NetworkOn()) {
-      for (const Request& request : r.in_flight) {
-        CompleteRequest(request, r.id, gpu_global, r.batch_start, now, now);
-      }
-    } else {
-      // The computed responses still have to cross the network; completion
-      // accounting happens when each one reaches the front-end.
-      for (const Request& request : r.in_flight) {
-        SendResponse(node.node_id(), r.id, gpu_global, r.batch_start, now, request);
-      }
-    }
-    if (model.track >= 0) {
-      hub_->spans().Complete(gpu_tracks_[static_cast<std::size_t>(gpu_global)], r.id,
-                             "batch:" + model.label, r.batch_start, now,
-                             {{"batch_size", std::to_string(batch_size)},
-                              {"replica", std::to_string(r.id)},
-                              {"reason", serving::DispatchReasonName(r.dispatch_reason)}},
-                             "batch");
-    }
-    if (InWindow(now)) {
-      model.batches->Inc();
-      model.batched_requests->Inc(static_cast<double>(batch_size));
-      if (model.llm_cost != nullptr) {
-        // Request-level LLM baseline: the batch prefilled every sequence and
-        // decoded each to completion (one token from prefill + target more).
-        double tokens = 0.0;
-        for (const Request& request : r.in_flight) {
-          tokens += 1.0 + static_cast<double>(request.target_tokens);
-        }
-        model.tokens->Inc(tokens);
-        model.prefills->Inc(static_cast<double>(batch_size));
-      }
-    }
-  }
-
-  void OnDecodeStep(NodeEngine& node, Replica& r, int batch, int prefills, TimeUs start,
-                    TimeUs end) override {
-    ModelState& model = *models_[r.model];
-    const int gpu_global = topo_.GlobalGpu(node.node_id(), r.gpu);
-    if (model.track >= 0) {
-      hub_->spans().Complete(
-          gpu_tracks_[static_cast<std::size_t>(gpu_global)], r.id, "step:" + model.label,
-          start, end,
-          {{"batch_size", std::to_string(batch)},
-           {"prefills", std::to_string(prefills)},
-           {"kv_blocks", std::to_string(r.llm->kv.used_blocks())},
-           {"replica", std::to_string(r.id)}},
-          "decode-step");
-    }
-    if (InWindow(end)) {
-      model.decode_steps->Inc();
-      model.tokens->Inc(static_cast<double>(batch));  // one token per sequence
-      if (prefills > 0) {
-        model.prefills->Inc(static_cast<double>(prefills));
-      }
-      // A step is the device-batch unit of continuous batching: count it so
-      // mean_batch_size reports the mean iteration width.
-      model.batches->Inc();
-      model.batched_requests->Inc(static_cast<double>(batch));
-    }
-  }
-
-  void OnSequenceFinished(NodeEngine& node, Replica& r, const Request& request,
-                          TimeUs step_start, TimeUs step_end) override {
-    const int gpu_global = topo_.GlobalGpu(node.node_id(), r.gpu);
-    if (!NetworkOn()) {
-      CompleteRequest(request, r.id, gpu_global, step_start, step_end, step_end);
-    } else {
-      SendResponse(node.node_id(), r.id, gpu_global, step_start, step_end, request);
-    }
-  }
-
-  void OnKvEviction(NodeEngine& node, Replica& r, const Request& request) override {
-    (void)node;
-    ModelState& model = *models_[r.model];
-    if (InWindow(sim_.now())) {
-      model.kv_evictions->Inc();
-    }
-    Mark("kv-evict", {{"service", model.label},
-                      {"replica", std::to_string(r.id)},
-                      {"request", std::to_string(request.id)}});
-  }
-
-  void AccountReplicaTime(TimeUs active_since) override {
-    const TimeUs start = std::max(active_since, config_.warmup_us);
-    const TimeUs end = std::min(sim_.now(), horizon_);
-    if (end > start) {
-      replica_seconds_->Inc(UsToSec(end - start));
-    }
-  }
-
  private:
   struct ModelState {
     ModelState(const serving::ModelServiceConfig& config, serving::BatchCostModel cost_model,
@@ -284,7 +223,7 @@ class ClusterEngine : public NodeHost {
     // Admitted requests with no active replica to queue at (all replicas
     // provisioning after a failover); drained on the next activation.
     std::deque<Request> limbo;
-    std::vector<int> replicas;  // every global replica id ever created
+    std::vector<int> replicas;  // id of every replica of this service ever created
     // Requests of this service currently crossing the network (either leg).
     std::size_t in_network = 0;
 
@@ -352,7 +291,8 @@ class ClusterEngine : public NodeHost {
     TimeUs batch_end = 0.0;                     // kResponse
   };
 
-  bool NetworkOn() const { return spec_.num_nodes > 1 && spec_.model_network; }
+  bool NetworkOn() const { return spec_.num_nodes > 1; }
+  int NodeOf(int gpu) const { return gpu / spec_.gpus_per_node; }
 
   // Binds every instrument against the hub registry (a private registry
   // when no hub is configured) and registers the trace tracks.
@@ -418,13 +358,13 @@ class ClusterEngine : public NodeHost {
     }
     if (tracing) {
       control_track_ = hub_->spans().Track("serving-control");
-      gpu_tracks_.reserve(static_cast<std::size_t>(topo_.total_gpus()));
-      for (int g = 0; g < topo_.total_gpus(); ++g) {
+      gpu_tracks_.reserve(gpus_.size());
+      for (int g = 0; g < static_cast<int>(gpus_.size()); ++g) {
         const std::string name =
             spec_.num_nodes == 1
                 ? "gpu" + std::to_string(g)
-                : "n" + std::to_string(topo_.NodeOfGpu(g)) + "/gpu" +
-                      std::to_string(topo_.LocalGpu(g));
+                : "n" + std::to_string(NodeOf(g)) + "/gpu" +
+                      std::to_string(g % spec_.gpus_per_node);
         gpu_tracks_.push_back(hub_->spans().Track(name));
       }
     }
@@ -438,14 +378,10 @@ class ClusterEngine : public NodeHost {
 
   bool InWindow(TimeUs t) const { return t >= config_.warmup_us && t <= horizon_; }
 
-  Replica& replica(int id) {
-    const ReplicaRef& ref = directory_[static_cast<std::size_t>(id)];
-    return nodes_[static_cast<std::size_t>(ref.node)].replica(ref.slot);
-  }
-  const Replica& replica(int id) const {
-    const ReplicaRef& ref = directory_[static_cast<std::size_t>(id)];
-    return nodes_[static_cast<std::size_t>(ref.node)].replica(ref.slot);
-  }
+  Replica& replica(int id) { return replicas_[static_cast<std::size_t>(id)]; }
+  const Replica& replica(int id) const { return replicas_[static_cast<std::size_t>(id)]; }
+  GpuShard& gpu(int g) { return gpus_[static_cast<std::size_t>(g)]; }
+  NodeState& node_state(int n) { return nodes_[static_cast<std::size_t>(n)]; }
 
   // --- Arrivals, admission, two-level routing. ---
 
@@ -474,8 +410,8 @@ class ClusterEngine : public NodeHost {
               ? static_cast<int>(model.rng.UniformInt(llm.min_decode_tokens,
                                                       llm.max_decode_tokens))
               : llm.min_decode_tokens;
-      // Per-token SLOs supersede slo_us: the deadline admission gates on and
-      // EDF queues order by is the TTFT deadline.
+      // Per-token SLOs supersede slo_us: the deadline admission gates on is
+      // the TTFT deadline.
       request.deadline_us = now + llm.ttft_slo_us;
     }
     if (attr_) {
@@ -494,8 +430,8 @@ class ClusterEngine : public NodeHost {
     }
     // Admission against the chosen node's least-loaded replica.
     std::vector<ReplicaView> views;
-    std::vector<int> slots;
-    BuildNodeViews(node, m, &views, &slots);
+    std::vector<int> ids;
+    BuildNodeViews(node, m, &views, &ids);
     std::size_t best = 0;
     for (std::size_t i = 1; i < views.size(); ++i) {
       if (views[i].outstanding_us < views[best].outstanding_us) {
@@ -567,15 +503,13 @@ class ClusterEngine : public NodeHost {
                                   std::numeric_limits<double>::infinity());
     std::vector<bool> has(static_cast<std::size_t>(spec_.num_nodes), false);
     for (const int id : models_[m]->replicas) {
-      const ReplicaRef& ref = directory_[static_cast<std::size_t>(id)];
-      const auto n = static_cast<std::size_t>(ref.node);
-      const NodeEngine& node = nodes_[n];
-      const Replica& r = node.replica(ref.slot);
-      if (r.state != Replica::State::kActive || !node.alive()) {
+      const Replica& r = replica(id);
+      const auto n = static_cast<std::size_t>(NodeOf(r.gpu));
+      if (r.state != Replica::State::kActive || !nodes_[n].alive) {
         continue;
       }
       has[n] = true;
-      node_best[n] = std::min(node_best[n], node.OutstandingUs(r));
+      node_best[n] = std::min(node_best[n], OutstandingUs(r));
     }
     int best = -1;
     for (int n = 0; n < spec_.num_nodes; ++n) {
@@ -590,39 +524,34 @@ class ClusterEngine : public NodeHost {
     return best;
   }
 
-  // Active replicas of `m` on `node`, sorted by global id (creation order).
+  // Active replicas of `m` on `node`, sorted by id (creation order).
   void BuildNodeViews(int node, std::size_t m, std::vector<ReplicaView>* views,
-                      std::vector<int>* slots) {
+                      std::vector<int>* ids) {
     views->clear();
-    slots->clear();
-    NodeEngine& engine = nodes_[static_cast<std::size_t>(node)];
+    ids->clear();
     for (const int id : models_[m]->replicas) {
-      const ReplicaRef& ref = directory_[static_cast<std::size_t>(id)];
-      if (ref.node != node) {
-        continue;
-      }
-      const Replica& r = engine.replica(ref.slot);
-      if (r.state != Replica::State::kActive) {
+      const Replica& r = replica(id);
+      if (NodeOf(r.gpu) != node || r.state != Replica::State::kActive) {
         continue;
       }
       ReplicaView view;
       view.replica_id = id;
       view.queued = r.batcher.size();
       view.in_flight = r.in_flight.size();
-      view.outstanding_us = engine.OutstandingUs(r);
+      view.outstanding_us = OutstandingUs(r);
       views->push_back(view);
-      slots->push_back(ref.slot);
+      ids->push_back(id);
     }
   }
 
-  // Level-2 routing: pick the replica on `node` and hand the request to the
-  // node engine. `forced` overrides the recorded route reason (failover
-  // rehomes, limbo drains).
+  // Level-2 routing: pick the replica on `node` and queue the request there.
+  // `forced` overrides the recorded route reason (failover rehomes, limbo
+  // drains).
   void Deliver(int node, Request request, std::optional<RouteReason> forced) {
     const auto m = static_cast<std::size_t>(request.model);
     std::vector<ReplicaView> views;
-    std::vector<int> slots;
-    BuildNodeViews(node, m, &views, &slots);
+    std::vector<int> ids;
+    BuildNodeViews(node, m, &views, &ids);
     if (views.empty()) {
       // The node lost its replicas while the request was on the wire
       // (network path only; the synchronous path routes against live views).
@@ -633,10 +562,532 @@ class ClusterEngine : public NodeHost {
     request.node = node;
     request.route_reason =
         forced.has_value() ? *forced : PickReason(router_.policy(), views.size());
-    nodes_[static_cast<std::size_t>(node)].EnqueueAt(slots[idx], std::move(request));
+    EnqueueAt(ids[idx], std::move(request));
   }
 
-  // --- Network legs (num_nodes > 1 with model_network). ---
+  // --- One replica: creation, queue, batches, decode steps, retirement. ---
+
+  // Folds [idle_since, now] into idle_accum_us for a non-busy replica.
+  // Attribution-only bookkeeping; callers guard on attr_.
+  void SyncIdle(Replica& r) {
+    if (!r.busy &&
+        (r.state == Replica::State::kActive || r.state == Replica::State::kDraining)) {
+      const TimeUs now = sim_.now();
+      r.idle_accum_us += now - r.idle_since;
+      r.idle_since = now;
+    }
+  }
+
+  // Creates a replica of `model` on global GPU `g` and returns its id, the
+  // next in creation order. Active immediately when `active`, else left
+  // provisioning (the caller schedules activation).
+  int CreateReplica(std::size_t model, int g, bool active) {
+    const int id = static_cast<int>(replicas_.size());
+    replicas_.emplace_back(config_.batching);
+    Replica& r = replicas_.back();
+    r.id = id;
+    r.model = model;
+    r.gpu = g;
+    GpuShard& shard = gpu(g);
+    shard.used_bytes += models_[model]->cost.state_bytes();
+    shard.replicas.push_back(id);
+    ++node_state(NodeOf(g)).replicas_created;
+    if (models_[model]->llm_cost != nullptr) {
+      const serving::LlmServiceConfig& llm = models_[model]->cfg.llm;
+      // Carve the replica's KV cache out of whatever device memory remains
+      // free on its GPU (vLLM-style), optionally capped by the service config.
+      const std::size_t memory = config_.device.memory_bytes;
+      const std::size_t free = memory > shard.used_bytes ? memory - shard.used_bytes : 0;
+      const std::size_t capacity = llm.kv_capacity_bytes > 0
+                                       ? std::min(llm.kv_capacity_bytes, free)
+                                       : free;
+      serving::KvCacheConfig kv_config;
+      kv_config.block_tokens = llm.kv_block_tokens;
+      kv_config.bytes_per_token = models_[model]->llm_cost->kv_bytes_per_token();
+      kv_config.capacity_bytes = capacity;
+      r.llm = std::make_unique<Replica::LlmState>(kv_config);
+      r.llm->kv_reserved_bytes = capacity;
+      shard.used_bytes += capacity;
+      // Progress guarantee for the eviction loop: a lone sequence must always
+      // fit, or it could be preempted forever without finishing.
+      const int worst = llm.prompt_tokens + std::max(1, llm.max_decode_tokens);
+      ORION_CHECK_MSG(static_cast<std::size_t>(r.llm->kv.BlocksForTokens(worst)) <=
+                          r.llm->kv.total_blocks(),
+                      "LLM replica KV cache cannot hold one full sequence");
+    }
+    if (active) {
+      r.state = Replica::State::kActive;
+      r.active_since = sim_.now();
+      r.idle_since = sim_.now();
+    } else {
+      r.state = Replica::State::kProvisioning;
+    }
+    return id;
+  }
+
+  // Queues a routed request at replica `id` and dispatches if a batch is ready.
+  void EnqueueAt(int id, Request request) {
+    Replica& r = replica(id);
+    if (attr_) {
+      // Close the wire (or failover) interval and open kQueue; the idle
+      // snapshot lets LeaveQueue split the wait into linger vs capacity.
+      SyncIdle(r);
+      request.ledger.EnterQueue(sim_.now(), r.idle_accum_us);
+    }
+    r.batcher.Enqueue(std::move(request), sim_.now());
+    TryDispatch(id);
+  }
+
+  void TryDispatch(int id) {
+    Replica& r = replica(id);
+    if (r.busy || r.batcher.empty() ||
+        (r.state != Replica::State::kActive && r.state != Replica::State::kDraining)) {
+      return;
+    }
+    if (r.llm != nullptr && models_[r.model]->cfg.llm.continuous) {
+      // Iteration-level batching has no linger: a free LLM replica starts its
+      // next step immediately and arrivals join running iterations as steps
+      // complete.
+      TryStepLlm(id);
+      return;
+    }
+    if (r.batcher.ShouldDispatch(sim_.now())) {
+      sim_.Cancel(r.linger);
+      r.dispatch_reason = r.state == Replica::State::kDraining
+                              ? serving::DispatchReason::kDrain
+                              : r.batcher.WhyDispatch(sim_.now());
+      StartBatch(id);
+      return;
+    }
+    // Linger for more requests: wake at the oldest request's delay bound.
+    sim_.Cancel(r.linger);
+    r.linger = sim_.ScheduleAt(r.batcher.LingerDeadline(), [this, id] { TryDispatch(id); });
+  }
+
+  void StartBatch(int id) {
+    Replica& r = replica(id);
+    if (r.llm != nullptr) {
+      StartLlmBatch(id);  // request-level LLM baseline (KV-capped take)
+      return;
+    }
+    const TimeUs now = sim_.now();
+    if (attr_) {
+      SyncIdle(r);
+    }
+    r.batcher.TakeBatchInto(&r.in_flight);  // reuses the replica's buffer
+    for (Request& request : r.in_flight) {
+      request.start_service_us = now;
+      if (attr_) {
+        request.ledger.LeaveQueue(now, r.idle_accum_us, attribution::Phase::kExecute);
+      }
+    }
+    const int batch = static_cast<int>(r.in_flight.size());
+    const DurationUs iso_us = models_[r.model]->cost.BatchServiceUs(batch);
+    const DurationUs service = iso_us * Slowdown(r);
+    if (attr_) {
+      r.batch_iso_us = iso_us;
+    }
+    r.busy = true;
+    r.batch_start = now;
+    r.busy_until = now + service;
+    r.completion =
+        sim_.ScheduleAfter(service, [this, id] { OnBatchComplete(id); });
+  }
+
+  void OnBatchComplete(int id) {
+    Replica& r = replica(id);
+    const TimeUs now = sim_.now();
+    NodeState& node = node_state(NodeOf(r.gpu));
+    ++node.batches;
+    node.requests += r.in_flight.size();
+    if (attr_) {
+      // Split the batch's service time into its isolated price (kExecute) and
+      // the collocation stall (kInterference) before OnBatchServed finalizes.
+      for (Request& request : r.in_flight) {
+        request.ledger.ChargeExecStep(now, r.batch_iso_us);
+      }
+    }
+    OnBatchServed(r);  // reads r.in_flight / batch_start / reason
+    if (r.llm != nullptr) {
+      // Request-level LLM baseline: the whole batch's KV lives until the
+      // longest generation finished, i.e. right now.
+      for (const Request& seq : r.in_flight) {
+        r.llm->kv.Free(seq.id);
+      }
+    }
+    r.busy_in_eval_window_us += now - r.batch_start;
+    r.in_flight.clear();
+    r.busy = false;
+    if (attr_) {
+      r.idle_since = now;
+    }
+    if (r.state == Replica::State::kDraining && r.batcher.empty()) {
+      RetireReplica(id);
+      return;
+    }
+    TryDispatch(id);
+  }
+
+
+  // Continuous (iteration-level) batching, Orca-style: one decode step at a
+  // time; sequences join/leave between steps (DESIGN.md §13).
+  void TryStepLlm(int id) {
+    Replica& r = replica(id);
+    if (r.busy ||
+        (r.state != Replica::State::kActive && r.state != Replica::State::kDraining)) {
+      return;
+    }
+    Replica::LlmState& st = *r.llm;
+    const serving::LlmCostModel& cost = *models_[r.model]->llm_cost;
+    const TimeUs now = sim_.now();
+    if (attr_) {
+      SyncIdle(r);
+    }
+
+    // 1. Reserve KV for the token every running sequence produces this step,
+    //    preempting the newest sequence (possibly the one being extended) on
+    //    allocation failure. The creation-time capacity check guarantees a
+    //    lone sequence always fits, so this loop terminates with progress.
+    std::size_t i = 0;
+    while (i < r.in_flight.size()) {
+      Request& seq = r.in_flight[i];
+      if (st.kv.TryReserve(seq.id, seq.prompt_tokens + seq.generated + 1)) {
+        ++i;
+        continue;
+      }
+      PreemptNewestLlm(id);
+    }
+
+    // 2. Join sequences from the queue head while batch slots and KV capacity
+    //    allow; stop at the first that does not fit (head-of-line order:
+    //    requeued evictions first, then FIFO).
+    const serving::BatchingConfig& batching = config_.batching;
+    const int max_batch = batching.enabled ? batching.max_batch_size : 1;
+    st.joined_this_step = 0;
+    DurationUs prefill_us = 0.0;
+    while (static_cast<int>(r.in_flight.size()) < max_batch && !r.batcher.empty()) {
+      const Request& head = r.batcher.Front();
+      if (!st.kv.TryReserve(head.id, head.prompt_tokens + head.generated + 1)) {
+        break;
+      }
+      Request seq = r.batcher.PopFront();
+      seq.start_service_us = now;
+      if (attr_) {
+        // Fresh joiners close kQueue (split against linger); evicted rejoiners
+        // close kPreempt — their whole rejoin wait is recompute, not queueing.
+        seq.ledger.LeaveQueue(now, r.idle_accum_us, attribution::Phase::kExecute);
+      }
+      // Fresh sequences prefill their prompt; evicted rejoiners recompute
+      // prompt + generated (preemption with recompute).
+      prefill_us += cost.PrefillUs(seq.prompt_tokens + seq.generated);
+      r.in_flight.push_back(std::move(seq));
+      ++st.joined_this_step;
+    }
+    if (r.in_flight.empty()) {
+      if (r.state == Replica::State::kDraining && r.batcher.empty()) {
+        RetireReplica(id);
+      }
+      return;
+    }
+
+    // 3. One iteration: every joiner's prefill plus one decode step for the
+    //    sequences that were already running.
+    const int decoding = static_cast<int>(r.in_flight.size()) - st.joined_this_step;
+    DurationUs step_us = prefill_us;
+    if (decoding > 0) {
+      long context_sum = 0;
+      for (int d = 0; d < decoding; ++d) {
+        const Request& seq = r.in_flight[static_cast<std::size_t>(d)];
+        context_sum += seq.prompt_tokens + seq.generated;
+      }
+      step_us += cost.DecodeStepUs(decoding, static_cast<int>(context_sum / decoding));
+    }
+    if (attr_) {
+      r.batch_iso_us = step_us;  // pre-slowdown: the step's isolated price
+    }
+    step_us *= Slowdown(r);
+    r.busy = true;
+    r.batch_start = now;
+    r.busy_until = now + step_us;
+    r.dispatch_reason = serving::DispatchReason::kContinuous;
+    r.completion = sim_.ScheduleAfter(step_us, [this, id] { OnLlmStepComplete(id); });
+  }
+
+  void OnLlmStepComplete(int id) {
+    Replica& r = replica(id);
+    Replica::LlmState& st = *r.llm;
+    const TimeUs now = sim_.now();
+    const TimeUs start = r.batch_start;
+    NodeState& node = node_state(NodeOf(r.gpu));
+    ++node.batches;
+    if (attr_) {
+      // Charge the step to every participant before tokens are assigned, so a
+      // first-token snapshot below sums exactly to TTFT.
+      for (Request& seq : r.in_flight) {
+        seq.ledger.ChargeExecStep(now, r.batch_iso_us);
+      }
+    }
+    // Every sequence in the step emitted exactly one token: joiners their
+    // first (from the prefill; rejoiners their next, the recompute re-derived
+    // the earlier ones), running sequences their next from the decode step.
+    const std::size_t n = r.in_flight.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      Request& seq = r.in_flight[i];
+      const bool joined = i >= n - static_cast<std::size_t>(st.joined_this_step);
+      if (joined && seq.first_token_us < 0.0) {
+        seq.first_token_us = now;
+        if (attr_) {
+          seq.ledger.MarkFirstToken();
+        }
+      } else {
+        ++seq.generated;
+      }
+    }
+    OnDecodeStep(r, static_cast<int>(n), st.joined_this_step, start, now);
+    st.joined_this_step = 0;
+    r.busy_in_eval_window_us += now - start;
+    r.busy = false;
+    if (attr_) {
+      r.idle_since = now;
+    }
+    // Finished sequences leave the iteration and release their KV.
+    for (std::size_t i = 0; i < r.in_flight.size();) {
+      if (r.in_flight[i].generated >= r.in_flight[i].target_tokens) {
+        Request seq = std::move(r.in_flight[i]);
+        r.in_flight.erase(r.in_flight.begin() + static_cast<long>(i));
+        st.kv.Free(seq.id);
+        ++node.requests;
+        OnSequenceFinished(r, seq, start, now);
+      } else {
+        ++i;
+      }
+    }
+    if (r.state == Replica::State::kDraining && r.in_flight.empty() && r.batcher.empty()) {
+      RetireReplica(id);
+      return;
+    }
+    TryStepLlm(id);
+  }
+
+  // Frees the newest running sequence's KV and requeues it (preemption with
+  // recompute under KV pressure, vLLM-style).
+  void PreemptNewestLlm(int id) {
+    Replica& r = replica(id);
+    ORION_CHECK(!r.in_flight.empty());
+    Request seq = std::move(r.in_flight.back());
+    r.in_flight.pop_back();
+    if (r.llm->kv.Holds(seq.id)) {
+      r.llm->kv.Free(seq.id);
+    }
+    ++seq.evictions;
+    if (attr_) {
+      // Requeue bypasses EnqueueAt, so the rejoin wait stays open on kPreempt
+      // until the sequence rejoins a step (recompute wait, not queueing).
+      seq.ledger.Advance(sim_.now(), attribution::Phase::kPreempt);
+    }
+    OnKvEviction(r, seq);
+    r.batcher.Requeue(std::move(seq));
+  }
+
+  // Request-level LLM batching (llm.continuous off): the baseline where a
+  // batch decodes to its longest target before anything completes.
+  void StartLlmBatch(int id) {
+    Replica& r = replica(id);
+    Replica::LlmState& st = *r.llm;
+    const serving::LlmCostModel& cost = *models_[r.model]->llm_cost;
+    const TimeUs now = sim_.now();
+    if (attr_) {
+      SyncIdle(r);
+    }
+    const serving::BatchingConfig& batching = config_.batching;
+    const int take = batching.enabled ? batching.max_batch_size : 1;
+    r.in_flight.clear();
+    // Request-level batching reserves each sequence's FULL KV footprint up
+    // front (no mid-batch eviction); the batch is capped by what fits.
+    while (static_cast<int>(r.in_flight.size()) < take && !r.batcher.empty()) {
+      const Request& head = r.batcher.Front();
+      const int full = head.prompt_tokens + std::max(1, head.target_tokens);
+      if (!st.kv.TryReserve(head.id, full)) {
+        break;
+      }
+      Request seq = r.batcher.PopFront();
+      if (attr_) {
+        seq.ledger.LeaveQueue(now, r.idle_accum_us, attribution::Phase::kExecute);
+      }
+      r.in_flight.push_back(std::move(seq));
+    }
+    // A free replica's cache is empty, and one full sequence always fits.
+    ORION_CHECK(!r.in_flight.empty());
+    const serving::LlmBatchBreakdown breakdown = cost.RequestLevelBatchUs(r.in_flight);
+    const double slowdown = Slowdown(r);
+    for (Request& seq : r.in_flight) {
+      seq.start_service_us = now;
+      // All prefills run up front; every first token lands when they finish.
+      // A first token already delivered (failover orphan re-served after its
+      // replica died mid-decode) stays delivered: re-prefilling recomputes
+      // context the client has already streamed past.
+      if (seq.first_token_us < 0.0) {
+        seq.first_token_us = now + breakdown.prefill_us * slowdown;
+      }
+      seq.generated = seq.target_tokens;  // the batch runs to completion
+    }
+    if (attr_) {
+      r.batch_iso_us = breakdown.total_us;
+    }
+    const DurationUs service = breakdown.total_us * slowdown;
+    r.busy = true;
+    r.batch_start = now;
+    r.busy_until = now + service;
+    r.completion =
+        sim_.ScheduleAfter(service, [this, id] { OnBatchComplete(id); });
+  }
+
+  // Stops routing to replica `id`; it retires once idle and empty.
+  void DrainReplica(int id) {
+    Replica& r = replica(id);
+    r.state = Replica::State::kDraining;
+    if (!r.busy && r.batcher.empty() && r.in_flight.empty()) {
+      RetireReplica(id);
+    }
+  }
+
+  void ReleaseFromGpu(int id) {
+    Replica& r = replica(id);
+    GpuShard& shard = gpu(r.gpu);
+    shard.used_bytes -= models_[r.model]->cost.state_bytes();
+    if (r.llm != nullptr) {
+      shard.used_bytes -= r.llm->kv_reserved_bytes;
+    }
+    shard.replicas.erase(std::find(shard.replicas.begin(), shard.replicas.end(), id));
+  }
+
+  void RetireReplica(int id) {
+    Replica& r = replica(id);
+    ORION_CHECK(!r.busy && r.batcher.empty());
+    ORION_CHECK_MSG(r.llm == nullptr || r.llm->kv.used_blocks() == 0,
+                    "retiring LLM replica leaks KV-cache blocks");
+    sim_.Cancel(r.linger);
+    AccountReplicaTime(r.active_since);
+    ReleaseFromGpu(id);
+    r.state = Replica::State::kDead;
+  }
+
+  // Kills replica `id` (fault path): cancels its events, releases its GPU,
+  // and returns the orphaned requests (in-flight batch first, then the
+  // queue) for the caller to re-route.
+  std::vector<Request> KillReplica(int id) {
+    Replica& r = replica(id);
+    ORION_CHECK(r.state != Replica::State::kDead);
+    sim_.Cancel(r.completion);
+    sim_.Cancel(r.linger);
+    if (attr_) {
+      SyncIdle(r);
+      const TimeUs now = sim_.now();
+      // In-flight work dies with the replica: the partial batch/step time the
+      // orphans already spent is wasted, so it reclassifies as kPreempt (not
+      // execute), and the open phase stays kPreempt through re-routing.
+      for (Request& request : r.in_flight) {
+        request.ledger.AdvanceInto(now, attribution::Phase::kPreempt,
+                                   attribution::Phase::kPreempt);
+      }
+    }
+    std::vector<Request> orphans = std::move(r.in_flight);
+    r.in_flight.clear();
+    for (Request& request : r.batcher.Drain()) {
+      if (attr_) {
+        // Queued orphans close their queue wait here; the re-route leg that
+        // follows is preemption fallout, not fresh queueing.
+        request.ledger.LeaveQueue(sim_.now(), r.idle_accum_us,
+                                  attribution::Phase::kPreempt);
+      }
+      orphans.push_back(std::move(request));
+    }
+    if (r.llm != nullptr) {
+      // The KV cache died with the replica: orphaned sequences recompute from
+      // their prompt wherever they rehome. A first token that had genuinely
+      // been delivered stays delivered; one merely scheduled (request-level
+      // batch still running) is lost with the batch.
+      const TimeUs now = sim_.now();
+      for (Request& request : orphans) {
+        request.generated = 0;
+        if (request.first_token_us > now) {
+          request.first_token_us = -1.0;
+        }
+      }
+    }
+    const bool was_running =
+        r.state == Replica::State::kActive || r.state == Replica::State::kDraining;
+    if (was_running) {
+      AccountReplicaTime(r.active_since);
+    }
+    r.busy = false;
+    ReleaseFromGpu(id);
+    r.state = Replica::State::kDead;
+    ++node_state(NodeOf(r.gpu)).replicas_killed;
+    return orphans;
+  }
+
+  // Predicted time to drain everything ahead of a new arrival at `r`.
+  DurationUs OutstandingUs(const Replica& r) const {
+    const serving::BatchingConfig& batching = config_.batching;
+    const TimeUs now = sim_.now();
+    DurationUs work = r.busy ? std::max(0.0, r.busy_until - now) : 0.0;
+    const std::size_t queued = r.batcher.size();
+    if (queued == 0) {
+      return work;
+    }
+    const int max_batch = batching.enabled ? batching.max_batch_size : 1;
+    if (r.llm != nullptr) {
+      // Predicted TTFT contribution of routing a new sequence here: the
+      // running step's remainder, plus the queue ahead of it, plus its own
+      // prefill. With continuous batching at most max_batch sequences join
+      // per step, so the queue costs one typical step per join round; the
+      // request-level baseline pays whole straggler-padded batches instead.
+      const serving::LlmCostModel& cost = *models_[r.model]->llm_cost;
+      const serving::LlmServiceConfig& llm = models_[r.model]->cfg.llm;
+      const double slowdown = Slowdown(r);
+      if (llm.continuous) {
+        const std::size_t rounds = queued / static_cast<std::size_t>(max_batch);
+        work += static_cast<double>(rounds) * cost.TypicalStepUs(max_batch) * slowdown;
+        work += cost.PrefillUs(llm.prompt_tokens) * slowdown;
+      } else {
+        const int est = std::min<int>(max_batch, static_cast<int>(queued));
+        const int mean_target = (llm.min_decode_tokens + llm.max_decode_tokens) / 2;
+        const DurationUs batch_us =
+            static_cast<double>(est) * cost.PrefillUs(llm.prompt_tokens) +
+            static_cast<double>(mean_target) * cost.TypicalStepUs(est);
+        const std::size_t batches =
+            (queued + static_cast<std::size_t>(max_batch) - 1) /
+            static_cast<std::size_t>(max_batch);
+        work += static_cast<double>(batches) * batch_us * slowdown;
+      }
+      return work;
+    }
+    const serving::BatchCostModel& cost = models_[r.model]->cost;
+    const int batch = std::min<int>(max_batch, static_cast<int>(queued));
+    work += static_cast<double>(queued) * cost.PerRequestUs(batch) * Slowdown(r);
+    return work;
+  }
+
+  // Interference slowdown from `r`'s running GPU co-residents.
+  double Slowdown(const Replica& r) const {
+    double pressure = 0.0;
+    for (const int other_id : gpus_[static_cast<std::size_t>(r.gpu)].replicas) {
+      if (other_id == r.id) {
+        continue;
+      }
+      const Replica& other = replica(other_id);
+      if (other.state != Replica::State::kActive &&
+          other.state != Replica::State::kDraining) {
+        continue;  // provisioning replicas hold memory but run no kernels yet
+      }
+      pressure += cluster::PairInterference(models_[r.model]->cost.signature(),
+                                            models_[other.model]->cost.signature());
+    }
+    return serving::InterferenceSlowdown(models_[r.model]->cfg.tier, pressure);
+  }
+
+  // --- Network legs (num_nodes > 1). ---
 
   void StartOp(int src, int dst, std::size_t bytes, NetOp op) {
     const std::uint64_t op_id = next_op_id_++;
@@ -669,11 +1120,12 @@ class ClusterEngine : public NodeHost {
     op.node = node;
     op.request = std::move(request);
     op.forced = forced;
-    StartOp(interconnect::kHostNode, node, spec_.request_bytes, std::move(op));
+    StartOp(interconnect::kHostNode, node, kRequestBytes, std::move(op));
   }
 
-  void SendResponse(int node, int replica_id, int gpu_global, TimeUs batch_start,
-                    TimeUs batch_end, const Request& request) {
+  void SendResponse(int replica_id, int gpu_global, TimeUs batch_start, TimeUs batch_end,
+                    const Request& request) {
+    const int node = NodeOf(gpu_global);
     ++models_[static_cast<std::size_t>(request.model)]->in_network;
     NetOp op;
     op.kind = NetOp::Kind::kResponse;
@@ -686,7 +1138,7 @@ class ClusterEngine : public NodeHost {
     op.gpu = gpu_global;
     op.batch_start = batch_start;
     op.batch_end = batch_end;
-    StartOp(node, interconnect::kHostNode, spec_.response_bytes, std::move(op));
+    StartOp(node, interconnect::kHostNode, kResponseBytes, std::move(op));
   }
 
   void OnNetOpDone(std::uint64_t op_id) {
@@ -699,7 +1151,7 @@ class ClusterEngine : public NodeHost {
         ModelState& model = *models_[static_cast<std::size_t>(op.request.model)];
         ORION_CHECK(model.in_network > 0);
         --model.in_network;
-        if (op.cancelled || !nodes_[static_cast<std::size_t>(op.node)].alive()) {
+        if (op.cancelled || !node_state(op.node).alive) {
           RehomeOrphan(static_cast<std::size_t>(op.request.model), std::move(op.request),
                        /*was_running=*/true);
         } else {
@@ -731,6 +1183,98 @@ class ClusterEngine : public NodeHost {
   }
 
   // --- Completion accounting. ---
+
+  void OnBatchServed(Replica& r) {
+    const TimeUs now = sim_.now();
+    ModelState& model = *models_[r.model];
+    const int batch_size = static_cast<int>(r.in_flight.size());
+    if (!NetworkOn()) {
+      for (const Request& request : r.in_flight) {
+        CompleteRequest(request, r.id, r.gpu, r.batch_start, now, now);
+      }
+    } else {
+      // The computed responses still have to cross the network; completion
+      // accounting happens when each one reaches the front-end.
+      for (const Request& request : r.in_flight) {
+        SendResponse(r.id, r.gpu, r.batch_start, now, request);
+      }
+    }
+    if (model.track >= 0) {
+      hub_->spans().Complete(gpu_tracks_[static_cast<std::size_t>(r.gpu)], r.id,
+                             "batch:" + model.label, r.batch_start, now,
+                             {{"batch_size", std::to_string(batch_size)},
+                              {"replica", std::to_string(r.id)},
+                              {"reason", serving::DispatchReasonName(r.dispatch_reason)}},
+                             "batch");
+    }
+    if (InWindow(now)) {
+      model.batches->Inc();
+      model.batched_requests->Inc(static_cast<double>(batch_size));
+      if (model.llm_cost != nullptr) {
+        // Request-level LLM baseline: the batch prefilled every sequence and
+        // decoded each to completion (one token from prefill + target more).
+        double tokens = 0.0;
+        for (const Request& request : r.in_flight) {
+          tokens += 1.0 + static_cast<double>(request.target_tokens);
+        }
+        model.tokens->Inc(tokens);
+        model.prefills->Inc(static_cast<double>(batch_size));
+      }
+    }
+  }
+
+  void OnDecodeStep(Replica& r, int batch, int prefills, TimeUs start, TimeUs end) {
+    ModelState& model = *models_[r.model];
+    if (model.track >= 0) {
+      hub_->spans().Complete(
+          gpu_tracks_[static_cast<std::size_t>(r.gpu)], r.id, "step:" + model.label,
+          start, end,
+          {{"batch_size", std::to_string(batch)},
+           {"prefills", std::to_string(prefills)},
+           {"kv_blocks", std::to_string(r.llm->kv.used_blocks())},
+           {"replica", std::to_string(r.id)}},
+          "decode-step");
+    }
+    if (InWindow(end)) {
+      model.decode_steps->Inc();
+      model.tokens->Inc(static_cast<double>(batch));  // one token per sequence
+      if (prefills > 0) {
+        model.prefills->Inc(static_cast<double>(prefills));
+      }
+      // A step is the device-batch unit of continuous batching: count it so
+      // mean_batch_size reports the mean iteration width.
+      model.batches->Inc();
+      model.batched_requests->Inc(static_cast<double>(batch));
+    }
+  }
+
+  void OnSequenceFinished(Replica& r, const Request& request, TimeUs step_start,
+                          TimeUs step_end) {
+    if (!NetworkOn()) {
+      CompleteRequest(request, r.id, r.gpu, step_start, step_end, step_end);
+    } else {
+      SendResponse(r.id, r.gpu, step_start, step_end, request);
+    }
+  }
+
+  void OnKvEviction(Replica& r, const Request& request) {
+    ModelState& model = *models_[r.model];
+    if (InWindow(sim_.now())) {
+      model.kv_evictions->Inc();
+    }
+    Mark("kv-evict", {{"service", model.label},
+                      {"replica", std::to_string(r.id)},
+                      {"request", std::to_string(request.id)}});
+  }
+
+  void AccountReplicaTime(TimeUs active_since) {
+    const TimeUs start = std::max(active_since, config_.warmup_us);
+    const TimeUs end = std::min(sim_.now(), horizon_);
+    if (end > start) {
+      replica_seconds_->Inc(UsToSec(end - start));
+    }
+  }
+
 
   // `exec_end` is the device batch completion; `complete_us` when the
   // response reached the front-end (identical without a network).
@@ -840,37 +1384,23 @@ class ClusterEngine : public NodeHost {
 
   bool AddReplica(std::size_t m, bool immediate = false) {
     ModelState& model = *models_[m];
-    int best_node = -1;
-    int best_gpu = -1;
-    auto best_score = std::make_pair(std::numeric_limits<double>::infinity(),
-                                     std::numeric_limits<std::size_t>::max());
-    for (int n = 0; n < spec_.num_nodes; ++n) {
-      const NodeEngine& node = nodes_[static_cast<std::size_t>(n)];
-      if (!node.alive()) {
-        continue;
-      }
-      cluster::PlacementEngine::PlacementScore score;
-      const auto local = node.BestPlacement(model.cost.signature(),
-                                            config_.device.memory_bytes,
-                                            config_.max_replicas_per_gpu, &score);
-      if (!local.has_value()) {
-        continue;
-      }
-      // Strict < with ascending node order: equivalent to the flat
-      // BestGpuFor over the node-major global GPU list.
-      if (score < best_score) {
-        best_score = score;
-        best_node = n;
-        best_gpu = *local;
+    // One least-interference pick over the node-major GPU list; a dead
+    // node's GPUs are all marked not alive.
+    std::vector<cluster::GpuResidents> residents(gpus_.size());
+    for (std::size_t g = 0; g < gpus_.size(); ++g) {
+      residents[g].alive = gpus_[g].alive;
+      residents[g].used_bytes = gpus_[g].used_bytes;
+      for (const int id : gpus_[g].replicas) {
+        residents[g].jobs.push_back(models_[replica(id).model]->cost.signature());
       }
     }
-    if (best_node < 0) {
+    const std::optional<int> best = cluster::PlacementEngine::BestGpuFor(
+        model.cost.signature(), residents, config_.device.memory_bytes,
+        config_.max_replicas_per_gpu);
+    if (!best.has_value()) {
       return false;
     }
-    const int id = static_cast<int>(directory_.size());
-    const int slot = nodes_[static_cast<std::size_t>(best_node)].CreateReplica(
-        id, m, best_gpu, immediate, sim_.now());
-    directory_.push_back({best_node, slot});
+    const int id = CreateReplica(m, *best, immediate);
     model.replicas.push_back(id);
     if (!immediate) {
       if (NetworkOn()) {
@@ -878,10 +1408,9 @@ class ClusterEngine : public NodeHost {
         // starts when the weights arrive.
         NetOp op;
         op.kind = NetOp::Kind::kState;
-        op.node = best_node;
+        op.node = NodeOf(*best);
         op.replica_id = id;
-        StartOp(interconnect::kHostNode, best_node, model.cost.state_bytes(),
-                std::move(op));
+        StartOp(interconnect::kHostNode, op.node, model.cost.state_bytes(), std::move(op));
       } else {
         sim_.ScheduleAfter(model.cost.ProvisionUs(), [this, id] { ActivateReplica(id); });
       }
@@ -902,7 +1431,7 @@ class ClusterEngine : public NodeHost {
     ModelState& model = *models_[r.model];
     Mark("replica-active", {{"service", model.label},
                             {"replica", std::to_string(id)},
-                            {"gpu", std::to_string(topo_.GlobalGpu(r.node, r.gpu))}});
+                            {"gpu", std::to_string(r.gpu)}});
     while (!model.limbo.empty()) {
       Request request = std::move(model.limbo.front());
       model.limbo.pop_front();
@@ -935,8 +1464,7 @@ class ClusterEngine : public NodeHost {
     if (victim < 0) {
       return false;
     }
-    const ReplicaRef& ref = directory_[static_cast<std::size_t>(victim)];
-    nodes_[static_cast<std::size_t>(ref.node)].DrainReplica(ref.slot);
+    DrainReplica(victim);
     return true;
   }
 
@@ -963,13 +1491,11 @@ class ClusterEngine : public NodeHost {
   }
 
   void ApplyGpuDown(const fault::FaultEvent& event) {
-    if (event.gpu < 0 || event.gpu >= topo_.total_gpus()) {
+    if (event.gpu < 0 || event.gpu >= static_cast<int>(gpus_.size())) {
       faults_skipped_->Inc();
       return;
     }
-    const int n = topo_.NodeOfGpu(event.gpu);
-    const int local = topo_.LocalGpu(event.gpu);
-    GpuShard& shard = nodes_[static_cast<std::size_t>(n)].gpu(local);
+    GpuShard& shard = gpu(event.gpu);
     if (!shard.alive) {
       faults_skipped_->Inc();
       return;
@@ -978,25 +1504,24 @@ class ClusterEngine : public NodeHost {
     Mark("gpu-down", {{"gpu", std::to_string(event.gpu)}});
     shard.alive = false;
     const std::vector<int> victims = shard.replicas;  // the kills mutate the list
-    for (const int slot : victims) {
-      KillAndRehome(n, slot);
+    for (const int id : victims) {
+      KillAndRehome(id);
     }
   }
 
   void ApplyReplicaCrash(const fault::FaultEvent& event) {
-    if (event.client < 0 || event.client >= static_cast<int>(directory_.size()) ||
+    if (event.client < 0 || event.client >= static_cast<int>(replicas_.size()) ||
         replica(event.client).state == Replica::State::kDead) {
       faults_skipped_->Inc();
       return;
     }
     faults_injected_->Inc();
-    const ReplicaRef& ref = directory_[static_cast<std::size_t>(event.client)];
-    KillAndRehome(ref.node, ref.slot);
+    KillAndRehome(event.client);
   }
 
   void ApplyNodeDown(const fault::FaultEvent& event) {
     const int n = event.node;
-    if (n < 0 || n >= spec_.num_nodes || !nodes_[static_cast<std::size_t>(n)].alive()) {
+    if (n < 0 || n >= spec_.num_nodes || !node_state(n).alive) {
       faults_skipped_->Inc();
       return;
     }
@@ -1006,8 +1531,11 @@ class ClusterEngine : public NodeHost {
       node_faults_c_->Inc();
     }
     Mark("node-down", {{"node", std::to_string(n)}});
-    NodeEngine& node = nodes_[static_cast<std::size_t>(n)];
-    node.MarkDead();
+    const int first_gpu = n * spec_.gpus_per_node;
+    node_state(n).alive = false;
+    for (int local = 0; local < spec_.gpus_per_node; ++local) {
+      gpu(first_gpu + local).alive = false;
+    }
     if (!fabrics_.empty()) {
       // Cut the NIC and abort every transfer touching the node. Cancelled
       // forwards re-route to survivors when their abort callback fires;
@@ -1026,10 +1554,10 @@ class ClusterEngine : public NodeHost {
         fabric.CancelTransfer(net_ops_.at(op_id).transfer);
       }
     }
-    for (int local = 0; local < node.num_gpus(); ++local) {
-      const std::vector<int> victims = node.gpu(local).replicas;
-      for (const int slot : victims) {
-        KillAndRehome(n, slot);
+    for (int local = 0; local < spec_.gpus_per_node; ++local) {
+      const std::vector<int> victims = gpu(first_gpu + local).replicas;
+      for (const int id : victims) {
+        KillAndRehome(id);
       }
     }
   }
@@ -1038,15 +1566,13 @@ class ClusterEngine : public NodeHost {
   // model (or limbo/drop), and a replacement is provisioned on a surviving
   // GPU. The batch on the device at the instant of death is lost with it —
   // its requests restart from the queue of whichever replica inherits them.
-  void KillAndRehome(int n, int slot) {
-    NodeEngine& node = nodes_[static_cast<std::size_t>(n)];
-    Replica& r = node.replica(slot);
+  void KillAndRehome(int id) {
+    const Replica& r = replica(id);
     const std::size_t m = r.model;
-    const int id = r.id;
-    const int gpu_global = topo_.GlobalGpu(n, r.gpu);
+    const int gpu_global = r.gpu;
     const bool was_running =
         r.state == Replica::State::kActive || r.state == Replica::State::kDraining;
-    std::vector<Request> orphans = node.KillReplica(slot);
+    std::vector<Request> orphans = KillReplica(id);
     replicas_lost_->Inc();
     Mark("replica-killed", {{"service", models_[m]->label},
                             {"replica", std::to_string(id)},
@@ -1235,26 +1761,25 @@ class ClusterEngine : public NodeHost {
     result.replacement_failures =
         static_cast<std::size_t>(replacement_failures_->AsCount());
     result.replica_seconds = replica_seconds_->value();
-    for (const NodeEngine& node : nodes_) {
-      for (int local = 0; local < node.num_gpus(); ++local) {
-        if (node.gpu(local).alive) {
-          ++result.gpus_alive_end;
-        }
+    for (const GpuShard& shard : gpus_) {
+      if (shard.alive) {
+        ++result.gpus_alive_end;
       }
     }
     metrics_->GetGauge("serving.gpus_alive")
         ->Set(static_cast<double>(result.gpus_alive_end));
 
-    for (const NodeEngine& node : nodes_) {
+    for (int n = 0; n < spec_.num_nodes; ++n) {
+      const NodeState& node = node_state(n);
       NodeSummary summary;
-      summary.node = node.node_id();
-      summary.alive_end = node.alive();
-      summary.replicas_created = node.replicas_created();
-      summary.replicas_killed = node.replicas_killed();
-      summary.batches = node.batches_served();
-      summary.requests = node.requests_served();
+      summary.node = n;
+      summary.alive_end = node.alive;
+      summary.replicas_created = node.replicas_created;
+      summary.replicas_killed = node.replicas_killed;
+      summary.batches = node.batches;
+      summary.requests = node.requests;
       cluster.nodes.push_back(summary);
-      if (node.alive()) {
+      if (node.alive) {
         ++cluster.nodes_alive_end;
       }
     }
@@ -1274,18 +1799,18 @@ class ClusterEngine : public NodeHost {
 
   serving::ServingConfig config_;
   ClusterSpec spec_;
-  ClusterTopology topo_;
   Simulator sim_;
   serving::Router router_;
   serving::AdmissionController admission_;
   TimeUs horizon_;
-  std::deque<NodeEngine> nodes_;
+  std::vector<NodeState> nodes_;
+  std::vector<GpuShard> gpus_;    // by global (node-major) GPU index
+  std::deque<Replica> replicas_;  // by replica id; stable addresses
   // One fabric per node NIC (empty when the network is off). Single-hop star
   // routes never share links, so per-NIC fabrics are model-identical to one
   // fabric over the whole star (see the constructor).
   std::vector<std::unique_ptr<interconnect::Fabric>> fabrics_;
   std::vector<std::unique_ptr<ModelState>> models_;
-  std::vector<ReplicaRef> directory_;  // global replica id -> (node, slot)
   std::uint64_t next_request_id_ = 0;
 
   // In-flight network payloads, keyed by a monotonically increasing op id so

@@ -72,7 +72,8 @@ struct FaultEvent {
   TimeUs at_us = 0.0;
 
   // kDeviceDegrade / kGpuDown: target GPU (index in the fabric topology; 0
-  // for the single shared device of the collocation harness).
+  // for the single shared device of the collocation harness; on a serving
+  // cluster the node-major global index, node * gpus_per_node + local).
   int gpu = 0;
   int sms_lost = 0;            // kDeviceDegrade
   double membw_factor = 1.0;   // kDeviceDegrade: remaining fraction of peak
@@ -87,7 +88,7 @@ struct FaultEvent {
   int client = -1;
   DurationUs runaway_us = 0.0;  // kClientHang: duration of the runaway kernel
 
-  // kNodeDown: target node (index into the datacenter ClusterTopology).
+  // kNodeDown: target datacenter node, 0..ClusterSpec::num_nodes-1.
   int node = -1;
 
   // kProfilePoison.

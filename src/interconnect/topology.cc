@@ -66,25 +66,21 @@ NodeTopology NodeTopology::NvLinkPairs(int num_gpus, double nvlink_gbps, double 
   return topo;
 }
 
-NodeTopology NodeTopology::NicStar(int num_endpoints, double nic_gbps,
-                                   double nic_latency_us) {
-  ORION_CHECK(num_endpoints >= 1);
+NodeTopology NodeTopology::NicStar(double nic_gbps, double nic_latency_us) {
   ORION_CHECK(nic_gbps > 0.0);
   ORION_CHECK(nic_latency_us >= 0.0);
   NodeTopology topo;
-  topo.num_gpus_ = num_endpoints;
-  for (int node = 0; node < num_endpoints; ++node) {
-    Link link;
-    link.id = static_cast<LinkId>(topo.links_.size());
-    link.name = "nic" + std::to_string(node);
-    link.kind = LinkKind::kNic;
-    link.node_a = kHostNode;
-    link.node_b = node;
-    link.gbps = nic_gbps;
-    link.latency_us = nic_latency_us;
-    topo.pcie_links_.push_back(link.id);  // the node's host link (Route uses it)
-    topo.links_.push_back(std::move(link));
-  }
+  topo.num_gpus_ = 1;
+  Link link;
+  link.id = 0;
+  link.name = "nic";
+  link.kind = LinkKind::kNic;
+  link.node_a = kHostNode;
+  link.node_b = 0;
+  link.gbps = nic_gbps;
+  link.latency_us = nic_latency_us;
+  topo.pcie_links_.push_back(link.id);  // the node's host link (Route uses it)
+  topo.links_.push_back(std::move(link));
   return topo;
 }
 

@@ -77,13 +77,11 @@ class NodeTopology {
   static NodeTopology FullNvLink(int num_gpus, double nvlink_gbps = kDefaultNvLinkGbps,
                                  double pcie_gbps = kDefaultPcieGbps);
 
-  // Datacenter-network star: `num_endpoints` server nodes, each with one
-  // full-duplex NIC link (kNic) to a non-blocking ToR switch at the root
-  // (kHostNode). Endpoint i of this topology is *node* i of a cluster, not a
-  // GPU; the Fabric over it models cross-node traffic with NIC bandwidth and
-  // switch latency in place of PCIe/NVLink numbers.
-  static NodeTopology NicStar(int num_endpoints, double nic_gbps,
-                              double nic_latency_us);
+  // One server node's datacenter-network hop: a full-duplex NIC link (kNic)
+  // from endpoint 0 — the *node*, not a GPU — to a non-blocking ToR switch at
+  // the root (kHostNode). The Fabric over it models cross-node traffic with
+  // NIC bandwidth and switch latency in place of PCIe/NVLink numbers.
+  static NodeTopology NicStar(double nic_gbps, double nic_latency_us);
 
   int num_gpus() const { return num_gpus_; }
   const std::vector<Link>& links() const { return links_; }

@@ -30,21 +30,6 @@ DynamicBatcher::DynamicBatcher(const BatchingConfig& config) : config_(config) {
 
 void DynamicBatcher::Enqueue(Request request, TimeUs now) {
   request.enqueue_us = now;
-  if (config_.edf) {
-    // Keep the queue in (deadline, id) order. Insertion from the back: the
-    // common case (deadlines arrive roughly sorted) is O(1).
-    auto pos = queue_.end();
-    while (pos != queue_.begin()) {
-      const Request& prev = *(pos - 1);
-      if (prev.deadline_us < request.deadline_us ||
-          (prev.deadline_us == request.deadline_us && prev.id < request.id)) {
-        break;
-      }
-      --pos;
-    }
-    queue_.insert(pos, request);
-    return;
-  }
   queue_.push_back(request);
 }
 
@@ -74,16 +59,7 @@ DispatchReason DynamicBatcher::WhyDispatch(TimeUs now) const {
 
 TimeUs DynamicBatcher::LingerDeadline() const {
   ORION_CHECK(!queue_.empty());
-  if (!config_.edf) {
-    return queue_.front().enqueue_us + config_.max_queue_delay_us;
-  }
-  // Deadline order is not enqueue order: scan for the oldest enqueue. EDF
-  // queues are short (bounded by a few batches), so O(n) here is fine.
-  TimeUs oldest = queue_.front().enqueue_us;
-  for (const Request& request : queue_) {
-    oldest = std::min(oldest, request.enqueue_us);
-  }
-  return oldest + config_.max_queue_delay_us;
+  return queue_.front().enqueue_us + config_.max_queue_delay_us;
 }
 
 void DynamicBatcher::TakeBatchInto(std::vector<Request>* out) {
@@ -116,20 +92,6 @@ Request DynamicBatcher::PopFront() {
 }
 
 void DynamicBatcher::Requeue(Request request) {
-  if (config_.edf) {
-    // Same (deadline, id) order as Enqueue, but scanning from the FRONT:
-    // a requeued sequence's deadline is old, so its slot is near the head.
-    auto pos = queue_.begin();
-    while (pos != queue_.end()) {
-      if (pos->deadline_us > request.deadline_us ||
-          (pos->deadline_us == request.deadline_us && pos->id > request.id)) {
-        break;
-      }
-      ++pos;
-    }
-    queue_.insert(pos, std::move(request));
-    return;
-  }
   queue_.push_front(std::move(request));
 }
 

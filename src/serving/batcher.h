@@ -7,13 +7,8 @@
 // the roofline gives (batch_cost.h). With batching disabled every dispatch
 // takes exactly one request.
 //
-// Queue order is FIFO by default. With `edf` set, the queue is kept in
-// earliest-deadline-first order instead (ties break FIFO by request id), so
-// under overload the batch drains the requests that can still make their
-// SLO before the ones that are already doomed — the request-level analogue
-// of deadline scheduling. Linger semantics are unchanged: the bound is
-// still measured from the oldest *enqueue* time in the queue, whatever its
-// position after deadline sorting.
+// Queue order is FIFO; a sequence evicted from a continuous-batching step
+// is requeued at the head of the line.
 //
 // The batcher is pure queue logic — the serving engine owns the clock and
 // the linger timers, which keeps this class directly unit-testable.
@@ -33,7 +28,6 @@ struct BatchingConfig {
   bool enabled = true;
   int max_batch_size = 8;
   DurationUs max_queue_delay_us = 2000.0;  // linger bound from oldest enqueue
-  bool edf = false;  // earliest-deadline-first queue order (default FIFO)
 };
 
 // Why a dispatch fired; recorded as the `reason` attribute on batch spans.
@@ -64,9 +58,9 @@ class DynamicBatcher {
   // Only meaningful when !empty().
   TimeUs LingerDeadline() const;
 
-  // Removes the next batch (up to max_batch_size requests, FIFO or deadline
-  // order per config.edf) into `out`. `out` is cleared first and keeps its
-  // capacity, so a replica's reused buffer stops allocating on the hot path.
+  // Removes the next batch (up to max_batch_size requests, in queue order)
+  // into `out`. `out` is cleared first and keeps its capacity, so a
+  // replica's reused buffer stops allocating on the hot path.
   void TakeBatchInto(std::vector<Request>* out);
 
   // Removes and returns everything queued (failover re-routing).
@@ -78,10 +72,8 @@ class DynamicBatcher {
   const Request& Front() const;
   Request PopFront();
 
-  // Puts an evicted (or KV-rejected) sequence back at the head of the line:
-  // front of a FIFO queue, (deadline, id) position under EDF — an evicted
-  // sequence keeps its original deadline, so EDF naturally resumes it before
-  // newer arrivals. enqueue_us is preserved (linger fairness).
+  // Puts an evicted (or KV-rejected) sequence back at the front of the
+  // queue. enqueue_us is preserved (linger fairness).
   void Requeue(Request request);
 
   bool empty() const { return queue_.empty(); }

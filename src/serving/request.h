@@ -58,8 +58,7 @@ struct Request {
   int node = -1;               // datacenter node serving it (-1: single-node)
   TimeUs arrival_us = 0.0;
   // Arrival + the service's SLO. For LLM services this is the TTFT deadline
-  // (arrival + ttft_slo_us): EDF queues then order sequences by the per-token
-  // deadline that admission also gates on.
+  // (arrival + ttft_slo_us), the per-token deadline admission gates on.
   TimeUs deadline_us = 0.0;
   TimeUs enqueue_us = 0.0;     // last time it entered a replica queue
   TimeUs start_service_us = 0.0;

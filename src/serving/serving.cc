@@ -1,11 +1,9 @@
 #include "src/serving/serving.h"
 
-// The serving engine itself lives in src/datacenter/cluster_engine.cc since
-// the datacenter split: a global control plane (arrivals, admission, node
-// routing, limbo, autoscaling, faults, accounting) over per-node engines
-// (src/datacenter/node_engine.h). RunServing is defined there as the
-// num_nodes == 1 special case. This file keeps the pure helpers on the
-// public serving types.
+// The serving engine itself is the cluster engine in
+// src/datacenter/cluster_engine.cc; RunServing is defined there as the
+// num_nodes == 1 case. This file keeps the pure helpers on the public
+// serving types.
 
 namespace orion {
 namespace serving {

@@ -169,10 +169,9 @@ struct ServingResult {
   double MeanAttainment() const;  // offered-weighted across services
 };
 
-// Runs the single-node serving simulation. Since the datacenter subsystem
-// landed this is the N=1 special case of datacenter::RunCluster (defined in
-// src/datacenter/cluster_engine.cc; callers must link orion_datacenter) and
-// reproduces the pre-split engine's results exactly.
+// Runs the single-node serving simulation: datacenter::RunCluster on a
+// one-node cluster of `num_gpus` GPUs, where no network is modeled (defined
+// in src/datacenter/cluster_engine.cc; callers must link orion_datacenter).
 ServingResult RunServing(const ServingConfig& config);
 
 }  // namespace serving

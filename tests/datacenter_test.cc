@@ -1,14 +1,13 @@
-// Datacenter subsystem tests (src/datacenter): cluster topology arithmetic,
-// N=1 equivalence with the single-node serving engine, multi-node serving
-// over the NIC/ToR network, node-granularity faults with cross-node
-// failover, and the request accounting identity under all of it.
+// Datacenter subsystem tests (src/datacenter): N=1 equivalence with the
+// single-node serving engine, multi-node serving over the NIC/ToR network,
+// node-granularity faults with cross-node failover, node-major GPU fault
+// addressing, and the request accounting identity under all of it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "src/datacenter/cluster.h"
-#include "src/datacenter/cluster_topology.h"
 #include "src/fault/fault_plan.h"
 #include "src/serving/serving.h"
 
@@ -87,40 +86,7 @@ void ExpectServingResultsEqual(const ServingResult& a, const ServingResult& b) {
   EXPECT_DOUBLE_EQ(a.replica_seconds, b.replica_seconds);
 }
 
-// --- Topology arithmetic. ---
-
-TEST(ClusterTopologyTest, NodeMajorGpuIndexing) {
-  ClusterSpec spec;
-  spec.num_nodes = 3;
-  spec.gpus_per_node = 4;
-  const ClusterTopology topo(spec);
-  EXPECT_EQ(topo.total_gpus(), 12);
-  EXPECT_EQ(topo.GlobalGpu(0, 0), 0);
-  EXPECT_EQ(topo.GlobalGpu(1, 0), 4);
-  EXPECT_EQ(topo.GlobalGpu(2, 3), 11);
-  for (int g = 0; g < topo.total_gpus(); ++g) {
-    EXPECT_EQ(topo.GlobalGpu(topo.NodeOfGpu(g), topo.LocalGpu(g)), g);
-  }
-  EXPECT_EQ(topo.NodeOfGpu(7), 1);
-  EXPECT_EQ(topo.LocalGpu(7), 3);
-}
-
-TEST(ClusterTopologyTest, NetworkIsANicStar) {
-  ClusterSpec spec;
-  spec.num_nodes = 4;
-  spec.gpus_per_node = 2;
-  spec.nic_gbps = 25.0;
-  const ClusterTopology topo(spec);
-  const interconnect::NodeTopology net = topo.MakeNetwork();
-  // One NIC link per node, addressable for fault injection.
-  for (int n = 0; n < spec.num_nodes; ++n) {
-    const interconnect::LinkId link = topo.NicLink(n);
-    EXPECT_EQ(net.links()[static_cast<std::size_t>(link)].kind,
-              interconnect::LinkKind::kNic);
-  }
-}
-
-// --- N=1 equivalence: the compatibility contract of the engine split. ---
+// --- N=1 equivalence: RunServing is a one-node cluster. ---
 
 TEST(DatacenterTest, SingleNodeClusterReproducesRunServingExactly) {
   // A config that exercises autoscaling, admission shedding AND failover.
@@ -196,18 +162,6 @@ TEST(DatacenterTest, LeastOutstandingSpreadsLoadAcrossNodes) {
     EXPECT_GT(node.requests, result.serving.models[0].total_completed / 10)
         << "node " << node.node;
   }
-}
-
-TEST(DatacenterTest, NetworkLatencyShowsUpInEndToEndLatency) {
-  ClusterConfig networked = SmallCluster(2, 2);
-  ClusterConfig instant = SmallCluster(2, 2);
-  instant.cluster.model_network = false;
-  const ClusterResult with_net = RunCluster(networked);
-  const ClusterResult without = RunCluster(instant);
-  // Two NIC hops per request: the networked mean latency is strictly larger.
-  EXPECT_GT(with_net.serving.models[0].latency.mean(),
-            without.serving.models[0].latency.mean());
-  EXPECT_EQ(without.requests_forwarded, 0u);
 }
 
 // --- Node-granularity faults. ---
@@ -302,6 +256,34 @@ TEST(ParallelBitIdentityTest, NoMessageLossUnderNodeFaultChurn) {
                                    m.left_in_system)
         << "seed=" << seed;
     EXPECT_TRUE(ClusterResultsBitIdentical(first, again)) << "seed=" << seed;
+  }
+}
+
+// kGpuDown on a multi-node cluster takes the node-major global GPU index
+// (node * gpus_per_node + local): on 2 nodes x 2 GPUs, GPU 1 is node 0's
+// second GPU and GPU 3 is node 1's.
+TEST(DatacenterTest, GpuDownOnMultiNodeClusterUsesNodeMajorIndex) {
+  for (const int down_gpu : {1, 3}) {
+    ClusterConfig config = SmallCluster(2, 2);
+    // Placement fills node 0 first: only a full fleet occupies GPU 3.
+    config.serving.models[0].initial_replicas = 4;
+    fault::FaultEvent down;
+    down.kind = fault::FaultKind::kGpuDown;
+    down.at_us = SecToUs(2.0);
+    down.gpu = down_gpu;
+    config.serving.fault_plan.events.push_back(down);
+    const ClusterResult result = RunCluster(config);
+    const auto hit = static_cast<std::size_t>(down_gpu / 2);
+    ASSERT_EQ(result.nodes.size(), 2u);
+    EXPECT_EQ(result.serving.faults_injected, 1u) << "gpu " << down_gpu;
+    EXPECT_GE(result.nodes[hit].replicas_killed, 1u) << "gpu " << down_gpu;
+    EXPECT_EQ(result.nodes[1 - hit].replicas_killed, 0u) << "gpu " << down_gpu;
+    EXPECT_EQ(result.serving.gpus_alive_end, 3u) << "gpu " << down_gpu;
+    EXPECT_EQ(result.nodes_alive_end, 2u) << "gpu " << down_gpu;
+    const ModelServingResult& m = result.serving.models[0];
+    EXPECT_EQ(m.total_offered, m.total_completed + m.total_shed + m.total_dropped +
+                                   m.left_in_system)
+        << "gpu " << down_gpu;
   }
 }
 

@@ -81,15 +81,6 @@ TEST(LlmBatcherTest, FrontAndPopFrontFollowFifoOrder) {
   EXPECT_TRUE(batcher.empty());
 }
 
-TEST(LlmBatcherTest, FrontFollowsDeadlineOrderUnderEdf) {
-  BatchingConfig config;
-  config.edf = true;
-  DynamicBatcher batcher(config);
-  batcher.Enqueue(MakeRequest(1, 100.0), 0.0);
-  batcher.Enqueue(MakeRequest(2, 50.0), 1.0);  // earlier deadline jumps ahead
-  EXPECT_EQ(batcher.Front().id, 2u);
-}
-
 TEST(LlmBatcherTest, RequeuePutsEvictedSequenceAtFifoFront) {
   BatchingConfig config;
   DynamicBatcher batcher(config);
@@ -99,21 +90,6 @@ TEST(LlmBatcherTest, RequeuePutsEvictedSequenceAtFifoFront) {
   batcher.Requeue(evicted);
   EXPECT_EQ(batcher.Front().id, 1u);  // back at the head, ahead of 2
   EXPECT_EQ(batcher.size(), 2u);
-}
-
-TEST(LlmBatcherTest, RequeueKeepsEdfDeadlineOrder) {
-  BatchingConfig config;
-  config.edf = true;
-  DynamicBatcher batcher(config);
-  batcher.Enqueue(MakeRequest(1, 300.0), 0.0);
-  batcher.Enqueue(MakeRequest(2, 100.0), 1.0);
-  batcher.Enqueue(MakeRequest(3, 200.0), 2.0);
-  Request evicted = batcher.PopFront();  // id 2, deadline 100
-  batcher.Requeue(evicted);
-  // The evicted sequence keeps its old (earliest) deadline: it resumes first.
-  EXPECT_EQ(batcher.PopFront().id, 2u);
-  EXPECT_EQ(batcher.PopFront().id, 3u);
-  EXPECT_EQ(batcher.PopFront().id, 1u);
 }
 
 TEST(LlmBatcherTest, ContinuousDispatchReasonHasAName) {
@@ -280,20 +256,6 @@ TEST(LlmServingTest, FixedMaxLengthGenerationsRunFullDecode) {
   const double per_seq =
       static_cast<double>(m.tokens) / static_cast<double>(m.completed);
   EXPECT_NEAR(per_seq, 17.0, 2.0);
-}
-
-TEST(LlmServingTest, EdfOrdersTheJoinQueueByTtftDeadline) {
-  LlmServiceConfig llm = SmallLlm();
-  ServingConfig fifo = LlmConfig(60.0, llm);  // overloaded: queueing matters
-  fifo.num_gpus = 1;
-  fifo.models[0].max_replicas = 1;
-  ServingConfig edf = fifo;
-  edf.batching.edf = true;
-  const ServingResult a = RunServing(fifo);
-  const ServingResult b = RunServing(edf);
-  // Same arrivals (same seed): EDF must not lose work, only reorder it.
-  EXPECT_EQ(a.models[0].total_offered, b.models[0].total_offered);
-  EXPECT_GT(b.models[0].completed, 0u);
 }
 
 TEST(LlmServingTest, InterleavesWithFixedCostServices) {

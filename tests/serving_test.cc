@@ -100,7 +100,10 @@ TEST(BatcherTest, DispatchesFullBatchImmediately) {
   EXPECT_TRUE(batcher.ShouldDispatch(0.0));
   std::vector<Request> batch;
   batcher.TakeBatchInto(&batch);
-  EXPECT_EQ(batch.size(), 4u);
+  ASSERT_EQ(batch.size(), 4u);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(batch[i].id, i);  // FIFO: arrival order
+  }
   EXPECT_TRUE(batcher.empty());
 }
 
@@ -144,64 +147,6 @@ TEST(BatcherTest, DrainReturnsEverythingInOrder) {
   EXPECT_EQ(drained.front().id, 0u);
   EXPECT_EQ(drained.back().id, 2u);
   EXPECT_TRUE(batcher.empty());
-}
-
-Request DeadlineRequest(std::uint64_t id, TimeUs deadline_us) {
-  Request request;
-  request.id = id;
-  request.deadline_us = deadline_us;
-  return request;
-}
-
-// ISSUE satellite: EDF queue order. Under overload (more queued than one
-// batch can take) the batch drains the earliest deadlines first, not FIFO.
-TEST(BatcherTest, EdfDrainsDeadlineOrderUnderOverload) {
-  BatchingConfig config;
-  config.max_batch_size = 2;
-  config.edf = true;
-  DynamicBatcher edf(config);
-  config.edf = false;
-  DynamicBatcher fifo(config);
-  const double deadlines[] = {5000.0, 1000.0, 4000.0, 2000.0, 3000.0};
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    edf.Enqueue(DeadlineRequest(i, deadlines[i]), /*now=*/0.0);
-    fifo.Enqueue(DeadlineRequest(i, deadlines[i]), /*now=*/0.0);
-  }
-  // EDF: batches come out in global deadline order across dispatches. The
-  // reused buffer is cleared by each take.
-  std::vector<Request> batch;
-  edf.TakeBatchInto(&batch);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_DOUBLE_EQ(batch[0].deadline_us, 1000.0);
-  EXPECT_DOUBLE_EQ(batch[1].deadline_us, 2000.0);
-  edf.TakeBatchInto(&batch);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_DOUBLE_EQ(batch[0].deadline_us, 3000.0);
-  EXPECT_DOUBLE_EQ(batch[1].deadline_us, 4000.0);
-  // FIFO control: arrival order, deadlines interleaved.
-  fifo.TakeBatchInto(&batch);
-  EXPECT_DOUBLE_EQ(batch[0].deadline_us, 5000.0);
-  EXPECT_DOUBLE_EQ(batch[1].deadline_us, 1000.0);
-}
-
-TEST(BatcherTest, EdfTiesBreakFifoAndLingerTracksOldestEnqueue) {
-  BatchingConfig config;
-  config.max_batch_size = 8;
-  config.max_queue_delay_us = 1000.0;
-  config.edf = true;
-  DynamicBatcher batcher(config);
-  batcher.Enqueue(DeadlineRequest(7, 500.0), /*now=*/100.0);
-  batcher.Enqueue(DeadlineRequest(8, 500.0), /*now=*/300.0);  // equal deadline
-  batcher.Enqueue(DeadlineRequest(9, 100.0), /*now=*/400.0);  // earliest, last in
-  // Linger bound still runs from the oldest enqueue time (t=100), even
-  // though request 9 sorted to the front.
-  EXPECT_DOUBLE_EQ(batcher.LingerDeadline(), 1100.0);
-  std::vector<Request> batch;
-  batcher.TakeBatchInto(&batch);
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch[0].id, 9u);
-  EXPECT_EQ(batch[1].id, 7u);  // tie with 8: FIFO by id
-  EXPECT_EQ(batch[2].id, 8u);
 }
 
 TEST(BatcherTest, WhyDispatchNamesTheTrigger) {
@@ -630,20 +575,6 @@ TEST(ServingTest, UnsupportedFaultKindsAreSkipped) {
   const ServingResult result = RunServing(config);
   EXPECT_EQ(result.faults_injected, 0u);
   EXPECT_EQ(result.faults_skipped, 1u);
-}
-
-// With one service every deadline is arrival + SLO, so EDF order equals
-// FIFO order and the whole run must be bit-identical — pins down that the
-// EDF sorted insert is order-preserving where it should be.
-TEST(ServingTest, EdfMatchesFifoForUniformSloWithoutFaults) {
-  ServingConfig fifo = OverloadConfig();
-  ServingConfig edf = OverloadConfig();
-  edf.batching.edf = true;
-  const ServingResult a = RunServing(fifo);
-  const ServingResult b = RunServing(edf);
-  EXPECT_EQ(a.models[0].total_completed, b.models[0].total_completed);
-  EXPECT_EQ(a.models[0].slo_met, b.models[0].slo_met);
-  EXPECT_DOUBLE_EQ(a.models[0].latency.p99(), b.models[0].latency.p99());
 }
 
 TEST(ServingTest, InterferenceAwareRoutingBeatsRoundRobinOnContendedFleet) {
