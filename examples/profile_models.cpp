@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "src/common/table.h"
 #include "src/profiler/profiler.h"
@@ -43,8 +45,15 @@ int main() {
   table.Print(std::cout);
 
   // Reload one profile and show what the scheduler looks up per kernel.
-  std::ifstream file(dir / "resnet50-inf-bs4.profile");
-  const auto reloaded = profiler::LoadProfile(file);
+  const std::filesystem::path reload_path = dir / "resnet50-inf-bs4.profile";
+  std::ifstream file(reload_path);
+  std::string error;
+  const std::optional<profiler::WorkloadProfile> loaded = profiler::LoadProfile(file, &error);
+  if (!loaded.has_value()) {
+    std::cerr << reload_path.string() << ": " << error << "\n";
+    return 2;
+  }
+  const profiler::WorkloadProfile& reloaded = *loaded;
   std::cout << "\nfirst kernels of " << reloaded.workload_name << " (as the scheduler sees "
             << "them):\n";
   Table kernels({"kernel", "duration_us", "class", "sm_needed"});

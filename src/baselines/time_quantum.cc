@@ -8,11 +8,16 @@
 namespace orion {
 namespace baselines {
 
-TimeQuantumScheduler::TimeQuantumScheduler(TimeQuantumOptions options)
-    : options_(options), detector_(options.thrash) {
-  ORION_CHECK(options_.sample_period_us > 0.0);
-  ORION_CHECK(options_.idle_release_us > 0.0);
-}
+namespace {
+
+// Thrash sampling cadence. Samples read pager counters only, so they never
+// perturb the rest of the event stream.
+constexpr DurationUs kSamplePeriodUs = MsToUs(20.0);
+// Early release: an active client with nothing queued and nothing in flight
+// for this long forfeits the rest of its quantum.
+constexpr DurationUs kIdleReleaseUs = MsToUs(2.0);
+
+}  // namespace
 
 void TimeQuantumScheduler::Attach(Simulator* sim, runtime::GpuRuntime* rt,
                                   std::vector<core::SchedClientInfo> clients) {
@@ -28,7 +33,7 @@ void TimeQuantumScheduler::Attach(Simulator* sim, runtime::GpuRuntime* rt,
   }
   if (pager_ != nullptr && !sampler_started_) {
     sampler_started_ = true;
-    sim_->ScheduleAfter(options_.sample_period_us, [this]() { SampleThrash(); });
+    sim_->ScheduleAfter(kSamplePeriodUs, [this]() { SampleThrash(); });
   }
 }
 
@@ -36,7 +41,7 @@ void TimeQuantumScheduler::set_pager(memsub::UnifiedMemoryPager* pager) {
   pager_ = pager;
   if (sim_ != nullptr && pager_ != nullptr && !sampler_started_) {
     sampler_started_ = true;
-    sim_->ScheduleAfter(options_.sample_period_us, [this]() { SampleThrash(); });
+    sim_->ScheduleAfter(kSamplePeriodUs, [this]() { SampleThrash(); });
   }
 }
 
@@ -111,7 +116,7 @@ void TimeQuantumScheduler::SampleThrash() {
   // backlog bucket drains it at link speed across the following windows
   // (mirroring the copy engine actually transferring it), keeping the busy
   // signal saturated for the burst's real duration instead of spiking once.
-  const double window_capacity = pager_->pcie_gbps() * 1e3 * options_.sample_period_us;
+  const double window_capacity = pager_->pcie_gbps() * 1e3 * kSamplePeriodUs;
   backlog_bytes_ += delta;
   const double consumed = std::min(backlog_bytes_, window_capacity);
   backlog_bytes_ -= consumed;
@@ -122,7 +127,7 @@ void TimeQuantumScheduler::SampleThrash() {
   } else if (!thrashing && exclusive_) {
     ExitExclusive();
   }
-  sim_->ScheduleAfter(options_.sample_period_us, [this]() { SampleThrash(); });
+  sim_->ScheduleAfter(kSamplePeriodUs, [this]() { SampleThrash(); });
 }
 
 void TimeQuantumScheduler::EnterExclusive() {
@@ -177,8 +182,7 @@ void TimeQuantumScheduler::Activate() {
     // Anti-thrashing quantum: a multiple of the measured swap-in cost, so
     // the paging bill amortises over a long burst of uninterrupted work.
     const DurationUs quantum = memsub::QuantumFromSwapCost(
-        pager_ != nullptr ? pager_->MeasuredSwapCostUs(client.id) : 0.0,
-        options_.quantum);
+        pager_ != nullptr ? pager_->MeasuredSwapCostUs(client.id) : 0.0);
     sim_->Cancel(quantum_event_);
     quantum_event_ = sim_->ScheduleAfter(quantum, [this]() { OnQuantumExpired(); });
     if (hub_ != nullptr) {
@@ -211,8 +215,8 @@ void TimeQuantumScheduler::OnQuantumExpired() {
 
 void TimeQuantumScheduler::ArmIdleCheck() {
   // Early release: if the active client shows no progress (no enqueue, no
-  // completion) for idle_release_us, it forfeits the rest of its quantum.
-  sim_->ScheduleAfter(options_.idle_release_us,
+  // completion) for kIdleReleaseUs, it forfeits the rest of its quantum.
+  sim_->ScheduleAfter(kIdleReleaseUs,
                       [this, seq = activity_seq_, id = active_]() {
                         if (!exclusive_ || active_ != id || activity_seq_ != seq) {
                           return;

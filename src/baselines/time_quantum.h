@@ -33,21 +33,8 @@
 namespace orion {
 namespace baselines {
 
-struct TimeQuantumOptions {
-  // Thrash sampling cadence. Samples read pager counters only, so they never
-  // perturb the rest of the event stream.
-  DurationUs sample_period_us = MsToUs(20.0);
-  memsub::ThrashDetector::Options thrash;
-  memsub::QuantumOptions quantum;
-  // Early release: an active client with nothing queued and nothing in
-  // flight for this long forfeits the rest of its quantum.
-  DurationUs idle_release_us = MsToUs(2.0);
-};
-
 class TimeQuantumScheduler : public core::Scheduler {
  public:
-  explicit TimeQuantumScheduler(TimeQuantumOptions options = {});
-
   // Binds the unified-memory pager whose fault telemetry drives the thrash
   // detector and quantum sizing. May be called before or after Attach (the
   // harness binds it post-attach so the pager's stream does not perturb
@@ -96,7 +83,6 @@ class TimeQuantumScheduler : public core::Scheduler {
   void ArmIdleCheck();
   void FlushQueue(ClientState& client);
 
-  TimeQuantumOptions options_;
   memsub::UnifiedMemoryPager* pager_ = nullptr;
   telemetry::Hub* hub_ = nullptr;
   Simulator* sim_ = nullptr;

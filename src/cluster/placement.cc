@@ -55,6 +55,9 @@ double PairInterference(const JobSignature& a, const JobSignature& b) {
 
 namespace {
 
+// Jobs one GPU hosts at most in a batch placement (Place, PlaceRoundRobin).
+constexpr int kMaxJobsPerGpu = 2;
+
 // Visits the k-combinations of {0..n-1} in lexicographic order.
 template <typename Fn>
 void ForEachCombination(int n, int k, Fn visit) {
@@ -83,13 +86,11 @@ void ForEachCombination(int n, int k, Fn visit) {
 std::optional<Placement> PlacementEngine::Place(const std::vector<JobSignature>& jobs,
                                                 const PlacementOptions& options) {
   ORION_CHECK(options.num_gpus >= 1);
-  ORION_CHECK(options.max_jobs_per_gpu >= 1);
   if (options.topology.has_value()) {
     ORION_CHECK_MSG(options.topology->num_gpus() == options.num_gpus,
                     "topology GPU count does not match num_gpus");
   }
-  const std::size_t capacity =
-      options.gpu_memory_bytes > 0 ? options.gpu_memory_bytes : options.device.memory_bytes;
+  const std::size_t capacity = options.device.memory_bytes;
 
   Placement placement;
   placement.gpu_jobs.assign(static_cast<std::size_t>(options.num_gpus), {});
@@ -132,7 +133,7 @@ std::optional<Placement> PlacementEngine::Place(const std::vector<JobSignature>&
       std::size_t occupants = 0;
       for (const int gpu : set) {
         const auto g = static_cast<std::size_t>(gpu);
-        if (static_cast<int>(placement.gpu_jobs[g].size()) >= options.max_jobs_per_gpu) {
+        if (static_cast<int>(placement.gpu_jobs[g].size()) >= kMaxJobsPerGpu) {
           return;
         }
         if (used_bytes[g] + sig.state_bytes > capacity) {
@@ -177,8 +178,7 @@ std::optional<Placement> PlacementEngine::Place(const std::vector<JobSignature>&
 std::optional<Placement> PlacementEngine::PlaceRoundRobin(const std::vector<JobSignature>& jobs,
                                                           const PlacementOptions& options) {
   ORION_CHECK(options.num_gpus >= 1);
-  const std::size_t capacity =
-      options.gpu_memory_bytes > 0 ? options.gpu_memory_bytes : options.device.memory_bytes;
+  const std::size_t capacity = options.device.memory_bytes;
   Placement placement;
   placement.gpu_jobs.assign(static_cast<std::size_t>(options.num_gpus), {});
   placement.job_gpus.assign(jobs.size(), {});
@@ -194,7 +194,7 @@ std::optional<Placement> PlacementEngine::PlaceRoundRobin(const std::vector<JobS
     for (int i = 0; i < width; ++i) {
       const auto g = (cursor + static_cast<std::size_t>(i)) %
                      static_cast<std::size_t>(options.num_gpus);
-      if (static_cast<int>(placement.gpu_jobs[g].size()) >= options.max_jobs_per_gpu ||
+      if (static_cast<int>(placement.gpu_jobs[g].size()) >= kMaxJobsPerGpu ||
           used_bytes[g] + jobs[job].state_bytes > capacity) {
         return std::nullopt;
       }

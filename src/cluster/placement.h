@@ -69,9 +69,7 @@ struct Placement {
 
 struct PlacementOptions {
   int num_gpus = 1;
-  std::size_t gpu_memory_bytes = 0;  // 0 = use device preset
-  gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();
-  int max_jobs_per_gpu = 2;
+  gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();  // memory_bytes caps each GPU
   // Node link topology, used to score candidate GPU sets for multi-GPU jobs
   // (fewer PCIe-crossing ring hops wins). Unset = all sets link-equivalent.
   // When set, its GPU count must equal num_gpus.

@@ -8,17 +8,14 @@
 namespace orion {
 namespace collective {
 
-const char* CollectiveKindName(CollectiveKind kind) {
-  switch (kind) {
-    case CollectiveKind::kAllReduce:
-      return "all_reduce";
-    case CollectiveKind::kAllGather:
-      return "all_gather";
-    case CollectiveKind::kBroadcast:
-      return "broadcast";
-  }
-  return "invalid";
-}
+namespace {
+
+// Span name of every collective on the "collective" trace track.
+constexpr const char* kAllReduceName = "all_reduce";
+// Patience multiplier per consecutive step timeout.
+constexpr double kTimeoutGrowth = 2.0;
+
+}  // namespace
 
 CollectiveEngine::CollectiveEngine(Simulator* sim, interconnect::Fabric* fabric)
     : sim_(sim), fabric_(fabric) {
@@ -51,23 +48,8 @@ void CollectiveEngine::BindCommStream(int gpu, gpusim::Device* device,
   channels_[gpu] = CommChannel{device, stream};
 }
 
-void CollectiveEngine::AllReduce(const std::vector<int>& ring, std::size_t bytes,
+void CollectiveEngine::AllReduce(const std::vector<int>& ring_in, std::size_t bytes,
                                  Callback done) {
-  Start(CollectiveKind::kAllReduce, ring, bytes, std::move(done));
-}
-
-void CollectiveEngine::AllGather(const std::vector<int>& ring, std::size_t bytes,
-                                 Callback done) {
-  Start(CollectiveKind::kAllGather, ring, bytes, std::move(done));
-}
-
-void CollectiveEngine::Broadcast(const std::vector<int>& ring, std::size_t bytes,
-                                 Callback done) {
-  Start(CollectiveKind::kBroadcast, ring, bytes, std::move(done));
-}
-
-void CollectiveEngine::Start(CollectiveKind kind, const std::vector<int>& ring_in,
-                             std::size_t bytes, Callback done) {
   ORION_CHECK(!ring_in.empty());
   const std::set<int> distinct(ring_in.begin(), ring_in.end());
   ORION_CHECK_MSG(distinct.size() == ring_in.size(), "ring has duplicate GPU ids");
@@ -98,13 +80,12 @@ void CollectiveEngine::Start(CollectiveKind kind, const std::vector<int>& ring_i
   }
 
   auto op = std::make_shared<RingOp>();
-  op->kind = kind;
   op->ring = std::move(ring);
   op->payload_bytes = bytes;
   op->done = std::move(done);
   if (trace_track_ >= 0) {
     op->span_id = next_span_id_++;
-    hub_->spans().AsyncBegin(trace_track_, op->span_id, CollectiveKindName(kind),
+    hub_->spans().AsyncBegin(trace_track_, op->span_id, kAllReduceName,
                              sim_->now(),
                              {{"bytes", std::to_string(bytes)},
                               {"world", std::to_string(n)}});
@@ -124,19 +105,7 @@ void CollectiveEngine::PlanSteps(const std::shared_ptr<RingOp>& op) {
   for (std::size_t c = 0; c < op->chunk_bytes.size(); ++c) {
     op->chunk_bytes[c] = base + (c < rem ? 1 : 0);
   }
-  switch (op->kind) {
-    case CollectiveKind::kAllReduce:
-      op->total_steps = 2 * (n - 1);
-      break;
-    case CollectiveKind::kAllGather:
-      op->total_steps = n - 1;
-      break;
-    case CollectiveKind::kBroadcast:
-      // Chunked pipeline over n-1 hops: chunk c crosses hop h in round
-      // c + h, so the last chunk leaves the last hop in round 2n - 3.
-      op->total_steps = 2 * n - 2;
-      break;
-  }
+  op->total_steps = 2 * (n - 1);
 }
 
 void CollectiveEngine::RunStep(const std::shared_ptr<RingOp>& op) {
@@ -147,30 +116,16 @@ void CollectiveEngine::RunStep(const std::shared_ptr<RingOp>& op) {
     int dst;
     std::size_t bytes;
   };
+  // Ring step s: the GPU at position i forwards chunk (i - s) mod n to its
+  // successor. Over the 2*(n-1) steps this puts exactly 2*(n-1)/n of the
+  // payload on every ring-adjacent link direction.
   std::vector<Send> sends;
-  if (op->kind == CollectiveKind::kBroadcast) {
-    // Wavefront pipeline: chunk c crosses hop h (ring[h] -> ring[h+1]) in
-    // round c + h.
-    for (int h = 0; h + 1 < n; ++h) {
-      const int c = op->step - h;
-      if (c >= 0 && c < n) {
-        sends.push_back({op->ring[static_cast<std::size_t>(h)],
-                         op->ring[static_cast<std::size_t>(h + 1)],
-                         op->chunk_bytes[static_cast<std::size_t>(c)]});
-      }
-    }
-  } else {
-    // Ring step s: the GPU at position i forwards chunk (i - s) mod n to its
-    // successor. Over the 2*(n-1) all-reduce steps this puts exactly
-    // 2*(n-1)/n of the payload on every ring-adjacent link direction.
-    for (int i = 0; i < n; ++i) {
-      const int c = ((i - op->step) % n + n) % n;
-      sends.push_back({op->ring[static_cast<std::size_t>(i)],
-                       op->ring[static_cast<std::size_t>((i + 1) % n)],
-                       op->chunk_bytes[static_cast<std::size_t>(c)]});
-    }
+  for (int i = 0; i < n; ++i) {
+    const int c = ((i - op->step) % n + n) % n;
+    sends.push_back({op->ring[static_cast<std::size_t>(i)],
+                     op->ring[static_cast<std::size_t>((i + 1) % n)],
+                     op->chunk_bytes[static_cast<std::size_t>(c)]});
   }
-  ORION_CHECK(!sends.empty());
 
   sim_->Cancel(op->timeout_event);
   op->timeout_event = EventHandle();
@@ -205,7 +160,7 @@ void CollectiveEngine::ArmTimeout(const std::shared_ptr<RingOp>& op) {
   }
   DurationUs timeout = options_.step_timeout_us;
   for (int i = 0; i < op->timeouts; ++i) {
-    timeout *= options_.timeout_growth;
+    timeout *= kTimeoutGrowth;
   }
   op->timeout_event = sim_->ScheduleAfter(timeout, [this, op]() { OnStepTimeout(op); });
 }
@@ -215,7 +170,7 @@ void CollectiveEngine::OnStepTimeout(const std::shared_ptr<RingOp>& op) {
   if (trace_track_ >= 0) {
     hub_->spans().Instant(trace_track_, "step-timeout", sim_->now(),
                           {{"step", std::to_string(op->step)},
-                           {"kind", CollectiveKindName(op->kind)}});
+                           {"kind", kAllReduceName}});
   }
   std::vector<int> alive;
   std::vector<int> dead;
@@ -224,11 +179,11 @@ void CollectiveEngine::OnStepTimeout(const std::shared_ptr<RingOp>& op) {
   }
   if (dead.empty()) {
     // Every member is reachable: a flap or congestion. Wait it out with
-    // growing patience; after max_step_timeouts stop re-arming and let the
+    // growing patience; after kMaxStepTimeouts stop re-arming and let the
     // fabric deliver whenever it heals (bounds timer churn on a permanent
     // stall the plan never repairs).
     ++op->timeouts;
-    if (op->timeouts >= options_.max_step_timeouts) {
+    if (op->timeouts >= kMaxStepTimeouts) {
       timeout_giveups_->Inc();
       return;
     }
@@ -240,7 +195,6 @@ void CollectiveEngine::OnStepTimeout(const std::shared_ptr<RingOp>& op) {
   // step 0 on the surviving ring. The epoch bump turns every outstanding
   // completion and queued comm-stream send of the old attempt into a no-op;
   // cancelling the in-flight transfers releases the comm streams they block.
-  // (For a broadcast whose root died, the surviving front becomes the root.)
   dead_gpus_.insert(dead.begin(), dead.end());
   ++op->epoch;
   for (interconnect::TransferId id : op->inflight) {
@@ -273,8 +227,7 @@ void CollectiveEngine::FinishCollective(const std::shared_ptr<RingOp>& op) {
   collectives_completed_->Inc();
   collectives_inflight_->Add(-1.0);
   if (op->span_id != 0 && trace_track_ >= 0) {
-    hub_->spans().AsyncEnd(trace_track_, op->span_id, CollectiveKindName(op->kind),
-                           sim_->now());
+    hub_->spans().AsyncEnd(trace_track_, op->span_id, kAllReduceName, sim_->now());
   }
   if (op->done) {
     Callback done = std::move(op->done);

@@ -1,17 +1,11 @@
 // Ring collectives over the interconnect fabric.
 //
-// Implements the communication pattern of distributed data-parallel training
-// (gradient all-reduce) plus thin variants (broadcast, all-gather) as
-// sequences of link transfers on a Fabric:
-//
-//   * All-reduce: the classic ring algorithm — reduce-scatter then
-//     all-gather. The payload is cut into N chunks; in each of the 2*(N-1)
-//     steps every GPU sends one chunk (~bytes/N) to its ring successor, so
-//     each ring-adjacent link direction carries exactly 2*(N-1)/N * bytes.
-//   * All-gather: the second phase alone, N-1 steps, (N-1)/N * bytes per
-//     link direction.
-//   * Broadcast: a chunked pipeline around the ring from the root; every
-//     link direction of the first N-1 hops carries the full payload once.
+// Implements the communication pattern of distributed data-parallel training,
+// the gradient all-reduce, as a sequence of link transfers on a Fabric: the
+// classic ring algorithm — reduce-scatter then all-gather. The payload is cut
+// into N chunks; in each of the 2*(N-1) steps every GPU sends one chunk
+// (~bytes/N) to its ring successor, so each ring-adjacent link direction
+// carries exactly 2*(N-1)/N * bytes.
 //
 // Steps run in lockstep (a step starts when every GPU finished the previous
 // one) — the bulk-synchronous shape of NCCL ring collectives without its
@@ -42,26 +36,22 @@
 namespace orion {
 namespace collective {
 
-enum class CollectiveKind : std::uint8_t { kAllReduce, kAllGather, kBroadcast };
-
-const char* CollectiveKindName(CollectiveKind kind);
-
 // Fault-detection policy (src/fault). A ring step that does not complete
 // within the timeout is inspected: if every ring member is still alive on the
 // fabric the stall is treated as a flap/congestion and waited out with
-// exponentially growing patience (NCCL-style "communicator is slow, not
-// dead"); if a member fell off the fabric, its in-flight sends are cancelled
-// and the collective restarts from step 0 on the surviving ring. The default
-// timeout of 0 disables detection entirely — collectives then stall forever
-// on a dead link, the pre-fault-subsystem behaviour.
+// patience doubling per consecutive timeout (NCCL-style "communicator is
+// slow, not dead"); if a member fell off the fabric, its in-flight sends are
+// cancelled and the collective restarts from step 0 on the surviving ring.
+// The default timeout of 0 disables detection entirely — collectives then
+// stall forever on a dead link, the pre-fault-subsystem behaviour.
 struct CollectiveOptions {
   DurationUs step_timeout_us = 0.0;  // 0 = detection off
-  double timeout_growth = 2.0;       // patience multiplier per consecutive timeout
-  // After this many consecutive timeouts with all members alive, stop
-  // re-arming and wait for the fabric (bounds timer events on a stall the
-  // plan never heals).
-  int max_step_timeouts = 4;
 };
+
+// After this many consecutive timeouts with all members alive, a collective
+// stops re-arming and waits for the fabric (bounds timer events on a stall
+// the plan never heals).
+inline constexpr int kMaxStepTimeouts = 4;
 
 class CollectiveEngine {
  public:
@@ -92,13 +82,10 @@ class CollectiveEngine {
 
   // `ring` lists distinct GPU ids in ring order (use
   // NodeTopology::PreferredRing to maximise NVLink adjacency). `bytes` is
-  // the payload per GPU (all-reduce: the gradient buffer size; all-gather:
-  // the total gathered size; broadcast: the buffer sent by ring.front()).
-  // `done` fires via a simulator event when the collective completes on
-  // every GPU. A 1-GPU ring or empty payload completes immediately.
+  // the payload per GPU (the gradient buffer size). `done` fires via a
+  // simulator event when the all-reduce completes on every GPU. A 1-GPU ring
+  // or empty payload completes immediately.
   void AllReduce(const std::vector<int>& ring, std::size_t bytes, Callback done);
-  void AllGather(const std::vector<int>& ring, std::size_t bytes, Callback done);
-  void Broadcast(const std::vector<int>& ring, std::size_t bytes, Callback done);
 
   std::size_t collectives_completed() const {
     return static_cast<std::size_t>(collectives_completed_->AsCount());
@@ -113,7 +100,7 @@ class CollectiveEngine {
   std::size_t reformations() const { return static_cast<std::size_t>(reformations_->AsCount()); }
   // Step timeouts that fired (flap waits and death detections both count).
   std::size_t step_timeouts() const { return static_cast<std::size_t>(step_timeouts_->AsCount()); }
-  // Stalls where re-arming stopped after max_step_timeouts.
+  // Stalls where re-arming stopped after kMaxStepTimeouts.
   std::size_t timeout_giveups() const {
     return static_cast<std::size_t>(timeout_giveups_->AsCount());
   }
@@ -127,7 +114,6 @@ class CollectiveEngine {
   };
 
   struct RingOp {
-    CollectiveKind kind = CollectiveKind::kAllReduce;
     std::vector<int> ring;
     // Chunk sizes by chunk index (payload split N ways, remainder spread
     // over the leading chunks so the sizes sum exactly to the payload).
@@ -148,8 +134,6 @@ class CollectiveEngine {
     std::uint64_t span_id = 0;  // async trace-span id (0 = tracing off)
   };
 
-  void Start(CollectiveKind kind, const std::vector<int>& ring, std::size_t bytes,
-             Callback done);
   void RunStep(const std::shared_ptr<RingOp>& op);
   void FinishCollective(const std::shared_ptr<RingOp>& op);
   // Issues one GPU-to-GPU send, through the comm stream when bound. The send

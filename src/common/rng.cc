@@ -28,13 +28,6 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(1.0 - NextDouble());
 }
 
-double Rng::Normal(double mean, double stddev) {
-  const double u1 = 1.0 - NextDouble();
-  const double u2 = NextDouble();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
-}
-
 Rng Rng::Fork(std::uint64_t stream_id) const {
   std::uint64_t sm = state_[0] ^ (stream_id * 0x9e3779b97f4a7c15ULL) ^ state_[3];
   return Rng(SplitMix64(sm));

@@ -56,9 +56,6 @@ class Rng {
   // Exponential with the given mean (inverse of the rate parameter).
   double Exponential(double mean);
 
-  // Standard normal via Box-Muller (no cached second value, keeps state simple).
-  double Normal(double mean, double stddev);
-
   // Derives an independent child generator; `stream_id` selects the stream.
   Rng Fork(std::uint64_t stream_id) const;
 

@@ -51,22 +51,6 @@ void Table::Print(std::ostream& os) const {
   print_rule();
 }
 
-void Table::PrintCsv(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c > 0) {
-        os << ",";
-      }
-      os << cells[c];
-    }
-    os << "\n";
-  };
-  print_row(headers_);
-  for (const auto& row : rows_) {
-    print_row(row);
-  }
-}
-
 std::string Cell(double value, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);

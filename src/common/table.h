@@ -22,9 +22,6 @@ class Table {
   // Renders an aligned ASCII table.
   void Print(std::ostream& os) const;
 
-  // Renders in CSV form (no alignment padding).
-  void PrintCsv(std::ostream& os) const;
-
   std::size_t num_rows() const { return rows_.size(); }
 
  private:

@@ -468,7 +468,7 @@ class ClusterEngine {
     if (!config_.batching.enabled) {
       return 1;
     }
-    return std::min<int>(config_.batching.max_batch_size,
+    return std::min<int>(serving::kMaxBatchSize,
                          static_cast<int>(queued_ahead) + 1);
   }
 
@@ -602,7 +602,7 @@ class ClusterEngine {
                                        ? std::min(llm.kv_capacity_bytes, free)
                                        : free;
       serving::KvCacheConfig kv_config;
-      kv_config.block_tokens = llm.kv_block_tokens;
+      kv_config.block_tokens = serving::kKvBlockTokens;
       kv_config.bytes_per_token = models_[model]->llm_cost->kv_bytes_per_token();
       kv_config.capacity_bytes = capacity;
       r.llm = std::make_unique<Replica::LlmState>(kv_config);
@@ -762,7 +762,7 @@ class ClusterEngine {
     //    allow; stop at the first that does not fit (head-of-line order:
     //    requeued evictions first, then FIFO).
     const serving::BatchingConfig& batching = config_.batching;
-    const int max_batch = batching.enabled ? batching.max_batch_size : 1;
+    const int max_batch = batching.enabled ? serving::kMaxBatchSize : 1;
     st.joined_this_step = 0;
     DurationUs prefill_us = 0.0;
     while (static_cast<int>(r.in_flight.size()) < max_batch && !r.batcher.empty()) {
@@ -900,7 +900,7 @@ class ClusterEngine {
       SyncIdle(r);
     }
     const serving::BatchingConfig& batching = config_.batching;
-    const int take = batching.enabled ? batching.max_batch_size : 1;
+    const int take = batching.enabled ? serving::kMaxBatchSize : 1;
     r.in_flight.clear();
     // Request-level batching reserves each sequence's FULL KV footprint up
     // front (no mid-batch eviction); the batch is capped by what fits.
@@ -1036,7 +1036,7 @@ class ClusterEngine {
     if (queued == 0) {
       return work;
     }
-    const int max_batch = batching.enabled ? batching.max_batch_size : 1;
+    const int max_batch = batching.enabled ? serving::kMaxBatchSize : 1;
     if (r.llm != nullptr) {
       // Predicted TTFT contribution of routing a new sequence here: the
       // running step's remainder, plus the queue ahead of it, plus its own

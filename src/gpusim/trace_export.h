@@ -37,7 +37,6 @@ class TraceCollector {
   };
   const std::vector<Entry>& entries() const { return entries_; }
   std::size_t size() const { return entries_.size(); }
-  void Clear() { entries_.clear(); }
 
   // Chrome trace-event format: a JSON array of {"name","ph":"X","ts","dur",
   // "pid","tid"} events, timestamps in µs, one pid per track (offset by

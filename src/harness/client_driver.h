@@ -45,8 +45,7 @@ struct ClientConfig {
   // registration itself always covers the full ApproxModelStateBytes
   // footprint (allocator slack, cold activations, checkpoints), but a
   // request only faults on its hot set — params + live activations.
-  // Negative inherits PagingOptions::working_set_fraction.
-  double paging_ws_fraction = -1.0;
+  double paging_ws_fraction = 1.0;
 
   // Per-request latency SLO for attribution's miss accounting (DESIGN.md
   // §15). 0 disables: every request records phases but no blame.

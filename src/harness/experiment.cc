@@ -43,8 +43,7 @@ const char* SchedulerKindName(SchedulerKind kind) {
 }
 
 std::unique_ptr<core::Scheduler> MakeScheduler(SchedulerKind kind,
-                                               const core::OrionOptions& orion_options,
-                                               const baselines::TimeQuantumOptions& tq_options) {
+                                               const core::OrionOptions& orion_options) {
   switch (kind) {
     case SchedulerKind::kDedicated:
       // Per-device pass-through; RunExperiment instantiates one per client.
@@ -65,7 +64,7 @@ std::unique_ptr<core::Scheduler> MakeScheduler(SchedulerKind kind,
     case SchedulerKind::kOrion:
       return std::make_unique<core::OrionScheduler>(orion_options);
     case SchedulerKind::kTimeQuantum:
-      return std::make_unique<baselines::TimeQuantumScheduler>(tq_options);
+      return std::make_unique<baselines::TimeQuantumScheduler>();
   }
   ORION_CHECK_MSG(false, "unhandled scheduler kind");
   return nullptr;
@@ -196,7 +195,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       if (config.telemetry != nullptr && config.telemetry->tracing()) {
         config.telemetry->kernels().RecordInto(rt->device(), "gpu" + std::to_string(i));
       }
-      auto sched = MakeScheduler(config.scheduler, config.orion, config.time_quantum);
+      auto sched = MakeScheduler(config.scheduler, config.orion);
       sched->set_telemetry(config.telemetry);
       core::SchedClientInfo info;
       info.id = i;
@@ -217,7 +216,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     if (config.telemetry != nullptr && config.telemetry->tracing()) {
       config.telemetry->kernels().RecordInto(rt->device(), "gpu0");
     }
-    auto sched = MakeScheduler(config.scheduler, config.orion, config.time_quantum);
+    auto sched = MakeScheduler(config.scheduler, config.orion);
     sched->set_telemetry(config.telemetry);
     std::vector<core::SchedClientInfo> infos;
     for (int i = 0; i < num_clients; ++i) {
@@ -234,7 +233,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       // Created after Attach so scheduler stream ids match a non-paging run
       // exactly (the inertness property: a fitting collocation with paging
       // enabled is bit-identical to one without).
-      pager = std::make_unique<memsub::UnifiedMemoryPager>(&sim, &rt->device(), config.paging,
+      pager = std::make_unique<memsub::UnifiedMemoryPager>(&sim, &rt->device(),
                                                            config.telemetry);
       // Pinned clients claim their frames first so unpinned pre-warm can
       // never steal them.

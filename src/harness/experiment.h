@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/time_quantum.h"
 #include "src/core/orion_scheduler.h"
 #include "src/core/scheduler.h"
 #include "src/fault/fault_plan.h"
@@ -43,15 +42,13 @@ enum class SchedulerKind {
 
 const char* SchedulerKindName(SchedulerKind kind);
 
-std::unique_ptr<core::Scheduler> MakeScheduler(
-    SchedulerKind kind, const core::OrionOptions& orion_options,
-    const baselines::TimeQuantumOptions& tq_options = {});
+std::unique_ptr<core::Scheduler> MakeScheduler(SchedulerKind kind,
+                                               const core::OrionOptions& orion_options);
 
 struct ExperimentConfig {
   gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();
   SchedulerKind scheduler = SchedulerKind::kOrion;
   core::OrionOptions orion;
-  baselines::TimeQuantumOptions time_quantum;
   std::vector<ClientConfig> clients;
 
   // Unified-memory paging (src/memsub), the §5.1.3 oversubscription path.

@@ -6,7 +6,6 @@
 
 #include "src/collective/collective.h"
 #include "src/common/check.h"
-#include "src/common/rng.h"
 #include "src/fault/fault_injector.h"
 #include "src/interconnect/fabric.h"
 #include "src/runtime/gpu_runtime.h"
@@ -201,14 +200,16 @@ class DdpRun {
   LatencyRecorder allreduce_us_;
 };
 
+// Size of each bandwidth-hog H2D copy.
+constexpr std::size_t kHogCopyBytes = std::size_t{32} << 20;
+
 // Closed-loop H2D copy client: keeps one GPU's host link saturated until the
 // DDP job finishes (checked between copies, so the last copy drains and the
 // simulation goes idle).
 class HogDriver {
  public:
-  HogDriver(Simulator* sim, gpusim::Device* device, gpusim::StreamId stream,
-            const BandwidthHogConfig& config, Rng rng, const bool* stop)
-      : sim_(sim), device_(device), stream_(stream), config_(config), rng_(rng), stop_(stop) {}
+  HogDriver(gpusim::Device* device, gpusim::StreamId stream, const bool* stop)
+      : device_(device), stream_(stream), stop_(stop) {}
 
   void Start() { IssueNext(); }
   std::size_t copies() const { return copies_; }
@@ -218,31 +219,15 @@ class HogDriver {
     if (*stop_) {
       return;
     }
-    device_->EnqueueMemcpy(stream_, config_.copy_bytes, gpusim::MemcpyKind::kHostToDevice,
+    device_->EnqueueMemcpy(stream_, kHogCopyBytes, gpusim::MemcpyKind::kHostToDevice,
                            [this]() {
                              ++copies_;
-                             ScheduleNext();
+                             IssueNext();
                            });
   }
 
-  void ScheduleNext() {
-    if (*stop_) {
-      return;
-    }
-    if (config_.gap_us > 0.0) {
-      // Jittered host-side pause (the only stochastic element of the run).
-      const DurationUs gap = config_.gap_us * rng_.UniformDouble(0.5, 1.5);
-      sim_->ScheduleAfter(gap, [this]() { IssueNext(); });
-    } else {
-      IssueNext();
-    }
-  }
-
-  Simulator* sim_;
   gpusim::Device* device_;
   gpusim::StreamId stream_;
-  BandwidthHogConfig config_;
-  Rng rng_;
   const bool* stop_;
   std::size_t copies_ = 0;
 };
@@ -253,16 +238,10 @@ MultiGpuResult RunDdpExperiment(const MultiGpuConfig& config) {
   const int topo_gpus = config.topology.num_gpus();
   ORION_CHECK(config.iterations >= 1);
 
-  std::vector<int> ddp_gpus = config.ddp_gpus;
-  if (ddp_gpus.empty()) {
-    for (int gpu = 0; gpu < config.ddp.num_gpus; ++gpu) {
-      ddp_gpus.push_back(gpu);
-    }
-  }
-  ORION_CHECK_MSG(static_cast<int>(ddp_gpus.size()) == config.ddp.num_gpus,
-                  "ddp_gpus does not match ddp.num_gpus");
-  for (const int gpu : ddp_gpus) {
-    ORION_CHECK(gpu >= 0 && gpu < topo_gpus);
+  ORION_CHECK(config.ddp.num_gpus <= topo_gpus);
+  std::vector<int> ddp_gpus;
+  for (int gpu = 0; gpu < config.ddp.num_gpus; ++gpu) {
+    ddp_gpus.push_back(gpu);
   }
   if (config.hog.has_value()) {
     ORION_CHECK(config.hog->gpu >= 0 && config.hog->gpu < topo_gpus);
@@ -305,8 +284,7 @@ MultiGpuResult RunDdpExperiment(const MultiGpuConfig& config) {
   std::unique_ptr<HogDriver> hog;
   if (config.hog.has_value()) {
     gpusim::Device& device = runtimes[static_cast<std::size_t>(config.hog->gpu)]->device();
-    hog = std::make_unique<HogDriver>(&sim, &device, device.CreateStream(), *config.hog,
-                                      Rng(config.seed).Fork(1), &finished);
+    hog = std::make_unique<HogDriver>(&device, device.CreateStream(), &finished);
   }
 
   // Fault injection: device and fabric faults only (there is no scheduler

@@ -30,23 +30,19 @@ namespace orion {
 namespace harness {
 
 // Best-effort client that saturates one GPU's PCIe host link with
-// back-to-back H2D copies (e.g. a data-loading / swapping-heavy job).
+// back-to-back 32 MiB H2D copies (e.g. a data-loading / swapping-heavy job).
 struct BandwidthHogConfig {
   int gpu = 0;
-  std::size_t copy_bytes = std::size_t{32} << 20;
-  DurationUs gap_us = 0.0;  // host-side pause between copies (0 = none)
 };
 
 struct MultiGpuConfig {
   gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();
   interconnect::NodeTopology topology = interconnect::NodeTopology::PcieOnly(1);
+  // The DDP job runs on GPUs [0, ddp.num_gpus); ring order is chosen by
+  // topology.PreferredRing (NVLink-adjacent pairs first).
   workloads::DdpConfig ddp;
-  // GPUs running the DDP job; empty = GPUs [0, ddp.num_gpus). Ring order is
-  // chosen by topology.PreferredRing (NVLink-adjacent pairs first).
-  std::vector<int> ddp_gpus;
   int iterations = 10;
   DurationUs launch_overhead_us = 6.0;  // host cost per kernel launch
-  std::uint64_t seed = 42;
   std::optional<BandwidthHogConfig> hog;
   // Collective fault-detection policy (step timeouts, ring re-formation).
   // Defaults keep detection off — required for fault plans with link/GPU

@@ -9,6 +9,11 @@ namespace orion {
 namespace harness {
 namespace {
 
+// Maximum tolerated hp throughput loss vs dedicated.
+constexpr double kMaxHpDegradation = 0.16;
+// Probe run length (shorter than full experiments; tuning is iterative).
+constexpr DurationUs kProbeDurationUs = SecToUs(5.0);
+
 double BeThroughputOf(const ExperimentResult& result) {
   double total = 0.0;
   for (const ClientResult& client : result.clients) {
@@ -21,10 +26,10 @@ double BeThroughputOf(const ExperimentResult& result) {
 
 }  // namespace
 
-SmTunerResult TuneSmThreshold(ExperimentConfig config, const SmTunerOptions& options) {
+SmTunerResult TuneSmThreshold(ExperimentConfig config) {
   ORION_CHECK_MSG(config.scheduler == SchedulerKind::kOrion,
                   "SM_THRESHOLD tuning applies to the Orion scheduler");
-  config.duration_us = options.probe_duration_us;
+  config.duration_us = kProbeDurationUs;
 
   SmTunerResult result;
 
@@ -34,7 +39,7 @@ SmTunerResult TuneSmThreshold(ExperimentConfig config, const SmTunerOptions& opt
     dedicated.scheduler = SchedulerKind::kDedicated;
     result.hp_dedicated_metric = RunExperiment(dedicated).hp().throughput_rps;
   }
-  const double floor = (1.0 - options.max_hp_degradation) * result.hp_dedicated_metric;
+  const double floor = (1.0 - kMaxHpDegradation) * result.hp_dedicated_metric;
 
   // Search range: [0, max sm_needed over all best-effort kernels] (§5.1.1).
   // The schedule_be() rule is strict (`sm_needed < SM_THRESHOLD`), so the

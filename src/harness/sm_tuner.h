@@ -3,9 +3,10 @@
 // By default Orion sets SM_THRESHOLD to the device's SM count. When the
 // high-priority job is throughput-oriented (training), the paper tunes the
 // threshold with binary search: the range is [0, max SMs needed by any
-// best-effort kernel]; each probe runs the collocation and checks whether
-// the high-priority job retains a target fraction of its dedicated-GPU
-// performance; the search keeps the most aggressive threshold that does.
+// best-effort kernel]; each 5 s probe runs the collocation and checks
+// whether the high-priority job keeps at least 84% of its dedicated-GPU
+// throughput (paper: within 16% for train-train, §6.2.2); the search keeps
+// the most aggressive threshold that does.
 #ifndef SRC_HARNESS_SM_TUNER_H_
 #define SRC_HARNESS_SM_TUNER_H_
 
@@ -30,18 +31,10 @@ struct SmTunerResult {
   std::vector<SmTunerStep> steps;    // binary-search trace
 };
 
-struct SmTunerOptions {
-  // Maximum tolerated hp throughput loss vs dedicated (paper: within 16% for
-  // train-train, §6.2.2).
-  double max_hp_degradation = 0.16;
-  // Probe run length (shorter than full experiments; tuning is iterative).
-  DurationUs probe_duration_us = SecToUs(5.0);
-};
-
 // Tunes SM_THRESHOLD for `config` (must use SchedulerKind::kOrion). Returns
 // the search trace and the chosen threshold; callers apply it via
 // config.orion.sm_threshold.
-SmTunerResult TuneSmThreshold(ExperimentConfig config, const SmTunerOptions& options = {});
+SmTunerResult TuneSmThreshold(ExperimentConfig config);
 
 }  // namespace harness
 }  // namespace orion

@@ -17,12 +17,10 @@ constexpr double kStallEwmaAlpha = 0.3;
 }  // namespace
 
 UnifiedMemoryPager::UnifiedMemoryPager(Simulator* sim, gpusim::Device* device,
-                                       PagingOptions options, telemetry::Hub* hub)
-    : sim_(sim), device_(device), options_(std::move(options)), hub_(hub) {
+                                       telemetry::Hub* hub)
+    : sim_(sim), device_(device), hub_(hub) {
   ORION_CHECK(sim_ != nullptr && device_ != nullptr);
-  ORION_CHECK_MSG(options_.page_bytes > 0, "page_bytes must be positive");
-  ORION_CHECK(options_.working_set_fraction > 0.0 && options_.working_set_fraction <= 1.0);
-  capacity_pages_ = device_->spec().memory_bytes / options_.page_bytes;
+  capacity_pages_ = device_->spec().memory_bytes / kPageBytes;
   ORION_CHECK_MSG(capacity_pages_ > 0, "device memory smaller than one page");
   // Fault traffic rides a default-priority stream: under PCIe priority
   // scheduling a high-priority client's own copies overtake paging bursts.
@@ -43,9 +41,6 @@ void UnifiedMemoryPager::RegisterClient(int client, const std::string& name,
                                         bool dirty_on_touch, double ws_fraction) {
   ORION_CHECK_MSG(clients_.count(client) == 0, "client " << client << " already registered");
   ORION_CHECK(bytes > 0);
-  if (ws_fraction < 0.0) {
-    ws_fraction = options_.working_set_fraction;
-  }
   ORION_CHECK_MSG(ws_fraction > 0.0 && ws_fraction <= 1.0,
                   "working-set fraction for " << name << " out of (0, 1]: " << ws_fraction);
   Client c;
@@ -53,7 +48,7 @@ void UnifiedMemoryPager::RegisterClient(int client, const std::string& name,
   c.bytes = bytes;
   c.pinned = pinned;
   c.dirty_on_touch = dirty_on_touch;
-  const std::size_t pages = (bytes + options_.page_bytes - 1) / options_.page_bytes;
+  const std::size_t pages = (bytes + kPageBytes - 1) / kPageBytes;
   c.pages.resize(pages);
   c.ws_pages = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::ceil(static_cast<double>(pages) * ws_fraction)));
@@ -158,8 +153,8 @@ void UnifiedMemoryPager::Access(int client, std::function<void(DurationUs)> done
   totals_.faults += faults;
   totals_.writebacks += writebacks;
   c.faults += faults;
-  const std::size_t fault_bytes = faults * options_.page_bytes;
-  const std::size_t writeback_bytes = writebacks * options_.page_bytes;
+  const std::size_t fault_bytes = faults * kPageBytes;
+  const std::size_t writeback_bytes = writebacks * kPageBytes;
   totals_.fault_bytes_h2d += fault_bytes;
   totals_.writeback_bytes_d2h += writeback_bytes;
   if (faults_counter_ != nullptr) {
@@ -238,7 +233,7 @@ std::size_t UnifiedMemoryPager::registered_bytes() const {
   for (const auto& [id, c] : clients_) {
     (void)id;
     if (!c.released) {
-      total += c.pages.size() * options_.page_bytes;
+      total += c.pages.size() * kPageBytes;
     }
   }
   return total;
@@ -246,7 +241,7 @@ std::size_t UnifiedMemoryPager::registered_bytes() const {
 
 std::size_t UnifiedMemoryPager::resident_bytes(int client) const {
   auto it = clients_.find(client);
-  return it == clients_.end() ? 0 : it->second.resident_pages * options_.page_bytes;
+  return it == clients_.end() ? 0 : it->second.resident_pages * kPageBytes;
 }
 
 bool UnifiedMemoryPager::IsResident(int client, std::size_t page) const {
@@ -280,7 +275,7 @@ DurationUs UnifiedMemoryPager::MeasuredSwapCostUs(int client) const {
 
 void UnifiedMemoryPager::UpdateResidentGauge(Client& c) {
   if (c.resident_gauge != nullptr) {
-    c.resident_gauge->Set(static_cast<double>(c.resident_pages * options_.page_bytes));
+    c.resident_gauge->Set(static_cast<double>(c.resident_pages * kPageBytes));
   }
 }
 

@@ -6,7 +6,7 @@
 // PCIe on demand. This module reproduces that driver in virtual time:
 //
 //   * Each client registers a pageable footprint (its model/optimizer state),
-//     tracked at page granularity (default 2 MiB, the UM migration unit).
+//     tracked at page granularity (kPageBytes, the UM migration unit).
 //   * At the start of every request the client *accesses* its working set.
 //     Pages not device-resident fault; each fault claims a free frame or
 //     evicts the globally least-recently-used non-pinned page (dirty victims
@@ -50,19 +50,16 @@
 namespace orion {
 namespace memsub {
 
+// Unified-memory migration granularity.
+inline constexpr std::size_t kPageBytes = std::size_t{2} * 1024 * 1024;
+
 struct PagingOptions {
   // Master switch: when false, harnesses never construct a pager (and a
   // shared run must then fit in device memory).
   bool enabled = false;
-  // Unified-memory migration granularity.
-  std::size_t page_bytes = std::size_t{2} * 1024 * 1024;
   // Pin high-priority clients' pages device-resident (they must fit; checked
   // at registration). Orion runs pin; nvshare/MPS-style sharing does not.
   bool pin_high_priority = false;
-  // Fraction of a client's registered footprint touched per request. 1.0
-  // models training (params + grads + optimizer state every iteration) and
-  // full-weight inference; smaller values model partial working sets.
-  double working_set_fraction = 1.0;
 };
 
 // Run-level paging totals (mirrored into ExperimentResult and telemetry).
@@ -80,8 +77,7 @@ class UnifiedMemoryPager {
  public:
   // `device` is the shared device whose copy engine carries fault traffic;
   // `hub` (optional) receives memsub.* counters and fault-burst markers.
-  UnifiedMemoryPager(Simulator* sim, gpusim::Device* device, PagingOptions options,
-                     telemetry::Hub* hub = nullptr);
+  UnifiedMemoryPager(Simulator* sim, gpusim::Device* device, telemetry::Hub* hub = nullptr);
   UnifiedMemoryPager(const UnifiedMemoryPager&) = delete;
   UnifiedMemoryPager& operator=(const UnifiedMemoryPager&) = delete;
 
@@ -89,11 +85,12 @@ class UnifiedMemoryPager {
   // frames immediately (aborts if they do not fit); register pinned clients
   // first so unpinned pre-warm cannot steal their frames. `dirty_on_touch`
   // marks every touched page dirty (training state mutates each iteration),
-  // making its eviction pay a writeback. `ws_fraction` overrides
-  // PagingOptions::working_set_fraction for this client (negative = inherit):
-  // the hot fraction of the registered footprint touched per request.
+  // making its eviction pay a writeback. `ws_fraction` is the hot fraction
+  // of the registered footprint touched per request: 1.0 models training
+  // (params + grads + optimizer state every iteration) and full-weight
+  // inference; smaller values model partial working sets.
   void RegisterClient(int client, const std::string& name, std::size_t bytes, bool pinned,
-                      bool dirty_on_touch, double ws_fraction = -1.0);
+                      bool dirty_on_touch, double ws_fraction = 1.0);
   bool IsRegistered(int client) const { return clients_.count(client) > 0; }
 
   // The client touches its working set (pages [0, ws_pages) in order).
@@ -110,7 +107,7 @@ class UnifiedMemoryPager {
   void ReleaseClient(int client);
 
   // --- Introspection (policy inputs, tests, benches). ---
-  std::size_t capacity_bytes() const { return capacity_pages_ * options_.page_bytes; }
+  std::size_t capacity_bytes() const { return capacity_pages_ * kPageBytes; }
   std::size_t registered_bytes() const;
   bool oversubscribed() const { return registered_bytes() > capacity_bytes(); }
   const PagingTotals& totals() const { return totals_; }
@@ -165,7 +162,6 @@ class UnifiedMemoryPager {
 
   Simulator* sim_;
   gpusim::Device* device_;
-  PagingOptions options_;
   telemetry::Hub* hub_;
   gpusim::StreamId stream_ = gpusim::kInvalidStream;
 

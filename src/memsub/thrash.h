@@ -11,16 +11,15 @@
 //
 //   * ThrashDetector — hysteresis over sampled paging-busy fractions. Enters
 //     thrashing only when memory is actually oversubscribed AND the PCIe
-//     paging duty-cycle stays above the enter threshold for
-//     `enter_windows` consecutive samples (one cold-start burst is not
-//     thrash). Exits only when oversubscription itself has ended (a client
-//     released/crashed) and the duty-cycle has stayed low for
-//     `exit_windows` samples — while memory stays oversubscribed the
+//     paging duty-cycle stays above the enter threshold for two consecutive
+//     samples (one cold-start burst is not thrash). Exits only when
+//     oversubscription itself has ended (a client released/crashed) and the
+//     duty-cycle has stayed low for five samples — while memory stays oversubscribed the
 //     exclusive schedule holds, because leaving it would immediately thrash
 //     again (the oscillation nvshare avoids by never reverting).
 //
 //   * QuantumPolicy — sizes the exclusive quantum from the measured swap
-//     cost: quantum = clamp(swap_cost_factor * measured_swap_us, min, max),
+//     cost: quantum = clamp(8 * measured_swap_us, 50 ms, 2 s),
 //     so a client always gets enough uninterrupted time to amortise paging
 //     its working set back in.
 #ifndef SRC_MEMSUB_THRASH_H_
@@ -33,19 +32,6 @@ namespace memsub {
 
 class ThrashDetector {
  public:
-  struct Options {
-    // Paging-busy fraction (paging bytes / PCIe capacity of the window) at
-    // or above which a window counts as "high".
-    double enter_busy = 0.20;
-    // Fraction at or below which a window counts as "low".
-    double exit_busy = 0.05;
-    int enter_windows = 2;  // consecutive high windows before entering
-    int exit_windows = 5;   // consecutive low windows before exiting
-  };
-
-  ThrashDetector() : ThrashDetector(Options{}) {}
-  explicit ThrashDetector(Options options);
-
   // Feeds one sampling window; returns the (possibly updated) state.
   bool Observe(double paging_busy_fraction, bool oversubscribed);
 
@@ -53,23 +39,18 @@ class ThrashDetector {
   void Reset();
 
  private:
-  Options options_;
   bool thrashing_ = false;
   int high_streak_ = 0;
   int low_streak_ = 0;
 };
 
-struct QuantumOptions {
-  DurationUs min_quantum_us = MsToUs(50.0);
-  DurationUs max_quantum_us = SecToUs(2.0);
-  // Quantum as a multiple of the measured working-set swap cost: the client
-  // runs swap_cost_factor times longer than it took to page back in.
-  double swap_cost_factor = 8.0;
-};
+// Shortest exclusive quantum: what a client gets before any swap-in was
+// measured.
+inline constexpr DurationUs kMinQuantumUs = MsToUs(50.0);
 
 // Quantum length for a client whose last working-set swap-in took
 // `measured_swap_us` (0 when never measured: the minimum quantum applies).
-DurationUs QuantumFromSwapCost(DurationUs measured_swap_us, const QuantumOptions& options);
+DurationUs QuantumFromSwapCost(DurationUs measured_swap_us);
 
 }  // namespace memsub
 }  // namespace orion

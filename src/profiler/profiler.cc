@@ -1,6 +1,10 @@
 #include "src/profiler/profiler.h"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <istream>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -183,46 +187,143 @@ void SaveProfile(const WorkloadProfile& profile, std::ostream& os) {
 
 namespace {
 
-std::string ReadValue(std::istream& is, const std::string& key) {
-  std::string line;
-  ORION_CHECK_MSG(std::getline(is, line).good(), "truncated profile file at key " << key);
-  const auto eq = line.find('=');
-  ORION_CHECK_MSG(eq != std::string::npos && line.substr(0, eq) == key,
-                  "expected key " << key << ", got line: " << line);
-  return line.substr(eq + 1);
-}
+// Reads a saved profile line by line, remembering the line number so a
+// parse error can name the line it stopped at.
+class ProfileParser {
+ public:
+  explicit ProfileParser(std::istream& is) : is_(is) {}
+
+  // Reads the next line as `key=value`.
+  bool Value(const std::string& key, std::string* value) {
+    if (!NextLine()) {
+      return Fail("file ends before key '" + key + "'");
+    }
+    const auto eq = line_.find('=');
+    if (eq == std::string::npos || line_.substr(0, eq) != key) {
+      return Fail("expected key '" + key + "', got '" + line_ + "'");
+    }
+    *value = line_.substr(eq + 1);
+    return true;
+  }
+
+  bool Double(const std::string& key, double* out) {
+    std::string text;
+    return Value(key, &text) && ParseDouble(key, text, out);
+  }
+
+  bool Count(const std::string& key, std::uint64_t* out) {
+    std::string text;
+    return Value(key, &text) && ParseUint(key, text, out);
+  }
+
+  // Reads one `id,name,duration,compute,membw,class,sm_needed` kernel line.
+  bool Kernel(std::size_t index, std::size_t count, KernelProfile* kp) {
+    if (!NextLine()) {
+      std::ostringstream what;
+      what << "file ends after " << index << " of " << count << " kernels";
+      return Fail(what.str());
+    }
+    std::vector<std::string> fields;
+    std::istringstream stream(line_);
+    for (std::string field; std::getline(stream, field, ',');) {
+      fields.push_back(field);
+    }
+    if (fields.size() != 7) {
+      return Fail("expected 7 comma-separated kernel fields, got '" + line_ + "'");
+    }
+    std::uint64_t profile_class = 0;
+    std::uint64_t sm_needed = 0;
+    kp->name = fields[1];
+    if (!ParseUint("kernel id", fields[0], &kp->kernel_id) ||
+        !ParseDouble("duration", fields[2], &kp->duration_us) ||
+        !ParseDouble("compute util", fields[3], &kp->compute_util) ||
+        !ParseDouble("membw util", fields[4], &kp->membw_util) ||
+        !ParseUint("kernel class", fields[5], &profile_class) ||
+        !ParseUint("sm_needed", fields[6], &sm_needed)) {
+      return false;
+    }
+    constexpr auto kLastClass = static_cast<std::uint64_t>(gpusim::ResourceProfile::kUnknown);
+    if (profile_class > kLastClass) {
+      std::ostringstream what;
+      what << "kernel class " << profile_class << " out of range [0, " << kLastClass << "]";
+      return Fail(what.str());
+    }
+    if (sm_needed > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      return Fail("sm_needed " + fields[6] + " out of range");
+    }
+    kp->profile = static_cast<gpusim::ResourceProfile>(profile_class);
+    kp->sm_needed = static_cast<int>(sm_needed);
+    return true;
+  }
+
+  const std::string& error() const { return error_; }
+
+ private:
+  bool NextLine() {
+    ++line_no_;
+    return static_cast<bool>(std::getline(is_, line_));
+  }
+
+  bool Fail(const std::string& what) {
+    std::ostringstream message;
+    message << "line " << line_no_ << ": " << what;
+    error_ = message.str();
+    return false;
+  }
+
+  // The whole of `text` must be a finite number.
+  bool ParseDouble(const std::string& what, const std::string& text, double* out) {
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE ||
+        !std::isfinite(value)) {
+      return Fail(what + " '" + text + "' is not a number");
+    }
+    *out = value;
+    return true;
+  }
+
+  // The whole of `text` must be a non-negative integer.
+  bool ParseUint(const std::string& what, const std::string& text, std::uint64_t* out) {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (text.empty() || text.front() == '-' || end != text.c_str() + text.size() ||
+        errno == ERANGE) {
+      return Fail(what + " '" + text + "' is not a non-negative integer");
+    }
+    *out = value;
+    return true;
+  }
+
+  std::istream& is_;
+  std::string line_;
+  int line_no_ = 0;
+  std::string error_;
+};
 
 }  // namespace
 
-WorkloadProfile LoadProfile(std::istream& is) {
+std::optional<WorkloadProfile> LoadProfile(std::istream& is, std::string* error) {
+  ProfileParser parser(is);
   WorkloadProfile profile;
-  profile.workload_name = ReadValue(is, "workload");
-  profile.device_name = ReadValue(is, "device");
-  profile.request_latency_us = std::stod(ReadValue(is, "request_latency_us"));
-  profile.avg_compute_util = std::stod(ReadValue(is, "avg_compute_util"));
-  profile.avg_membw_util = std::stod(ReadValue(is, "avg_membw_util"));
-  profile.avg_sm_busy = std::stod(ReadValue(is, "avg_sm_busy"));
-  const std::size_t count = std::stoul(ReadValue(is, "kernels"));
-  for (std::size_t i = 0; i < count; ++i) {
-    std::string line;
-    ORION_CHECK_MSG(std::getline(is, line).good(), "truncated kernel list");
-    std::istringstream fields(line);
-    std::string field;
+  std::uint64_t count = 0;
+  bool ok = parser.Value("workload", &profile.workload_name) &&
+            parser.Value("device", &profile.device_name) &&
+            parser.Double("request_latency_us", &profile.request_latency_us) &&
+            parser.Double("avg_compute_util", &profile.avg_compute_util) &&
+            parser.Double("avg_membw_util", &profile.avg_membw_util) &&
+            parser.Double("avg_sm_busy", &profile.avg_sm_busy) &&
+            parser.Count("kernels", &count);
+  for (std::size_t i = 0; ok && i < count; ++i) {
     KernelProfile kp;
-    ORION_CHECK(std::getline(fields, field, ','));
-    kp.kernel_id = std::stoull(field);
-    ORION_CHECK(std::getline(fields, kp.name, ','));
-    ORION_CHECK(std::getline(fields, field, ','));
-    kp.duration_us = std::stod(field);
-    ORION_CHECK(std::getline(fields, field, ','));
-    kp.compute_util = std::stod(field);
-    ORION_CHECK(std::getline(fields, field, ','));
-    kp.membw_util = std::stod(field);
-    ORION_CHECK(std::getline(fields, field, ','));
-    kp.profile = static_cast<gpusim::ResourceProfile>(std::stoi(field));
-    ORION_CHECK(std::getline(fields, field, ','));
-    kp.sm_needed = std::stoi(field);
+    ok = parser.Kernel(i, count, &kp);
     profile.kernels.push_back(std::move(kp));
+  }
+  if (!ok) {
+    *error = parser.error();
+    return std::nullopt;
   }
   profile.RebuildIndex();
   return profile;

@@ -18,6 +18,7 @@
 #define SRC_PROFILER_PROFILER_H_
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -71,9 +72,11 @@ WorkloadProfile ProfileWorkload(const gpusim::DeviceSpec& device,
                                 const ProfileOptions& options = {});
 
 // Text (key=value / CSV hybrid) serialisation, the analogue of the profile
-// files Orion generates per model.
+// files Orion generates per model. LoadProfile returns std::nullopt on a
+// malformed file (truncated, non-numeric field, out-of-range kernel class)
+// and sets `error` to a message that names the offending line.
 void SaveProfile(const WorkloadProfile& profile, std::ostream& os);
-WorkloadProfile LoadProfile(std::istream& is);
+std::optional<WorkloadProfile> LoadProfile(std::istream& is, std::string* error);
 
 }  // namespace profiler
 }  // namespace orion

@@ -7,26 +7,6 @@
 namespace orion {
 namespace runtime {
 
-const char* OpTypeName(OpType type) {
-  switch (type) {
-    case OpType::kKernelLaunch:
-      return "kernel";
-    case OpType::kMemcpyH2D:
-      return "memcpy_h2d";
-    case OpType::kMemcpyD2H:
-      return "memcpy_d2h";
-    case OpType::kMemset:
-      return "memset";
-    case OpType::kMalloc:
-      return "malloc";
-    case OpType::kFree:
-      return "free";
-    case OpType::kGraphLaunch:
-      return "graph";
-  }
-  return "invalid";
-}
-
 GpuRuntime::GpuRuntime(Simulator* sim, gpusim::DeviceSpec spec)
     : sim_(sim), device_(sim, spec), memory_(spec.memory_bytes) {
   ORION_CHECK(sim != nullptr);

@@ -1,7 +1,5 @@
 #include "src/runtime/memory_manager.h"
 
-#include <algorithm>
-
 #include "src/common/check.h"
 
 namespace orion {
@@ -16,7 +14,6 @@ MemHandle MemoryManager::Allocate(std::size_t bytes, std::uint64_t client) {
   const MemHandle handle = next_handle_++;
   allocations_.emplace(handle, Allocation{bytes, client});
   used_ += bytes;
-  peak_used_ = std::max(peak_used_, used_);
   return handle;
 }
 

@@ -36,7 +36,6 @@ class MemoryManager {
   double utilization() const {
     return capacity_ > 0 ? static_cast<double>(used_) / static_cast<double>(capacity_) : 0.0;
   }
-  std::size_t peak_used() const { return peak_used_; }
   std::size_t live_allocations() const { return allocations_.size(); }
   // Live bytes held by `client`.
   std::size_t used_by(std::uint64_t client) const;
@@ -49,7 +48,6 @@ class MemoryManager {
 
   std::size_t capacity_;
   std::size_t used_ = 0;
-  std::size_t peak_used_ = 0;
   MemHandle next_handle_ = 1;
   std::unordered_map<MemHandle, Allocation> allocations_;
 };

@@ -30,8 +30,6 @@ enum class OpType : std::uint8_t {
   kGraphLaunch,
 };
 
-const char* OpTypeName(OpType type);
-
 struct Op {
   OpType type = OpType::kKernelLaunch;
 

@@ -1,14 +1,18 @@
 #include "src/serving/admission.h"
 
-#include "src/common/check.h"
-
 namespace orion {
 namespace serving {
 
-AdmissionController::AdmissionController(const AdmissionConfig& config) : config_(config) {
-  ORION_CHECK(config.lc_slack > 0.0);
-  ORION_CHECK(config.be_slack > 0.0);
-}
+namespace {
+
+// Shed when predicted completion > arrival + slack * slo. 1.0 sheds exactly
+// at the predicted deadline miss; lower values shed earlier.
+constexpr double kLcSlack = 1.0;  // latency-critical services
+constexpr double kBeSlack = 0.7;  // best-effort services yield headroom first
+
+}  // namespace
+
+AdmissionController::AdmissionController(const AdmissionConfig& config) : config_(config) {}
 
 bool AdmissionController::Admit(const Request& request, PriorityTier tier,
                                 DurationUs predicted_wait_us, DurationUs service_us) const {
@@ -16,7 +20,7 @@ bool AdmissionController::Admit(const Request& request, PriorityTier tier,
     return true;
   }
   const double slack =
-      tier == PriorityTier::kLatencyCritical ? config_.lc_slack : config_.be_slack;
+      tier == PriorityTier::kLatencyCritical ? kLcSlack : kBeSlack;
   const DurationUs slo = request.deadline_us - request.arrival_us;
   const TimeUs predicted_completion = request.arrival_us + predicted_wait_us + service_us;
   return predicted_completion <= request.arrival_us + slack * slo;

@@ -9,7 +9,7 @@
 // deadline.
 //
 // Priority tiers map to Orion's streams: best-effort services are shed more
-// eagerly (configurable slack < 1) so latency-critical traffic keeps its
+// eagerly (slack < 1) so latency-critical traffic keeps its
 // headroom during overload — the serving-tier analogue of the scheduler
 // prioritising the hp stream.
 #ifndef SRC_SERVING_ADMISSION_H_
@@ -23,10 +23,6 @@ namespace serving {
 
 struct AdmissionConfig {
   bool enabled = true;
-  // Shed when predicted completion > arrival + slack * slo. 1.0 sheds
-  // exactly at the predicted deadline miss; lower values shed earlier.
-  double lc_slack = 1.0;   // latency-critical services
-  double be_slack = 0.7;   // best-effort services yield headroom first
 };
 
 class AdmissionController {

@@ -5,6 +5,14 @@
 namespace orion {
 namespace serving {
 
+namespace {
+
+constexpr double kTargetAttainment = 0.95;     // scale up when the window dips below
+constexpr double kScaleUpUtilization = 0.85;   // mean replica busy fraction
+constexpr double kScaleDownUtilization = 0.35;
+
+}  // namespace
+
 double WindowAttainment(const ModelWindowSignals& signals) {
   if (signals.completions == 0) {
     return signals.arrivals == 0 ? 1.0 : 0.0;
@@ -28,11 +36,6 @@ const char* ScaleReasonName(ScaleReason reason) {
   return "unknown";
 }
 
-ScaleDecision Decide(const AutoscalerConfig& config, const ModelWindowSignals& signals) {
-  ScaleReason reason = ScaleReason::kNone;
-  return DecideWithReason(config, signals, &reason);
-}
-
 ScaleDecision DecideWithReason(const AutoscalerConfig& config,
                                const ModelWindowSignals& signals, ScaleReason* reason) {
   ORION_CHECK(signals.min_replicas >= 0);
@@ -44,17 +47,17 @@ ScaleDecision DecideWithReason(const AutoscalerConfig& config,
   const int total = signals.active_replicas + signals.pending_replicas;
   const double attainment = WindowAttainment(signals);
 
-  const bool overloaded = signals.shed > 0 || attainment < config.target_attainment ||
-                          signals.utilization > config.scale_up_utilization;
+  const bool overloaded = signals.shed > 0 || attainment < kTargetAttainment ||
+                          signals.utilization > kScaleUpUtilization;
   if (overloaded && total < signals.max_replicas && signals.pending_replicas == 0) {
-    *reason = signals.shed > 0                             ? ScaleReason::kShedding
-              : attainment < config.target_attainment      ? ScaleReason::kAttainment
-                                                           : ScaleReason::kUtilizationHigh;
+    *reason = signals.shed > 0                 ? ScaleReason::kShedding
+              : attainment < kTargetAttainment ? ScaleReason::kAttainment
+                                               : ScaleReason::kUtilizationHigh;
     return ScaleDecision::kUp;
   }
 
-  const bool healthy = signals.shed == 0 && attainment >= config.target_attainment &&
-                       signals.utilization < config.scale_down_utilization;
+  const bool healthy = signals.shed == 0 && attainment >= kTargetAttainment &&
+                       signals.utilization < kScaleDownUtilization;
   if (healthy && signals.pending_replicas == 0 && signals.active_replicas > signals.min_replicas) {
     *reason = ScaleReason::kIdleHealthy;
     return ScaleDecision::kDown;

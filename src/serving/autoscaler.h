@@ -25,9 +25,6 @@ namespace serving {
 struct AutoscalerConfig {
   bool enabled = false;
   DurationUs eval_period_us = SecToUs(0.5);
-  double target_attainment = 0.95;     // scale up when the window dips below
-  double scale_up_utilization = 0.85;  // mean replica busy fraction
-  double scale_down_utilization = 0.35;
 };
 
 // One model service's signals over the last evaluation window.
@@ -64,11 +61,11 @@ const char* ScaleReasonName(ScaleReason reason);
 // drowning); an idle window as attainment 1.
 double WindowAttainment(const ModelWindowSignals& signals);
 
-ScaleDecision Decide(const AutoscalerConfig& config, const ModelWindowSignals& signals);
-
-// As Decide, and reports the dominant signal behind the decision (the first
-// overload trigger in shed → attainment → utilization order; kIdleHealthy
-// for scale-downs, kNone for holds).
+// Scales up on shedding, window attainment below 0.95 or mean busy fraction
+// above 0.85; scales down when healthy and below 0.35 busy. Reports the
+// dominant signal behind the decision (the first overload trigger in shed →
+// attainment → utilization order; kIdleHealthy for scale-downs, kNone for
+// holds).
 ScaleDecision DecideWithReason(const AutoscalerConfig& config,
                                const ModelWindowSignals& signals, ScaleReason* reason);
 

@@ -24,7 +24,6 @@ const char* DispatchReasonName(DispatchReason reason) {
 }
 
 DynamicBatcher::DynamicBatcher(const BatchingConfig& config) : config_(config) {
-  ORION_CHECK(config.max_batch_size >= 1);
   ORION_CHECK(config.max_queue_delay_us >= 0.0);
 }
 
@@ -40,7 +39,7 @@ bool DynamicBatcher::ShouldDispatch(TimeUs now) const {
   if (!config_.enabled) {
     return true;
   }
-  if (static_cast<int>(queue_.size()) >= config_.max_batch_size) {
+  if (static_cast<int>(queue_.size()) >= kMaxBatchSize) {
     return true;
   }
   return now >= LingerDeadline();
@@ -50,7 +49,7 @@ DispatchReason DynamicBatcher::WhyDispatch(TimeUs now) const {
   if (!config_.enabled) {
     return DispatchReason::kBatchingOff;
   }
-  if (static_cast<int>(queue_.size()) >= config_.max_batch_size) {
+  if (static_cast<int>(queue_.size()) >= kMaxBatchSize) {
     return DispatchReason::kFullBatch;
   }
   (void)now;
@@ -64,7 +63,7 @@ TimeUs DynamicBatcher::LingerDeadline() const {
 
 void DynamicBatcher::TakeBatchInto(std::vector<Request>* out) {
   ORION_CHECK(!queue_.empty());
-  const int take = config_.enabled ? config_.max_batch_size : 1;
+  const int take = config_.enabled ? kMaxBatchSize : 1;
   out->clear();  // keeps capacity: a replica's reused buffer stops allocating
   out->reserve(std::min<std::size_t>(static_cast<std::size_t>(take), queue_.size()));
   while (!queue_.empty() && static_cast<int>(out->size()) < take) {

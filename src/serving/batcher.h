@@ -24,9 +24,11 @@
 namespace orion {
 namespace serving {
 
+// Most requests one dispatch takes when batching is on.
+inline constexpr int kMaxBatchSize = 8;
+
 struct BatchingConfig {
   bool enabled = true;
-  int max_batch_size = 8;
   DurationUs max_queue_delay_us = 2000.0;  // linger bound from oldest enqueue
 };
 
@@ -58,7 +60,7 @@ class DynamicBatcher {
   // Only meaningful when !empty().
   TimeUs LingerDeadline() const;
 
-  // Removes the next batch (up to max_batch_size requests, in queue order)
+  // Removes the next batch (up to kMaxBatchSize requests, in queue order)
   // into `out`. `out` is cleared first and keeps its capacity, so a
   // replica's reused buffer stops allocating on the hot path.
   void TakeBatchInto(std::vector<Request>* out);

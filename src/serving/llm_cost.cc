@@ -16,7 +16,6 @@ LlmCostModel::LlmCostModel(const gpusim::DeviceSpec& device, const LlmServiceCon
   ORION_CHECK(service.prompt_tokens >= 1);
   ORION_CHECK(service.min_decode_tokens >= 0);
   ORION_CHECK(service.max_decode_tokens >= service.min_decode_tokens);
-  ORION_CHECK(service.kv_block_tokens >= 1);
   ORION_CHECK(service.ttft_slo_us > 0.0 && service.tpot_slo_us > 0.0);
 }
 
@@ -29,9 +28,7 @@ DurationUs LlmCostModel::KernelsUs(const std::vector<gpusim::KernelDesc>& kernel
 }
 
 int LlmCostModel::ContextBucket(int context_tokens) const {
-  const int block = service_.kv_block_tokens;
-  const int bucket = ((std::max(1, context_tokens) + block - 1) / block) * block;
-  return bucket;
+  return ((std::max(1, context_tokens) + kKvBlockTokens - 1) / kKvBlockTokens) * kKvBlockTokens;
 }
 
 DurationUs LlmCostModel::PrefillUs(int context_tokens) const {

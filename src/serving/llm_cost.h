@@ -27,6 +27,10 @@
 namespace orion {
 namespace serving {
 
+// KV-cache allocation granularity of every LLM replica, in tokens; decode
+// contexts are costed in buckets of the same size.
+inline constexpr int kKvBlockTokens = 16;
+
 // Per-service LLM parameters; ModelServiceConfig::llm. With enabled unset
 // the service keeps the classic fixed-cost request semantics.
 struct LlmServiceConfig {
@@ -42,7 +46,6 @@ struct LlmServiceConfig {
   int prompt_tokens = 128;      // prompt length of every request
   int min_decode_tokens = 8;    // per-request decode target, sampled
   int max_decode_tokens = 64;   //   uniformly in [min, max]
-  int kv_block_tokens = 16;     // KV-cache allocation granularity
 
   // KV-cache budget per replica. 0 = whatever device memory remains free on
   // the replica's GPU at placement time; a positive value caps it (the knob

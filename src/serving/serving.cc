@@ -18,15 +18,5 @@ const char* PriorityTierName(PriorityTier tier) {
   return "unknown";
 }
 
-double ServingResult::MeanAttainment() const {
-  std::size_t offered = 0;
-  std::size_t met = 0;
-  for (const ModelServingResult& model : models) {
-    offered += model.offered;
-    met += model.slo_met;
-  }
-  return offered > 0 ? static_cast<double>(met) / static_cast<double>(offered) : 1.0;
-}
-
 }  // namespace serving
 }  // namespace orion

@@ -165,8 +165,6 @@ struct ServingResult {
   // Active-replica time integrated over the window, in replica-seconds: the
   // fleet cost the autoscaler is trying to minimise.
   double replica_seconds = 0.0;
-
-  double MeanAttainment() const;  // offered-weighted across services
 };
 
 // Runs the single-node serving simulation: datacenter::RunCluster on a

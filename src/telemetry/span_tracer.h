@@ -83,7 +83,6 @@ class SpanTracer {
   const std::vector<TraceEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
-  void Clear() { events_.clear(); }
 
  private:
   std::vector<std::string> tracks_;

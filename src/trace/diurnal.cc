@@ -104,10 +104,5 @@ void DiurnalMix::AddService(const std::string& service, const DiurnalConfig& con
   services_.push_back(std::move(entry));
 }
 
-std::unique_ptr<ArrivalProcess> DiurnalMix::MakeProcess(std::size_t i) const {
-  ORION_CHECK(i < services_.size());
-  return MakeDiurnal(services_[i].config);
-}
-
 }  // namespace trace
 }  // namespace orion

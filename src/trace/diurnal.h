@@ -104,8 +104,6 @@ class DiurnalMix {
   const std::string& service_name(std::size_t i) const { return services_[i].name; }
   const DiurnalConfig& service_config(std::size_t i) const { return services_[i].config; }
 
-  std::unique_ptr<ArrivalProcess> MakeProcess(std::size_t i) const;
-
  private:
   struct Entry {
     std::string name;

@@ -9,7 +9,6 @@ namespace workloads {
 
 DdpIterationPlan PlanDdpIteration(const gpusim::DeviceSpec& device, const DdpConfig& config) {
   ORION_CHECK(config.num_gpus >= 1);
-  ORION_CHECK(config.bucket_bytes > 0);
 
   const int global_batch = config.global_batch_size > 0
                                ? config.global_batch_size
@@ -47,7 +46,7 @@ DdpIterationPlan PlanDdpIteration(const gpusim::DeviceSpec& device, const DdpCon
     std::size_t accumulated = 0;
     while (remaining > 0) {
       GradientBucket bucket;
-      bucket.bytes = std::min(remaining, config.bucket_bytes);
+      bucket.bytes = std::min(remaining, kDdpBucketBytes);
       remaining -= bucket.bytes;
       accumulated += bucket.bytes;
       bucket.ready_fraction =

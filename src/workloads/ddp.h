@@ -32,9 +32,10 @@ struct DdpConfig {
   // Global (summed over GPUs) batch per iteration; 0 = the model's paper
   // default training batch. Must divide evenly across the GPUs.
   int global_batch_size = 0;
-  // Gradient bucket cap; 25 MB is the PyTorch DDP default.
-  std::size_t bucket_bytes = std::size_t{25} << 20;
 };
+
+// Gradient bucket cap; 25 MB is the PyTorch DDP default.
+inline constexpr std::size_t kDdpBucketBytes = std::size_t{25} << 20;
 
 struct GradientBucket {
   std::size_t bytes = 0;

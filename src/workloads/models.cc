@@ -182,13 +182,18 @@ void BuildLlmDecode(GraphBuilder& g, const LlmConfig& cfg, int batch) {
   }
 }
 
+// Serving-LLM (LlmModelConfig) shape constants: FFN inner dim = kLlmFfnMult
+// * hidden, and the vocabulary the embedding/lm-head table covers.
+constexpr double kLlmFfnMult = 4.0;
+constexpr int kLlmVocab = 32000;
+
 // One transformer decoder layer at `rows` query rows attending to `context`
 // KV positions. Shared by the prefill builder (rows = context = prompt) and
 // the decode-step builder (rows = batch, context = cache length).
 void BuildLlmLayer(GraphBuilder& g, const LlmModelConfig& cfg, const std::string& p,
                    double rows, double context) {
   const double head_dim = static_cast<double>(cfg.hidden) / cfg.heads;
-  const double ffn = cfg.ffn_mult * cfg.hidden;
+  const double ffn = kLlmFfnMult * cfg.hidden;
   g.Linear(p + "qkv", rows, cfg.hidden, 3.0 * cfg.hidden);
   g.Gemm(p + "attn.scores", rows * cfg.heads, context, head_dim);
   g.Softmax(p + "attn.softmax", rows * cfg.heads, context);
@@ -433,7 +438,7 @@ std::vector<gpusim::KernelDesc> BuildLlmPrefillKernels(const gpusim::DeviceSpec&
     BuildLlmLayer(g, cfg, "prefill.layer" + std::to_string(layer) + ".", t, t);
   }
   // Logits for the last position only: prefill emits exactly one token.
-  g.Linear("prefill.lm_head", 1.0, cfg.hidden, cfg.vocab / 8.0);
+  g.Linear("prefill.lm_head", 1.0, cfg.hidden, kLlmVocab / 8.0);
   const std::uint64_t base =
       (0x70ull << 56) | (static_cast<std::uint64_t>(prompt_tokens) << 20);
   return FinishLlmGraph(device, g, base);
@@ -452,7 +457,7 @@ std::vector<gpusim::KernelDesc> BuildLlmDecodeStepKernels(const gpusim::DeviceSp
     // streams its weight matrix for `batch` rows — memory-bound throughout.
     BuildLlmLayer(g, cfg, "decode.layer" + std::to_string(layer) + ".", b, context_tokens);
   }
-  g.Linear("decode.lm_head", b, cfg.hidden, cfg.vocab / 8.0);
+  g.Linear("decode.lm_head", b, cfg.hidden, kLlmVocab / 8.0);
   const std::uint64_t base = (0x71ull << 56) |
                              (static_cast<std::uint64_t>(batch) << 40) |
                              (static_cast<std::uint64_t>(context_tokens) << 20);
@@ -466,10 +471,10 @@ std::size_t LlmKvBytesPerToken(const LlmModelConfig& cfg) {
 }
 
 std::size_t LlmWeightBytes(const LlmModelConfig& cfg) {
-  // Per layer: qkv (3h²) + attention out (h²) + fc1/fc2 (2·ffn_mult·h²).
+  // Per layer: qkv (3h²) + attention out (h²) + fc1/fc2 (2·kLlmFfnMult·h²).
   const double h = cfg.hidden;
-  const double per_layer = (4.0 + 2.0 * cfg.ffn_mult) * h * h;
-  const double embedding = static_cast<double>(cfg.vocab) * h;
+  const double per_layer = (4.0 + 2.0 * kLlmFfnMult) * h * h;
+  const double embedding = static_cast<double>(kLlmVocab) * h;
   return static_cast<std::size_t>((cfg.layers * per_layer + embedding) * 4.0);
 }
 

@@ -89,8 +89,6 @@ struct LlmModelConfig {
   int layers = 12;
   int hidden = 2048;
   int heads = 16;
-  double ffn_mult = 4.0;  // FFN inner dim = ffn_mult * hidden
-  int vocab = 32000;
 };
 
 // Kernel sequence of one prefill pass over `prompt_tokens` tokens of a

@@ -99,8 +99,7 @@ TEST(PlacementTest, RespectsMemoryCapacity) {
 TEST(PlacementTest, RespectsJobSlotLimit) {
   std::vector<JobSignature> jobs(5, Synthetic("j", 0.2, 0.2, 0.5, 1 << 20));
   PlacementOptions options;
-  options.num_gpus = 2;
-  options.max_jobs_per_gpu = 2;
+  options.num_gpus = 2;  // two jobs per GPU at most
   EXPECT_FALSE(PlacementEngine::Place(jobs, options).has_value());
   options.num_gpus = 3;
   EXPECT_TRUE(PlacementEngine::Place(jobs, options).has_value());
@@ -121,10 +120,10 @@ TEST(PlacementTest, OneLatencyCriticalJobPerGpu) {
     }
     EXPECT_LE(hp_count, 1);
   }
-  // Two hp jobs on one GPU is infeasible.
+  // Two hp jobs on one GPU is infeasible, though the GPU has room for two.
   options.num_gpus = 1;
-  options.max_jobs_per_gpu = 3;
-  EXPECT_FALSE(PlacementEngine::Place(jobs, options).has_value());
+  EXPECT_FALSE(PlacementEngine::Place({jobs[0], jobs[1]}, options).has_value());
+  EXPECT_TRUE(PlacementEngine::Place({jobs[0], jobs[2]}, options).has_value());
 }
 
 TEST(PlacementTest, DeterministicForSameInput) {
@@ -151,7 +150,6 @@ TEST(PlacementTest, MultiGpuJobPrefersNvLinkPair) {
   };
   PlacementOptions options;
   options.num_gpus = 4;
-  options.max_jobs_per_gpu = 1;
   options.topology = interconnect::NodeTopology::NvLinkPairs(4);
 
   const auto one = PlacementEngine::Place({ddp_job("ddp1")}, options);

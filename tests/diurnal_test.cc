@@ -177,9 +177,9 @@ TEST(DiurnalMixTest, AddServiceKeepsPhaseAndSharesPeriod) {
     EXPECT_DOUBLE_EQ(mix.service_config(i).shape.peak_to_trough, 2.0);
     EXPECT_DOUBLE_EQ(mix.service_config(i).mean_rps, 500.0);
   }
-  // MakeProcess is usable and deterministic per seed.
-  auto p0 = mix.MakeProcess(1);
-  auto p1 = mix.MakeProcess(1);
+  // A service's config drives a process that is deterministic per seed.
+  auto p0 = MakeDiurnal(mix.service_config(1));
+  auto p1 = MakeDiurnal(mix.service_config(1));
   Rng ra(9);
   Rng rb(9);
   for (int i = 0; i < 100; ++i) {

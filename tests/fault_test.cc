@@ -258,7 +258,6 @@ TEST(CollectiveFaultTest, PermanentStallGivesUpAndTerminates) {
   collective::CollectiveEngine engine(&sim, &fabric);
   collective::CollectiveOptions options;
   options.step_timeout_us = 50.0;
-  options.max_step_timeouts = 4;
   engine.set_options(options);
 
   bool done = false;
@@ -274,7 +273,7 @@ TEST(CollectiveFaultTest, PermanentStallGivesUpAndTerminates) {
   EXPECT_FALSE(done);
   EXPECT_EQ(engine.reformations(), 0u);
   EXPECT_EQ(engine.timeout_giveups(), 1u);
-  EXPECT_GE(engine.step_timeouts(), static_cast<std::size_t>(options.max_step_timeouts));
+  EXPECT_GE(engine.step_timeouts(), static_cast<std::size_t>(collective::kMaxStepTimeouts));
 }
 
 // ISSUE acceptance property: after a GPU death mid-all-reduce, the restarted

@@ -162,7 +162,7 @@ TEST(LlmPhaseTest, KvBytesPerTokenAndWeightBytes) {
   cfg.hidden = 2048;
   // K and V vectors, fp32, every layer.
   EXPECT_EQ(LlmKvBytesPerToken(cfg), 2u * 12u * 2048u * 4u);
-  // Weights: attention (4 h^2) + FFN (2 * ffn_mult h^2) per layer plus the
+  // Weights: attention (4 h^2) + FFN (2 * 4 h^2) per layer plus the
   // embedding/lm-head table, fp32.
   const std::size_t h = 2048;
   const std::size_t expected =

@@ -27,7 +27,7 @@ namespace orion {
 namespace memsub {
 namespace {
 
-constexpr std::size_t kPage = std::size_t{2} * 1024 * 1024;
+constexpr std::size_t kPage = kPageBytes;
 
 gpusim::DeviceSpec SmallDevice(std::size_t pages) {
   gpusim::DeviceSpec spec = gpusim::DeviceSpec::V100_16GB();
@@ -143,9 +143,7 @@ ChurnOutcome RunChurn(std::uint64_t seed, bool check_shadow) {
   constexpr int kClients = 5;
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(kCapacityPages));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   ShadowPager shadow(kCapacityPages);
 
   Rng rng(seed);
@@ -230,9 +228,7 @@ TEST(PagerPropertyTest, SameSeedChurnReplaysBitIdentically) {
 TEST(PagerTest, FittingCollocationIsInert) {
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(32));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   pager.RegisterClient(0, "a", 16 * kPage, /*pinned=*/false, /*dirty_on_touch=*/true);
   pager.RegisterClient(1, "b", 16 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
   EXPECT_FALSE(pager.oversubscribed());
@@ -255,9 +251,7 @@ TEST(PagerTest, CyclicScanOverCapacityFaultsEveryPage) {
   // the device faults every page of every pass after the first.
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(8));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   pager.RegisterClient(0, "scan", 9 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
   EXPECT_TRUE(pager.oversubscribed());
   bool completed = false;
@@ -273,9 +267,7 @@ TEST(PagerTest, CyclicScanOverCapacityFaultsEveryPage) {
 TEST(PagerTest, AccessReportsFaultStall) {
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(8));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   pager.RegisterClient(0, "scan", 9 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
   // A faulting access at t=50 reports landing time minus access time.
   DurationUs stall = -1.0;
@@ -301,9 +293,7 @@ TEST(PagerTest, AccessReportsFaultStall) {
 TEST(PagerTest, DirtyEvictionsPayWritebacks) {
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(8));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   pager.RegisterClient(0, "train", 6 * kPage, /*pinned=*/false, /*dirty_on_touch=*/true);
   pager.RegisterClient(1, "infer", 6 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
   pager.Access(0, [](DurationUs) {});
@@ -319,9 +309,7 @@ TEST(PagerTest, DirtyEvictionsPayWritebacks) {
 TEST(PagerTest, ReleaseFreesFramesImmediately) {
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(8));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   pager.RegisterClient(0, "a", 8 * kPage, /*pinned=*/false, /*dirty_on_touch=*/true);
   pager.RegisterClient(1, "b", 8 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
   pager.ReleaseClient(0);
@@ -341,9 +329,7 @@ TEST(PagerTest, ReleaseFreesFramesImmediately) {
 TEST(PagerDeathTest, PinnedClientMustFit) {
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(4));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   EXPECT_DEATH(pager.RegisterClient(0, "big", 5 * kPage, /*pinned=*/true,
                                     /*dirty_on_touch=*/false),
                "does not fit");

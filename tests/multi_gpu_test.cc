@@ -26,7 +26,7 @@ TEST(DdpPlanTest, BucketsCoverParameterBytesInOrder) {
   double last_fraction = 0.0;
   for (const auto& bucket : plan.buckets) {
     ASSERT_GT(bucket.bytes, 0u);
-    ASSERT_LE(bucket.bytes, workloads::DdpConfig{}.bucket_bytes);
+    ASSERT_LE(bucket.bytes, workloads::kDdpBucketBytes);
     total += bucket.bytes;
     EXPECT_GT(bucket.ready_fraction, last_fraction);
     last_fraction = bucket.ready_fraction;
@@ -120,7 +120,6 @@ TEST(MultiGpuTest, DeterministicAcrossRuns) {
   auto run = [] {
     auto config = BaseConfig(2, interconnect::NodeTopology::PcieOnly(2));
     config.hog = BandwidthHogConfig{};
-    config.hog->gap_us = 50.0;  // exercises the seeded jitter path
     const auto result = RunDdpExperiment(config);
     return std::make_tuple(result.total_us, result.iteration_us.mean(),
                            result.allreduce_us.mean(), result.hog_copies);

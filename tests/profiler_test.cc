@@ -2,7 +2,10 @@
 // classification matches §5.2, and profiles round-trip through files.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/profiler/profiler.h"
 
@@ -68,7 +71,10 @@ TEST_F(ProfilerTest, SaveLoadRoundTrip) {
   const auto profile = Profile(workloads::ModelId::kBert, workloads::TaskType::kInference);
   std::stringstream file;
   SaveProfile(profile, file);
-  const WorkloadProfile loaded = LoadProfile(file);
+  std::string error;
+  const std::optional<WorkloadProfile> reloaded = LoadProfile(file, &error);
+  ASSERT_TRUE(reloaded.has_value()) << error;
+  const WorkloadProfile& loaded = *reloaded;
   EXPECT_EQ(loaded.workload_name, profile.workload_name);
   EXPECT_EQ(loaded.device_name, profile.device_name);
   EXPECT_NEAR(loaded.request_latency_us, profile.request_latency_us, 1e-3);
@@ -105,9 +111,66 @@ TEST_F(ProfilerTest, MoreHostOverheadSlowsRequests) {
   EXPECT_GT(profile_slow.request_latency_us, profile_fast.request_latency_us);
 }
 
+// Loads `text` as a profile file and returns the error it was rejected with
+// (empty when it loaded).
+std::string LoadError(const std::string& text) {
+  std::stringstream file(text);
+  std::string error;
+  return LoadProfile(file, &error).has_value() ? "" : error;
+}
+
+// A valid two-kernel profile file, line by line.
+std::vector<std::string> ValidLines() {
+  return {"workload=w",
+          "device=d",
+          "request_latency_us=100",
+          "avg_compute_util=0.5",
+          "avg_membw_util=0.25",
+          "avg_sm_busy=0.75",
+          "kernels=2",
+          "11,conv,40.5,0.8,0.2,0,60",
+          "12,bn,9.5,0.1,0.7,1,20"};
+}
+
+std::string Join(const std::vector<std::string>& lines, std::size_t count) {
+  std::string text;
+  for (std::size_t i = 0; i < count; ++i) {
+    text += lines[i] + "\n";
+  }
+  return text;
+}
+
 TEST_F(ProfilerTest, LoadRejectsCorruptFile) {
-  std::stringstream file("not-a-profile\n");
-  EXPECT_DEATH((void)LoadProfile(file), "expected key");
+  EXPECT_EQ(LoadError("not-a-profile\n"), "line 1: expected key 'workload', got 'not-a-profile'");
+  const std::vector<std::string> lines = ValidLines();
+  EXPECT_EQ(LoadError(Join(lines, lines.size())), "");
+}
+
+TEST_F(ProfilerTest, LoadReportsTruncatedHeader) {
+  EXPECT_EQ(LoadError(Join(ValidLines(), 4)), "line 5: file ends before key 'avg_membw_util'");
+}
+
+TEST_F(ProfilerTest, LoadReportsTruncatedKernelList) {
+  EXPECT_EQ(LoadError(Join(ValidLines(), 8)), "line 9: file ends after 1 of 2 kernels");
+}
+
+TEST_F(ProfilerTest, LoadReportsNonNumericField) {
+  std::vector<std::string> lines = ValidLines();
+  lines[2] = "request_latency_us=fast";
+  EXPECT_EQ(LoadError(Join(lines, lines.size())),
+            "line 3: request_latency_us 'fast' is not a number");
+  lines = ValidLines();
+  lines[8] = "12,bn,9.5x,0.1,0.7,1,20";
+  EXPECT_EQ(LoadError(Join(lines, lines.size())), "line 9: duration '9.5x' is not a number");
+}
+
+TEST_F(ProfilerTest, LoadReportsOutOfRangeClass) {
+  std::vector<std::string> lines = ValidLines();
+  lines[7] = "11,conv,40.5,0.8,0.2,3,60";
+  EXPECT_EQ(LoadError(Join(lines, lines.size())), "line 8: kernel class 3 out of range [0, 2]");
+  lines[7] = "11,conv,40.5,0.8,0.2,-1,60";
+  EXPECT_EQ(LoadError(Join(lines, lines.size())),
+            "line 8: kernel class '-1' is not a non-negative integer");
 }
 
 }  // namespace

@@ -91,25 +91,27 @@ Request MakeRequest(std::uint64_t id) {
 
 TEST(BatcherTest, DispatchesFullBatchImmediately) {
   BatchingConfig config;
-  config.max_batch_size = 4;
   config.max_queue_delay_us = 1000.0;
   DynamicBatcher batcher(config);
-  for (std::uint64_t i = 0; i < 4; ++i) {
+  constexpr auto kFull = static_cast<std::uint64_t>(kMaxBatchSize);
+  for (std::uint64_t i = 0; i + 1 < kFull; ++i) {
     batcher.Enqueue(MakeRequest(i), /*now=*/0.0);
   }
+  EXPECT_FALSE(batcher.ShouldDispatch(0.0));  // one short of a full batch
+  batcher.Enqueue(MakeRequest(kFull - 1), 0.0);
+  batcher.Enqueue(MakeRequest(kFull), 0.0);  // overflow waits for the next batch
   EXPECT_TRUE(batcher.ShouldDispatch(0.0));
   std::vector<Request> batch;
   batcher.TakeBatchInto(&batch);
-  ASSERT_EQ(batch.size(), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) {
+  ASSERT_EQ(batch.size(), kFull);
+  for (std::uint64_t i = 0; i < kFull; ++i) {
     EXPECT_EQ(batch[i].id, i);  // FIFO: arrival order
   }
-  EXPECT_TRUE(batcher.empty());
+  EXPECT_EQ(batcher.size(), 1u);
 }
 
 TEST(BatcherTest, PartialBatchLingersUntilDelayBound) {
   BatchingConfig config;
-  config.max_batch_size = 4;
   config.max_queue_delay_us = 1000.0;
   DynamicBatcher batcher(config);
   batcher.Enqueue(MakeRequest(0), 100.0);
@@ -126,7 +128,6 @@ TEST(BatcherTest, PartialBatchLingersUntilDelayBound) {
 TEST(BatcherTest, DisabledBatchingTakesSingles) {
   BatchingConfig config;
   config.enabled = false;
-  config.max_batch_size = 8;
   DynamicBatcher batcher(config);
   batcher.Enqueue(MakeRequest(0), 0.0);
   batcher.Enqueue(MakeRequest(1), 0.0);
@@ -151,12 +152,13 @@ TEST(BatcherTest, DrainReturnsEverythingInOrder) {
 
 TEST(BatcherTest, WhyDispatchNamesTheTrigger) {
   BatchingConfig config;
-  config.max_batch_size = 2;
   config.max_queue_delay_us = 1000.0;
   DynamicBatcher batcher(config);
   batcher.Enqueue(MakeRequest(0), 0.0);
   EXPECT_EQ(batcher.WhyDispatch(1000.0), DispatchReason::kLingerExpired);
-  batcher.Enqueue(MakeRequest(1), 10.0);
+  for (std::uint64_t i = 1; i < static_cast<std::uint64_t>(kMaxBatchSize); ++i) {
+    batcher.Enqueue(MakeRequest(i), 10.0);
+  }
   EXPECT_EQ(batcher.WhyDispatch(10.0), DispatchReason::kFullBatch);
   config.enabled = false;
   DynamicBatcher singles(config);
@@ -227,14 +229,15 @@ TEST(AdmissionTest, ShedsPredictedDeadlineMiss) {
 }
 
 TEST(AdmissionTest, BestEffortShedsEarlier) {
-  AdmissionConfig config;
-  config.be_slack = 0.5;
-  const AdmissionController admission(config);
+  const AdmissionController admission{AdmissionConfig{}};
   Request request;
   request.deadline_us = 100e3;
-  // 60% of the deadline: fine for latency-critical, beyond be's 50% slack.
-  EXPECT_TRUE(admission.Admit(request, PriorityTier::kLatencyCritical, 50e3, 10e3));
-  EXPECT_FALSE(admission.Admit(request, PriorityTier::kBestEffort, 50e3, 10e3));
+  // 80% of the deadline: fine for latency-critical (slack 1.0), beyond
+  // best-effort's 0.7 slack.
+  EXPECT_TRUE(admission.Admit(request, PriorityTier::kLatencyCritical, 70e3, 10e3));
+  EXPECT_FALSE(admission.Admit(request, PriorityTier::kBestEffort, 70e3, 10e3));
+  // 60%: inside both.
+  EXPECT_TRUE(admission.Admit(request, PriorityTier::kBestEffort, 50e3, 10e3));
 }
 
 TEST(AdmissionTest, DisabledAdmitsEverything) {
@@ -263,48 +266,52 @@ ModelWindowSignals HealthySignals() {
 TEST(AutoscalerTest, HoldsWhenHealthy) {
   AutoscalerConfig config;
   config.enabled = true;
-  EXPECT_EQ(Decide(config, HealthySignals()), ScaleDecision::kHold);
+  ScaleReason reason = ScaleReason::kNone;
+  EXPECT_EQ(DecideWithReason(config, HealthySignals(), &reason), ScaleDecision::kHold);
 }
 
 TEST(AutoscalerTest, ScalesUpOnSheddingAttainmentOrUtilization) {
   AutoscalerConfig config;
   config.enabled = true;
+  ScaleReason reason = ScaleReason::kNone;
   auto shed = HealthySignals();
   shed.shed = 5;
-  EXPECT_EQ(Decide(config, shed), ScaleDecision::kUp);
+  EXPECT_EQ(DecideWithReason(config, shed, &reason), ScaleDecision::kUp);
   auto missing = HealthySignals();
   missing.slo_met = 50;
-  EXPECT_EQ(Decide(config, missing), ScaleDecision::kUp);
+  EXPECT_EQ(DecideWithReason(config, missing, &reason), ScaleDecision::kUp);
   auto hot = HealthySignals();
   hot.utilization = 0.95;
-  EXPECT_EQ(Decide(config, hot), ScaleDecision::kUp);
+  EXPECT_EQ(DecideWithReason(config, hot, &reason), ScaleDecision::kUp);
 }
 
 TEST(AutoscalerTest, RespectsReplicaBounds) {
   AutoscalerConfig config;
   config.enabled = true;
+  ScaleReason reason = ScaleReason::kNone;
   auto capped = HealthySignals();
   capped.shed = 5;
   capped.active_replicas = 4;
-  EXPECT_EQ(Decide(config, capped), ScaleDecision::kHold);
+  EXPECT_EQ(DecideWithReason(config, capped, &reason), ScaleDecision::kHold);
   auto pending = HealthySignals();
   pending.shed = 5;
   pending.pending_replicas = 1;  // one already provisioning: wait for it
-  EXPECT_EQ(Decide(config, pending), ScaleDecision::kHold);
+  EXPECT_EQ(DecideWithReason(config, pending, &reason), ScaleDecision::kHold);
 }
 
 TEST(AutoscalerTest, ScalesDownOnlyWhenIdleAndHealthy) {
   AutoscalerConfig config;
   config.enabled = true;
+  ScaleReason reason = ScaleReason::kNone;
   auto idle = HealthySignals();
   idle.utilization = 0.1;
-  EXPECT_EQ(Decide(config, idle), ScaleDecision::kDown);
+  EXPECT_EQ(DecideWithReason(config, idle, &reason), ScaleDecision::kDown);
   idle.active_replicas = 1;  // already at the floor
-  EXPECT_EQ(Decide(config, idle), ScaleDecision::kHold);
+  EXPECT_EQ(DecideWithReason(config, idle, &reason), ScaleDecision::kHold);
   auto idle_but_missing = HealthySignals();
   idle_but_missing.utilization = 0.1;
   idle_but_missing.slo_met = 50;
-  EXPECT_NE(Decide(config, idle_but_missing), ScaleDecision::kDown);
+  EXPECT_NE(DecideWithReason(config, idle_but_missing, &reason), ScaleDecision::kDown);
 }
 
 TEST(AutoscalerTest, DecideWithReasonExplainsEveryBranch) {

@@ -25,9 +25,7 @@ ExperimentConfig TrainTrainConfig() {
 }
 
 TEST(SmTunerTest, FindsThresholdAboveDefault) {
-  SmTunerOptions options;
-  options.probe_duration_us = SecToUs(3.0);
-  const SmTunerResult result = TuneSmThreshold(TrainTrainConfig(), options);
+  const SmTunerResult result = TuneSmThreshold(TrainTrainConfig());
   // For train-train the tuner should go far beyond the 80-SM default.
   EXPECT_GT(result.best_threshold, gpusim::DeviceSpec::V100_16GB().num_sms);
   EXPECT_GT(result.hp_dedicated_metric, 0.0);
@@ -35,18 +33,14 @@ TEST(SmTunerTest, FindsThresholdAboveDefault) {
 }
 
 TEST(SmTunerTest, RespectsHpFloor) {
-  SmTunerOptions options;
-  options.probe_duration_us = SecToUs(3.0);
-  const SmTunerResult result = TuneSmThreshold(TrainTrainConfig(), options);
-  EXPECT_GE(result.hp_metric,
-            (1.0 - options.max_hp_degradation) * result.hp_dedicated_metric - 0.5);
+  const SmTunerResult result = TuneSmThreshold(TrainTrainConfig());
+  // The tuner tolerates at most 16% hp throughput loss.
+  EXPECT_GE(result.hp_metric, (1.0 - 0.16) * result.hp_dedicated_metric - 0.5);
 }
 
 TEST(SmTunerTest, TunedThresholdUnlocksBestEffortThroughput) {
-  SmTunerOptions options;
-  options.probe_duration_us = SecToUs(3.0);
   ExperimentConfig config = TrainTrainConfig();
-  const SmTunerResult tuned = TuneSmThreshold(config, options);
+  const SmTunerResult tuned = TuneSmThreshold(config);
 
   config.duration_us = SecToUs(4.0);
   config.orion.sm_threshold = 0;  // conservative default
@@ -70,9 +64,7 @@ TEST(SmTunerTest, TunedThresholdUnlocksBestEffortThroughput) {
 TEST(SmTunerTest, UpperBoundAdmitsLargestBeKernel) {
   // The search range must include max(sm_needed)+1, since schedule_be uses a
   // strict comparison; otherwise the largest kernel blocks its queue head.
-  SmTunerOptions options;
-  options.probe_duration_us = SecToUs(2.0);
-  const SmTunerResult result = TuneSmThreshold(TrainTrainConfig(), options);
+  const SmTunerResult result = TuneSmThreshold(TrainTrainConfig());
   int max_needed = 0;
   const auto kernels =
       workloads::BuildKernels(gpusim::DeviceSpec::V100_16GB(),

@@ -20,30 +20,24 @@ namespace {
 
 // --- ThrashDetector hysteresis (pure logic). -------------------------------
 
-memsub::ThrashDetector::Options DetectorOptions() {
-  memsub::ThrashDetector::Options options;
-  options.enter_busy = 0.20;
-  options.exit_busy = 0.05;
-  options.enter_windows = 2;
-  options.exit_windows = 5;
-  return options;
-}
+// The detector's constants: a window at or above 0.20 busy is high, at or
+// below 0.05 low; two high windows enter, five low windows exit.
 
 TEST(ThrashDetectorTest, NeverEntersWithoutOversubscription) {
-  memsub::ThrashDetector detector(DetectorOptions());
+  memsub::ThrashDetector detector;
   for (int i = 0; i < 20; ++i) {
     EXPECT_FALSE(detector.Observe(1.0, /*oversubscribed=*/false));
   }
 }
 
 TEST(ThrashDetectorTest, EntersOnlyAfterConsecutiveHighWindows) {
-  memsub::ThrashDetector detector(DetectorOptions());
+  memsub::ThrashDetector detector;
   EXPECT_FALSE(detector.Observe(0.9, true));  // one burst is not thrash
   EXPECT_TRUE(detector.Observe(0.9, true));   // sustained: enter
 }
 
 TEST(ThrashDetectorTest, BrokenHighStreakDoesNotEnter) {
-  memsub::ThrashDetector detector(DetectorOptions());
+  memsub::ThrashDetector detector;
   EXPECT_FALSE(detector.Observe(0.9, true));
   EXPECT_FALSE(detector.Observe(0.1, true));  // streak broken
   EXPECT_FALSE(detector.Observe(0.9, true));  // counting restarts
@@ -53,7 +47,7 @@ TEST(ThrashDetectorTest, BrokenHighStreakDoesNotEnter) {
 TEST(ThrashDetectorTest, HoldsWhileOversubscribedEvenWhenQuiet) {
   // Exclusive mode itself quells the fault traffic; reverting while memory
   // is still oversubscribed would just thrash again. One-way door.
-  memsub::ThrashDetector detector(DetectorOptions());
+  memsub::ThrashDetector detector;
   detector.Observe(0.9, true);
   ASSERT_TRUE(detector.Observe(0.9, true));
   for (int i = 0; i < 50; ++i) {
@@ -62,7 +56,7 @@ TEST(ThrashDetectorTest, HoldsWhileOversubscribedEvenWhenQuiet) {
 }
 
 TEST(ThrashDetectorTest, ExitsAfterSustainedQuietOnceFitting) {
-  memsub::ThrashDetector detector(DetectorOptions());
+  memsub::ThrashDetector detector;
   detector.Observe(0.9, true);
   ASSERT_TRUE(detector.Observe(0.9, true));
   // A client released: memory fits again. Exit still needs 5 quiet windows.
@@ -73,7 +67,7 @@ TEST(ThrashDetectorTest, ExitsAfterSustainedQuietOnceFitting) {
 }
 
 TEST(ThrashDetectorTest, HighWindowResetsExitStreak) {
-  memsub::ThrashDetector detector(DetectorOptions());
+  memsub::ThrashDetector detector;
   detector.Observe(0.9, true);
   ASSERT_TRUE(detector.Observe(0.9, true));
   for (int i = 0; i < 4; ++i) {
@@ -87,7 +81,7 @@ TEST(ThrashDetectorTest, HighWindowResetsExitStreak) {
 }
 
 TEST(ThrashDetectorTest, ResetClearsState) {
-  memsub::ThrashDetector detector(DetectorOptions());
+  memsub::ThrashDetector detector;
   detector.Observe(0.9, true);
   ASSERT_TRUE(detector.Observe(0.9, true));
   detector.Reset();
@@ -98,16 +92,17 @@ TEST(ThrashDetectorTest, ResetClearsState) {
 // --- Quantum sizing. -------------------------------------------------------
 
 TEST(QuantumPolicyTest, ClampsToBounds) {
-  memsub::QuantumOptions options;  // 50ms..2s, factor 8
-  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(0.0, options), MsToUs(50.0));
-  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(MsToUs(1.0), options), MsToUs(50.0));
-  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(MsToUs(20.0), options), MsToUs(160.0));
-  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(SecToUs(10.0), options), SecToUs(2.0));
+  // 50 ms .. 2 s, eight times the measured swap cost.
+  EXPECT_DOUBLE_EQ(memsub::kMinQuantumUs, MsToUs(50.0));
+  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(0.0), MsToUs(50.0));
+  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(MsToUs(1.0)), MsToUs(50.0));
+  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(MsToUs(20.0)), MsToUs(160.0));
+  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(SecToUs(10.0)), SecToUs(2.0));
 }
 
 // --- Integration: scheduler + pager through the harness. -------------------
 
-constexpr std::size_t kPage = std::size_t{2} * 1024 * 1024;
+constexpr std::size_t kPage = memsub::kPageBytes;
 
 std::size_t PageAligned(std::size_t bytes) { return (bytes + kPage - 1) / kPage * kPage; }
 
@@ -169,23 +164,28 @@ TEST(TimeQuantumIntegrationTest, QuantaRotateAcrossClients) {
 }
 
 TEST(TimeQuantumIntegrationTest, IdleClientReleasesQuantumEarly) {
-  // One tenant arrives sparsely; without idle early-release its quanta
-  // strand the GPU between arrivals and the closed-loop tenant starves.
+  // One tenant arrives sparsely; without idle early-release its quanta would
+  // strand the GPU between arrivals. Small working sets on a 20-page device
+  // keep every measured swap cost low, so every quantum is sized at the
+  // kMinQuantumUs floor while the closed-loop tenant thrashes on its own.
   harness::ExperimentConfig config = TqConfig(2.0);
   config.duration_us = SecToUs(3.0);
+  config.device.memory_bytes = 20 * kPage;
   config.clients[0].arrivals = harness::ClientConfig::Arrivals::kPoisson;
   config.clients[0].rps = 5.0;
-  const auto with_release = harness::RunExperiment(config);
-  harness::ExperimentConfig no_release = config;
-  no_release.time_quantum.idle_release_us = SecToUs(10.0);  // longer than any quantum
-  const auto without_release = harness::RunExperiment(no_release);
-  ASSERT_GE(with_release.tq_exclusive_entries, 1u);
-  ASSERT_GE(without_release.tq_exclusive_entries, 1u);
-  const auto& be_with = with_release.clients[1];
-  const auto& be_without = without_release.clients[1];
-  EXPECT_GT(be_with.completed_total, 0u);
-  // Early release hands the idle tenant's stranded time to the busy one.
-  EXPECT_GT(be_with.completed_total, be_without.completed_total);
+  config.clients[0].paging_ws_fraction = 0.01;
+  config.clients[1].workload = workloads::MakeWorkload(workloads::ModelId::kMobileNetV2,
+                                                       workloads::TaskType::kInference, 1);
+  config.clients[1].paging_ws_fraction = 0.1;
+  const auto result = harness::RunExperiment(config);
+  ASSERT_EQ(result.tq_exclusive_entries, 1u);
+  EXPECT_GT(result.clients[1].completed_total, 0u);
+  // Without early release every quantum but the last (cut off by the end of
+  // the run) would last at least kMinQuantumUs, so (quanta - 1) x minimum
+  // could not exceed the exclusive time. It does: some quanta ended early.
+  ASSERT_GE(result.tq_quanta, 2u);
+  EXPECT_GT(static_cast<double>(result.tq_quanta - 1) * memsub::kMinQuantumUs,
+            result.tq_exclusive_us);
 }
 
 }  // namespace

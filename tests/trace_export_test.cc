@@ -54,19 +54,6 @@ TEST(TraceExportTest, EscapesSpecialCharacters) {
   EXPECT_NE(json.find("weird\\\"name\\\\with\\nstuff"), std::string::npos);
 }
 
-TEST(TraceExportTest, ClearResets) {
-  Simulator sim;
-  Device device(&sim, DeviceSpec::V100_16GB());
-  TraceCollector collector;
-  collector.RecordInto(device);
-  const StreamId stream = device.CreateStream();
-  device.LaunchKernel(stream, MakeKernel("k", 10.0, 0.3, 0.1, 4));
-  sim.RunUntilIdle();
-  EXPECT_EQ(collector.size(), 1u);
-  collector.Clear();
-  EXPECT_EQ(collector.size(), 0u);
-}
-
 TEST(TraceExportTest, MergesMultipleDevicesAsSeparateTracks) {
   Simulator sim;
   Device gpu0(&sim, DeviceSpec::V100_16GB());

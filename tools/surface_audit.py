@@ -12,17 +12,26 @@ function that src/ itself calls is in use by the program and never listed.
 Matching is by name, so a name shared by two structs counts for both: the
 audit can miss a candidate but does not invent one.
 
-Run from the repository root:  python3 tools/surface_audit.py
+--knobs lists instead the fields that no file in bench/, examples/ or
+perfbench/ mentions and that src/ never assigns: options only their default
+(or a test) ever sets, which should be constants. It exits 1 when that list
+is non-empty. --root DIR audits another tree (default: this repository).
+
+Run from the repository root:  python3 tools/surface_audit.py [--knobs]
 """
+import argparse
 import pathlib
 import re
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-USERS = ("bench", "examples", "perfbench", "tests")
+PROGRAMS = ("bench", "examples", "perfbench")
+USERS = PROGRAMS + ("tests",)
 SOURCE = {".h", ".cc", ".cpp"}
 KEYWORDS = {"return", "else", "case", "throw", "new", "co_return"}
-COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
-STRING = re.compile(r'"(?:\\.|[^"\\])*"')
+# One pass over strings, character literals and comments, so a "//" inside a
+# string does not start a comment and a quote inside a comment opens nothing.
+TOKEN = re.compile(r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])+\'|//[^\n]*|/\*.*?\*/', re.S)
 SCOPE = re.compile(r"\s*(?:template\s*<[^>]*>\s*)?(class|struct)\s+(\w+)[^;{]*\{")
 FIELD = re.compile(r"\s*(?!return\b|using\b|static\b|friend\b|enum\b|typedef\b)"
                    r"[\w:<>,\s*&]+?[\s*&](\w+)\s*(?:=[^;]*|\{[^}]*\})?;\s*$")
@@ -31,7 +40,7 @@ FUNC = re.compile(r"\s*(?:(?:static|virtual|inline|explicit|constexpr|friend)\s+
 
 
 def strip(text):
-    return STRING.sub('""', COMMENT.sub("", text))
+    return TOKEN.sub(lambda m: '""' if m.group(0)[0] in "\"'" else "", text)
 
 
 def sources(top):
@@ -57,7 +66,7 @@ def surface():
                 if func and func.group(1) not in classes + ["operator"]:
                     name = func.group(1)
                     yield "function", "::".join(classes + [name]), name, header
-                elif (field and "(" not in line and classes
+                elif (field and classes
                       and re.search(r"(Config|Options|Spec)$", classes[-1])):
                     name = field.group(1)
                     yield "field", "::".join(classes + [name]), name, header
@@ -83,12 +92,20 @@ def calls(text, name):
 
 
 def main():
+    global ROOT
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--knobs", action="store_true",
+                        help="list config fields no program sets; exit 1 if any")
+    parser.add_argument("--root", type=pathlib.Path, default=ROOT,
+                        help="tree to audit (default: this repository)")
+    args = parser.parse_args()
+    ROOT = args.root.resolve()
     texts = {d: {p: strip(p.read_text()) for p in sources(d)} for d in USERS + ("src",)}
     joined = {d: "\n".join(files.values()) for d, files in texts.items()}
     seen = set()
     rows = []
     for kind, qualified, name, header in surface():
-        if qualified in seen:
+        if qualified in seen or (args.knobs and kind != "field"):
             continue
         seen.add(qualified)
         if kind == "field":
@@ -98,12 +115,18 @@ def main():
         else:
             used = {d: calls(joined[d], name) for d in USERS}
             used["src"] = calls(joined["src"], name)
-        if used["tests"] and not any(used[d] for d in used if d != "tests"):
+        if args.knobs:
+            listed = not any(used[d] for d in PROGRAMS + ("src",))
+        else:
+            listed = used["tests"] and not any(used[d] for d in used if d != "tests")
+        if listed:
             rows.append((kind, qualified, header.relative_to(ROOT)))
-    print(f"{len(rows)} entries only tests/ uses (of {len(seen)} audited):")
+    what = "fields no program sets" if args.knobs else "entries only tests/ uses"
+    print(f"{len(rows)} {what} (of {len(seen)} audited):")
     for kind, qualified, header in rows:
         print(f"  {kind:8} {qualified:52} {header}")
+    return 1 if args.knobs and rows else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
