@@ -61,7 +61,7 @@ void Device::ScaleMembw(double factor) {
 }
 
 StreamId Device::CreateStream(int priority) {
-  streams_.push_back(Stream{priority, {}, false});
+  streams_.push_back(Stream{priority, std::pow(4.0, priority), {}, false});
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
@@ -208,7 +208,6 @@ void Device::ActivateStreamHead(StreamId stream_id) {
       case Op::Type::kKernel: {
         RunningKernel rk;
         rk.stream = stream_id;
-        rk.desc = front.kernel;
         rk.remaining = front.kernel.duration_us;
         // duration_us is the run-alone wall time and already includes wave
         // execution of grids larger than the device, so the progress model
@@ -236,6 +235,7 @@ void Device::ActivateStreamHead(StreamId stream_id) {
         rk.block_duration = std::max(1.0, front.kernel.duration_us / waves);
         rk.started_at = sim_->now();
         rk.seq = front.seq;
+        rk.desc = std::move(front.kernel);  // the op is popped below
         rk.done = std::move(front.done);
         stream.queue.pop_front();
         stream.head_active = true;
@@ -428,20 +428,21 @@ void Device::ComputeTargets() {
   // low-priority blocks still trickle in between memory stalls, so priority
   // biases rather than starves — which is why the paper still needs the
   // DUR_THRESHOLD throttle on top of priorities (§5.1.2).
-  std::vector<RunningKernel*> kernels;
-  kernels.reserve(running_.size());
+  std::vector<RunningKernel*>& kernels = targets_scratch_;
+  kernels.clear();
   for (RunningKernel& rk : running_) {
     rk.target = 0.0;
     kernels.push_back(&rk);
   }
   double remaining = static_cast<double>(effective_sms_);
-  std::vector<bool> capped(kernels.size(), false);
+  std::vector<std::uint8_t>& capped = capped_scratch_;
+  capped.assign(kernels.size(), 0);
   for (std::size_t round = 0; round < kernels.size() && remaining > kGrantEpsilon; ++round) {
     double weighted_demand = 0.0;
     for (std::size_t i = 0; i < kernels.size(); ++i) {
       if (!capped[i]) {
-        const int priority = streams_[static_cast<std::size_t>(kernels[i]->stream)].priority;
-        weighted_demand += std::pow(4.0, priority) * kernels[i]->sm_needed;
+        const double weight = streams_[static_cast<std::size_t>(kernels[i]->stream)].weight;
+        weighted_demand += weight * kernels[i]->sm_needed;
       }
     }
     if (weighted_demand <= kGrantEpsilon) {
@@ -454,13 +455,13 @@ void Device::ComputeTargets() {
       if (capped[i]) {
         continue;
       }
-      const int priority = streams_[static_cast<std::size_t>(kernels[i]->stream)].priority;
-      const double share = fill * std::pow(4.0, priority) * kernels[i]->sm_needed;
+      const double weight = streams_[static_cast<std::size_t>(kernels[i]->stream)].weight;
+      const double share = fill * weight * kernels[i]->sm_needed;
       const double demand = static_cast<double>(kernels[i]->sm_needed);
       if (share >= demand) {
         kernels[i]->target = demand;
         used += demand;
-        capped[i] = true;
+        capped[i] = 1;
         any_capped = true;
       } else {
         kernels[i]->target = share;  // provisional; refined if others cap out
@@ -526,7 +527,8 @@ void Device::Reschedule() {
     // (priority, submission) order. Shrinking waits for the rebalance
     // quantum — granted SMs are never revoked instantly (no preemption of
     // running blocks).
-    std::vector<RunningKernel*> wanting;
+    std::vector<RunningKernel*>& wanting = wanting_scratch_;
+    wanting.clear();
     for (RunningKernel& rk : running_) {
       if (rk.granted + kGrantEpsilon < rk.target) {
         wanting.push_back(&rk);

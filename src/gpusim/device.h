@@ -177,6 +177,7 @@ class Device {
 
   struct Stream {
     int priority = kPriorityDefault;
+    double weight = 1.0;         // water-filling weight, 4^priority
     std::deque<Op> queue;        // ops not yet started (front = next)
     bool head_active = false;    // front-of-queue op currently executing
   };
@@ -246,9 +247,13 @@ class Device {
   EventHandle completion_event_;
   bool in_reschedule_ = false;
   bool rebalance_pending_ = false;
-  // Scratch for ComputeRates callers (AdvanceTo / Reschedule run once per
-  // device event; reusing the buffer keeps the hot path allocation-free).
+  // Scratch for ComputeRates callers, ComputeTargets and Reschedule (each
+  // runs at least once per device event; reusing the buffers keeps the hot
+  // path allocation-free).
   std::vector<std::pair<RunningKernel*, double>> rates_scratch_;
+  std::vector<RunningKernel*> targets_scratch_;
+  std::vector<std::uint8_t> capped_scratch_;  // bytes, not std::vector<bool>
+  std::vector<RunningKernel*> wanting_scratch_;
 
   // Copy engine: single queue, one transfer at a time.
   std::deque<PendingCopy> copy_queue_;

@@ -8,6 +8,7 @@
 #ifndef SRC_GPUSIM_DEVICE_SPEC_H_
 #define SRC_GPUSIM_DEVICE_SPEC_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -35,6 +36,10 @@ struct DeviceSpec {
   double pcie_latency_us = 0.0;
 
   std::size_t memory_bytes = 0;
+
+  // Member-wise, so every field (including ones added later) takes part in
+  // keys such as the profiler's memo.
+  auto operator<=>(const DeviceSpec&) const = default;
 
   static DeviceSpec V100_16GB();
   static DeviceSpec A100_40GB();

@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <istream>
 #include <limits>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -103,9 +105,11 @@ void WorkloadProfile::RebuildIndex() {
   }
 }
 
-WorkloadProfile ProfileWorkload(const gpusim::DeviceSpec& device,
-                                const workloads::WorkloadSpec& spec,
-                                const ProfileOptions& options) {
+namespace {
+
+WorkloadProfile MeasureProfile(const gpusim::DeviceSpec& device,
+                               const workloads::WorkloadSpec& spec,
+                               const ProfileOptions& options) {
   ORION_CHECK(options.measured_requests > 0);
 
   Simulator sim;
@@ -167,6 +171,48 @@ WorkloadProfile ProfileWorkload(const gpusim::DeviceSpec& device,
   }
   profile.RebuildIndex();
   return profile;
+}
+
+// A profile depends only on its inputs: kernel ids are built from (model,
+// task, index) and the replay is deterministic.
+struct ProfileKey {
+  gpusim::DeviceSpec device;
+  workloads::WorkloadSpec spec;
+  ProfileOptions options;
+
+  auto operator<=>(const ProfileKey&) const = default;
+};
+
+struct ProfileMemo {
+  std::mutex mutex;
+  std::map<ProfileKey, WorkloadProfile> profiles;  // guarded by mutex
+};
+
+ProfileMemo& Memo() {
+  static ProfileMemo memo;
+  return memo;
+}
+
+}  // namespace
+
+WorkloadProfile ProfileWorkload(const gpusim::DeviceSpec& device,
+                                const workloads::WorkloadSpec& spec,
+                                const ProfileOptions& options) {
+  ProfileMemo& memo = Memo();
+  ProfileKey key{device, spec, options};
+  {
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    const auto it = memo.profiles.find(key);
+    if (it != memo.profiles.end()) {
+      return it->second;
+    }
+  }
+  // Measured outside the lock so distinct inputs can profile concurrently.
+  // If another thread stored the same key meanwhile, its entry is kept; the
+  // two profiles are equal.
+  WorkloadProfile profile = MeasureProfile(device, spec, options);
+  const std::lock_guard<std::mutex> lock(memo.mutex);
+  return memo.profiles.try_emplace(std::move(key), std::move(profile)).first->second;
 }
 
 void SaveProfile(const WorkloadProfile& profile, std::ostream& os) {

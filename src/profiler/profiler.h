@@ -14,9 +14,15 @@
 //
 // The result is a lookup table indexed by kernel id, exactly what the Orion
 // scheduler loads at startup. Profiles can be saved to / loaded from files.
+//
+// Like the paper's offline profile files, each input is profiled once per
+// process: ProfileWorkload memoizes on the full (DeviceSpec, WorkloadSpec,
+// ProfileOptions) value and hands every caller its own copy, so a caller may
+// edit its profile (fault injection poisons them) without touching others.
 #ifndef SRC_PROFILER_PROFILER_H_
 #define SRC_PROFILER_PROFILER_H_
 
+#include <compare>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -64,9 +70,12 @@ struct ProfileOptions {
   int measured_requests = 10;
   // Host-side per-op submission overhead (framework + wrapper cost).
   DurationUs launch_overhead_us = 6.0;
+
+  auto operator<=>(const ProfileOptions&) const = default;
 };
 
-// Runs the offline profiling phase on a dedicated simulated device.
+// Runs the offline profiling phase on a dedicated simulated device, once per
+// distinct input per process (thread-safe); returns a copy of the profile.
 WorkloadProfile ProfileWorkload(const gpusim::DeviceSpec& device,
                                 const workloads::WorkloadSpec& spec,
                                 const ProfileOptions& options = {});

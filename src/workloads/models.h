@@ -11,6 +11,7 @@
 #ifndef SRC_WORKLOADS_MODELS_H_
 #define SRC_WORKLOADS_MODELS_H_
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -49,6 +50,8 @@ struct WorkloadSpec {
   ModelId model = ModelId::kResNet50;
   TaskType task = TaskType::kInference;
   int batch_size = 1;
+
+  auto operator<=>(const WorkloadSpec&) const = default;
 };
 
 // Paper defaults (Table 1): inference bs 4/4/4/2/4, training bs 32/64/32/8/8.

@@ -209,6 +209,38 @@ TEST(HarnessTest, ApolloArrivalsRun) {
   EXPECT_GT(result.hp().completed, 40u);
 }
 
+// Profiles are memoized per process, and fault injection poisons the
+// profiles of one run in place. A poisoned run must leave later runs of the
+// same workloads bit-identical to earlier ones.
+TEST(HarnessTest, ProfilePoisonDoesNotLeakAcrossRuns) {
+  const ExperimentConfig clean = InfTrainConfig(SchedulerKind::kOrion, SecToUs(1.0));
+  ExperimentConfig poisoned = clean;
+  fault::FaultEvent poison;
+  poison.kind = fault::FaultKind::kProfilePoison;
+  poison.at_us = 0.0;
+  poison.perturb_factor = 4.0;
+  poison.drop_fraction = 0.5;
+  poison.seed = 11;
+  poisoned.fault_plan.events.push_back(poison);
+
+  const ExperimentResult before = RunExperiment(clean);
+  const ExperimentResult during = RunExperiment(poisoned);
+  const ExperimentResult after = RunExperiment(clean);
+
+  ASSERT_EQ(during.faults_injected, 1u);
+  // The poison changes what the scheduler does, or the test would prove
+  // nothing.
+  EXPECT_NE(during.hp().latency.samples(), before.hp().latency.samples());
+  ASSERT_EQ(before.clients.size(), after.clients.size());
+  for (std::size_t i = 0; i < before.clients.size(); ++i) {
+    EXPECT_EQ(before.clients[i].completed_total, after.clients[i].completed_total) << i;
+    EXPECT_EQ(before.clients[i].latency.samples(), after.clients[i].latency.samples()) << i;
+  }
+  EXPECT_EQ(before.utilization.compute, after.utilization.compute);
+  EXPECT_EQ(before.utilization.membw, after.utilization.membw);
+  EXPECT_EQ(before.utilization.sm_busy, after.utilization.sm_busy);
+}
+
 }  // namespace
 }  // namespace harness
 }  // namespace orion

@@ -5,6 +5,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/profiler/profiler.h"
@@ -90,11 +91,84 @@ TEST_F(ProfilerTest, SaveLoadRoundTrip) {
   EXPECT_NE(loaded.Find(profile.kernels.front().kernel_id), nullptr);
 }
 
+// Field-by-field equality, lookup index included.
+void ExpectSameProfile(const WorkloadProfile& a, const WorkloadProfile& b) {
+  EXPECT_EQ(a.workload_name, b.workload_name);
+  EXPECT_EQ(a.device_name, b.device_name);
+  EXPECT_EQ(a.request_latency_us, b.request_latency_us);
+  EXPECT_EQ(a.avg_compute_util, b.avg_compute_util);
+  EXPECT_EQ(a.avg_membw_util, b.avg_membw_util);
+  EXPECT_EQ(a.avg_sm_busy, b.avg_sm_busy);
+  ASSERT_EQ(a.kernels.size(), b.kernels.size());
+  for (std::size_t i = 0; i < a.kernels.size(); ++i) {
+    const KernelProfile& ka = a.kernels[i];
+    const KernelProfile& kb = b.kernels[i];
+    EXPECT_EQ(ka.kernel_id, kb.kernel_id) << i;
+    EXPECT_EQ(ka.name, kb.name) << i;
+    EXPECT_EQ(ka.duration_us, kb.duration_us) << i;
+    EXPECT_EQ(ka.compute_util, kb.compute_util) << i;
+    EXPECT_EQ(ka.membw_util, kb.membw_util) << i;
+    EXPECT_EQ(ka.profile, kb.profile) << i;
+    EXPECT_EQ(ka.sm_needed, kb.sm_needed) << i;
+    // Each copy's index points into its own kernel list.
+    EXPECT_EQ(a.Find(ka.kernel_id), &ka) << i;
+    EXPECT_EQ(b.Find(kb.kernel_id), &kb) << i;
+  }
+}
+
 TEST_F(ProfilerTest, DeterministicAcrossRuns) {
-  const auto a = Profile(workloads::ModelId::kTransformer, workloads::TaskType::kInference);
-  const auto b = Profile(workloads::ModelId::kTransformer, workloads::TaskType::kInference);
-  EXPECT_DOUBLE_EQ(a.request_latency_us, b.request_latency_us);
-  EXPECT_DOUBLE_EQ(a.avg_compute_util, b.avg_compute_util);
+  // memory_bytes is part of the memo key but not of the replay, so these
+  // are two separate measurements of the same workload.
+  gpusim::DeviceSpec other = kV100;
+  other.memory_bytes /= 2;
+  const auto spec = workloads::MakeWorkload(workloads::ModelId::kTransformer,
+                                            workloads::TaskType::kInference);
+  ExpectSameProfile(ProfileWorkload(kV100, spec), ProfileWorkload(other, spec));
+}
+
+TEST_F(ProfilerTest, MemoHitEqualsFreshProfile) {
+  const auto spec = workloads::MakeWorkload(workloads::ModelId::kMobileNetV2,
+                                            workloads::TaskType::kInference);
+  ProfileOptions opts;
+  opts.measured_requests = 3;
+  const WorkloadProfile first = ProfileWorkload(kV100, spec, opts);
+  WorkloadProfile second = ProfileWorkload(kV100, spec, opts);
+  ExpectSameProfile(first, second);
+  // A caller's edits stay in its copy.
+  second.kernels.front().duration_us *= 10.0;
+  second.kernels.pop_back();
+  second.RebuildIndex();
+  ExpectSameProfile(first, ProfileWorkload(kV100, spec, opts));
+
+  // Every field below is part of the key, so each variant gets its own
+  // entry; where the field changes the replay, the profile differs.
+  gpusim::DeviceSpec fewer_sms = kV100;
+  fewer_sms.num_sms /= 2;
+  EXPECT_NE(fewer_sms, kV100);
+  EXPECT_NE(ProfileWorkload(fewer_sms, spec, opts).request_latency_us,
+            first.request_latency_us);
+
+  gpusim::DeviceSpec less_memory = kV100;
+  less_memory.memory_bytes /= 2;
+  EXPECT_NE(less_memory, kV100);
+  ExpectSameProfile(ProfileWorkload(less_memory, spec, opts), first);
+
+  workloads::WorkloadSpec bigger_batch = spec;
+  bigger_batch.batch_size *= 4;
+  EXPECT_NE(bigger_batch, spec);
+  EXPECT_NE(ProfileWorkload(kV100, bigger_batch, opts).request_latency_us,
+            first.request_latency_us);
+
+  workloads::WorkloadSpec training = spec;
+  training.task = workloads::TaskType::kTraining;
+  EXPECT_NE(training, spec);
+  EXPECT_NE(ProfileWorkload(kV100, training, opts).kernels.size(), first.kernels.size());
+
+  ProfileOptions slower_host = opts;
+  slower_host.launch_overhead_us *= 10.0;
+  EXPECT_NE(slower_host, opts);
+  EXPECT_NE(ProfileWorkload(kV100, spec, slower_host).request_latency_us,
+            first.request_latency_us);
 }
 
 TEST_F(ProfilerTest, MoreHostOverheadSlowsRequests) {
@@ -109,6 +183,41 @@ TEST_F(ProfilerTest, MoreHostOverheadSlowsRequests) {
   const auto profile_fast = ProfileWorkload(kV100, spec, fast);
   const auto profile_slow = ProfileWorkload(kV100, spec, slow);
   EXPECT_GT(profile_slow.request_latency_us, profile_fast.request_latency_us);
+}
+
+// The memo is shared by every thread of the process (a run pool profiles
+// from several threads at once); concurrent callers, on hits and misses
+// alike, all get equal profiles.
+TEST_F(ProfilerTest, ConcurrentCallersGetEqualProfiles) {
+  gpusim::DeviceSpec device = kV100;
+  device.memory_bytes -= 1;  // an input no other test profiles: the first calls miss
+  const workloads::WorkloadSpec specs[] = {
+      workloads::MakeWorkload(workloads::ModelId::kResNet50, workloads::TaskType::kInference),
+      workloads::MakeWorkload(workloads::ModelId::kBert, workloads::TaskType::kInference)};
+  ProfileOptions opts;
+  opts.measured_requests = 2;
+  constexpr int kThreads = 4;
+  std::vector<WorkloadProfile> results(2 * kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int i = 0; i < 2; ++i) {
+        const int which = (t + i) % 2;
+        results[static_cast<std::size_t>(2 * t + which)] =
+            ProfileWorkload(device, specs[which], opts);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (int which = 0; which < 2; ++which) {
+      SCOPED_TRACE(testing::Message() << "thread " << t << " input " << which);
+      ExpectSameProfile(results[static_cast<std::size_t>(2 * t + which)],
+                        ProfileWorkload(device, specs[which], opts));
+    }
+  }
 }
 
 // Loads `text` as a profile file and returns the error it was rejected with
