@@ -1,7 +1,9 @@
 #include "src/harness/experiment.h"
 
-#include <unordered_map>
+#include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/baselines/passthrough.h"
 #include "src/baselines/reef.h"
@@ -96,18 +98,28 @@ double CostSavings(double dedicated_throughput, double collocated_throughput) {
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
   ORION_CHECK(!config.clients.empty());
 
-  // --- Offline profiling phase (§5.2), one profile per distinct workload. ---
-  std::unordered_map<std::string, std::unique_ptr<profiler::WorkloadProfile>> profiles;
+  // --- Offline profiling phase (§5.2), one profile per distinct workload,
+  // in client order: the fault injector forks its poison RNG per profile in
+  // that order, so it must not depend on hashing.
+  std::vector<std::unique_ptr<profiler::WorkloadProfile>> profiles;
+  const auto profile_of =
+      [&profiles](const workloads::WorkloadSpec& workload) -> profiler::WorkloadProfile* {
+    const std::string name = workloads::WorkloadName(workload);
+    for (const auto& profile : profiles) {
+      if (profile->workload_name == name) {
+        return profile.get();
+      }
+    }
+    return nullptr;
+  };
   for (const ClientConfig& client : config.clients) {
-    const std::string key = workloads::WorkloadName(client.workload);
-    if (profiles.count(key) > 0) {
+    if (profile_of(client.workload) != nullptr) {
       continue;
     }
     profiler::ProfileOptions opts = config.profile_options;
     opts.launch_overhead_us = config.launch_overhead_us;
-    auto profile = std::make_unique<profiler::WorkloadProfile>(
-        profiler::ProfileWorkload(config.device, client.workload, opts));
-    profiles.emplace(key, std::move(profile));
+    profiles.push_back(std::make_unique<profiler::WorkloadProfile>(
+        profiler::ProfileWorkload(config.device, client.workload, opts)));
   }
 
   // --- Memory admission (§5.1.3). Shared-GPU collocations must fit in
@@ -153,8 +165,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       config.telemetry != nullptr && config.telemetry->attribution_enabled();
   const auto bind_attribution = [&](ClientDriver& driver, std::size_t c) {
     const ClientConfig& cc = config.clients[c];
-    driver.set_isolated_request_us(
-        profiles.at(workloads::WorkloadName(cc.workload))->request_latency_us);
+    driver.set_isolated_request_us(profile_of(cc.workload)->request_latency_us);
     if (attr) {
       attribution::ServiceAttribution& sink =
           config.telemetry->attribution().Service(client_labels[c]);
@@ -201,7 +212,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       info.id = i;
       info.name = workloads::WorkloadName(cc.workload);
       info.high_priority = cc.high_priority;
-      info.profile = profiles.at(info.name).get();
+      info.profile = profile_of(cc.workload);
       sched->Attach(&sim, rt.get(), {info});
       drivers.push_back(std::make_unique<ClientDriver>(&sim, sched.get(), i, cc, per_client,
                                                        config.launch_overhead_us,
@@ -225,7 +236,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       info.id = i;
       info.name = workloads::WorkloadName(cc.workload);
       info.high_priority = cc.high_priority;
-      info.profile = profiles.at(info.name).get();
+      info.profile = profile_of(cc.workload);
       infos.push_back(std::move(info));
     }
     sched->Attach(&sim, rt.get(), infos);
@@ -282,8 +293,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     for (auto& sched : schedulers) {
       injector->RegisterScheduler(sched.get());
     }
-    for (auto& [key, profile] : profiles) {
-      (void)key;
+    for (const auto& profile : profiles) {
       injector->RegisterProfile(profile.get());
     }
     injector->set_client_fault_handler([&drivers, &pager](const fault::FaultEvent& event) {
