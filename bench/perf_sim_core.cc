@@ -17,6 +17,9 @@
 //                          fabric completion reschedules are all cancel-heavy)
 //   fabric_churn           8-GPU NVLink-pair fabric under transfer churn with
 //                          link flaps and cancels (incremental rebalance path)
+//   device_kernel_pair     one fig06 kernel pair replayed on a high- and a
+//                          default-priority stream of a device until drained
+//                          (gpusim per-kernel cost; events = kernels)
 //   serving_inprocess      repeated serving::RunServing of the ext_online_serving
 //                          base configuration at --quick windows
 //   cluster_serving        repeated datacenter::RunCluster of a 4-node x 2-GPU
@@ -41,10 +44,12 @@
 #include "bench/bench_util.h"
 #include "src/common/check.h"
 #include "src/datacenter/cluster.h"
+#include "src/gpusim/device.h"
 #include "src/interconnect/fabric.h"
 #include "src/interconnect/topology.h"
 #include "src/serving/serving.h"
 #include "src/sim/simulator.h"
+#include "src/workloads/models.h"
 
 using namespace orion;
 
@@ -314,6 +319,37 @@ std::size_t RunFabricChurn(std::size_t total_transfers, std::size_t in_flight,
   return events;
 }
 
+// --- Device model -------------------------------------------------------
+
+// A fig06 collocation pair, ResNet50 inference (hp) against ResNet50
+// training (be), each replayed `requests` times on its own priority stream
+// of a fresh V100 until the device drains: kernel launch, water-filling and
+// completion with no scheduler or client driver on top. Returns the number
+// of kernels completed; `events_out` gets the simulator events.
+std::size_t RunDeviceKernelPair(std::size_t requests, std::size_t* events_out) {
+  const gpusim::DeviceSpec spec = gpusim::DeviceSpec::V100_16GB();
+  const std::vector<gpusim::KernelDesc> hp_kernels = workloads::BuildKernels(
+      spec, workloads::MakeWorkload(workloads::ModelId::kResNet50,
+                                    workloads::TaskType::kInference));
+  const std::vector<gpusim::KernelDesc> be_kernels = workloads::BuildKernels(
+      spec, workloads::MakeWorkload(workloads::ModelId::kResNet50,
+                                    workloads::TaskType::kTraining));
+  Simulator sim;
+  gpusim::Device device(&sim, spec);
+  const gpusim::StreamId high = device.CreateStream(gpusim::kPriorityHigh);
+  const gpusim::StreamId low = device.CreateStream(gpusim::kPriorityDefault);
+  for (std::size_t r = 0; r < requests; ++r) {
+    for (const gpusim::KernelDesc& kernel : hp_kernels) {
+      device.LaunchKernel(high, kernel);
+    }
+    for (const gpusim::KernelDesc& kernel : be_kernels) {
+      device.LaunchKernel(low, kernel);
+    }
+  }
+  *events_out = sim.RunUntilIdle();
+  return device.kernels_completed();
+}
+
 // --- Serving wall clock -------------------------------------------------
 
 // The ext_online_serving base configuration (2 GPUs, hp ResNet50 + be BERT)
@@ -443,6 +479,13 @@ int main(int argc, char** argv) {
       return RunFabricChurn(scale * 25 * 1000, 64, &completed);
     });
     m.extra = static_cast<double>(completed);  // extra = transfers completed
+  }
+  {
+    std::size_t events = 0;
+    Measurement& m = Measure("device_kernel_pair", repeats, [&]() {
+      return RunDeviceKernelPair(scale * 8, &events);
+    });
+    m.extra = static_cast<double>(events);  // extra = simulator events
   }
   {
     const serving::ServingConfig config = ServingQuickConfig();
