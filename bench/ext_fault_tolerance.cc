@@ -16,7 +16,9 @@
 //      surviving world size.
 //
 // Everything is deterministic: the fault plan lives on the simulated clock
-// and the seeds are fixed, so repeated runs print identical tables.
+// and the seeds are fixed, so repeated runs print identical tables. CI greps
+// the ACCEPTANCE line's first three predicates; the fourth does not hold and
+// is listed in EXPERIMENTS.md.
 #include <iostream>
 
 #include "bench/bench_util.h"
@@ -133,8 +135,10 @@ int main(int argc, char** argv) {
   Table collocation(
       {"scenario", "hp_p99_ms", "vs_ok", "be_iters_s", "quarantined", "runaway"});
   double baseline_p99 = 0.0;
+  std::vector<harness::ExperimentResult> results;
   for (const Scenario& scenario : scenarios) {
-    const harness::ExperimentResult result = harness::RunExperiment(scenario.config);
+    const harness::ExperimentResult& result =
+        results.emplace_back(harness::RunExperiment(scenario.config));
     const double p99_ms = UsToMs(result.hp().latency.p99());
     if (baseline_p99 == 0.0) {
       baseline_p99 = p99_ms;
@@ -184,8 +188,10 @@ int main(int argc, char** argv) {
   }
 
   Table ddp({"scenario", "iter_ms", "timeouts", "reformations", "world"});
+  std::vector<harness::MultiGpuResult> ddp_results;
   for (const DdpScenario& scenario : ddp_scenarios) {
-    const harness::MultiGpuResult result = harness::RunDdpExperiment(scenario.config);
+    const harness::MultiGpuResult& result =
+        ddp_results.emplace_back(harness::RunDdpExperiment(scenario.config));
     ddp.AddRow({scenario.name,
                 Cell(result.iteration_us.count() > 0 ? UsToMs(result.iteration_us.mean()) : 0.0,
                      2),
@@ -196,5 +202,26 @@ int main(int argc, char** argv) {
   std::cout << "\nA flap is waited out (timeouts, no re-formation); a GPU death re-forms\n"
                "the ring and training continues at world size 3. A world of 0 would mean\n"
                "the run stalled — the pre-fault-subsystem behaviour.\n";
+
+  // Scenario order: fault-free, degrade, crash, hang, poison; fault-free,
+  // flap, GPU death.
+  const harness::ExperimentResult& crash = results[2];
+  const harness::ExperimentResult& hang = results[3];
+  const harness::MultiGpuResult& flap = ddp_results[1];
+  const harness::MultiGpuResult& death = ddp_results[2];
+  const bool flap_waited_out = flap.completed && flap.step_timeouts > 0 &&
+                               flap.ring_reformations == 0 && flap.final_world_size == 4;
+  const bool death_reforms = death.completed && death.ring_reformations > 0 &&
+                             death.final_world_size == 3;
+  const bool quarantined = crash.clients_quarantined == 1 && hang.clients_quarantined == 1 &&
+                           hang.runaway_quarantines == 1;
+  const double fault_free_p99 = results[0].hp().latency.p99();
+  const bool p99_holds = crash.hp().latency.p99() <= fault_free_p99 &&
+                         hang.hp().latency.p99() <= fault_free_p99;
+  auto yes = [](bool ok) { return ok ? "yes" : "no"; };
+  std::cout << "ACCEPTANCE fault-tolerance: flap-waited-out=" << yes(flap_waited_out)
+            << " gpu-death-reforms-at-3=" << yes(death_reforms)
+            << " crash-hang-quarantined=" << yes(quarantined)
+            << " crash-hang-hp-p99-le-fault-free=" << yes(p99_holds) << "\n";
   return 0;
 }

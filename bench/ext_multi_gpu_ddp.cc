@@ -11,6 +11,8 @@
 //      when the ring crosses the shared PCIe root, but not when the ring
 //      runs entirely over NVLink. This is the multi-GPU face of the paper's
 //      PCIe-contention discussion (§5.1.3).
+// CI greps the ACCEPTANCE line.
+#include <cmath>
 #include <iostream>
 #include <sstream>
 
@@ -53,6 +55,8 @@ int main(int argc, char** argv) {
             << " iterations, 4-GPU NVLink-pairs node:\n\n";
   Table scaling({"gpus", "ring", "iter_ms", "allreduce_ms", "speedup", "ideal"});
   double one_gpu_ms = 0.0;
+  double prev_iter_ms = 0.0;
+  bool iter_time_falls = true;
   harness::MultiGpuResult four_gpu;
   for (const int gpus : {1, 2, 4}) {
     const auto result =
@@ -60,7 +64,10 @@ int main(int argc, char** argv) {
     const double iter_ms = UsToMs(result.iteration_us.mean());
     if (gpus == 1) {
       one_gpu_ms = iter_ms;
+    } else {
+      iter_time_falls = iter_time_falls && iter_ms < prev_iter_ms;
     }
+    prev_iter_ms = iter_ms;
     if (gpus == 4) {
       four_gpu = result;
     }
@@ -73,13 +80,33 @@ int main(int argc, char** argv) {
                "all-reduce does not shrink with GPU count (same parameter bytes).\n\n";
 
   // Per-link traffic of the 4-GPU run: each ring-link direction carries
-  // 2*(N-1)/N of the gradient bytes per all-reduced bucket round-trip.
+  // 2*(N-1)/N of the gradient bytes per all-reduced bucket round-trip. The
+  // traffic is exact when every link direction a ring hop routes over
+  // carries iterations x gradient bytes x 2(N-1)/N and no other carries any.
+  const auto& ring = four_gpu.ring;
+  const double n = static_cast<double>(ring.size());
+  const double ring_bytes =
+      kIterations * static_cast<double>(four_gpu.param_bytes) * 2.0 * (n - 1.0) / n;
+  const interconnect::NodeTopology four_gpu_topology = interconnect::NodeTopology::NvLinkPairs(4);
+  std::size_t ring_directions = 0;
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    ring_directions += four_gpu_topology.Route(ring[i], ring[(i + 1) % ring.size()]).size();
+  }
+  std::size_t loaded_directions = 0;
+  bool loads_exact = true;
   Table traffic({"link", "kind", "fwd_MB", "bwd_MB"});
   for (const auto& link : four_gpu.link_traffic) {
     traffic.AddRow({link.name, interconnect::LinkKindName(link.kind),
                     Cell(link.forward_bytes / (1 << 20), 1),
                     Cell(link.backward_bytes / (1 << 20), 1)});
+    for (const double bytes : {link.forward_bytes, link.backward_bytes}) {
+      if (bytes > 0.0) {
+        ++loaded_directions;
+        loads_exact = loads_exact && std::abs(bytes - ring_bytes) <= 1.0;
+      }
+    }
   }
+  const bool ring_traffic_exact = loads_exact && loaded_directions == ring_directions;
   traffic.Print(std::cout);
   std::cout << "\nGradient bytes/iteration: " << Cell(four_gpu.param_bytes / double(1 << 20), 1)
             << " MB in " << four_gpu.buckets_per_iteration << " buckets; ring "
@@ -89,6 +116,8 @@ int main(int argc, char** argv) {
   std::cout << "2-GPU DDP vs. a collocated H2D bandwidth hog on GPU 0 (32 MB copies,\n"
                "closed loop):\n\n";
   Table interference({"topology", "hog", "allreduce_ms", "iter_ms", "hog_copies"});
+  // allreduce_us[nvlink][hog]: mean all-reduce time of each arm.
+  double allreduce_us[2][2] = {};
   for (const bool nvlink : {false, true}) {
     for (const bool hog : {false, true}) {
       auto config = BaseConfig(nvlink ? interconnect::NodeTopology::NvLinkPairs(2)
@@ -98,6 +127,7 @@ int main(int argc, char** argv) {
         config.hog = harness::BandwidthHogConfig{};
       }
       const auto result = harness::RunDdpExperiment(config);
+      allreduce_us[nvlink][hog] = result.allreduce_us.mean();
       interference.AddRow({nvlink ? "NVLink pair" : "PCIe only", hog ? "yes" : "no",
                            Cell(UsToMs(result.allreduce_us.mean()), 3),
                            Cell(UsToMs(result.iteration_us.mean()), 2),
@@ -108,6 +138,9 @@ int main(int argc, char** argv) {
   std::cout << "\nOn the PCIe-only node the ring shares both host links with the hog's\n"
                "copies (fair-share per link direction), inflating every bucket's\n"
                "all-reduce; the NVLink ring never touches PCIe and is unaffected.\n";
+  const bool nvlink_unaffected =
+      std::abs(allreduce_us[1][1] - allreduce_us[1][0]) <= 1e-6 * allreduce_us[1][0];
+  const bool pcie_slowed = allreduce_us[0][1] > allreduce_us[0][0];
 
   // --- Instrumented arm (only with --trace-out / --metrics-out): the 4-GPU
   // scaling run again with a telemetry hub attached. The trace holds one
@@ -128,5 +161,10 @@ int main(int argc, char** argv) {
               << "\n";
     bench::ExportTelemetry(hub);
   }
+  auto yes = [](bool ok) { return ok ? "yes" : "no"; };
+  std::cout << "ACCEPTANCE ddp: ring-traffic-exact=" << yes(ring_traffic_exact)
+            << " nvlink-ring-unaffected-by-hog=" << yes(nvlink_unaffected)
+            << " pcie-ring-slowed-by-hog=" << yes(pcie_slowed)
+            << " iter-time-falls-1-2-4-gpus=" << yes(iter_time_falls) << "\n";
   return 0;
 }

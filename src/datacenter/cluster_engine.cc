@@ -1394,7 +1394,7 @@ class ClusterEngine {
         residents[g].jobs.push_back(models_[replica(id).model]->cost.signature());
       }
     }
-    const std::optional<int> best = cluster::PlacementEngine::BestGpuFor(
+    const std::optional<int> best = cluster::BestGpuFor(
         model.cost.signature(), residents, config_.device.memory_bytes,
         config_.max_replicas_per_gpu);
     if (!best.has_value()) {

@@ -9,8 +9,6 @@ namespace orion {
 namespace harness {
 namespace {
 
-// Maximum tolerated hp throughput loss vs dedicated.
-constexpr double kMaxHpDegradation = 0.16;
 // Probe run length (shorter than full experiments; tuning is iterative).
 constexpr DurationUs kProbeDurationUs = SecToUs(5.0);
 

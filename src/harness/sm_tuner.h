@@ -17,6 +17,10 @@
 namespace orion {
 namespace harness {
 
+// The hp job must keep at least (1 - kMaxHpDegradation) of its dedicated
+// throughput at the chosen threshold.
+inline constexpr double kMaxHpDegradation = 0.16;
+
 struct SmTunerStep {
   int threshold = 0;
   double hp_metric = 0.0;  // hp throughput (rps) at this threshold

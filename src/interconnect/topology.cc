@@ -166,23 +166,5 @@ std::vector<int> NodeTopology::PreferredRing(std::vector<int> gpus) const {
   return ring;
 }
 
-int NodeTopology::CrossPcieHops(const std::vector<int>& ring) const {
-  if (ring.size() <= 1) {
-    return 0;
-  }
-  int hops = 0;
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    const int a = ring[i];
-    const int b = ring[(i + 1) % ring.size()];
-    if (ring.size() == 2 && i == 1) {
-      break;  // a 2-ring has one physical adjacency, not two
-    }
-    if (NvLinkBetween(a, b) == kInvalidLink) {
-      ++hops;
-    }
-  }
-  return hops;
-}
-
 }  // namespace interconnect
 }  // namespace orion

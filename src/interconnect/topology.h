@@ -98,13 +98,8 @@ class NodeTopology {
 
   // Orders `gpus` into a ring that maximises NVLink adjacency (greedy
   // nearest-neighbour from the lowest id; deterministic). The collective
-  // layer runs rings in this order; placement scores candidate GPU sets by
-  // the result's CrossPcieHops.
+  // layer runs rings in this order.
   std::vector<int> PreferredRing(std::vector<int> gpus) const;
-
-  // Number of ring-adjacent GPU pairs that lack a direct NVLink (and would
-  // therefore push collective traffic through the shared PCIe root).
-  int CrossPcieHops(const std::vector<int>& ring) const;
 
  private:
   int num_gpus_ = 0;

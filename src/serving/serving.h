@@ -9,7 +9,7 @@
 // The model is a discrete-event simulation at replica granularity:
 //   * each model service owns an arrival process (trace::ArrivalProcess) and
 //     a latency SLO, and maps to an Orion stream class via its PriorityTier;
-//   * replicas are placed on GPUs by cluster::PlacementEngine::BestGpuFor
+//   * replicas are placed on GPUs by cluster::BestGpuFor
 //     (least added PairInterference, one latency-critical replica per GPU,
 //     memory- and slot-capacity constrained);
 //   * a replica serves one batch at a time; the batch's device-busy time

@@ -67,15 +67,29 @@ TEST(TopologyTest, NvLinkPairsRouting) {
 }
 
 TEST(TopologyTest, PreferredRingUsesNvLinkPairs) {
+  // Ring-adjacent GPU pairs (the 2-ring has one adjacency) without a
+  // direct NVLink: each pushes collective traffic through the PCIe root.
+  auto pcie_hops = [](const NodeTopology& topo, const std::vector<int>& ring) {
+    int hops = 0;
+    const std::size_t adjacencies = ring.size() == 2 ? 1 : ring.size();
+    for (std::size_t i = 0; i < adjacencies; ++i) {
+      hops += topo.NvLinkBetween(ring[i], ring[(i + 1) % ring.size()]) == kInvalidLink ? 1 : 0;
+    }
+    return hops;
+  };
   const NodeTopology topo = NodeTopology::NvLinkPairs(4);
   const auto ring = topo.PreferredRing({0, 1, 2, 3});
   ASSERT_EQ(ring.size(), 4u);
   // Pairs stay adjacent: only the two pair-to-pair seams cross PCIe.
-  EXPECT_EQ(topo.CrossPcieHops(ring), 2);
-  // A deliberately pair-splitting order crosses PCIe on every hop.
-  EXPECT_EQ(topo.CrossPcieHops({0, 2, 1, 3}), 4);
+  EXPECT_EQ(pcie_hops(topo, ring), 2);
+  // The ring keeps pairs together even when handed a pair-splitting order,
+  // which would cross PCIe on every hop.
+  EXPECT_EQ(topo.PreferredRing({0, 2, 1, 3}), ring);
+  EXPECT_EQ(pcie_hops(topo, {0, 2, 1, 3}), 4);
+  // A linked pair forms an all-NVLink ring.
+  EXPECT_EQ(pcie_hops(topo, topo.PreferredRing({2, 3})), 0);
   // Full NVLink: any ring is all-NVLink.
-  EXPECT_EQ(NodeTopology::FullNvLink(4).CrossPcieHops({0, 2, 1, 3}), 0);
+  EXPECT_EQ(pcie_hops(NodeTopology::FullNvLink(4), {0, 2, 1, 3}), 0);
 }
 
 TEST(FabricTest, SingleTransferMatchesAloneTime) {

@@ -361,7 +361,7 @@ TEST(IncrementalPlacementTest, SkipsDeadAndFullGpus) {
   std::vector<cluster::GpuResidents> gpus(3);
   gpus[0].alive = false;
   gpus[1].jobs = {job, job};  // at the 2-job slot limit
-  const auto best = cluster::PlacementEngine::BestGpuFor(job, gpus, 16ull << 30, 2);
+  const auto best = cluster::BestGpuFor(job, gpus, 16ull << 30, 2);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(*best, 2);
 }
@@ -371,21 +371,19 @@ TEST(IncrementalPlacementTest, OneLatencyCriticalJobPerGpu) {
   std::vector<cluster::GpuResidents> gpus(2);
   gpus[0].jobs = {hp};
   gpus[1].jobs = {Signature(ModelId::kMobileNetV2, false)};
-  const auto best = cluster::PlacementEngine::BestGpuFor(hp, gpus, 16ull << 30, 2);
+  const auto best = cluster::BestGpuFor(hp, gpus, 16ull << 30, 2);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(*best, 1);
   // Both GPUs hosting an hp job: nowhere to put a third.
   gpus[1].jobs = {hp};
-  EXPECT_FALSE(
-      cluster::PlacementEngine::BestGpuFor(hp, gpus, 16ull << 30, 2).has_value());
+  EXPECT_FALSE(cluster::BestGpuFor(hp, gpus, 16ull << 30, 2).has_value());
 }
 
 TEST(IncrementalPlacementTest, RespectsMemoryCapacity) {
   auto job = Signature(ModelId::kBert, false);
   std::vector<cluster::GpuResidents> gpus(1);
   gpus[0].used_bytes = (16ull << 30) - job.state_bytes / 2;
-  EXPECT_FALSE(
-      cluster::PlacementEngine::BestGpuFor(job, gpus, 16ull << 30, 4).has_value());
+  EXPECT_FALSE(cluster::BestGpuFor(job, gpus, 16ull << 30, 4).has_value());
 }
 
 TEST(IncrementalPlacementTest, PrefersLeastInterference) {
@@ -393,7 +391,7 @@ TEST(IncrementalPlacementTest, PrefersLeastInterference) {
   std::vector<cluster::GpuResidents> gpus(2);
   gpus[0].jobs = {Signature(ModelId::kResNet50, false)};     // same profile: clashes
   gpus[1].jobs = {Signature(ModelId::kMobileNetV2, false)};  // complementary
-  const auto best = cluster::PlacementEngine::BestGpuFor(job, gpus, 16ull << 30, 2);
+  const auto best = cluster::BestGpuFor(job, gpus, 16ull << 30, 2);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(*best, 1);
 }
