@@ -88,11 +88,15 @@ void Simulator::HeapRemoveAt(std::size_t pos) {
     return;  // removed the last entry
   }
   // Re-seat the displaced tail entry; it may need to move either way.
-  if (pos > 0 && KeyLess(moved.when, moved.key, heap_[(pos - 1) / kHeapArity].when,
+  HeapReplaceAt(pos, moved);
+}
+
+void Simulator::HeapReplaceAt(std::size_t pos, const HeapEntry& entry) {
+  if (pos > 0 && KeyLess(entry.when, entry.key, heap_[(pos - 1) / kHeapArity].when,
                          heap_[(pos - 1) / kHeapArity].key)) {
-    HeapSiftUp(pos, moved);
+    HeapSiftUp(pos, entry);
   } else {
-    HeapSiftDown(pos, moved);
+    HeapSiftDown(pos, entry);
   }
 }
 
@@ -133,6 +137,28 @@ void Simulator::Cancel(EventHandle handle) {
   ReleaseSlot(handle.slot_);
   ORION_CHECK(live_events_ > 0);
   --live_events_;
+}
+
+bool Simulator::Retime(EventHandle handle, DurationUs delay) {
+  ORION_CHECK_MSG(delay >= 0.0, "negative delay: " << delay);
+  if (!handle.valid()) {
+    return false;
+  }
+  ORION_CHECK(handle.slot_ < pool_.size());
+  Slot& s = pool_[handle.slot_];
+  if (s.generation != handle.generation_ || s.heap_index < 0) {
+    return false;  // already ran or cancelled, or waiting in the ring
+  }
+  const TimeUs when = now_ + delay;
+  if (when == now_) {
+    return false;  // belongs in the same-time ring
+  }
+  s.when = when;
+  s.seq = next_seq_++;
+  ORION_CHECK(s.seq < (1ULL << (64 - kSlotBits)));  // packed-heap-key range
+  HeapReplaceAt(static_cast<std::size_t>(s.heap_index),
+                HeapEntry{when, (s.seq << kSlotBits) | handle.slot_});
+  return true;
 }
 
 bool Simulator::RingFront() {

@@ -86,6 +86,15 @@ class Simulator {
   // immediately — cancel-heavy workloads hold no dead memory.
   void Cancel(EventHandle handle);
 
+  // Moves a pending event to `delay` after the current time, in place: the
+  // slot, callback and handle stay, and the event takes a fresh sequence
+  // number, so it orders exactly as Cancel followed by ScheduleAfter would
+  // have ordered it. Returns false, changing nothing, for a handle whose
+  // event already ran or was cancelled, for an event waiting in the
+  // same-time ring, and for a move to the current time; the caller then
+  // falls back to Cancel + ScheduleAfter.
+  bool Retime(EventHandle handle, DurationUs delay);
+
   // Runs events until the queue is empty or the clock passes `until`.
   // Events at exactly `until` still run. Returns the number of events run.
   std::size_t RunUntil(TimeUs until);
@@ -151,6 +160,8 @@ class Simulator {
   void HeapSiftDown(std::size_t pos, HeapEntry entry);
   void HeapPush(std::uint32_t slot);
   void HeapRemoveAt(std::size_t pos);
+  // Re-seats `entry` at `pos`, sifting whichever way its key requires.
+  void HeapReplaceAt(std::size_t pos, const HeapEntry& entry);
 
   // Advances ring_head_ past cancelled entries; true if a live entry waits.
   bool RingFront();

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/simulator.h"
 
 namespace orion {
@@ -230,6 +232,154 @@ TEST(SimulatorTest, MoveOnlyCallbackCapture) {
   sim.ScheduleAfter(1.0, [v = std::move(value), &seen]() { seen = *v; });
   sim.RunUntilIdle();
   EXPECT_EQ(seen, 7);
+}
+
+// Random schedule/cancel/retime churn over a fixed set of timers. With
+// `use_retime`, a move goes through Retime (falling back to Cancel +
+// ScheduleAfter when it refuses); otherwise always through Cancel +
+// ScheduleAfter. Delays come from a coarse grid, zero included, so many
+// events tie on time and only their sequence numbers order them.
+class RetimeChurn {
+ public:
+  RetimeChurn(std::uint64_t seed, bool use_retime) : rng_(seed), use_retime_(use_retime) {}
+
+  void Run() {
+    for (std::size_t i = 0; i < kTimers; ++i) {
+      Move(i, Delay());
+    }
+    sim_.RunUntilIdle();
+  }
+
+  // (timer, time it fired, live events while it ran), in firing order.
+  using Entry = std::tuple<std::size_t, TimeUs, std::size_t>;
+  const std::vector<Entry>& log() const { return log_; }
+  const Simulator& sim() const { return sim_; }
+  std::size_t retimed() const { return retimed_; }
+
+ private:
+  static constexpr std::size_t kTimers = 24;
+  static constexpr std::size_t kBudget = 10000;
+
+  DurationUs Delay() { return 0.5 * static_cast<double>(rng_.UniformInt(0, 6)); }
+
+  void Move(std::size_t timer, DurationUs delay) {
+    if (use_retime_ && sim_.Retime(handles_[timer], delay)) {
+      ++retimed_;
+      return;
+    }
+    sim_.Cancel(handles_[timer]);
+    handles_[timer] = sim_.ScheduleAfter(delay, [this, timer]() { Fire(timer); });
+  }
+
+  void Fire(std::size_t timer) {
+    log_.emplace_back(timer, sim_.now(), sim_.live_events());
+    if (log_.size() >= kBudget) {
+      return;
+    }
+    if (rng_.NextDouble() < 0.9) {
+      Move(timer, Delay());  // re-arm: the handle is stale, so this schedules
+    }
+    const std::int64_t actions = rng_.UniformInt(0, 2);
+    for (std::int64_t a = 0; a < actions; ++a) {
+      const auto target = static_cast<std::size_t>(rng_.UniformInt(0, kTimers - 1));
+      if (rng_.NextDouble() < 0.1) {
+        sim_.Cancel(handles_[target]);
+      } else {
+        Move(target, Delay());
+      }
+    }
+  }
+
+  Rng rng_;
+  bool use_retime_;
+  Simulator sim_;
+  EventHandle handles_[kTimers];
+  std::vector<Entry> log_;
+  std::size_t retimed_ = 0;
+};
+
+TEST(SimulatorRetimeTest, ChurnMatchesCancelAndSchedule) {
+  for (std::uint64_t seed : {1, 2, 3, 17, 97}) {
+    RetimeChurn retime(seed, /*use_retime=*/true);
+    RetimeChurn reschedule(seed, /*use_retime=*/false);
+    retime.Run();
+    reschedule.Run();
+    EXPECT_GT(retime.retimed(), 1000u) << "seed " << seed;
+    EXPECT_GE(retime.log().size(), 10000u) << "seed " << seed;
+    EXPECT_EQ(retime.log(), reschedule.log()) << "seed " << seed;
+    EXPECT_EQ(retime.sim().events_processed(), reschedule.sim().events_processed());
+    EXPECT_EQ(retime.sim().live_events(), reschedule.sim().live_events());
+    EXPECT_LE(retime.sim().pool_slots(), reschedule.sim().pool_slots());
+  }
+}
+
+TEST(SimulatorRetimeTest, MovesEventsEarlierAndLater) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventHandle a = sim.ScheduleAt(1.0, [&]() { order.push_back(1); });
+  sim.ScheduleAt(2.0, [&]() { order.push_back(2); });
+  const EventHandle c = sim.ScheduleAt(3.0, [&]() { order.push_back(3); });
+  EXPECT_TRUE(sim.Retime(c, 0.5));
+  EXPECT_TRUE(sim.Retime(a, 5.0));
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
+  EXPECT_EQ(sim.now(), 5.0);
+}
+
+// A retimed event takes a fresh sequence number: it runs after events
+// already scheduled for the same time, as a re-scheduled one would.
+TEST(SimulatorRetimeTest, RetimedEventQueuesBehindSameTimeEvents) {
+  Simulator sim;
+  std::vector<int> order;
+  const EventHandle first = sim.ScheduleAt(1.0, [&]() { order.push_back(0); });
+  sim.ScheduleAt(2.0, [&]() { order.push_back(1); });
+  EXPECT_TRUE(sim.Retime(first, 2.0));
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+}
+
+TEST(SimulatorRetimeTest, RefusesStaleRingResidentAndZeroDelay) {
+  Simulator sim;
+  int ran = 0;
+  EXPECT_FALSE(sim.Retime(EventHandle(), 1.0));  // never scheduled
+
+  const EventHandle done = sim.ScheduleAt(1.0, [&]() { ++ran; });
+  sim.RunUntilIdle();
+  EXPECT_FALSE(sim.Retime(done, 1.0));  // already ran
+
+  const EventHandle cancelled = sim.ScheduleAfter(1.0, [&]() { ++ran; });
+  sim.Cancel(cancelled);
+  EXPECT_FALSE(sim.Retime(cancelled, 1.0));  // already cancelled
+
+  const EventHandle later = sim.ScheduleAfter(10.0, [&]() { ++ran; });
+  EXPECT_FALSE(sim.Retime(later, 0.0));  // a zero delay belongs in the ring
+  bool ring_refused = false;
+  sim.ScheduleAfter(1.0, [&]() {
+    const EventHandle ring = sim.ScheduleAfter(0.0, [&]() { ++ran; });
+    ring_refused = !sim.Retime(ring, 3.0);
+  });
+  sim.RunUntilIdle();
+  EXPECT_TRUE(ring_refused);
+  EXPECT_EQ(ran, 3);  // done, the ring event at its old time, and `later`
+  EXPECT_EQ(sim.now(), 11.0);
+}
+
+TEST(SimulatorRetimeTest, CancelAfterRetimeAndFlatPool) {
+  Simulator sim;
+  int ran = 0;
+  const EventHandle handle = sim.ScheduleAfter(1.0, [&]() { ++ran; });
+  const std::size_t slots = sim.pool_slots();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(sim.Retime(handle, 1.0 + (i % 7)));
+  }
+  EXPECT_EQ(sim.pool_slots(), slots);
+  EXPECT_EQ(sim.live_events(), 1u);
+  sim.Cancel(handle);
+  EXPECT_EQ(sim.live_events(), 0u);
+  EXPECT_TRUE(sim.Idle());
+  sim.RunUntilIdle();
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(sim.events_processed(), 0u);
 }
 
 TEST(SimulatorDeathTest, SchedulingInThePastAborts) {
