@@ -1,7 +1,9 @@
 #include "src/gpusim/device.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -42,11 +44,29 @@ Device::Device(Simulator* sim, DeviceSpec spec) : sim_(sim), spec_(std::move(spe
   last_update_ = sim_->now();
 }
 
+void Device::OpQueue::pop_front() {
+  ORION_CHECK(!empty());
+  Op& op = ops_[head_];
+  op.external = nullptr;
+  op.done = nullptr;
+  ++head_;
+  if (head_ == ops_.size()) {
+    ops_.clear();
+    head_ = 0;
+  } else if (head_ >= 32 && 2 * head_ >= ops_.size()) {
+    // Each op moves at most once per compaction, and only after at least
+    // as many were popped: amortized O(1).
+    ops_.erase(ops_.begin(), ops_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
 void Device::DegradeSms(int sms_lost) {
   ORION_CHECK(sms_lost >= 0);
   // Integrate progress at the old capacity before shrinking it.
   AdvanceTo(sim_->now());
   effective_sms_ = std::max(1, effective_sms_ - sms_lost);
+  needs_full_pass_ = true;
   // Reschedule recomputes targets against the shrunken pool; kernels holding
   // more than their new target drain via the rebalance quantum (running
   // blocks are never preempted, they retire).
@@ -57,11 +77,12 @@ void Device::ScaleMembw(double factor) {
   ORION_CHECK(factor > 0.0);
   AdvanceTo(sim_->now());
   membw_factor_ *= factor;
+  rates_valid_ = false;
   Reschedule();
 }
 
 StreamId Device::CreateStream(int priority) {
-  streams_.push_back(Stream{priority, std::pow(4.0, priority), {}, false});
+  streams_.push_back(Stream{priority, std::pow(4.0, priority), OpQueue(), false});
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
@@ -235,11 +256,13 @@ void Device::ActivateStreamHead(StreamId stream_id) {
         rk.block_duration = std::max(1.0, front.kernel.duration_us / waves);
         rk.started_at = sim_->now();
         rk.seq = front.seq;
-        rk.desc = std::move(front.kernel);  // the op is popped below
+        rk.desc = front.kernel;
         rk.done = std::move(front.done);
         stream.queue.pop_front();
         stream.head_active = true;
+        // Appended with no SMs: existing indices and the rate cache hold.
         running_.push_back(std::move(rk));
+        needs_full_pass_ = true;
         return;  // SM grant happens in Reschedule()
       }
       case Op::Type::kExternal: {
@@ -346,12 +369,13 @@ void Device::StartNextCopy() {
   copy_event_ = sim_->ScheduleAfter(duration, std::move(on_chunk_done));
 }
 
-void Device::ComputeRates(std::vector<std::pair<RunningKernel*, double>>* rates) {
+void Device::ComputeRates(std::vector<KernelRate>* rates) const {
   rates->clear();
   // Aggregate demand on each device-wide resource (scaled by SM share).
   double compute = 0.0;
   double membw = 0.0;
-  for (RunningKernel& rk : running_) {
+  for (std::size_t i = 0; i < running_.size(); ++i) {
+    const RunningKernel& rk = running_[i];
     if (rk.sm_needed <= 0 || rk.granted <= kGrantEpsilon) {
       continue;
     }
@@ -360,10 +384,11 @@ void Device::ComputeRates(std::vector<std::pair<RunningKernel*, double>>* rates)
     // Utilizations are fractions of the healthy peak; degraded bandwidth
     // makes the same traffic a larger fraction of what is left.
     membw += rk.desc.membw_util * share / membw_factor_;
-    rates->emplace_back(&rk, share);
+    rates->push_back(KernelRate{i, share});
   }
   const double slowdown = std::max({1.0, compute, membw});
-  for (auto& [rk, share] : *rates) {
+  for (auto& [index, share] : *rates) {
+    const RunningKernel* rk = &running_[index];
     // Co-residency penalty: other resident kernels' memory traffic pollutes
     // the caches and row buffers this kernel depends on, costing it
     // throughput even when aggregate bandwidth demand is below peak. The
@@ -377,19 +402,36 @@ void Device::ComputeRates(std::vector<std::pair<RunningKernel*, double>>* rates)
   }
 }
 
+const std::vector<Device::KernelRate>& Device::Rates() {
+  if (!rates_valid_) {
+    ComputeRates(&rates_);
+    rates_valid_ = true;
+  } else if (debug_oracle_) {
+    ComputeRates(&oracle_rates_);
+    ORION_CHECK_MSG(oracle_rates_.size() == rates_.size(), "stale rate cache: kernel count");
+    for (std::size_t i = 0; i < rates_.size(); ++i) {
+      ORION_CHECK_MSG(oracle_rates_[i].index == rates_[i].index &&
+                          std::bit_cast<std::uint64_t>(oracle_rates_[i].rate) ==
+                              std::bit_cast<std::uint64_t>(rates_[i].rate),
+                      "stale rate cache at kernel " << rates_[i].index);
+    }
+  }
+  return rates_;
+}
+
 void Device::AdvanceTo(TimeUs now) {
   const DurationUs dt = now - last_update_;
   if (dt <= 0.0) {
     last_update_ = now;
     return;
   }
-  ComputeRates(&rates_scratch_);
   double delivered_compute = 0.0;
   double delivered_membw = 0.0;
-  for (const auto& [rk, rate] : rates_scratch_) {
-    rk->remaining = std::max(0.0, rk->remaining - rate * dt);
-    delivered_compute += rk->desc.compute_util * rate;
-    delivered_membw += rk->desc.membw_util * rate;
+  for (const auto& [index, rate] : Rates()) {
+    RunningKernel& rk = running_[index];
+    rk.remaining = std::max(0.0, rk.remaining - rate * dt);
+    delivered_compute += rk.desc.compute_util * rate;
+    delivered_membw += rk.desc.membw_util * rate;
   }
   const double sm_busy = std::min(1.0, GrantedTotal() / effective_sms_);
   utilization_.Record(last_update_, now, std::min(1.0, delivered_compute),
@@ -398,10 +440,14 @@ void Device::AdvanceTo(TimeUs now) {
 }
 
 void Device::CompleteFinishedKernels() {
-  for (auto it = running_.begin(); it != running_.end();) {
-    if (it->remaining <= kRemainingEpsilon && it->granted > kGrantEpsilon) {
-      RunningKernel rk = std::move(*it);
-      it = running_.erase(it);
+  // Index-based: FinishOp may start the stream's next kernel, which appends
+  // to running_ (it holds no SMs, so this loop skips it).
+  for (std::size_t i = 0; i < running_.size();) {
+    if (running_[i].remaining <= kRemainingEpsilon && running_[i].granted > kGrantEpsilon) {
+      RunningKernel rk = std::move(running_[i]);
+      running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(i));
+      rates_valid_ = false;
+      needs_full_pass_ = true;
       ++kernels_completed_;
       if (trace_sink_) {
         KernelExecRecord record;
@@ -415,7 +461,7 @@ void Device::CompleteFinishedKernels() {
       }
       FinishOp(rk.stream, std::move(rk.done));
     } else {
-      ++it;
+      ++i;
     }
   }
 }
@@ -428,11 +474,9 @@ void Device::ComputeTargets() {
   // low-priority blocks still trickle in between memory stalls, so priority
   // biases rather than starves — which is why the paper still needs the
   // DUR_THRESHOLD throttle on top of priorities (§5.1.2).
-  std::vector<RunningKernel*>& kernels = targets_scratch_;
-  kernels.clear();
-  for (RunningKernel& rk : running_) {
+  std::vector<RunningKernel>& kernels = running_;
+  for (RunningKernel& rk : kernels) {
     rk.target = 0.0;
-    kernels.push_back(&rk);
   }
   double remaining = static_cast<double>(effective_sms_);
   std::vector<std::uint8_t>& capped = capped_scratch_;
@@ -441,8 +485,8 @@ void Device::ComputeTargets() {
     double weighted_demand = 0.0;
     for (std::size_t i = 0; i < kernels.size(); ++i) {
       if (!capped[i]) {
-        const double weight = streams_[static_cast<std::size_t>(kernels[i]->stream)].weight;
-        weighted_demand += weight * kernels[i]->sm_needed;
+        const double weight = streams_[static_cast<std::size_t>(kernels[i].stream)].weight;
+        weighted_demand += weight * kernels[i].sm_needed;
       }
     }
     if (weighted_demand <= kGrantEpsilon) {
@@ -455,16 +499,16 @@ void Device::ComputeTargets() {
       if (capped[i]) {
         continue;
       }
-      const double weight = streams_[static_cast<std::size_t>(kernels[i]->stream)].weight;
-      const double share = fill * weight * kernels[i]->sm_needed;
-      const double demand = static_cast<double>(kernels[i]->sm_needed);
+      const double weight = streams_[static_cast<std::size_t>(kernels[i].stream)].weight;
+      const double share = fill * weight * kernels[i].sm_needed;
+      const double demand = static_cast<double>(kernels[i].sm_needed);
       if (share >= demand) {
-        kernels[i]->target = demand;
+        kernels[i].target = demand;
         used += demand;
         capped[i] = 1;
         any_capped = true;
       } else {
-        kernels[i]->target = share;  // provisional; refined if others cap out
+        kernels[i].target = share;  // provisional; refined if others cap out
         used += share;
       }
     }
@@ -475,9 +519,9 @@ void Device::ComputeTargets() {
     remaining = static_cast<double>(effective_sms_);
     for (std::size_t i = 0; i < kernels.size(); ++i) {
       if (capped[i]) {
-        remaining -= kernels[i]->target;
+        remaining -= kernels[i].target;
       } else {
-        kernels[i]->target = 0.0;
+        kernels[i].target = 0.0;
       }
     }
     remaining = std::max(0.0, remaining);
@@ -504,10 +548,61 @@ void Device::MaybeScheduleRebalance() {
         rk.granted = std::max(rk.target, rk.granted - releasable);
       }
     }
+    rates_valid_ = false;
+    needs_full_pass_ = true;
     // Freed SMs are re-granted (and further shrink ticks scheduled) by the
     // normal path.
     Reschedule();
   });
+}
+
+bool Device::CleanState() const {
+  if (needs_full_pass_) {
+    return false;
+  }
+  // Targets are those of the last full pass (same running set and SM pool),
+  // so the grant loop would only retire a finished kernel or grant free SMs
+  // to an under-target one.
+  const double free = static_cast<double>(effective_sms_) - GrantedTotal();
+  for (const RunningKernel& rk : running_) {
+    if (rk.granted > kGrantEpsilon && rk.remaining <= kRemainingEpsilon) {
+      return false;
+    }
+    if (free > kGrantEpsilon && rk.granted + kGrantEpsilon < rk.target) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void Device::CheckCleanStateOracle() {
+  ++debug_oracle_checks_;
+  // The full pass would retire nothing...
+  for (const RunningKernel& rk : running_) {
+    ORION_CHECK_MSG(!(rk.granted > kGrantEpsilon && rk.remaining <= kRemainingEpsilon),
+                    "clean path skipped a finished kernel");
+  }
+  // ...recompute the same targets...
+  oracle_targets_.clear();
+  for (const RunningKernel& rk : running_) {
+    oracle_targets_.push_back(rk.target);
+  }
+  ComputeTargets();
+  for (std::size_t i = 0; i < running_.size(); ++i) {
+    ORION_CHECK_MSG(std::bit_cast<std::uint64_t>(oracle_targets_[i]) ==
+                        std::bit_cast<std::uint64_t>(running_[i].target),
+                    "stale allocation target at kernel " << i);
+  }
+  // ...grant nothing, and find any grant/target mismatch already covered
+  // by a pending rebalance tick.
+  const double free = static_cast<double>(effective_sms_) - GrantedTotal();
+  for (const RunningKernel& rk : running_) {
+    ORION_CHECK_MSG(!(free > kGrantEpsilon && rk.granted + kGrantEpsilon < rk.target),
+                    "clean path skipped a grant");
+    ORION_CHECK_MSG(rebalance_pending_ ||
+                        !(rk.granted > rk.target + 1e-6 || rk.granted + 1e-6 < rk.target),
+                    "clean path skipped a rebalance");
+  }
 }
 
 void Device::Reschedule() {
@@ -517,75 +612,92 @@ void Device::Reschedule() {
   in_reschedule_ = true;
   AdvanceTo(sim_->now());
 
-  // Retiring kernels frees SMs; freed SMs may start pending kernels whose
-  // duration is zero-ish, which retire immediately — hence the loop.
-  for (int iteration = 0; iteration < 1024; ++iteration) {
-    CompleteFinishedKernels();
-    ComputeTargets();
-
-    // Growth is immediate: under-target kernels absorb free SMs in
-    // (priority, submission) order. Shrinking waits for the rebalance
-    // quantum — granted SMs are never revoked instantly (no preemption of
-    // running blocks).
-    std::vector<RunningKernel*>& wanting = wanting_scratch_;
-    wanting.clear();
-    for (RunningKernel& rk : running_) {
-      if (rk.granted + kGrantEpsilon < rk.target) {
-        wanting.push_back(&rk);
-      }
+  if (CleanState()) {
+    // Nothing retires, re-targets or grows: only the completion time moves.
+    if (debug_oracle_) {
+      CheckCleanStateOracle();
     }
-    std::sort(wanting.begin(), wanting.end(), [this](const RunningKernel* a,
-                                                     const RunningKernel* b) {
-      const int pa = streams_[static_cast<std::size_t>(a->stream)].priority;
-      const int pb = streams_[static_cast<std::size_t>(b->stream)].priority;
-      if (pa != pb) {
-        return pa > pb;
+  } else {
+    // Retiring kernels frees SMs; freed SMs may start pending kernels whose
+    // duration is zero-ish, which retire immediately — hence the loop.
+    for (int iteration = 0; iteration < 1024; ++iteration) {
+      CompleteFinishedKernels();
+      ComputeTargets();
+      // The targets now cover every started kernel; grants below belong to
+      // this pass.
+      needs_full_pass_ = false;
+
+      // Growth is immediate: under-target kernels absorb free SMs in
+      // (priority, submission) order. Shrinking waits for the rebalance
+      // quantum — granted SMs are never revoked instantly (no preemption of
+      // running blocks).
+      std::vector<std::size_t>& wanting = wanting_scratch_;
+      wanting.clear();
+      for (std::size_t i = 0; i < running_.size(); ++i) {
+        if (running_[i].granted + kGrantEpsilon < running_[i].target) {
+          wanting.push_back(i);
+        }
       }
-      return a->seq < b->seq;
-    });
-    double free = static_cast<double>(effective_sms_) - GrantedTotal();
-    for (RunningKernel* rk : wanting) {
-      if (free <= kGrantEpsilon) {
+      std::sort(wanting.begin(), wanting.end(), [this](std::size_t a, std::size_t b) {
+        const RunningKernel& ka = running_[a];
+        const RunningKernel& kb = running_[b];
+        const int pa = streams_[static_cast<std::size_t>(ka.stream)].priority;
+        const int pb = streams_[static_cast<std::size_t>(kb.stream)].priority;
+        if (pa != pb) {
+          return pa > pb;
+        }
+        return ka.seq < kb.seq;
+      });
+      double free = static_cast<double>(effective_sms_) - GrantedTotal();
+      for (std::size_t i : wanting) {
+        if (free <= kGrantEpsilon) {
+          break;
+        }
+        RunningKernel& rk = running_[i];
+        const double grant = std::min(free, rk.target - rk.granted);
+        rk.granted += grant;
+        free -= grant;
+        rates_valid_ = false;
+      }
+
+      // If nothing granted is already finished, the state is stable.
+      bool any_finished = false;
+      for (const RunningKernel& rk : running_) {
+        if (rk.granted > kGrantEpsilon && rk.remaining <= kRemainingEpsilon) {
+          any_finished = true;
+          break;
+        }
+      }
+      if (!any_finished) {
         break;
       }
-      const double grant = std::min(free, rk->target - rk->granted);
-      rk->granted += grant;
-      free -= grant;
     }
 
-    // If nothing granted is already finished, the state is stable.
-    bool any_finished = false;
+    // Any kernel still holding more than its target (or starved below it
+    // with no free capacity) needs a rebalance one block-turnover quantum
+    // from now.
     for (const RunningKernel& rk : running_) {
-      if (rk.granted > kGrantEpsilon && rk.remaining <= kRemainingEpsilon) {
-        any_finished = true;
+      if (rk.granted > rk.target + 1e-6 || rk.granted + 1e-6 < rk.target) {
+        MaybeScheduleRebalance();
         break;
       }
     }
-    if (!any_finished) {
-      break;
-    }
   }
 
-  // Any kernel still holding more than its target (or starved below it with
-  // no free capacity) needs a rebalance one block-turnover quantum from now.
-  for (const RunningKernel& rk : running_) {
-    if (rk.granted > rk.target + 1e-6 || rk.granted + 1e-6 < rk.target) {
-      MaybeScheduleRebalance();
-      break;
-    }
-  }
-
-  // Schedule the next completion.
-  sim_->Cancel(completion_event_);
-  completion_event_ = EventHandle();
+  // Re-time the next completion. It moves even when no grant changed: the
+  // remaining work was integrated up to now, and now + remaining / rate is
+  // not bitwise the previous completion time.
   DurationUs next_completion = std::numeric_limits<DurationUs>::infinity();
-  ComputeRates(&rates_scratch_);
-  for (const auto& [rk, rate] : rates_scratch_) {
+  for (const auto& [index, rate] : Rates()) {
     if (rate > 0.0) {
-      next_completion = std::min(next_completion, rk->remaining / rate);
+      next_completion = std::min(next_completion, running_[index].remaining / rate);
     }
   }
-  if (std::isfinite(next_completion)) {
+  if (!std::isfinite(next_completion)) {
+    sim_->Cancel(completion_event_);
+    completion_event_ = EventHandle();
+  } else if (!sim_->Retime(completion_event_, next_completion)) {
+    sim_->Cancel(completion_event_);
     completion_event_ = sim_->ScheduleAfter(next_completion, [this]() { Reschedule(); });
   }
   in_reschedule_ = false;

@@ -26,8 +26,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/time_types.h"
@@ -64,7 +63,7 @@ enum class MemcpyKind : std::uint8_t {
 // the utilization figures).
 struct KernelExecRecord {
   std::uint64_t kernel_id = 0;
-  std::string name;
+  KernelName name;
   StreamId stream = kInvalidStream;
   TimeUs start = 0.0;
   TimeUs end = 0.0;
@@ -162,6 +161,16 @@ class Device {
   void AttachHostLink(HostLinkModel* host_link, int gpu_index);
   int gpu_index() const { return gpu_index_; }
 
+  // --- Debug oracle. ---
+  // When on, every Reschedule recomputes the progress rates and allocation
+  // targets from scratch and checks them bitwise against the cached ones,
+  // and a Reschedule that takes the clean-state path also checks that the
+  // full grant loop would have retired, re-targeted and granted nothing.
+  // Any divergence is a fatal ORION_CHECK. Meant for tests.
+  void set_debug_oracle(bool on) { debug_oracle_ = on; }
+  // Clean-state passes the oracle checked.
+  std::size_t debug_oracle_checks() const { return debug_oracle_checks_; }
+
  private:
   struct Op {
     enum class Type : std::uint8_t { kKernel, kMemcpy, kMemset, kEvent, kExternal };
@@ -175,10 +184,27 @@ class Device {
     std::uint64_t seq = 0;        // global submission order (determinism)
   };
 
+  // FIFO of not-yet-started ops in one vector that keeps its capacity, so
+  // a stream in steady state enqueues and starts ops without allocating (a
+  // std::deque allocates a block every few pushes). Popped ops stay behind
+  // `head_` until the queue drains or they make up half of it.
+  class OpQueue {
+   public:
+    bool empty() const { return head_ == ops_.size(); }
+    Op& front() { return ops_[head_]; }
+    void push_back(Op&& op) { ops_.push_back(std::move(op)); }
+    // Drops the front op; its callables must already be moved out or dead.
+    void pop_front();
+
+   private:
+    std::vector<Op> ops_;
+    std::size_t head_ = 0;
+  };
+
   struct Stream {
     int priority = kPriorityDefault;
     double weight = 1.0;         // water-filling weight, 4^priority
-    std::deque<Op> queue;        // ops not yet started (front = next)
+    OpQueue queue;               // ops not yet started (front = next)
     bool head_active = false;    // front-of-queue op currently executing
   };
 
@@ -198,6 +224,12 @@ class Device {
     CompletionCb done;
   };
 
+  // Progress rate of one SM-holding kernel, by its index in running_.
+  struct KernelRate {
+    std::size_t index = 0;
+    double rate = 0.0;
+  };
+
   struct PendingCopy {
     StreamId stream = kInvalidStream;
     std::size_t bytes = 0;            // bytes left to transfer
@@ -215,15 +247,23 @@ class Device {
   // capacity first; within a tier, capacity splits proportionally to demand
   // (the hardware dispatcher round-robins block dispatch across streams).
   void ComputeTargets();
-  // Fills (kernel, progress rate) pairs for every kernel holding SMs,
+  // Fills (kernel index, progress rate) pairs for every kernel holding SMs,
   // applying the proportional resource slowdown and the cross-kernel memory
   // interference penalty.
-  void ComputeRates(std::vector<std::pair<RunningKernel*, double>>* rates);
-  // Grants free SMs to under-target kernels, recomputes rates, and
-  // (re)schedules the next completion event. Grants only grow here; shrinks
-  // happen at rebalance events one block-turnover quantum later, modelling
-  // that running thread blocks are never preempted but retire continuously.
+  void ComputeRates(std::vector<KernelRate>* rates) const;
+  // The cached ComputeRates result, recomputed only after a grant, the
+  // running set or membw_factor_ changed. A newly started kernel holds no
+  // SMs, so it has no rate and starting one keeps the cache.
+  const std::vector<KernelRate>& Rates();
+  // Grants free SMs to under-target kernels and (re)times the next
+  // completion event. Grants only grow here; shrinks happen at rebalance
+  // events one block-turnover quantum later, modelling that running thread
+  // blocks are never preempted but retire continuously. When nothing
+  // changed since the last full pass and the grant loop would change
+  // nothing (CleanState), only progress and the completion time move.
   void Reschedule();
+  bool CleanState() const;
+  void CheckCleanStateOracle();
   void MaybeScheduleRebalance();
   double GrantedTotal() const;
   // Retires every running kernel whose remaining work reached zero.
@@ -241,19 +281,25 @@ class Device {
   int effective_sms_ = 0;      // spec_.num_sms minus injected degradation
   double membw_factor_ = 1.0;  // remaining fraction of peak memory bandwidth
   std::vector<Stream> streams_;
-  std::list<RunningKernel> running_;
+  std::vector<RunningKernel> running_;  // insertion order = summation order
   std::uint64_t next_seq_ = 0;
   TimeUs last_update_ = 0.0;
   EventHandle completion_event_;
   bool in_reschedule_ = false;
   bool rebalance_pending_ = false;
-  // Scratch for ComputeRates callers, ComputeTargets and Reschedule (each
-  // runs at least once per device event; reusing the buffers keeps the hot
-  // path allocation-free).
-  std::vector<std::pair<RunningKernel*, double>> rates_scratch_;
-  std::vector<RunningKernel*> targets_scratch_;
+  // A kernel started or retired, a rebalance tick re-granted, or the SM pool
+  // shrank since the last full Reschedule pass.
+  bool needs_full_pass_ = false;
+  std::vector<KernelRate> rates_;
+  bool rates_valid_ = false;
+  bool debug_oracle_ = false;
+  std::size_t debug_oracle_checks_ = 0;
+  // Scratch for ComputeTargets and Reschedule (each runs at least once per
+  // device event; reusing the buffers keeps the hot path allocation-free).
   std::vector<std::uint8_t> capped_scratch_;  // bytes, not std::vector<bool>
-  std::vector<RunningKernel*> wanting_scratch_;
+  std::vector<std::size_t> wanting_scratch_;
+  std::vector<KernelRate> oracle_rates_;
+  std::vector<double> oracle_targets_;
 
   // Copy engine: single queue, one transfer at a time.
   std::deque<PendingCopy> copy_queue_;

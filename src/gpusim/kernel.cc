@@ -1,7 +1,55 @@
 #include "src/gpusim/kernel.h"
 
+#include <functional>
+#include <mutex>
+#include <ostream>
+#include <unordered_set>
+
 namespace orion {
 namespace gpusim {
+namespace {
+
+// Lets the table be probed with a string_view, so a hit allocates nothing.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view text) const {
+    return std::hash<std::string_view>{}(text);
+  }
+};
+
+// Node-based, so an entry's address is stable across rehashing. Never
+// destroyed: names may be read during static destruction.
+struct NameTable {
+  std::mutex mutex;
+  std::unordered_set<std::string, NameHash, std::equal_to<>> names;
+};
+
+NameTable& Names() {
+  static NameTable* const table = new NameTable;
+  return *table;
+}
+
+}  // namespace
+
+KernelName::KernelName(std::string_view text) {
+  if (text.empty()) {
+    return;
+  }
+  NameTable& table = Names();
+  const std::lock_guard<std::mutex> lock(table.mutex);
+  auto it = table.names.find(text);
+  if (it == table.names.end()) {
+    it = table.names.emplace(text).first;
+  }
+  text_ = &*it;
+}
+
+const std::string& KernelName::str() const {
+  static const std::string kEmpty;
+  return text_ != nullptr ? *text_ : kEmpty;
+}
+
+std::ostream& operator<<(std::ostream& os, KernelName name) { return os << name.str(); }
 
 const char* ResourceProfileName(ResourceProfile profile) {
   switch (profile) {

@@ -9,7 +9,10 @@
 #define SRC_GPUSIM_KERNEL_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "src/common/time_types.h"
 #include "src/gpusim/device_spec.h"
@@ -33,11 +36,39 @@ enum class KernelPhase : std::uint8_t {
   kNone,  // inference or phase-less kernels
 };
 
+// Interned kernel name. Constructing one looks the text up in a
+// process-lifetime table (behind a mutex, so concurrent profiling runs may
+// build kernels); copying one copies a pointer. Equal texts share one entry,
+// so two names compare equal exactly when their pointers do. This keeps
+// KernelDesc trivially copyable: a kernel travels from the client driver
+// through the scheduler queues, the device stream and the running set to
+// its exec record without allocating.
+class KernelName {
+ public:
+  KernelName() = default;  // the empty name
+  KernelName(std::string_view text);
+  KernelName(const char* text) : KernelName(std::string_view(text)) {}
+  KernelName(const std::string& text) : KernelName(std::string_view(text)) {}
+
+  const std::string& str() const;
+
+  friend bool operator==(KernelName a, KernelName b) { return a.text_ == b.text_; }
+  // Exact matches for text, so comparing with a literal or a string does
+  // not have to choose between converting either side.
+  friend bool operator==(KernelName a, const char* b) { return a.str() == b; }
+  friend bool operator==(KernelName a, const std::string& b) { return a.str() == b; }
+
+ private:
+  const std::string* text_ = nullptr;  // null for the empty name
+};
+
+std::ostream& operator<<(std::ostream& os, KernelName name);
+
 struct KernelDesc {
   // Stable identifier: equal kernels across iterations of the same model
   // share an id, which is how profile lookup tables are keyed (§5.2).
   std::uint64_t kernel_id = 0;
-  std::string name;
+  KernelName name;
 
   LaunchGeometry geometry;
 
@@ -58,6 +89,8 @@ struct KernelDesc {
 
   KernelPhase phase = KernelPhase::kNone;
 };
+static_assert(std::is_trivially_copyable_v<KernelDesc>,
+              "KernelDesc is copied per launch; keep it allocation-free");
 
 // Classification rule from §5.2: prefer roofline; else compute-bound if
 // compute_util > 0.6, memory-bound if membw_util > 0.6, else unknown.

@@ -75,7 +75,7 @@ std::size_t TraceCollector::WriteChromeTraceEvents(std::ostream& os, int pid_bas
     }
     *first = false;
     os << "\n{\"name\":";
-    WriteJsonString(os, record.name);
+    WriteJsonString(os, record.name.str());
     os << ",\"cat\":\"kernel\",\"ph\":\"X\",\"ts\":" << record.start
        << ",\"dur\":" << (record.end - record.start) << ",\"pid\":" << pid_base + entry.track
        << ",\"tid\":" << record.stream << ",\"args\":{\"kernel_id\":" << record.kernel_id

@@ -159,7 +159,7 @@ WorkloadProfile MeasureProfile(const gpusim::DeviceSpec& device,
     const gpusim::KernelDesc& kernel = op.kernel;
     KernelProfile kp;
     kp.kernel_id = kernel.kernel_id;
-    kp.name = kernel.name;
+    kp.name = kernel.name.str();
     auto it = measured.find(kernel.kernel_id);
     ORION_CHECK_MSG(it != measured.end(), "kernel never executed: " << kernel.name);
     kp.duration_us = it->second.first / it->second.second;

@@ -20,7 +20,7 @@ TEST(GraphLaunchTest, ExecutesKernelsInOrderWithOneCompletion) {
   const auto stream = rt.CreateStream();
   std::vector<std::string> order;
   rt.device().set_kernel_trace_sink(
-      [&](const gpusim::KernelExecRecord& rec) { order.push_back(rec.name); });
+      [&](const gpusim::KernelExecRecord& rec) { order.push_back(rec.name.str()); });
 
   runtime::Op graph;
   graph.type = runtime::OpType::kGraphLaunch;

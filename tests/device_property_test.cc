@@ -13,8 +13,12 @@
 //   P6  Determinism: identical inputs give identical schedules.
 //   P7  Events: a CUDA event never reports done before every prior op on
 //       its stream completed.
+//   P8  Oracle: the rate cache and the clean-state Reschedule path agree
+//       bitwise with a from-scratch recompute, and switching the debug
+//       oracle on changes no record and no completion time.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <vector>
 
@@ -220,6 +224,98 @@ TEST_P(EventOrderTest, EventNeverFiresBeforePriorOps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventOrderTest, ::testing::Values(7, 11, 19, 42, 97));
+
+// P8 scenario: kernels and copies arriving over time on streams of three
+// priorities, with SM degradation, memory-bandwidth scaling and progress
+// probes mid-run. Everything random is drawn before the run, so both arms
+// see the same inputs whatever the device does.
+struct OracleRun {
+  std::vector<KernelExecRecord> records;
+  std::vector<TimeUs> done_at;  // per submitted op
+  std::size_t oracle_checks = 0;
+};
+
+OracleRun RunOracleScenario(std::uint64_t seed, bool oracle) {
+  constexpr int kStreams = 4;
+  constexpr int kOps = 150;
+  constexpr TimeUs kSpan = 4000.0;
+  const auto soup = MakeSoup(seed, kStreams, kOps);
+  Rng rng(seed ^ 0x5eedULL);
+  Simulator sim;
+  Device device(&sim, DeviceSpec::V100_16GB());
+  device.set_debug_oracle(oracle);
+  device.set_pcie_priority_scheduling(seed % 2 == 0);
+  std::vector<StreamId> streams;
+  for (int s = 0; s < kStreams; ++s) {
+    streams.push_back(device.CreateStream(s % 3));
+  }
+  OracleRun run;
+  run.done_at.assign(soup.size(), -1.0);
+  device.set_kernel_trace_sink(
+      [&](const KernelExecRecord& rec) { run.records.push_back(rec); });
+  for (std::size_t i = 0; i < soup.size(); ++i) {
+    const TimeUs at = rng.UniformDouble(0.0, kSpan);
+    const bool copy = rng.NextDouble() < 0.2;
+    const auto bytes = static_cast<std::size_t>(rng.UniformDouble(1e5, 4e6));
+    const MemcpyKind kind = rng.NextDouble() < 0.5 ? MemcpyKind::kHostToDevice
+                                                    : MemcpyKind::kDeviceToHost;
+    sim.ScheduleAt(at, [&, i, copy, bytes, kind]() {
+      const StreamId stream = streams[static_cast<std::size_t>(soup[i].stream)];
+      auto done = [&run, &sim, i]() { run.done_at[i] = sim.now(); };
+      if (copy) {
+        device.EnqueueMemcpy(stream, bytes, kind, done);
+      } else {
+        device.LaunchKernel(stream, soup[i].kernel, done);
+      }
+    });
+  }
+  for (int f = 0; f < 2; ++f) {
+    const auto sms_lost = static_cast<int>(rng.UniformInt(2, 16));
+    sim.ScheduleAt(rng.UniformDouble(0.0, kSpan), [&, sms_lost]() { device.DegradeSms(sms_lost); });
+    const double factor = rng.UniformDouble(0.5, 1.5);
+    sim.ScheduleAt(rng.UniformDouble(0.0, kSpan), [&, factor]() { device.ScaleMembw(factor); });
+  }
+  for (int p = 0; p < 20; ++p) {
+    const StreamId stream = streams[static_cast<std::size_t>(p % kStreams)];
+    sim.ScheduleAt(rng.UniformDouble(0.0, kSpan),
+                   [&, stream]() { device.StreamExecutedUs(stream); });
+  }
+  sim.RunUntilIdle();
+  run.oracle_checks = device.debug_oracle_checks();
+  return run;
+}
+
+class DeviceOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DeviceOracleTest, CacheAndCleanPathMatchFullRecompute) {
+  const std::uint64_t seed = GetParam();
+  // With the oracle on, any stale rate, stale target or skipped retirement,
+  // grant or rebalance aborts the run.
+  const OracleRun checked = RunOracleScenario(seed, /*oracle=*/true);
+  const OracleRun plain = RunOracleScenario(seed, /*oracle=*/false);
+  EXPECT_GT(checked.oracle_checks, 0u) << "the clean path never ran";
+  EXPECT_EQ(plain.oracle_checks, 0u);
+  ASSERT_EQ(checked.records.size(), plain.records.size());
+  for (std::size_t i = 0; i < plain.records.size(); ++i) {
+    const KernelExecRecord& a = checked.records[i];
+    const KernelExecRecord& b = plain.records[i];
+    EXPECT_EQ(a.kernel_id, b.kernel_id);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.stream, b.stream);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.start), std::bit_cast<std::uint64_t>(b.start));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.end), std::bit_cast<std::uint64_t>(b.end));
+    EXPECT_EQ(a.sm_needed, b.sm_needed);
+  }
+  for (std::size_t i = 0; i < plain.done_at.size(); ++i) {
+    EXPECT_GE(plain.done_at[i], 0.0) << "op " << i << " never completed";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(checked.done_at[i]),
+              std::bit_cast<std::uint64_t>(plain.done_at[i]))
+        << "op " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeviceOracleTest,
+                         ::testing::Values(1, 2, 3, 4, 7, 11, 42, 97));
 
 }  // namespace
 }  // namespace gpusim

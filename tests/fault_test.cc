@@ -362,7 +362,7 @@ class SchedulerFaultTest : public ::testing::Test {
                                                 const gpusim::KernelDesc& kernel) {
     profiler::KernelProfile kp;
     kp.kernel_id = kernel.kernel_id;
-    kp.name = kernel.name;
+    kp.name = kernel.name.str();
     kp.duration_us = kernel.duration_us;
     kp.compute_util = kernel.compute_util;
     kp.membw_util = kernel.membw_util;

@@ -55,10 +55,10 @@ TEST(LlmWorkloadTest, SequentialDecodeStructure) {
   int tok0 = 0;
   int tok_last = 0;
   for (const auto& kernel : kernels) {
-    if (kernel.name.rfind("tok0.", 0) == 0) {
+    if (kernel.name.str().rfind("tok0.", 0) == 0) {
       ++tok0;
     }
-    if (kernel.name.rfind("tok7.", 0) == 0) {
+    if (kernel.name.str().rfind("tok7.", 0) == 0) {
       ++tok_last;
     }
   }

@@ -233,9 +233,9 @@ TEST(ModelZooTest, DepthwiseConvIsMemoryBound) {
   int dw_memory = 0;
   int dw_total = 0;
   for (const auto& kernel : kernels) {
-    if (kernel.name.find(".dw") != std::string::npos &&
-        kernel.name.find("bn") == std::string::npos &&
-        kernel.name.find("relu") == std::string::npos) {
+    if (kernel.name.str().find(".dw") != std::string::npos &&
+        kernel.name.str().find("bn") == std::string::npos &&
+        kernel.name.str().find("relu") == std::string::npos) {
       ++dw_total;
       if (gpusim::ClassifyKernel(kernel) == gpusim::ResourceProfile::kMemoryBound) {
         ++dw_memory;
