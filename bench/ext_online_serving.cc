@@ -16,8 +16,10 @@
 //      spike stays bounded.
 //
 // Deterministic: same seed, same tables. `--quick` shrinks the windows for
-// the CI smoke run.
+// the CI smoke run. The last line encodes the EXPERIMENTS.md verdicts as
+// ACCEPTANCE predicates; CI greps those that hold.
 #include <iostream>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/serving/serving.h"
@@ -66,7 +68,16 @@ const serving::ModelServingResult& Hp(const serving::ServingResult& result) {
   return result.models[0];
 }
 
-void LoadSweepArm() {
+// Verdicts of the four arms, in EXPERIMENTS.md's words.
+struct Acceptance {
+  bool all_policies_slo_to_300 = true;  // every policy >= 0.99 at <= 300 rps
+  bool ia_ge_lo_ge_rr_at_400 = false;   // attainment order at 400 rps
+  bool batching_raises_tput = false;
+  bool autoscaler_raises_attainment = false;
+  bool gpu_death_drops_0 = false;
+};
+
+void LoadSweepArm(Acceptance* acceptance) {
   std::cout << "-- Arm 1: load sweep x routing policy --\n"
             << "ResNet50 (hp, Poisson, 60 ms SLO, 2 replicas / 2 GPUs) with a be\n"
             << "BERT service collocated on one GPU. p99 in ms.\n\n";
@@ -76,28 +87,43 @@ void LoadSweepArm() {
       serving::RoutePolicy::kInterferenceAware};
   Table table({"offered rps", "policy", "attainment", "p50 ms", "p99 ms", "shed"});
   for (const double rps : loads) {
+    std::vector<double> attainment;  // in `policies` order
     for (const serving::RoutePolicy policy : policies) {
       serving::ServingConfig config = BaseConfig(rps);
       config.policy = policy;
       const serving::ServingResult result = serving::RunServing(config);
+      attainment.push_back(Hp(result).slo_attainment);
+      if (rps <= 300.0 && Hp(result).slo_attainment < 0.99) {
+        acceptance->all_policies_slo_to_300 = false;
+      }
       table.AddRow({Cell(rps, 0), serving::RoutePolicyName(policy),
                     Cell(Hp(result).slo_attainment), Cell(UsToMs(Hp(result).latency.p50())),
                     Cell(UsToMs(Hp(result).latency.p99())), Cell(Hp(result).shed)});
+    }
+    if (rps == 400.0) {
+      acceptance->ia_ge_lo_ge_rr_at_400 =
+          attainment[2] >= attainment[1] && attainment[1] >= attainment[0];
     }
   }
   table.Print(std::cout);
 }
 
-void BatchingArm() {
+void BatchingArm(Acceptance* acceptance) {
   std::cout << "\n-- Arm 2: dynamic batching ablation --\n"
             << "Same service at 300 rps, admission off so capacity is visible\n"
             << "as throughput rather than shed volume.\n\n";
   Table table({"batching", "throughput rps", "mean batch", "attainment", "p99 ms"});
+  double throughput_off = 0.0;
   for (const bool enabled : {false, true}) {
     serving::ServingConfig config = BaseConfig(300.0);
     config.admission.enabled = false;
     config.batching.enabled = enabled;
     const serving::ServingResult result = serving::RunServing(config);
+    if (enabled) {
+      acceptance->batching_raises_tput = Hp(result).throughput_rps > throughput_off;
+    } else {
+      throughput_off = Hp(result).throughput_rps;
+    }
     table.AddRow({enabled ? "on" : "off", Cell(Hp(result).throughput_rps, 1),
                   Cell(Hp(result).mean_batch_size), Cell(Hp(result).slo_attainment),
                   Cell(UsToMs(Hp(result).latency.p99()))});
@@ -105,11 +131,12 @@ void BatchingArm() {
   table.Print(std::cout);
 }
 
-void AutoscalerArm() {
+void AutoscalerArm(Acceptance* acceptance) {
   std::cout << "\n-- Arm 3: autoscaler ablation --\n"
             << "Offered load 3x two replicas' unbatched capacity; fixed fleet vs\n"
             << "autoscaled (4 GPUs available). replica-s = active-replica seconds.\n\n";
   Table table({"fleet", "attainment", "p99 ms", "shed", "final replicas", "replica-s"});
+  double fixed_attainment = 0.0;
   for (const bool autoscale : {false, true}) {
     serving::ServingConfig config = BaseConfig(600.0);
     config.num_gpus = 4;
@@ -118,6 +145,11 @@ void AutoscalerArm() {
       config.autoscaler.eval_period_us = SecToUs(0.25);
     }
     const serving::ServingResult result = serving::RunServing(config);
+    if (autoscale) {
+      acceptance->autoscaler_raises_attainment = Hp(result).slo_attainment > fixed_attainment;
+    } else {
+      fixed_attainment = Hp(result).slo_attainment;
+    }
     table.AddRow({autoscale ? "autoscaled" : "fixed", Cell(Hp(result).slo_attainment),
                   Cell(UsToMs(Hp(result).latency.p99())), Cell(Hp(result).shed),
                   Cell(Hp(result).final_replicas), Cell(result.replica_seconds, 1)});
@@ -125,7 +157,7 @@ void AutoscalerArm() {
   table.Print(std::cout);
 }
 
-void FailoverArm() {
+void FailoverArm(Acceptance* acceptance) {
   std::cout << "\n-- Arm 4: failover (kill a GPU mid-run) --\n"
             << "GPU 0 dies a third of the way into the window. Queued and\n"
             << "in-flight requests re-route; a replacement provisions over PCIe.\n\n";
@@ -141,6 +173,9 @@ void FailoverArm() {
       config.fault_plan.events.push_back(death);
     }
     const serving::ServingResult result = serving::RunServing(config);
+    if (kill) {
+      acceptance->gpu_death_drops_0 = Hp(result).dropped == 0;
+    }
     table.AddRow({kill ? "gpu death" : "healthy", Cell(Hp(result).slo_attainment),
                   Cell(UsToMs(Hp(result).latency.p99())), Cell(Hp(result).failed_over),
                   Cell(Hp(result).dropped), Cell(result.replacements)});
@@ -179,12 +214,20 @@ int main(int argc, char** argv) {
   bench::ParseBenchArgs(&argc, argv);
   bench::PrintHeader("Extension (online serving)",
                      "SLO-aware routing, batching, autoscaling and failover");
-  LoadSweepArm();
-  BatchingArm();
-  AutoscalerArm();
-  FailoverArm();
+  Acceptance acceptance;
+  LoadSweepArm(&acceptance);
+  BatchingArm(&acceptance);
+  AutoscalerArm(&acceptance);
+  FailoverArm(&acceptance);
   if (bench::TelemetryRequested()) {
     TelemetryArm();
   }
+  auto yes = [](bool ok) { return ok ? "yes" : "no"; };
+  std::cout << "\nACCEPTANCE online-serving: all-policies-slo@<=300rps="
+            << yes(acceptance.all_policies_slo_to_300)
+            << " ia>=lo>=rr@400rps=" << yes(acceptance.ia_ge_lo_ge_rr_at_400)
+            << " batching-raises-tput=" << yes(acceptance.batching_raises_tput)
+            << " autoscaler-raises-attainment=" << yes(acceptance.autoscaler_raises_attainment)
+            << " gpu-death-drops-0=" << yes(acceptance.gpu_death_drops_0) << "\n";
   return 0;
 }
