@@ -2,11 +2,14 @@
 // collocation matrices: every high-priority model is collocated with every
 // partner workload under every sharing technique; we report the p99 latency
 // of the high-priority job (mean and spread across partners, like the
-// paper's error bars) and the throughput split.
+// paper's error bars), the throughput split and the artefact's ACCEPTANCE
+// line.
 #ifndef BENCH_COLLOCATION_BENCH_H_
 #define BENCH_COLLOCATION_BENCH_H_
 
+#include <algorithm>
 #include <iostream>
+#include <map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -35,11 +38,19 @@ struct MatrixOptions {
   gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();
 };
 
-// Runs the full matrix and prints one table per high-priority model plus a
-// cross-model summary of p99-vs-ideal ratios.
-inline void RunCollocationMatrix(const MatrixOptions& options) {
-  OnlineStats orion_vs_ideal;
-  OnlineStats reef_vs_ideal;
+// Inf-train temporal sharing is catastrophic (EXPERIMENTS.md): its mean p99
+// is at least this multiple of ideal for every high-priority model.
+constexpr double kTemporalCatastropheVsIdeal = 10.0;
+
+// Runs the full matrix and prints one table per high-priority model, a
+// cross-model summary of p99-vs-ideal ratios and an `ACCEPTANCE <artefact>:`
+// line encoding the EXPERIMENTS.md verdict.
+inline void RunCollocationMatrix(const char* artefact, const MatrixOptions& options) {
+  using harness::SchedulerKind;
+  // Per technique, across high-priority models: mean p99 / ideal, and the
+  // spread (σ) of p99 across the collocated partners.
+  std::map<SchedulerKind, OnlineStats> vs_ideal;
+  std::map<SchedulerKind, OnlineStats> sigma;
 
   for (auto hp_model : AllModels()) {
     const double hp_rps = trace::RequestsPerSecond(hp_model, options.rate_case);
@@ -80,12 +91,8 @@ inline void RunCollocationMatrix(const MatrixOptions& options) {
         ideal_p99 = p99.mean();
       }
       const double ratio = ideal_p99 > 0 ? p99.mean() / ideal_p99 : 0.0;
-      if (scheduler == harness::SchedulerKind::kOrion) {
-        orion_vs_ideal.Add(ratio);
-      }
-      if (scheduler == harness::SchedulerKind::kReef) {
-        reef_vs_ideal.Add(ratio);
-      }
+      vs_ideal[scheduler].Add(ratio);
+      sigma[scheduler].Add(p99.stddev());
       table.AddRow({harness::SchedulerKindName(scheduler), Cell(p99.mean(), 2),
                     Cell(p99.stddev(), 2), Cell(ratio, 2), Cell(hp_tput.mean(), 1),
                     Cell(be_tput.mean(), 2)});
@@ -94,11 +101,28 @@ inline void RunCollocationMatrix(const MatrixOptions& options) {
     std::cout << "\n";
   }
 
+  const OnlineStats& orion = vs_ideal[SchedulerKind::kOrion];
+  const OnlineStats& reef = vs_ideal[SchedulerKind::kReef];
   std::cout << "summary across all high-priority models:\n"
-            << "  Orion p99 / ideal: mean " << Cell(orion_vs_ideal.mean(), 2) << "x (max "
-            << Cell(orion_vs_ideal.max(), 2) << "x)\n"
-            << "  REEF  p99 / ideal: mean " << Cell(reef_vs_ideal.mean(), 2) << "x (max "
-            << Cell(reef_vs_ideal.max(), 2) << "x)\n";
+            << "  Orion p99 / ideal: mean " << Cell(orion.mean(), 2) << "x (max "
+            << Cell(orion.max(), 2) << "x)\n"
+            << "  REEF  p99 / ideal: mean " << Cell(reef.mean(), 2) << "x (max "
+            << Cell(reef.max(), 2) << "x)\n";
+
+  const double passthrough = std::min(vs_ideal[SchedulerKind::kStreams].mean(),
+                                      vs_ideal[SchedulerKind::kMps].mean());
+  const double orion_sigma = sigma[SchedulerKind::kOrion].mean();
+  auto yes = [](bool ok) { return ok ? "yes" : "no"; };
+  std::cout << "ACCEPTANCE " << artefact << ": orion<=reef<=streams,mps@mean-p99-vs-ideal="
+            << yes(orion.mean() <= reef.mean() && reef.mean() <= passthrough)
+            << " orion-sigma-below-streams,mps="
+            << yes(orion_sigma < sigma[SchedulerKind::kStreams].mean() &&
+                   orion_sigma < sigma[SchedulerKind::kMps].mean());
+  if (options.partners_are_training) {
+    std::cout << " temporal-p99@>=10x-ideal-every-model="
+              << yes(vs_ideal[SchedulerKind::kTemporal].min() >= kTemporalCatastropheVsIdeal);
+  }
+  std::cout << "\n";
 }
 
 }  // namespace bench

@@ -56,7 +56,6 @@ serving::ModelServiceConfig BertBackground() {
 serving::ServingConfig BaseConfig(double rps) {
   serving::ServingConfig config;
   config.num_gpus = 2;
-  config.max_replicas_per_gpu = 2;
   config.warmup_us = bench::WarmupWindowUs();
   config.duration_us = bench::MeasureWindowUs();
   config.seed = bench::GlobalBenchArgs().seed;

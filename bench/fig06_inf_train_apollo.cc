@@ -17,6 +17,6 @@ int main(int argc, char** argv) {
   options.hp_arrivals = harness::ClientConfig::Arrivals::kApollo;
   options.rate_case = trace::CollocationCase::kInfTrainPoisson;  // same mean rates
   options.partners_are_training = true;
-  bench::RunCollocationMatrix(options);
+  bench::RunCollocationMatrix("fig06", options);
   return 0;
 }

@@ -15,6 +15,6 @@ int main(int argc, char** argv) {
   options.hp_arrivals = harness::ClientConfig::Arrivals::kPoisson;
   options.rate_case = trace::CollocationCase::kInfTrainPoisson;
   options.partners_are_training = true;
-  bench::RunCollocationMatrix(options);
+  bench::RunCollocationMatrix("fig07", options);
   return 0;
 }

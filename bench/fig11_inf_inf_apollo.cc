@@ -17,6 +17,6 @@ int main(int argc, char** argv) {
   options.partners_are_training = false;
   options.be_arrivals = harness::ClientConfig::Arrivals::kUniform;
   options.be_rate_case = trace::CollocationCase::kInfInfUniform;
-  bench::RunCollocationMatrix(options);
+  bench::RunCollocationMatrix("fig11", options);
   return 0;
 }

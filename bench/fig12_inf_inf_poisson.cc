@@ -16,6 +16,6 @@ int main(int argc, char** argv) {
   options.partners_are_training = false;
   options.be_arrivals = harness::ClientConfig::Arrivals::kPoisson;
   options.be_rate_case = trace::CollocationCase::kInfInfPoisson;
-  bench::RunCollocationMatrix(options);
+  bench::RunCollocationMatrix("fig12", options);
   return 0;
 }

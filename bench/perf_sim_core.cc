@@ -374,7 +374,6 @@ serving::ServingConfig ServingQuickConfig() {
 
   serving::ServingConfig config;
   config.num_gpus = 2;
-  config.max_replicas_per_gpu = 2;
   config.policy = serving::RoutePolicy::kInterferenceAware;
   // The --quick windows of bench_util, independent of this binary's flags so
   // the measurement is comparable across runs.

@@ -1,8 +1,9 @@
 #include "src/baselines/reef.h"
 
-#include "src/core/op_view.h"
-
+#include <algorithm>
 #include <utility>
+
+#include "src/core/op_view.h"
 
 #include "src/common/check.h"
 
@@ -29,22 +30,6 @@ void ReefScheduler::Attach(Simulator* sim, runtime::GpuRuntime* rt,
   }
 }
 
-int ReefScheduler::SmsNeededFor(const BeClient& be, const gpusim::KernelDesc& kernel) const {
-  int needed = 0;
-  if (be.profile != nullptr) {
-    if (const profiler::KernelProfile* kp = be.profile->Find(kernel.kernel_id)) {
-      needed = kp->sm_needed;
-    }
-  }
-  if (needed == 0) {
-    needed = gpusim::SmsNeeded(rt_->device().spec(), kernel.geometry);
-  }
-  // REEF's padding operates at thread-block granularity: a grid larger than
-  // the device still fits into leftover SMs wave by wave, so the effective
-  // requirement is capped at device size.
-  return std::min(needed, rt_->device().spec().num_sms);
-}
-
 void ReefScheduler::Enqueue(core::ClientId client, core::SchedOp op) {
   if (client == hp_client_) {
     // High-priority ops bypass every best-effort queue (REEF-N's restricted
@@ -65,73 +50,44 @@ void ReefScheduler::Enqueue(core::ClientId client, core::SchedOp op) {
     }
     return;
   }
-  for (BeClient& be : be_clients_) {
-    if (be.id == client) {
-      be.queue.push_back(std::move(op));
-      PollBestEffort();
-      return;
-    }
-  }
-  ORION_CHECK_MSG(false, "enqueue from unknown client " << client);
+  BeClient* be = core::FindClient(be_clients_, client);
+  ORION_CHECK_MSG(be != nullptr, "enqueue from unknown client " << client);
+  be->queue.push_back(std::move(op));
+  PollBestEffort();
 }
 
 void ReefScheduler::PollBestEffort() {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t step = 0; step < be_clients_.size(); ++step) {
-      BeClient& be = be_clients_[(rr_cursor_ + step) % be_clients_.size()];
-      if (be.queue.empty()) {
-        continue;
-      }
-      core::SchedOp& head = be.queue.front();
-
-      if (!core::IsComputeOp(head.op)) {
-        core::SchedOp op = std::move(head);
-        be.queue.pop_front();
-        rt_->Submit(op.op, be.stream, std::move(op.on_complete));
-        progress = true;
-        continue;
-      }
-
-      // Software queue depth cap: at most kQueueDepth best-effort kernels
-      // outstanding on the device.
-      if (be_outstanding_ >= kQueueDepth) {
-        continue;
-      }
-      // Dynamic kernel padding: launch when the GPU is free of high-priority
-      // work, or when the kernel (or whole graph) fits into the SMs left
-      // free. Size-only — no compute/memory-profile or duration checks.
-      const int needed = head.op.type == runtime::OpType::kKernelLaunch
-                             ? SmsNeededFor(be, head.op.kernel)
-                             : std::min(core::ViewOf(head.op, be.profile,
-                                                     rt_->device().spec()).sm_needed,
-                                        rt_->device().spec().num_sms);
-      const bool fits = needed <= rt_->device().FreeSms();
-      if (hp_outstanding_ > 0 && !fits) {
-        continue;
-      }
-
-      core::SchedOp op = std::move(head);
-      be.queue.pop_front();
-      rr_cursor_ = (rr_cursor_ + step + 1) % be_clients_.size();
-      ++be_outstanding_;
-      auto on_complete = std::move(op.on_complete);
-      rt_->Submit(op.op, be.stream, [this, on_complete = std::move(on_complete)]() {
-        ORION_CHECK(be_outstanding_ > 0);
-        --be_outstanding_;
-        if (on_complete) {
-          on_complete();
+  core::DrainRoundRobin(
+      be_clients_, &rr_cursor_, rt_,
+      [this](const BeClient& be, const runtime::Op& op) {
+        // Software queue depth cap: at most kQueueDepth best-effort kernels
+        // outstanding on the device.
+        if (be_outstanding_ >= kQueueDepth) {
+          return false;
         }
-        PollBestEffort();
+        // Dynamic kernel padding: launch when the GPU is free of
+        // high-priority work, or when the kernel (or whole graph) fits into
+        // the SMs left free. Size-only — no compute/memory-profile or
+        // duration checks. Padding works at thread-block granularity: a grid
+        // larger than the device still fits into leftover SMs wave by wave,
+        // so the requirement is capped at device size.
+        const int needed = std::min(core::ViewOf(op, be.profile, rt_->device().spec()).sm_needed,
+                                    rt_->device().spec().num_sms);
+        const bool fits = needed <= rt_->device().FreeSms();
+        return hp_outstanding_ == 0 || fits;
+      },
+      [this](BeClient& be, core::SchedOp op) {
+        ++be_outstanding_;
+        auto on_complete = std::move(op.on_complete);
+        rt_->Submit(op.op, be.stream, [this, on_complete = std::move(on_complete)]() {
+          ORION_CHECK(be_outstanding_ > 0);
+          --be_outstanding_;
+          if (on_complete) {
+            on_complete();
+          }
+          PollBestEffort();
+        });
       });
-      progress = true;
-      break;
-    }
-    if (be_clients_.empty()) {
-      break;
-    }
-  }
 }
 
 }  // namespace baselines

@@ -42,8 +42,9 @@ class ReefScheduler : public core::Scheduler {
     std::deque<core::SchedOp> queue;
   };
 
+  // Listing 1's round-robin scan with REEF-N's admit: queue depth, then
+  // padding.
   void PollBestEffort();
-  int SmsNeededFor(const BeClient& be, const gpusim::KernelDesc& kernel) const;
 
   runtime::GpuRuntime* rt_ = nullptr;
   core::ClientId hp_client_ = -1;

@@ -21,17 +21,8 @@ void TemporalScheduler::Attach(Simulator* sim, runtime::GpuRuntime* rt,
   }
 }
 
-TemporalScheduler::ClientState* TemporalScheduler::FindClient(core::ClientId id) {
-  for (ClientState& client : clients_) {
-    if (client.id == id) {
-      return &client;
-    }
-  }
-  return nullptr;
-}
-
 void TemporalScheduler::Enqueue(core::ClientId client, core::SchedOp op) {
-  ClientState* state = FindClient(client);
+  ClientState* state = core::FindClient(clients_, client);
   ORION_CHECK_MSG(state != nullptr, "unknown client " << client);
   state->queue.push_back(std::move(op));
   if (active_ == -1) {
@@ -69,7 +60,7 @@ void TemporalScheduler::DrainActive() {
   if (active_end_submitted_) {
     return;  // current request still finishing on the device
   }
-  ClientState* state = FindClient(active_);
+  ClientState* state = core::FindClient(clients_, active_);
   ORION_CHECK(state != nullptr);
   while (!state->queue.empty()) {
     core::SchedOp op = std::move(state->queue.front());

@@ -35,7 +35,6 @@ class TemporalScheduler : public core::Scheduler {
   void MaybeActivate();
   // Submits buffered ops of the active request.
   void DrainActive();
-  ClientState* FindClient(core::ClientId id);
 
   runtime::GpuRuntime* rt_ = nullptr;
   gpusim::StreamId stream_ = gpusim::kInvalidStream;

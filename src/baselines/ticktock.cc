@@ -48,15 +48,11 @@ int TickTockScheduler::AllowedHalf(std::size_t client_index) const {
 }
 
 void TickTockScheduler::Enqueue(core::ClientId client, core::SchedOp op) {
-  for (ClientState& state : clients_) {
-    if (state.id == client) {
-      state.queue.push_back(std::move(op));
-      Drain();
-      MaybeAdvanceRound();
-      return;
-    }
-  }
-  ORION_CHECK_MSG(false, "enqueue from unknown client " << client);
+  ClientState* state = core::FindClient(clients_, client);
+  ORION_CHECK_MSG(state != nullptr, "enqueue from unknown client " << client);
+  state->queue.push_back(std::move(op));
+  Drain();
+  MaybeAdvanceRound();
 }
 
 void TickTockScheduler::Drain() {

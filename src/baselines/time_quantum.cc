@@ -45,17 +45,8 @@ void TimeQuantumScheduler::set_pager(memsub::UnifiedMemoryPager* pager) {
   }
 }
 
-TimeQuantumScheduler::ClientState* TimeQuantumScheduler::FindClient(core::ClientId id) {
-  for (ClientState& client : clients_) {
-    if (client.id == id) {
-      return &client;
-    }
-  }
-  return nullptr;
-}
-
 void TimeQuantumScheduler::Enqueue(core::ClientId client, core::SchedOp op) {
-  ClientState* state = FindClient(client);
+  ClientState* state = core::FindClient(clients_, client);
   ORION_CHECK_MSG(state != nullptr, "unknown client " << client);
   if (state->crashed) {
     return;  // dead process: ops vanish with it
@@ -85,7 +76,7 @@ void TimeQuantumScheduler::Submit(ClientState& client, core::SchedOp op) {
       if (on_complete) {
         on_complete();
       }
-      ClientState* state = FindClient(id);
+      ClientState* state = core::FindClient(clients_, id);
       ORION_CHECK(state != nullptr && state->inflight_requests > 0);
       --state->inflight_requests;
       ++activity_seq_;
@@ -198,7 +189,7 @@ void TimeQuantumScheduler::MaybeRotate() {
   if (!exclusive_ || active_ == -1) {
     return;
   }
-  ClientState* state = FindClient(active_);
+  ClientState* state = core::FindClient(clients_, active_);
   ORION_CHECK(state != nullptr);
   if (state->inflight_requests > 0 || state->open_request) {
     return;  // never rotate mid-request; the end completion retries
@@ -221,7 +212,7 @@ void TimeQuantumScheduler::ArmIdleCheck() {
                         if (!exclusive_ || active_ != id || activity_seq_ != seq) {
                           return;
                         }
-                        ClientState* state = FindClient(id);
+                        ClientState* state = core::FindClient(clients_, id);
                         if (state == nullptr || !state->queue.empty() ||
                             state->inflight_requests > 0 || state->open_request) {
                           return;
@@ -247,7 +238,7 @@ void TimeQuantumScheduler::FlushQueue(ClientState& client) {
 }
 
 void TimeQuantumScheduler::OnClientCrash(core::ClientId client) {
-  ClientState* state = FindClient(client);
+  ClientState* state = core::FindClient(clients_, client);
   if (state == nullptr) {
     return;
   }

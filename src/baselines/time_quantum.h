@@ -70,7 +70,6 @@ class TimeQuantumScheduler : public core::Scheduler {
     std::size_t quanta = 0;
   };
 
-  ClientState* FindClient(core::ClientId id);
   void Submit(ClientState& client, core::SchedOp op);
   void SampleThrash();
   void EnterExclusive();

@@ -1,7 +1,5 @@
 #include "src/core/orion_scheduler.h"
 
-#include "src/core/op_view.h"
-
 #include <algorithm>
 #include <utility>
 
@@ -9,35 +7,6 @@
 
 namespace orion {
 namespace core {
-
-namespace {
-
-// True when the offline profile vouches for every kernel of the op. Only
-// profile-backed durations count toward the watchdog's patience: a
-// descriptor's claim about a kernel profiling never saw is exactly what a
-// runaway kernel lies about.
-bool ProfileCovers(const runtime::Op& op, const profiler::WorkloadProfile* profile) {
-  if (profile == nullptr) {
-    return false;
-  }
-  if (op.type == runtime::OpType::kKernelLaunch) {
-    return profile->Find(op.kernel.kernel_id) != nullptr;
-  }
-  if (op.type == runtime::OpType::kGraphLaunch) {
-    if (op.graph_kernels.empty()) {
-      return false;
-    }
-    for (const gpusim::KernelDesc& kernel : op.graph_kernels) {
-      if (profile->Find(kernel.kernel_id) == nullptr) {
-        return false;
-      }
-    }
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 OrionScheduler::OrionScheduler(OrionOptions options) : options_(options) {}
 
@@ -110,58 +79,48 @@ void OrionScheduler::Enqueue(ClientId client, SchedOp op) {
     PollBestEffort();
     return;
   }
-  for (BeClient& be : be_clients_) {
-    if (be.id == client) {
-      if (be.quarantined) {
-        // Straggler op from a crashed/hung process: drop it.
-        be_ops_dropped_->Inc();
-        return;
-      }
-      be.queue.push_back(std::move(op));
-      PollBestEffort();
-      return;
-    }
+  BeClient* be = FindClient(be_clients_, client);
+  ORION_CHECK_MSG(be != nullptr, "enqueue from unknown client " << client);
+  if (be->quarantined) {
+    // Straggler op from a crashed/hung process: drop it.
+    be_ops_dropped_->Inc();
+    return;
   }
-  ORION_CHECK_MSG(false, "enqueue from unknown client " << client);
+  be->queue.push_back(std::move(op));
+  PollBestEffort();
 }
 
 bool OrionScheduler::client_quarantined(ClientId client) const {
-  for (const BeClient& be : be_clients_) {
-    if (be.id == client) {
-      return be.quarantined;
-    }
-  }
-  return false;
+  const BeClient* be = FindClient(be_clients_, client);
+  return be != nullptr && be->quarantined;
 }
 
 void OrionScheduler::OnClientCrash(ClientId client) {
-  for (BeClient& be : be_clients_) {
-    if (be.id != client || be.quarantined) {
-      continue;
-    }
-    be.quarantined = true;
-    be_ops_dropped_->Inc(static_cast<double>(be.queue.size()));
-    be.queue.clear();
-    // Recredit the dead client's expected outstanding time so the
-    // DUR_THRESHOLD throttle does not stay charged for kernels whose
-    // completions will still fire but whose client is gone. Resident kernels
-    // run out on the device — there is no preemption to reclaim them early —
-    // so the be_submitted_ event still resolves and the throttle cannot
-    // deadlock.
-    be_duration_ = std::max(0.0, be_duration_ - be.outstanding_us);
-    be.outstanding_us = 0.0;
-    be.outstanding_trusted_us = 0.0;
-    const std::size_t before = rt_->memory().used();
-    rt_->memory().ReleaseClient(static_cast<std::uint64_t>(client));
-    be_bytes_released_->Inc(static_cast<double>(before - rt_->memory().used()));
-    clients_quarantined_->Inc();
-    MarkQuarantine(client, "quarantine");
-    // Surviving best-effort clients may take the recredited budget now.
-    PollBestEffort();
+  BeClient* be = FindClient(be_clients_, client);
+  if (be == nullptr || be->quarantined) {
+    // hp crash or unknown client: nothing is buffered for hp (ops submit
+    // immediately), so there is no queue to quarantine here.
     return;
   }
-  // hp crash or unknown client: nothing is buffered for hp (ops submit
-  // immediately), so there is no queue to quarantine here.
+  be->quarantined = true;
+  be_ops_dropped_->Inc(static_cast<double>(be->queue.size()));
+  be->queue.clear();
+  // Recredit the dead client's expected outstanding time so the
+  // DUR_THRESHOLD throttle does not stay charged for kernels whose
+  // completions will still fire but whose client is gone. Resident kernels
+  // run out on the device — there is no preemption to reclaim them early —
+  // so the be_submitted_ event still resolves and the throttle cannot
+  // deadlock.
+  be_duration_ = std::max(0.0, be_duration_ - be->outstanding_us);
+  be->outstanding_us = 0.0;
+  be->outstanding_trusted_us = 0.0;
+  const std::size_t before = rt_->memory().used();
+  rt_->memory().ReleaseClient(static_cast<std::uint64_t>(client));
+  be_bytes_released_->Inc(static_cast<double>(before - rt_->memory().used()));
+  clients_quarantined_->Inc();
+  MarkQuarantine(client, "quarantine");
+  // Surviving best-effort clients may take the recredited budget now.
+  PollBestEffort();
 }
 
 void OrionScheduler::OnDeviceDegraded() {
@@ -208,13 +167,11 @@ void OrionScheduler::SubmitHp(SchedOp op) {
   rt_->Submit(op.op, hp_stream_, std::move(op.on_complete));
 }
 
-bool OrionScheduler::ScheduleBe(const runtime::Op& op, const BeClient& be) {
+bool OrionScheduler::ScheduleBe(const KernelView& view) const {
   // Listing 1, schedule_be(): suitable when no hp task is running...
   if (hp_outstanding_ == 0) {
     return true;
   }
-  const KernelView view =
-      ViewOf(op, be.profile, rt_->device().spec(), options_.conservative_profile_miss);
   // ...or when it is small enough and has the opposite resource profile.
   // (For a captured CUDA graph the checks apply to the whole graph — the
   // granularity loss discussed in §7.)
@@ -237,64 +194,41 @@ void OrionScheduler::PollBestEffort() {
     return;
   }
   be_polls_->Inc();
-  // Keep draining while some queue head is schedulable; stop after a full
-  // round with no progress (every head blocked or all queues empty).
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t step = 0; step < be_clients_.size(); ++step) {
-      BeClient& be = be_clients_[(rr_cursor_ + step) % be_clients_.size()];
-      if (be.queue.empty()) {
-        continue;
-      }
-      SchedOp& head = be.queue.front();
-
-      if (!IsComputeOp(head.op)) {
-        // Memory ops bypass the policy (§5.1.3).
-        SchedOp op = std::move(head);
-        be.queue.pop_front();
-        rt_->Submit(op.op, be.stream, std::move(op.on_complete));
-        progress = true;
-        continue;
-      }
-
-      // DUR_THRESHOLD throttle (Listing 1 lines 12-16): once the expected
-      // outstanding best-effort time exceeds the budget, nothing more is
-      // submitted until the CUDA event says everything drained.
-      if (options_.use_dur_throttle && hp_target_latency_ > 0.0 &&
-          be_duration_ > options_.dur_threshold_frac * hp_target_latency_) {
-        // (be_submitted_ can only be null here after a runaway quarantine
-        // reset the throttle; treat that as drained.)
-        if (be_submitted_ == nullptr || be_submitted_->done) {
-          be_duration_ = 0.0;
-        } else {
-          be_throttle_skips_->Inc();
-          ArmWatchdog();
-          continue;
+  KernelView view;  // of the head `admit` accepted; `submit` consumes it
+  DrainRoundRobin(
+      be_clients_, &rr_cursor_, rt_,
+      [this, &view](const BeClient& be, const runtime::Op& op) {
+        // DUR_THRESHOLD throttle (Listing 1 lines 12-16): once the expected
+        // outstanding best-effort time exceeds the budget, nothing more is
+        // submitted until the CUDA event says everything drained. Checked
+        // first: it resets the budget or arms the watchdog.
+        if (options_.use_dur_throttle && hp_target_latency_ > 0.0 &&
+            be_duration_ > options_.dur_threshold_frac * hp_target_latency_) {
+          // (be_submitted_ can only be null here after a runaway quarantine
+          // reset the throttle; treat that as drained.)
+          if (be_submitted_ == nullptr || be_submitted_->done) {
+            be_duration_ = 0.0;
+          } else {
+            be_throttle_skips_->Inc();
+            ArmWatchdog();
+            return false;
+          }
         }
-      }
-
-      if (!ScheduleBe(head.op, be)) {
-        be_profile_skips_->Inc();
-        continue;
-      }
-
-      SchedOp op = std::move(head);
-      be.queue.pop_front();
-      rr_cursor_ = (rr_cursor_ + step + 1) % be_clients_.size();
-      SubmitBe(be, std::move(op));
-      progress = true;
-      break;  // restart the round-robin scan from the new cursor
-    }
-  }
+        view = ViewOf(op, be.profile, rt_->device().spec(),
+                      options_.conservative_profile_miss);
+        if (!ScheduleBe(view)) {
+          be_profile_skips_->Inc();
+          return false;
+        }
+        return true;
+      },
+      [this, &view](BeClient& be, SchedOp op) { SubmitBe(be, std::move(op), view); });
 }
 
-void OrionScheduler::SubmitBe(BeClient& be, SchedOp op) {
+void OrionScheduler::SubmitBe(BeClient& be, SchedOp op, const KernelView& view) {
   be_kernels_submitted_->Inc();
-  const double expected =
-      ViewOf(op.op, be.profile, rt_->device().spec(), options_.conservative_profile_miss)
-          .duration_us;
-  const double trusted = ProfileCovers(op.op, be.profile) ? expected : 0.0;
+  const double expected = view.duration_us;
+  const double trusted = view.profiled ? expected : 0.0;
   if (hp_outstanding_ > 0) {
     // Submitted alongside outstanding hp work: this is the dispatch decision
     // the hp tenant's kInterference phase traces back to.
@@ -307,12 +241,9 @@ void OrionScheduler::SubmitBe(BeClient& be, SchedOp op) {
   rt_->Submit(op.op, be.stream,
               [this, client = be.id, expected, trusted,
                on_complete = std::move(on_complete)]() {
-    for (BeClient& b : be_clients_) {
-      if (b.id == client) {
-        b.outstanding_us = std::max(0.0, b.outstanding_us - expected);
-        b.outstanding_trusted_us = std::max(0.0, b.outstanding_trusted_us - trusted);
-        break;
-      }
+    if (BeClient* b = FindClient(be_clients_, client)) {
+      b->outstanding_us = std::max(0.0, b->outstanding_us - expected);
+      b->outstanding_trusted_us = std::max(0.0, b->outstanding_trusted_us - trusted);
     }
     if (on_complete) {
       on_complete();
@@ -321,11 +252,15 @@ void OrionScheduler::SubmitBe(BeClient& be, SchedOp op) {
     PollBestEffort();
   });
   // Track progress of the best-effort stream without blocking: record a CUDA
-  // event after the kernel and poll it with cudaEventQuery (§5.1.2).
-  be_submitted_ = std::make_shared<gpusim::GpuEvent>();
+  // event after the kernel and poll it with cudaEventQuery (§5.1.2). Events
+  // the device already resolved are dropped first.
+  while (!be_events_.empty() && be_events_.front().done) {
+    be_events_.pop_front();
+  }
+  be_submitted_ = &be_events_.emplace_back();
+  ++be_submitted_seq_;
   be_submitted_client_ = be.id;
-  // The capture keeps the event alive until the device writes `done`.
-  rt_->RecordEvent(be.stream, be_submitted_.get(), [keepalive = be_submitted_] {});
+  rt_->RecordEvent(be.stream, be_submitted_, nullptr);
 }
 
 void OrionScheduler::ArmWatchdog() {
@@ -339,18 +274,12 @@ void OrionScheduler::ArmWatchdog() {
   // has in flight — a big profiled kernel is slow, not hung. Profile-miss
   // work contributes nothing, so a runaway kernel only ever gets the DUR
   // budget's worth of grace regardless of its descriptor.
-  DurationUs trusted = 0.0;
-  for (const BeClient& be : be_clients_) {
-    if (be.id == be_submitted_client_) {
-      trusted = be.outstanding_trusted_us;
-      break;
-    }
-  }
-  auto event = be_submitted_;
+  const BeClient* suspect = FindClient(be_clients_, be_submitted_client_);
+  const DurationUs trusted = suspect != nullptr ? suspect->outstanding_trusted_us : 0.0;
   sim_->ScheduleAfter(options_.runaway_timeout_factor * std::max(budget, trusted),
-                      [this, event, budget]() {
+                      [this, seq = be_submitted_seq_, budget]() {
     watchdog_armed_ = false;
-    if (event != be_submitted_ || event->done) {
+    if (seq != be_submitted_seq_ || be_submitted_ == nullptr || be_submitted_->done) {
       return;  // drained (or the stream moved on): not a hang
     }
     // Conviction needs evidence of execution, not just of waiting: a kernel
@@ -360,16 +289,12 @@ void OrionScheduler::ArmWatchdog() {
     // untrusted work that has burned through more device time than the
     // suspect's entire trusted outstanding sum (floored at the DUR budget)
     // is a runaway. Anything else: re-arm and keep waiting.
-    for (const BeClient& be : be_clients_) {
-      if (be.id != be_submitted_client_) {
-        continue;
-      }
-      const DurationUs executed = rt_->device().StreamExecutedUs(be.stream);
-      if (executed <= std::max(budget, be.outstanding_trusted_us)) {
+    if (const BeClient* be = FindClient(be_clients_, be_submitted_client_)) {
+      const DurationUs executed = rt_->device().StreamExecutedUs(be->stream);
+      if (executed <= std::max(budget, be->outstanding_trusted_us)) {
         ArmWatchdog();
         return;
       }
-      break;
     }
     // The best-effort stream sat on the same unresolved event for many DUR
     // budgets: the last submitter is hung on a runaway kernel. Quarantine it

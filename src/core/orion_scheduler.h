@@ -24,10 +24,11 @@
 #ifndef SRC_CORE_ORION_SCHEDULER_H_
 #define SRC_CORE_ORION_SCHEDULER_H_
 
+#include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
+#include "src/core/op_view.h"
 #include "src/core/scheduler.h"
 #include "src/gpusim/kernel.h"
 #include "src/telemetry/telemetry.h"
@@ -134,10 +135,11 @@ class OrionScheduler : public Scheduler {
 
   // Attempts to submit best-effort work; called on every wake-up.
   void PollBestEffort();
-  // Listing 1's schedule_be(): is this (kernel or graph) op suitable now?
-  bool ScheduleBe(const runtime::Op& op, const BeClient& be);
+  // Listing 1's schedule_be(): is the (kernel or graph) op behind `view`
+  // suitable now?
+  bool ScheduleBe(const KernelView& view) const;
   void SubmitHp(SchedOp op);
-  void SubmitBe(BeClient& be, SchedOp op);
+  void SubmitBe(BeClient& be, SchedOp op, const KernelView& view);
   // Arms the runaway watchdog while the throttle is blocked on be_submitted_.
   void ArmWatchdog();
 
@@ -158,8 +160,13 @@ class OrionScheduler : public Scheduler {
   std::vector<BeClient> be_clients_;
   std::size_t rr_cursor_ = 0;
   double be_duration_ = 0.0;  // expected µs of outstanding be kernels (Listing 1)
-  std::shared_ptr<gpusim::GpuEvent> be_submitted_;  // event after last be kernel
-  ClientId be_submitted_client_ = -1;  // who recorded be_submitted_
+  // Events recorded after best-effort kernels, oldest first. A deque keeps
+  // element addresses stable while the device holds them; resolved events
+  // are popped from the front before each record.
+  std::deque<gpusim::GpuEvent> be_events_;
+  gpusim::GpuEvent* be_submitted_ = nullptr;  // event after last be kernel
+  std::uint64_t be_submitted_seq_ = 0;  // bumped per record: the watchdog's identity
+  ClientId be_submitted_client_ = -1;   // who recorded be_submitted_
   bool watchdog_armed_ = false;
 
   int sm_threshold_ = 0;

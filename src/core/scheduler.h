@@ -47,6 +47,18 @@ struct SchedOp {
   std::function<void()> on_complete;
 };
 
+// The per-client state record of `clients` whose `id` is `id`, or null.
+// Works on any vector of records with an `id` member, const or not.
+template <typename Clients>
+auto FindClient(Clients& clients, ClientId id) -> decltype(&clients[0]) {
+  for (auto& client : clients) {
+    if (client.id == id) {
+      return &client;
+    }
+  }
+  return nullptr;
+}
+
 class Scheduler {
  public:
   virtual ~Scheduler() = default;

@@ -138,7 +138,6 @@ class ClusterEngine {
         horizon_(cluster_config.serving.warmup_us + cluster_config.serving.duration_us) {
     ORION_CHECK(spec_.num_nodes >= 1);
     ORION_CHECK(spec_.gpus_per_node >= 1);
-    ORION_CHECK(config_.max_replicas_per_gpu >= 1);
     ORION_CHECK_MSG(!config_.models.empty(), "serving needs at least one model service");
     Rng root(config_.seed);
     for (std::size_t m = 0; m < config_.models.size(); ++m) {
@@ -1396,7 +1395,7 @@ class ClusterEngine {
     }
     const std::optional<int> best = cluster::BestGpuFor(
         model.cost.signature(), residents, config_.device.memory_bytes,
-        config_.max_replicas_per_gpu);
+        serving::kMaxReplicasPerGpu);
     if (!best.has_value()) {
       return false;
     }

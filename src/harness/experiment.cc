@@ -1,5 +1,6 @@
 #include "src/harness/experiment.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -48,10 +49,10 @@ std::unique_ptr<core::Scheduler> MakeScheduler(SchedulerKind kind,
                                                const core::OrionOptions& orion_options) {
   switch (kind) {
     case SchedulerKind::kDedicated:
-      // Per-device pass-through; RunExperiment instantiates one per client.
+      // Per-device pass-through; RunExperiment gives each client a device.
       return std::make_unique<baselines::PassthroughScheduler>("ideal", true, 0.0);
     case SchedulerKind::kMig:
-      // Per-partition pass-through; RunExperiment builds partition devices.
+      // Per-partition pass-through; RunExperiment gives each client a slice.
       return std::make_unique<baselines::PassthroughScheduler>("mig", true, 0.0);
     case SchedulerKind::kTemporal:
       return std::make_unique<baselines::TemporalScheduler>();
@@ -182,55 +183,47 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   std::unique_ptr<memsub::UnifiedMemoryPager> pager;
   Rng root_rng(config.seed);
 
-  const bool dedicated = config.scheduler == SchedulerKind::kDedicated;
-  const bool mig = config.scheduler == SchedulerKind::kMig;
+  // Partitions: a shared run puts every client on one device; Ideal gives
+  // each client a private full device; MIG a private 1/N static partition —
+  // SMs, compute, bandwidth and memory all shrink, and a client can never
+  // harvest its neighbours' idle capacity (§4).
   const int num_clients = static_cast<int>(config.clients.size());
+  std::vector<std::vector<int>> partitions(shares_gpu ? 1 : config.clients.size());
+  for (int i = 0; i < num_clients; ++i) {
+    partitions[shares_gpu ? 0 : static_cast<std::size_t>(i)].push_back(i);
+  }
+  gpusim::DeviceSpec spec = config.device;
+  if (config.scheduler == SchedulerKind::kMig) {
+    const int n = std::max(1, num_clients);
+    spec.name += "-mig-1of" + std::to_string(n);
+    spec.num_sms = std::max(1, spec.num_sms / n);
+    spec.peak_fp32_tflops /= n;
+    spec.peak_membw_gbps /= n;
+    spec.memory_bytes /= static_cast<std::size_t>(n);
+  }
+  // Utilization and end-of-run memory are read from the high-priority
+  // client's device.
+  std::size_t hp_partition = 0;
+  for (std::size_t p = 0; p < partitions.size(); ++p) {
+    if (std::any_of(partitions[p].begin(), partitions[p].end(), [&config](int i) {
+          return config.clients[static_cast<std::size_t>(i)].high_priority;
+        })) {
+      hp_partition = p;
+      break;
+    }
+  }
 
-  if (dedicated || mig) {
-    // Ideal: a private full device per client. MIG: a private 1/N static
-    // partition per client — SMs, compute, bandwidth and memory all shrink,
-    // and a client can never harvest its neighbours' idle capacity (§4).
-    gpusim::DeviceSpec per_client = config.device;
-    if (mig) {
-      const int n = std::max(1, num_clients);
-      per_client.name += "-mig-1of" + std::to_string(n);
-      per_client.num_sms = std::max(1, per_client.num_sms / n);
-      per_client.peak_fp32_tflops /= n;
-      per_client.peak_membw_gbps /= n;
-      per_client.memory_bytes /= static_cast<std::size_t>(n);
-    }
-    for (int i = 0; i < num_clients; ++i) {
-      const ClientConfig& cc = config.clients[static_cast<std::size_t>(i)];
-      auto rt = std::make_unique<runtime::GpuRuntime>(&sim, per_client);
-      rt->device().set_pcie_priority_scheduling(config.pcie_priority_scheduling);
-      if (config.telemetry != nullptr && config.telemetry->tracing()) {
-        config.telemetry->kernels().RecordInto(rt->device(), "gpu" + std::to_string(i));
-      }
-      auto sched = MakeScheduler(config.scheduler, config.orion);
-      sched->set_telemetry(config.telemetry);
-      core::SchedClientInfo info;
-      info.id = i;
-      info.name = workloads::WorkloadName(cc.workload);
-      info.high_priority = cc.high_priority;
-      info.profile = profile_of(cc.workload);
-      sched->Attach(&sim, rt.get(), {info});
-      drivers.push_back(std::make_unique<ClientDriver>(&sim, sched.get(), i, cc, per_client,
-                                                       config.launch_overhead_us,
-                                                       root_rng.Fork(i + 1)));
-      bind_attribution(*drivers.back(), static_cast<std::size_t>(i));
-      runtimes.push_back(std::move(rt));
-      schedulers.push_back(std::move(sched));
-    }
-  } else {
-    auto rt = std::make_unique<runtime::GpuRuntime>(&sim, config.device);
+  for (std::size_t p = 0; p < partitions.size(); ++p) {
+    const std::vector<int>& members = partitions[p];
+    auto rt = std::make_unique<runtime::GpuRuntime>(&sim, spec);
     rt->device().set_pcie_priority_scheduling(config.pcie_priority_scheduling);
     if (config.telemetry != nullptr && config.telemetry->tracing()) {
-      config.telemetry->kernels().RecordInto(rt->device(), "gpu0");
+      config.telemetry->kernels().RecordInto(rt->device(), "gpu" + std::to_string(p));
     }
     auto sched = MakeScheduler(config.scheduler, config.orion);
     sched->set_telemetry(config.telemetry);
     std::vector<core::SchedClientInfo> infos;
-    for (int i = 0; i < num_clients; ++i) {
+    for (const int i : members) {
       const ClientConfig& cc = config.clients[static_cast<std::size_t>(i)];
       core::SchedClientInfo info;
       info.id = i;
@@ -249,7 +242,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       // Pinned clients claim their frames first so unpinned pre-warm can
       // never steal them.
       for (int pass = 0; pass < 2; ++pass) {
-        for (int i = 0; i < num_clients; ++i) {
+        for (const int i : members) {
           const ClientConfig& cc = config.clients[static_cast<std::size_t>(i)];
           const bool pinned = config.paging.pin_high_priority && cc.high_priority;
           if ((pass == 0) != pinned) {
@@ -268,11 +261,12 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       }
     }
     const DurationUs overhead =
-        config.launch_overhead_us * sched->HostOverheadMultiplier(num_clients);
-    for (int i = 0; i < num_clients; ++i) {
+        config.launch_overhead_us *
+        sched->HostOverheadMultiplier(static_cast<int>(members.size()));
+    for (const int i : members) {
       drivers.push_back(std::make_unique<ClientDriver>(
-          &sim, sched.get(), i, config.clients[static_cast<std::size_t>(i)], config.device,
-          overhead, root_rng.Fork(i + 1)));
+          &sim, sched.get(), i, config.clients[static_cast<std::size_t>(i)], spec, overhead,
+          root_rng.Fork(i + 1)));
       bind_attribution(*drivers.back(), static_cast<std::size_t>(i));
       if (pager != nullptr) {
         drivers.back()->set_pager(pager.get());
@@ -360,24 +354,13 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     }
     result.clients.push_back(std::move(cr));
   }
-  // Utilization of the shared device (or the high-priority client's device
-  // in the Ideal configuration).
-  std::size_t util_index = 0;
-  if (dedicated || mig) {
-    for (std::size_t i = 0; i < config.clients.size(); ++i) {
-      if (config.clients[i].high_priority) {
-        util_index = i;
-        break;
-      }
-    }
-  }
   result.utilization =
-      runtimes[util_index]->device().utilization().AverageOver(measure_from, horizon);
+      runtimes[hp_partition]->device().utilization().AverageOver(measure_from, horizon);
   if (injector != nullptr) {
     result.faults_injected = injector->injected();
     result.faults_skipped = injector->skipped();
   }
-  result.memory_used_end_bytes = runtimes[util_index]->memory().used();
+  result.memory_used_end_bytes = runtimes[hp_partition]->memory().used();
   for (auto& sched : schedulers) {
     if (const auto* orion = dynamic_cast<const core::OrionScheduler*>(sched.get())) {
       result.clients_quarantined += orion->clients_quarantined();

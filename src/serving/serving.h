@@ -55,6 +55,9 @@ namespace serving {
 // parameterized by ModelServiceConfig::diurnal.
 enum class ArrivalKind : std::uint8_t { kUniform, kPoisson, kApollo, kDiurnal };
 
+// Replica slots per GPU that placement (cluster::BestGpuFor) may fill.
+inline constexpr int kMaxReplicasPerGpu = 2;
+
 struct ModelServiceConfig {
   workloads::WorkloadSpec workload;  // per-request work; task must be inference
   PriorityTier tier = PriorityTier::kLatencyCritical;
@@ -78,7 +81,6 @@ struct ModelServiceConfig {
 struct ServingConfig {
   gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();
   int num_gpus = 4;
-  int max_replicas_per_gpu = 2;
   DurationUs launch_overhead_us = 6.0;  // host cost per submitted kernel
 
   std::vector<ModelServiceConfig> models;

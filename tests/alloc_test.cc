@@ -123,13 +123,13 @@ TEST(AllocTest, Fig06PairAllocationsPerKernel) {
   for (const harness::ClientConfig& client : Fig06Pair(harness::SchedulerKind::kOrion).clients) {
     kernels_per_request.push_back(workloads::BuildKernels(spec, client.workload).size());
   }
-  // Measured: 0.152, 0.647, 0.232, 0.232, 1.472 and 2.728 per kernel. What
+  // Measured: 0.152, 0.647, 0.232, 0.232, 1.472 and 1.511 per kernel. What
   // is left sits above the device: scheduler queues and completion
   // callbacks whose captures outgrow std::function's inline buffer.
   const SchedulerBound bounds[] = {
       {harness::SchedulerKind::kDedicated, 0.2}, {harness::SchedulerKind::kTemporal, 0.7},
       {harness::SchedulerKind::kStreams, 0.3},   {harness::SchedulerKind::kMps, 0.3},
-      {harness::SchedulerKind::kReef, 1.5},      {harness::SchedulerKind::kOrion, 2.8},
+      {harness::SchedulerKind::kReef, 1.5},      {harness::SchedulerKind::kOrion, 1.6},
   };
   for (const SchedulerBound& bound : bounds) {
     const harness::ExperimentConfig config = Fig06Pair(bound.scheduler);

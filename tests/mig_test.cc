@@ -1,6 +1,8 @@
 // MIG baseline tests (§4: coarse-grained static spatial partitioning).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/harness/experiment.h"
 
 namespace orion {
@@ -90,6 +92,37 @@ TEST(MigTest, PartitionMemoryShrinks) {
   // and the partition spec halves memory (behavioural check).
   const ExperimentResult result = RunExperiment(config);
   EXPECT_GT(result.hp().completed, 0u);
+}
+
+TEST(MigTest, HpDeviceMetricsFollowTheHpClient) {
+  // Ideal and MIG give every client its own device; utilization and
+  // end-of-run memory come from the high-priority client's device wherever
+  // the client sits in the config. A closed-loop hp client draws no random
+  // numbers, so its private device replays identically at index 0 and at
+  // index 1, while the trainer's device (index 0 in the swapped run) shows
+  // a different utilization. (Neither client holds device memory at the end
+  // of a fault-free run, so only utilization tells the two devices apart.)
+  for (const SchedulerKind kind : {SchedulerKind::kDedicated, SchedulerKind::kMig}) {
+    ExperimentConfig hp_first = PairConfig(kind);
+    hp_first.duration_us = SecToUs(1.0);
+    hp_first.clients[0].arrivals = ClientConfig::Arrivals::kClosedLoop;
+    ExperimentConfig hp_second = hp_first;
+    std::swap(hp_second.clients[0], hp_second.clients[1]);
+    const ExperimentResult a = RunExperiment(hp_first);
+    const ExperimentResult b = RunExperiment(hp_second);
+    EXPECT_EQ(a.utilization.compute, b.utilization.compute) << SchedulerKindName(kind);
+    EXPECT_EQ(a.utilization.membw, b.utilization.membw) << SchedulerKindName(kind);
+    EXPECT_EQ(a.utilization.sm_busy, b.utilization.sm_busy) << SchedulerKindName(kind);
+    EXPECT_EQ(a.memory_used_end_bytes, b.memory_used_end_bytes) << SchedulerKindName(kind);
+
+    // With no hp client partition 0, the trainer's device, is reported. It
+    // reads differently, so a run that reported partition 0 regardless of
+    // the hp client would fail above.
+    ExperimentConfig trainer_first = hp_second;
+    trainer_first.clients[1].high_priority = false;
+    const ExperimentResult trainer = RunExperiment(trainer_first);
+    EXPECT_NE(trainer.utilization.compute, a.utilization.compute) << SchedulerKindName(kind);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/op_view.h"
 #include "src/core/orion_scheduler.h"
 #include "src/runtime/gpu_runtime.h"
 #include "src/sim/simulator.h"
@@ -316,6 +317,46 @@ TEST_F(OrionSchedulerTest, StatsAccumulate) {
   EnqueueKernel(1, be);
   sim_.RunUntilIdle();
   EXPECT_EQ(scheduler_->be_kernels_submitted(), 1u);
+}
+
+// KernelView::profiled — the profile vouches for every kernel of the op —
+// is what earns a be kernel's duration the runaway watchdog's patience.
+TEST(KernelViewTest, ProfiledOnlyWhenTheProfileCoversEveryKernel) {
+  const gpusim::DeviceSpec spec = gpusim::DeviceSpec::V100_16GB();
+  const auto known = MakeKernel("known", 100.0, 0.1, 0.8, 20);
+  const auto unknown = MakeKernel("unknown", 80.0, 0.9, 0.1, 40);  // compute-bound
+  profiler::WorkloadProfile profile;
+  profile.kernels.push_back(ToProfileEntry(spec, known));
+  profile.RebuildIndex();
+
+  runtime::Op kernel;
+  kernel.type = runtime::OpType::kKernelLaunch;
+  kernel.kernel = known;
+  EXPECT_TRUE(ViewOf(kernel, &profile, spec).profiled);
+  EXPECT_TRUE(ViewOf(kernel, &profile, spec, /*conservative_miss=*/true).profiled);
+  EXPECT_FALSE(ViewOf(kernel, nullptr, spec).profiled);
+
+  runtime::Op miss = kernel;
+  miss.kernel = unknown;
+  EXPECT_FALSE(ViewOf(miss, &profile, spec).profiled);
+  const KernelView conservative = ViewOf(miss, &profile, spec, /*conservative_miss=*/true);
+  EXPECT_FALSE(conservative.profiled);
+  EXPECT_EQ(conservative.profile, gpusim::ResourceProfile::kMemoryBound);
+
+  runtime::Op graph;
+  graph.type = runtime::OpType::kGraphLaunch;
+  EXPECT_FALSE(ViewOf(graph, &profile, spec).profiled);  // empty graph
+  graph.graph_kernels = {known, known};
+  EXPECT_TRUE(ViewOf(graph, &profile, spec).profiled);
+  EXPECT_FALSE(ViewOf(graph, nullptr, spec).profiled);
+  graph.graph_kernels.push_back(unknown);
+  const KernelView partial = ViewOf(graph, &profile, spec);
+  EXPECT_FALSE(partial.profiled);
+  EXPECT_DOUBLE_EQ(partial.duration_us, 280.0);  // still the whole graph's time
+
+  runtime::Op memory;
+  memory.type = runtime::OpType::kMemcpyH2D;
+  EXPECT_FALSE(ViewOf(memory, &profile, spec).profiled);
 }
 
 using OrionSchedulerDeathTest = OrionSchedulerTest;

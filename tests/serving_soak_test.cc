@@ -29,7 +29,6 @@ ModelServiceConfig Service(ModelId model, PriorityTier tier, double rps, Duratio
 ServingConfig SoakConfig(std::uint64_t seed) {
   ServingConfig config;
   config.num_gpus = 6;
-  config.max_replicas_per_gpu = 2;
   config.warmup_us = SecToUs(1.0);
   config.duration_us = SecToUs(30.0);
   config.seed = seed;

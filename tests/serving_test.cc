@@ -589,7 +589,6 @@ TEST(ServingTest, InterferenceAwareRoutingBeatsRoundRobinOnContendedFleet) {
   // replica; the interference-aware router shifts load to the clean one.
   ServingConfig config;
   config.num_gpus = 2;
-  config.max_replicas_per_gpu = 2;
   config.warmup_us = SecToUs(0.5);
   config.duration_us = SecToUs(4.0);
   config.models = {
