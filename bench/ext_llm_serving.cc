@@ -15,7 +15,8 @@
 //
 // Deterministic: same seed, same tables. `--quick` shrinks the windows for
 // the CI smoke run; `--trace-out` attaches a telemetry hub and writes the
-// decode-step span timeline.
+// decode-step span timeline. The last line encodes the EXPERIMENTS.md
+// verdicts as ACCEPTANCE predicates; CI greps those that hold.
 #include <iostream>
 
 #include "bench/bench_util.h"
@@ -73,7 +74,9 @@ double GoodputRps(const serving::ServingResult& result) {
   return static_cast<double>(Llm(result).slo_met) / UsToSec(result.window_us);
 }
 
-void BatchingModeArm() {
+// Returns whether continuous TPOT p99 is strictly below request-level at
+// every load.
+bool BatchingModeArm() {
   std::cout << "-- Arm 1: continuous vs request-level batching --\n"
             << "One LLM service (128-token prompts, 8..64 decode tokens, 2\n"
             << "replicas / 2 GPUs). Request-level decodes every batch to its\n"
@@ -108,9 +111,15 @@ void BatchingModeArm() {
   table.Print(std::cout);
   std::cout << "\ncontinuous TPOT p99 strictly below request-level at every load: "
             << (continuous_dominates ? "yes" : "NO — regression") << "\n";
+  return continuous_dominates;
 }
 
-void KvPressureArm() {
+struct KvVerdicts {
+  bool plentiful_evicts_none = false;  // the 16-footprint budget
+  bool tight_evict = true;             // the 4.0 and 1.8 footprint budgets
+};
+
+KvVerdicts KvPressureArm() {
   std::cout << "\n-- Arm 2: KV-cache oversubscription --\n"
             << "Single replica at 40 rps (within its compute capacity); the\n"
             << "KV budget shrinks from plentiful to under two full-length\n"
@@ -125,6 +134,7 @@ void KvPressureArm() {
   // prompt+1 tokens each) but cannot both decode to their full length, so
   // mid-flight extends overflow and preempt. Below ~1.5 joins themselves are
   // refused and the cache never overflows — pressure shows up as queueing.
+  KvVerdicts verdicts;
   for (const double budget_seqs : {16.0, 4.0, 1.8}) {
     serving::ServingConfig config = BaseConfig(40.0, /*continuous=*/true);
     config.num_gpus = 1;
@@ -134,14 +144,21 @@ void KvPressureArm() {
         static_cast<std::size_t>(budget_seqs * static_cast<double>(per_seq_bytes));
     const serving::ServingResult result = serving::RunServing(config);
     const serving::ModelServingResult& m = Llm(result);
+    if (budget_seqs == 16.0) {
+      verdicts.plentiful_evicts_none = m.kv_evictions == 0;
+    } else {
+      verdicts.tight_evict = verdicts.tight_evict && m.kv_evictions > 0;
+    }
     table.AddRow({Cell(budget_seqs, 1), Cell(m.kv_evictions), Cell(m.prefills),
                   Cell(m.completed), Cell(GoodputRps(result), 1),
                   Cell(UsToMs(m.tpot.p99()), 2)});
   }
   table.Print(std::cout);
+  return verdicts;
 }
 
-void DeterminismArm() {
+// Returns whether the same-seed rerun is bit-identical.
+bool DeterminismArm() {
   std::cout << "\n-- Arm 3: determinism --\n";
   const serving::ServingResult a = serving::RunServing(BaseConfig(120.0, true));
   const serving::ServingResult b = serving::RunServing(BaseConfig(120.0, true));
@@ -153,6 +170,7 @@ void DeterminismArm() {
                          Llm(a).tpot.p99() == Llm(b).tpot.p99();
   std::cout << "same-seed rerun (tokens / steps / evictions / ttft / tpot): "
             << (identical ? "bit-identical" : "DIVERGED") << "\n";
+  return identical;
 }
 
 // Instrumented arm, run only when --trace-out / --metrics-out was given:
@@ -186,11 +204,17 @@ int main(int argc, char** argv) {
   bench::ParseBenchArgs(&argc, argv);
   bench::PrintHeader("Extension (LLM serving)",
                      "continuous batching, KV-cache pressure, per-token SLOs");
-  BatchingModeArm();
-  KvPressureArm();
-  DeterminismArm();
+  const bool continuous_tpot_below = BatchingModeArm();
+  const KvVerdicts kv = KvPressureArm();
+  const bool rerun_identical = DeterminismArm();
   if (bench::TelemetryRequested()) {
     TelemetryArm();
   }
+  auto yes = [](bool ok) { return ok ? "yes" : "no"; };
+  std::cout << "ACCEPTANCE llm-serving: continuous-tpot-p99-below-request-level@every-load="
+            << yes(continuous_tpot_below)
+            << " kv-evictions-0@16x=" << yes(kv.plentiful_evicts_none)
+            << " kv-evicts@4x,1.8x=" << yes(kv.tight_evict)
+            << " rerun-bit-identical=" << yes(rerun_identical) << "\n";
   return 0;
 }

@@ -50,7 +50,6 @@ class TimeQuantumScheduler : public core::Scheduler {
   void OnClientCrash(core::ClientId client) override;
 
   // --- Introspection (tests / benches). ---
-  bool exclusive_mode() const { return exclusive_; }
   std::size_t exclusive_entries() const { return exclusive_entries_; }
   std::size_t quanta_granted() const { return quanta_granted_; }
   // Per-client quanta received since entering exclusive mode (fairness).

@@ -90,10 +90,6 @@ class CollectiveEngine {
   std::size_t collectives_completed() const {
     return static_cast<std::size_t>(collectives_completed_->AsCount());
   }
-  std::size_t collectives_inflight() const {
-    return static_cast<std::size_t>(collectives_inflight_->value());
-  }
-  double payload_bytes_total() const { return payload_bytes_total_->value(); }
 
   // --- Fault statistics. ---
   // Ring restarts after a member death.

@@ -16,7 +16,6 @@ void OnlineStats::Add(double value) {
     max_ = std::max(max_, value);
   }
   ++count_;
-  sum_ += value;
   const double delta = value - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (value - mean_);

@@ -86,7 +86,6 @@ class OrionScheduler : public Scheduler {
   const OrionOptions& options() const { return options_; }
   // Effective SM_THRESHOLD after resolution against the device.
   int sm_threshold() const { return sm_threshold_; }
-  void set_sm_threshold(int threshold) { sm_threshold_ = threshold; }
 
   // Telemetry (src/telemetry): decision statistics live in the hub's metric
   // registry as "orion.*" counters (a private registry when no hub is
@@ -99,8 +98,6 @@ class OrionScheduler : public Scheduler {
   std::size_t be_kernels_submitted() const { return CounterCount(be_kernels_submitted_); }
   std::size_t be_throttle_skips() const { return CounterCount(be_throttle_skips_); }
   std::size_t be_profile_skips() const { return CounterCount(be_profile_skips_); }
-  // Best-effort wake-ups, each a full queue scan.
-  std::size_t be_polls() const { return CounterCount(be_polls_); }
 
   // --- Fault statistics. ---
   std::size_t clients_quarantined() const { return CounterCount(clients_quarantined_); }

@@ -24,6 +24,7 @@
 #include "src/cluster/placement.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/fault/fault_injector.h"
 #include "src/interconnect/fabric.h"
 #include "src/serving/batch_cost.h"
 #include "src/serving/batcher.h"
@@ -195,7 +196,26 @@ class ClusterEngine {
       }
       ScheduleArrival(m);
     }
-    ArmFaults();
+    if (!config_.fault_plan.empty()) {
+      // Device, link, profile and client-hang faults act below this
+      // abstraction level and count as skipped: no device or profile is
+      // registered, and the handler returns false for the rest.
+      injector_ = std::make_unique<fault::FaultInjector>(&sim_, config_.fault_plan);
+      injector_->set_telemetry(config_.telemetry);
+      injector_->set_target_handler([this](const fault::FaultEvent& event) {
+        switch (event.kind) {
+          case fault::FaultKind::kGpuDown:
+            return ApplyGpuDown(event);
+          case fault::FaultKind::kClientCrash:
+            return ApplyReplicaCrash(event);
+          case fault::FaultKind::kNodeDown:
+            return ApplyNodeDown(event);
+          default:
+            return false;
+        }
+      });
+      injector_->Arm();
+    }
     if (config_.autoscaler.enabled) {
       sim_.ScheduleAfter(config_.autoscaler.eval_period_us, [this] { EvalAutoscaler(); });
     }
@@ -343,8 +363,6 @@ class ClusterEngine {
     scale_ups_ = metrics_->GetCounter("serving.scale_ups");
     scale_downs_ = metrics_->GetCounter("serving.scale_downs");
     scale_failures_ = metrics_->GetCounter("serving.scale_failures");
-    faults_injected_ = metrics_->GetCounter("serving.faults_injected");
-    faults_skipped_ = metrics_->GetCounter("serving.faults_skipped");
     replicas_lost_ = metrics_->GetCounter("serving.replicas_lost");
     replacements_ = metrics_->GetCounter("serving.replacements");
     replacement_failures_ = metrics_->GetCounter("serving.replacement_failures");
@@ -1469,62 +1487,38 @@ class ClusterEngine {
 
   // --- Faults and failover. ---
 
-  void ArmFaults() {
-    for (const fault::FaultEvent& event : config_.fault_plan.events) {
-      switch (event.kind) {
-        case fault::FaultKind::kGpuDown:
-          sim_.ScheduleAt(event.at_us, [this, event] { ApplyGpuDown(event); });
-          break;
-        case fault::FaultKind::kClientCrash:
-          sim_.ScheduleAt(event.at_us, [this, event] { ApplyReplicaCrash(event); });
-          break;
-        case fault::FaultKind::kNodeDown:
-          sim_.ScheduleAt(event.at_us, [this, event] { ApplyNodeDown(event); });
-          break;
-        default:
-          // Device/link/profile faults act below this abstraction level.
-          faults_skipped_->Inc();
-          break;
-      }
-    }
-  }
-
-  void ApplyGpuDown(const fault::FaultEvent& event) {
+  // The fault handler's cases; each returns whether it applied the fault.
+  bool ApplyGpuDown(const fault::FaultEvent& event) {
     if (event.gpu < 0 || event.gpu >= static_cast<int>(gpus_.size())) {
-      faults_skipped_->Inc();
-      return;
+      return false;
     }
     GpuShard& shard = gpu(event.gpu);
     if (!shard.alive) {
-      faults_skipped_->Inc();
-      return;
+      return false;
     }
-    faults_injected_->Inc();
     Mark("gpu-down", {{"gpu", std::to_string(event.gpu)}});
     shard.alive = false;
     const std::vector<int> victims = shard.replicas;  // the kills mutate the list
     for (const int id : victims) {
       KillAndRehome(id);
     }
+    return true;
   }
 
-  void ApplyReplicaCrash(const fault::FaultEvent& event) {
+  bool ApplyReplicaCrash(const fault::FaultEvent& event) {
     if (event.client < 0 || event.client >= static_cast<int>(replicas_.size()) ||
         replica(event.client).state == Replica::State::kDead) {
-      faults_skipped_->Inc();
-      return;
+      return false;
     }
-    faults_injected_->Inc();
     KillAndRehome(event.client);
+    return true;
   }
 
-  void ApplyNodeDown(const fault::FaultEvent& event) {
+  bool ApplyNodeDown(const fault::FaultEvent& event) {
     const int n = event.node;
     if (n < 0 || n >= spec_.num_nodes || !node_state(n).alive) {
-      faults_skipped_->Inc();
-      return;
+      return false;
     }
-    faults_injected_->Inc();
     ++node_faults_;
     if (node_faults_c_ != nullptr) {
       node_faults_c_->Inc();
@@ -1559,6 +1553,7 @@ class ClusterEngine {
         KillAndRehome(id);
       }
     }
+    return true;
   }
 
   // Replica death: orphaned requests re-route to surviving replicas of the
@@ -1753,8 +1748,10 @@ class ClusterEngine {
     result.scale_ups = static_cast<std::size_t>(scale_ups_->AsCount());
     result.scale_downs = static_cast<std::size_t>(scale_downs_->AsCount());
     result.scale_failures = static_cast<std::size_t>(scale_failures_->AsCount());
-    result.faults_injected = static_cast<std::size_t>(faults_injected_->AsCount());
-    result.faults_skipped = static_cast<std::size_t>(faults_skipped_->AsCount());
+    if (injector_ != nullptr) {
+      result.faults_injected = injector_->injected();
+      result.faults_skipped = injector_->skipped();
+    }
     result.replicas_lost = static_cast<std::size_t>(replicas_lost_->AsCount());
     result.replacements = static_cast<std::size_t>(replacements_->AsCount());
     result.replacement_failures =
@@ -1818,6 +1815,8 @@ class ClusterEngine {
   std::uint64_t next_op_id_ = 0;
   std::size_t node_faults_ = 0;
   std::size_t requests_forwarded_ = 0;
+  // Dispatches config_.fault_plan; null on a fault-free run.
+  std::unique_ptr<fault::FaultInjector> injector_;
 
   // Telemetry (bound in BindTelemetry; metrics_ falls back to the private
   // registry when no hub is configured, so the instruments are never null).
@@ -1830,8 +1829,6 @@ class ClusterEngine {
   telemetry::Counter* scale_ups_ = nullptr;
   telemetry::Counter* scale_downs_ = nullptr;
   telemetry::Counter* scale_failures_ = nullptr;
-  telemetry::Counter* faults_injected_ = nullptr;
-  telemetry::Counter* faults_skipped_ = nullptr;
   telemetry::Counter* replicas_lost_ = nullptr;
   telemetry::Counter* replacements_ = nullptr;
   telemetry::Counter* replacement_failures_ = nullptr;

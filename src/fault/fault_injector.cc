@@ -64,11 +64,6 @@ void FaultInjector::RegisterDevice(int gpu, gpusim::Device* device) {
   devices_[gpu] = device;
 }
 
-void FaultInjector::RegisterFabric(interconnect::Fabric* fabric) {
-  ORION_CHECK(!armed_ && fabric != nullptr);
-  fabric_ = fabric;
-}
-
 void FaultInjector::RegisterScheduler(core::Scheduler* scheduler) {
   ORION_CHECK(!armed_ && scheduler != nullptr);
   schedulers_.push_back(scheduler);
@@ -79,9 +74,9 @@ void FaultInjector::RegisterProfile(profiler::WorkloadProfile* profile) {
   profiles_.push_back(profile);
 }
 
-void FaultInjector::set_client_fault_handler(ClientFaultHandler handler) {
+void FaultInjector::set_target_handler(TargetHandler handler) {
   ORION_CHECK(!armed_);
-  client_handler_ = std::move(handler);
+  target_handler_ = std::move(handler);
 }
 
 void FaultInjector::Arm() {
@@ -99,24 +94,16 @@ void FaultInjector::Apply(const FaultEvent& event) {
     case FaultKind::kDeviceDegrade:
       ApplyDeviceDegrade(event);
       return;
-    case FaultKind::kLinkDegrade:
-    case FaultKind::kLinkDown:
-      ApplyLinkFault(event);
-      return;
-    case FaultKind::kGpuDown:
-      ApplyGpuDown(event);
-      return;
-    case FaultKind::kClientCrash:
-    case FaultKind::kClientHang:
-      ApplyClientFault(event);
-      return;
     case FaultKind::kProfilePoison:
       ApplyProfilePoison(event);
       return;
+    case FaultKind::kLinkDegrade:
+    case FaultKind::kLinkDown:
+    case FaultKind::kGpuDown:
+    case FaultKind::kClientCrash:
+    case FaultKind::kClientHang:
     case FaultKind::kNodeDown:
-      // Node-granularity faults act at the datacenter control plane
-      // (src/datacenter); a single-node injector has no whole-node target.
-      skipped_->Inc();
+      ApplyTargetFault(event);
       return;
   }
   ORION_CHECK_MSG(false, "unhandled fault kind");
@@ -142,61 +129,15 @@ void FaultInjector::ApplyDeviceDegrade(const FaultEvent& event) {
   MarkFault(event);
 }
 
-void FaultInjector::SetLinkFactor(int link, LinkDir dir, double factor) {
-  if (dir == LinkDir::kForward || dir == LinkDir::kBoth) {
-    fabric_->SetLinkFactor(link, /*forward=*/true, factor);
-  }
-  if (dir == LinkDir::kBackward || dir == LinkDir::kBoth) {
-    fabric_->SetLinkFactor(link, /*forward=*/false, factor);
-  }
-}
-
-void FaultInjector::ApplyLinkFault(const FaultEvent& event) {
-  if (fabric_ == nullptr ||
-      event.link < 0 ||
-      event.link >= static_cast<int>(fabric_->topology().links().size())) {
+void FaultInjector::ApplyTargetFault(const FaultEvent& event) {
+  if (!target_handler_ || !target_handler_(event)) {
     skipped_->Inc();
     return;
   }
-  const double factor = event.kind == FaultKind::kLinkDown ? 0.0 : event.factor;
-  SetLinkFactor(event.link, event.dir, factor);
-  if (event.duration_us > 0.0) {
-    // A flap: the link returns to full speed after the interval.
-    const int link = event.link;
-    const LinkDir dir = event.dir;
-    sim_->ScheduleAfter(event.duration_us,
-                        [this, link, dir]() { SetLinkFactor(link, dir, 1.0); });
-  }
-  MarkFault(event);
-}
-
-void FaultInjector::ApplyGpuDown(const FaultEvent& event) {
-  if (fabric_ == nullptr || event.gpu < 0 ||
-      event.gpu >= fabric_->topology().num_gpus()) {
-    skipped_->Inc();
-    return;
-  }
-  // The GPU fell off the bus: every link touching it goes down, both
-  // directions, permanently. Ring re-formation is the collective engine's
-  // job; it detects the dead GPU via Fabric::GpuAlive.
-  for (const interconnect::Link& link : fabric_->topology().links()) {
-    if (link.node_a == event.gpu || link.node_b == event.gpu) {
-      SetLinkFactor(link.id, LinkDir::kBoth, 0.0);
-    }
-  }
-  MarkFault(event);
-}
-
-void FaultInjector::ApplyClientFault(const FaultEvent& event) {
-  if (!client_handler_) {
-    skipped_->Inc();
-    return;
-  }
-  // Driver-side first (a hang submits its runaway kernel through the live
-  // scheduler path), then scheduler-side cleanup for crashes: quarantine the
+  // The harness acted first (a hang submits its runaway kernel through the
+  // live scheduler path); then the scheduler side of a crash: quarantine the
   // dead client's queues and release its device memory. A hung client stays
   // attached — detecting it is the scheduler watchdog's job.
-  client_handler_(event);
   if (event.kind == FaultKind::kClientCrash) {
     for (core::Scheduler* scheduler : schedulers_) {
       scheduler->OnClientCrash(event.client);

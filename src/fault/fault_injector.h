@@ -1,15 +1,14 @@
 // Fault injector: schedules a FaultPlan on the discrete-event clock.
 //
-// The injector is the glue between a pure-data FaultPlan and the live
-// simulation objects: harnesses register the targets they built (devices,
-// the link fabric, schedulers, mutable workload profiles, and a handler for
-// client-level faults), then Arm() schedules one simulator event per fault.
-// Everything is deterministic: events fire at their planned virtual times in
-// plan order, and profile poisoning draws from the event's own seed.
-//
-// Link faults with duration_us > 0 schedule a matching restore event that
-// returns the affected direction(s) to full speed — the "flap" shape the
-// collective engine's timeout policy waits out.
+// The injector is the one fault dispatcher of every harness. It applies the
+// faults whose targets it can be given — device degradation, profile
+// poisoning and the scheduler side of a client crash — to the devices,
+// schedulers and workload profiles a harness registers. Faults whose targets
+// only the harness knows (links, whole GPUs and nodes, clients) go to the one
+// handler the harness installs; the link topology lives with the harness
+// that has one. Arm() schedules one simulator event per fault. Everything is
+// deterministic: events fire at their planned virtual times in plan order,
+// and profile poisoning draws from the event's own seed.
 #ifndef SRC_FAULT_FAULT_INJECTOR_H_
 #define SRC_FAULT_FAULT_INJECTOR_H_
 
@@ -21,7 +20,6 @@
 #include "src/core/scheduler.h"
 #include "src/fault/fault_plan.h"
 #include "src/gpusim/device.h"
-#include "src/interconnect/fabric.h"
 #include "src/profiler/profiler.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/telemetry.h"
@@ -31,11 +29,12 @@ namespace fault {
 
 class FaultInjector {
  public:
-  // Called for kClientCrash / kClientHang events; the harness owns the
-  // client drivers, so it supplies the behaviour (stop the driver, make it
-  // submit the runaway kernel, ...). Scheduler-side quarantine/cleanup is
-  // invoked by the injector itself via Scheduler::OnClientCrash.
-  using ClientFaultHandler = std::function<void(const FaultEvent&)>;
+  // Applies a link degrade/down, GPU down, node down or client crash/hang
+  // event to the harness's own targets (the fabric, the serving fleet, the
+  // client drivers) and returns whether it did. A false return, or no
+  // handler at all, counts the event as skipped. After an applied crash the
+  // injector runs the scheduler-side cleanup, Scheduler::OnClientCrash.
+  using TargetHandler = std::function<bool(const FaultEvent&)>;
 
   FaultInjector(Simulator* sim, FaultPlan plan);
   FaultInjector(const FaultInjector&) = delete;
@@ -45,10 +44,9 @@ class FaultInjector {
   // counted in skipped() instead of firing (a plan written for a 4-GPU node
   // can run against a single-device harness).
   void RegisterDevice(int gpu, gpusim::Device* device);
-  void RegisterFabric(interconnect::Fabric* fabric);
   void RegisterScheduler(core::Scheduler* scheduler);
   void RegisterProfile(profiler::WorkloadProfile* profile);
-  void set_client_fault_handler(ClientFaultHandler handler);
+  void set_target_handler(TargetHandler handler);
 
   // Telemetry (src/telemetry): injected/skipped become "fault.*" registry
   // counters and, with tracing on, every applied fault is an instant marker
@@ -60,27 +58,21 @@ class FaultInjector {
   // before running the simulator.
   void Arm();
 
-  const FaultPlan& plan() const { return plan_; }
   std::size_t injected() const { return CounterCount(injected_); }
   std::size_t skipped() const { return CounterCount(skipped_); }
 
  private:
   void Apply(const FaultEvent& event);
   void ApplyDeviceDegrade(const FaultEvent& event);
-  void ApplyLinkFault(const FaultEvent& event);
-  void ApplyGpuDown(const FaultEvent& event);
-  void ApplyClientFault(const FaultEvent& event);
+  void ApplyTargetFault(const FaultEvent& event);
   void ApplyProfilePoison(const FaultEvent& event);
-  // Sets the bandwidth factor of the selected direction(s) of one link.
-  void SetLinkFactor(int link, LinkDir dir, double factor);
 
   Simulator* sim_;
   FaultPlan plan_;
   std::map<int, gpusim::Device*> devices_;
-  interconnect::Fabric* fabric_ = nullptr;
   std::vector<core::Scheduler*> schedulers_;
   std::vector<profiler::WorkloadProfile*> profiles_;
-  ClientFaultHandler client_handler_;
+  TargetHandler target_handler_;
   bool armed_ = false;
 
   static std::size_t CounterCount(const telemetry::Counter* c) {

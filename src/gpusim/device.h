@@ -133,7 +133,6 @@ class Device {
   // high-priority copy waits at most one chunk, not a whole multi-megabyte
   // batch. Chunks in flight are never preempted.
   void set_pcie_priority_scheduling(bool enabled) { pcie_priority_ = enabled; }
-  bool pcie_priority_scheduling() const { return pcie_priority_; }
 
   // --- Fault injection: partial device degradation (src/fault). ---
   // ECC retirement / thermal capping analogue: the device permanently loses
@@ -149,7 +148,6 @@ class Device {
   void ScaleMembw(double factor);
   // SMs currently present (spec().num_sms minus degradation).
   int effective_sms() const { return effective_sms_; }
-  double membw_factor() const { return membw_factor_; }
 
   // Multi-GPU plumbing (src/interconnect): routes the wire time of every
   // host<->device copy chunk through a shared link fabric, where it contends
@@ -159,7 +157,6 @@ class Device {
   // and priority selection are unaffected. Device-to-device copies stay on
   // the internal path (they never cross the host fabric).
   void AttachHostLink(HostLinkModel* host_link, int gpu_index);
-  int gpu_index() const { return gpu_index_; }
 
   // --- Debug oracle. ---
   // When on, every Reschedule recomputes the progress rates and allocation

@@ -27,15 +27,12 @@ class TraceCollector {
   // devices' use. Returns the track index.
   int RecordInto(Device& device, const std::string& track_name = "");
 
-  const std::vector<std::string>& track_names() const { return track_names_; }
-
   // One collected record with the track it belongs to, in completion order
   // across all devices (the simulator's deterministic event order).
   struct Entry {
     int track = 0;
     KernelExecRecord record;
   };
-  const std::vector<Entry>& entries() const { return entries_; }
   std::size_t size() const { return entries_.size(); }
 
   // Chrome trace-event format: a JSON array of {"name","ph":"X","ts","dur",

@@ -290,7 +290,13 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     for (const auto& profile : profiles) {
       injector->RegisterProfile(profile.get());
     }
-    injector->set_client_fault_handler([&drivers, &pager](const fault::FaultEvent& event) {
+    // Client faults only: this harness has no fabric and no cluster. A crash
+    // or hang that names no client here still counts as applied.
+    injector->set_target_handler([&drivers, &pager](const fault::FaultEvent& event) {
+      if (event.kind != fault::FaultKind::kClientCrash &&
+          event.kind != fault::FaultKind::kClientHang) {
+        return false;
+      }
       for (auto& driver : drivers) {
         if (driver->id() != event.client) {
           continue;
@@ -304,8 +310,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
           // Dead process: its pages free immediately (host copy wins).
           pager->ReleaseClient(static_cast<int>(event.client));
         }
-        return;
+        break;
       }
+      return true;
     });
     injector->Arm();
   }

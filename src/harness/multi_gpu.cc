@@ -15,6 +15,16 @@ namespace orion {
 namespace harness {
 namespace {
 
+// Sets the bandwidth factor of the selected direction(s) of one link.
+void SetLinkFactor(interconnect::Fabric& fabric, int link, fault::LinkDir dir, double factor) {
+  if (dir == fault::LinkDir::kForward || dir == fault::LinkDir::kBoth) {
+    fabric.SetLinkFactor(link, /*forward=*/true, factor);
+  }
+  if (dir == fault::LinkDir::kBackward || dir == fault::LinkDir::kBoth) {
+    fabric.SetLinkFactor(link, /*forward=*/false, factor);
+  }
+}
+
 // Executes the DDP job: lockstep data-parallel iterations across the ring's
 // devices, paced kernel submission, bucketed all-reduce overlapped with the
 // backward pass, optimizer update after the last bucket.
@@ -288,7 +298,8 @@ MultiGpuResult RunDdpExperiment(const MultiGpuConfig& config) {
   }
 
   // Fault injection: device and fabric faults only (there is no scheduler
-  // or per-client driver in the DDP harness).
+  // or per-client driver in the DDP harness). This is the one harness with a
+  // fabric, so link and GPU-down faults are applied here.
   std::unique_ptr<fault::FaultInjector> injector;
   if (!config.fault_plan.empty()) {
     injector = std::make_unique<fault::FaultInjector>(&sim, config.fault_plan);
@@ -296,7 +307,38 @@ MultiGpuResult RunDdpExperiment(const MultiGpuConfig& config) {
     for (int gpu = 0; gpu < topo_gpus; ++gpu) {
       injector->RegisterDevice(gpu, &runtimes[static_cast<std::size_t>(gpu)]->device());
     }
-    injector->RegisterFabric(&fabric);
+    const int num_links = static_cast<int>(config.topology.links().size());
+    injector->set_target_handler([&sim, &fabric, topo_gpus,
+                                  num_links](const fault::FaultEvent& event) {
+      switch (event.kind) {
+        case fault::FaultKind::kLinkDegrade:
+        case fault::FaultKind::kLinkDown: {
+          if (event.link < 0 || event.link >= num_links) {
+            return false;
+          }
+          const double factor = event.kind == fault::FaultKind::kLinkDown ? 0.0 : event.factor;
+          SetLinkFactor(fabric, event.link, event.dir, factor);
+          if (event.duration_us > 0.0) {
+            // A flap: the link returns to full speed after the interval, the
+            // shape the collective engine's timeout policy waits out.
+            sim.ScheduleAfter(event.duration_us, [&fabric, link = event.link, dir = event.dir]() {
+              SetLinkFactor(fabric, link, dir, 1.0);
+            });
+          }
+          return true;
+        }
+        case fault::FaultKind::kGpuDown:
+          // Ring re-formation is the collective engine's job; it detects the
+          // dead GPU via Fabric::GpuAlive.
+          if (event.gpu < 0 || event.gpu >= topo_gpus) {
+            return false;
+          }
+          fabric.DisconnectGpu(event.gpu);
+          return true;
+        default:
+          return false;
+      }
+    });
     injector->Arm();
   }
 

@@ -187,6 +187,15 @@ double Fabric::LinkFactor(LinkId link, bool forward) const {
   return link_factor_[index];
 }
 
+void Fabric::DisconnectGpu(int gpu) {
+  for (const Link& link : topology_.links()) {
+    if (link.node_a == gpu || link.node_b == gpu) {
+      SetLinkFactor(link.id, /*forward=*/true, 0.0);
+      SetLinkFactor(link.id, /*forward=*/false, 0.0);
+    }
+  }
+}
+
 bool Fabric::GpuAlive(int gpu) const {
   for (const Link& link : topology_.links()) {
     if (link.node_a != gpu && link.node_b != gpu) {

@@ -98,9 +98,12 @@ class Fabric : public gpusim::HostLinkModel {
   // only the outage interval. Affected rates are recomputed immediately.
   void SetLinkFactor(LinkId link, bool forward, double factor);
   double LinkFactor(LinkId link, bool forward) const;
+  // The GPU fell off the bus: both directions of every link touching it go
+  // down for good (FaultKind::kGpuDown).
+  void DisconnectGpu(int gpu);
   // A GPU is alive while at least one direction of at least one of its links
-  // carries bandwidth. FaultKind::kGpuDown zeroes every link of the GPU, so
-  // this is how the collective engine distinguishes a dead peer from a flap.
+  // carries bandwidth. DisconnectGpu zeroes every link of the GPU, so this is
+  // how the collective engine distinguishes a dead peer from a flap.
   bool GpuAlive(int gpu) const;
   // Aborts an in-flight transfer (streaming or still in setup): remaining
   // bytes are dropped, bytes already moved stay counted, and the completion

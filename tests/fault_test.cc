@@ -315,7 +315,10 @@ TEST(CollectiveFaultTest, RingReformationMovesExactTrafficOnSurvivingRing) {
   event.gpu = 3;
   plan.events.push_back(event);
   FaultInjector injector(&sim, plan);
-  injector.RegisterFabric(&fabric);
+  injector.set_target_handler([&fabric](const FaultEvent& fault) {
+    fabric.DisconnectGpu(fault.gpu);
+    return true;
+  });
   injector.Arm();
 
   sim.RunUntilIdle();

@@ -577,9 +577,18 @@ TEST(ServingTest, UnsupportedFaultKindsAreSkipped) {
   degrade.kind = fault::FaultKind::kDeviceDegrade;
   degrade.at_us = SecToUs(1.0);
   config.fault_plan.events.push_back(degrade);
+  // The engine's fault handler returns false for link and hang faults.
+  fault::FaultEvent link_down;
+  link_down.kind = fault::FaultKind::kLinkDown;
+  link_down.at_us = SecToUs(1.5);
+  config.fault_plan.events.push_back(link_down);
+  fault::FaultEvent hang;
+  hang.kind = fault::FaultKind::kClientHang;
+  hang.at_us = SecToUs(2.0);
+  config.fault_plan.events.push_back(hang);
   const ServingResult result = RunServing(config);
   EXPECT_EQ(result.faults_injected, 0u);
-  EXPECT_EQ(result.faults_skipped, 1u);
+  EXPECT_EQ(result.faults_skipped, 3u);
 }
 
 TEST(ServingTest, InterferenceAwareRoutingBeatsRoundRobinOnContendedFleet) {

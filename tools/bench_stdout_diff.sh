@@ -5,10 +5,38 @@
 # time in seconds in BUILD_A and BUILD_B, and the last line the totals, so
 # the run that proves byte-identity also measures the speed change.
 #
+# The same bench list feeds the golden-stdout ctests (tests/CMakeLists.txt,
+# label `golden`), which diff each bench against tests/data/bench_golden/.
+#
 # Usage: tools/bench_stdout_diff.sh BUILD_A BUILD_B
+#        tools/bench_stdout_diff.sh --list                 # the bench names
+#        tools/bench_stdout_diff.sh --write-goldens BUILD  # regenerate goldens
 set -u
+root=$(cd "$(dirname "$0")/.." && pwd)
+
+# The deterministic benches, one name per line, from the bench sources.
+benches() {
+  for src in "$root"/bench/fig*.cc "$root"/bench/tab*.cc "$root"/bench/ext_*.cc \
+             "$root"/bench/sens_*.cc; do
+    basename "$src" .cc
+  done
+}
+
+if [ $# -eq 1 ] && [ "$1" = "--list" ]; then
+  benches
+  exit 0
+fi
+if [ $# -eq 2 ] && [ "$1" = "--write-goldens" ]; then
+  golden="$root/tests/data/bench_golden"
+  mkdir -p "$golden"
+  status=0
+  for name in $(benches); do
+    "$2/bench/$name" --quick > "$golden/$name.txt" || { echo "FAILED  $name"; status=1; }
+  done
+  exit $status
+fi
 if [ $# -ne 2 ]; then
-  echo "usage: $0 BUILD_A BUILD_B" >&2
+  echo "usage: $0 BUILD_A BUILD_B | --list | --write-goldens BUILD" >&2
   exit 2
 fi
 a="$1/bench"
@@ -23,16 +51,16 @@ total_b=0
 # Wall clock in milliseconds, and milliseconds printed as seconds.
 now_ms() { echo $(($(date +%s%N) / 1000000)); }
 secs() { awk -v ms="$1" 'BEGIN { printf "%.2f", ms / 1000 }'; }
-for path in "$a"/fig* "$a"/tab* "$a"/ext_* "$a"/sens_*; do
-  name=$(basename "$path")
-  [ -f "$path" ] && [ -x "$path" ] || continue
-  if [ ! -x "$b/$name" ]; then
-    echo "MISSING $name in $b"
-    status=1
-    continue
-  fi
+for name in $(benches); do
+  for tree in "$a" "$b"; do
+    if [ ! -x "$tree/$name" ]; then
+      echo "MISSING $name in $tree"
+      status=1
+      continue 2
+    fi
+  done
   start=$(now_ms)
-  "$path" --quick > "$out/a" 2>/dev/null || { echo "FAILED  $name in $a"; status=1; }
+  "$a/$name" --quick > "$out/a" 2>/dev/null || { echo "FAILED  $name in $a"; status=1; }
   mid=$(now_ms)
   "$b/$name" --quick > "$out/b" 2>/dev/null || { echo "FAILED  $name in $b"; status=1; }
   end=$(now_ms)
