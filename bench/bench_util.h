@@ -201,7 +201,7 @@ inline DurationUs MeasureWindowUs() {
 }
 
 inline harness::ClientConfig InferenceClient(workloads::ModelId model,
-                                             harness::ClientConfig::Arrivals arrivals,
+                                             trace::ArrivalKind arrivals,
                                              double rps, bool high_priority) {
   harness::ClientConfig client;
   client.workload = workloads::MakeWorkload(model, workloads::TaskType::kInference);
@@ -215,7 +215,7 @@ inline harness::ClientConfig TrainingClient(workloads::ModelId model, bool high_
   harness::ClientConfig client;
   client.workload = workloads::MakeWorkload(model, workloads::TaskType::kTraining);
   client.high_priority = high_priority;
-  client.arrivals = harness::ClientConfig::Arrivals::kClosedLoop;
+  client.arrivals = trace::ArrivalKind::kClosedLoop;
   return client;
 }
 
@@ -249,7 +249,7 @@ inline core::OrionOptions OrionOptionsFor(const harness::ClientConfig& hp,
   // throughput-oriented — training, or closed-loop inference (Fig. 2).
   const bool throughput_oriented =
       hp.workload.task == workloads::TaskType::kTraining ||
-      hp.arrivals == harness::ClientConfig::Arrivals::kClosedLoop;
+      hp.arrivals == trace::ArrivalKind::kClosedLoop;
   if (!throughput_oriented) {
     return options;
   }

@@ -28,12 +28,12 @@ inline const std::vector<harness::SchedulerKind>& CollocationSchedulers() {
 
 struct MatrixOptions {
   // Arrival process + per-model rates for the high-priority inference job.
-  harness::ClientConfig::Arrivals hp_arrivals = harness::ClientConfig::Arrivals::kPoisson;
+  trace::ArrivalKind hp_arrivals = trace::ArrivalKind::kPoisson;
   trace::CollocationCase rate_case = trace::CollocationCase::kInfTrainPoisson;
   // Partner workloads: training jobs (inf-train) or inference jobs (inf-inf).
   bool partners_are_training = true;
   // Best-effort inference arrivals (inf-inf only).
-  harness::ClientConfig::Arrivals be_arrivals = harness::ClientConfig::Arrivals::kUniform;
+  trace::ArrivalKind be_arrivals = trace::ArrivalKind::kUniform;
   trace::CollocationCase be_rate_case = trace::CollocationCase::kInfInfUniform;
   gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();
 };

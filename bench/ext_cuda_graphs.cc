@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   config.warmup_us = bench::WarmupWindowUs();
   config.duration_us = bench::MeasureWindowUs();
   config.clients.push_back(bench::InferenceClient(
-      workloads::ModelId::kResNet50, harness::ClientConfig::Arrivals::kPoisson,
+      workloads::ModelId::kResNet50, trace::ArrivalKind::kPoisson,
       trace::RequestsPerSecond(workloads::ModelId::kResNet50,
                                trace::CollocationCase::kInfTrainPoisson),
       true));

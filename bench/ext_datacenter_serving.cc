@@ -166,7 +166,7 @@ void DiurnalArm() {
     cfg.workload = MakeWorkload(model, TaskType::kInference);
     cfg.tier = tier;
     cfg.slo_us = slo_us;
-    cfg.arrivals = serving::ArrivalKind::kDiurnal;
+    cfg.arrivals = trace::ArrivalKind::kDiurnal;
     cfg.diurnal = mix.service_config(i);
     cfg.rps = cfg.diurnal.mean_rps;
     cfg.initial_replicas = 2;

@@ -38,7 +38,7 @@ harness::ExperimentConfig CollocationConfig() {
   config.duration_us = kWindow;
   config.clients = {
       bench::InferenceClient(workloads::ModelId::kResNet50,
-                             harness::ClientConfig::Arrivals::kPoisson,
+                             trace::ArrivalKind::kPoisson,
                              trace::RequestsPerSecond(workloads::ModelId::kResNet50,
                                                       trace::CollocationCase::kInfTrainPoisson),
                              /*high_priority=*/true),

@@ -56,7 +56,7 @@ Baseline MeasureDedicated(const harness::ClientConfig& client) {
   config.duration_us = bench::MeasureWindowUs();
   config.seed = bench::GlobalBenchArgs().seed;
   harness::ClientConfig closed = client;
-  closed.arrivals = harness::ClientConfig::Arrivals::kClosedLoop;
+  closed.arrivals = trace::ArrivalKind::kClosedLoop;
   closed.rps = 0.0;
   config.clients = {closed};
   const harness::ExperimentResult result = harness::RunExperiment(config);
@@ -104,17 +104,17 @@ int main(int argc, char** argv) {
 
   // --- Anchor each regime's load and SLO on measured dedicated baselines. ---
   harness::ClientConfig queue_hp = bench::InferenceClient(
-      workloads::ModelId::kResNet50, harness::ClientConfig::Arrivals::kPoisson,
+      workloads::ModelId::kResNet50, trace::ArrivalKind::kPoisson,
       0.0, /*high_priority=*/true);
   // The collocated regimes run closed-loop (one request in flight, next
   // issued on completion): client-side queueing stays near zero, so the
   // miss blame isolates the injected bottleneck rather than the backlog
   // that any slow request accumulates behind an open arrival process.
   harness::ClientConfig interference_hp = bench::InferenceClient(
-      workloads::ModelId::kMobileNetV2, harness::ClientConfig::Arrivals::kClosedLoop,
+      workloads::ModelId::kMobileNetV2, trace::ArrivalKind::kClosedLoop,
       0.0, /*high_priority=*/true);
   harness::ClientConfig paging_hp = bench::InferenceClient(
-      workloads::ModelId::kBert, harness::ClientConfig::Arrivals::kClosedLoop,
+      workloads::ModelId::kBert, trace::ArrivalKind::kClosedLoop,
       0.0, /*high_priority=*/true);
   const Baseline queue_base = MeasureDedicated(queue_hp);
   const Baseline interference_base = MeasureDedicated(interference_hp);

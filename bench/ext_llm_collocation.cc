@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   hp.workload =
       workloads::MakeWorkload(workloads::ModelId::kLlmDecode, workloads::TaskType::kInference);
   hp.high_priority = true;
-  hp.arrivals = harness::ClientConfig::Arrivals::kPoisson;
+  hp.arrivals = trace::ArrivalKind::kPoisson;
   hp.rps = 1.0;
 
   // Best-effort: ResNet50 training (compute-heavy kernels).

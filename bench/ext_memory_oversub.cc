@@ -75,7 +75,7 @@ std::vector<Mix> Mixes() {
     Mix mix;
     mix.name = "infer";
     mix.hp = bench::InferenceClient(workloads::ModelId::kMobileNetV2,
-                                    harness::ClientConfig::Arrivals::kClosedLoop, 0.0,
+                                    trace::ArrivalKind::kClosedLoop, 0.0,
                                     /*high_priority=*/true);
     mix.be.workload = workloads::MakeWorkload(workloads::ModelId::kResNet101,
                                               workloads::TaskType::kInference, 16);
@@ -88,7 +88,7 @@ std::vector<Mix> Mixes() {
     Mix mix;
     mix.name = "llm";
     mix.hp = bench::InferenceClient(workloads::ModelId::kTransformer,
-                                    harness::ClientConfig::Arrivals::kClosedLoop, 0.0,
+                                    trace::ArrivalKind::kClosedLoop, 0.0,
                                     /*high_priority=*/true);
     mix.be.workload = workloads::MakeWorkload(workloads::ModelId::kTransformer,
                                               workloads::TaskType::kTraining, 2);

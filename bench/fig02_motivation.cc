@@ -26,14 +26,14 @@ int main(int argc, char** argv) {
   };
   const PairSpec pairs[] = {
       {"rn50-inf + mnv2-train",
-       bench::InferenceClient(ModelId::kResNet50, harness::ClientConfig::Arrivals::kClosedLoop,
+       bench::InferenceClient(ModelId::kResNet50, trace::ArrivalKind::kClosedLoop,
                               0.0, true),
        bench::TrainingClient(ModelId::kMobileNetV2, false)},
       {"rn101-train + bert-train", bench::TrainingClient(ModelId::kResNet101, true),
        bench::TrainingClient(ModelId::kBert, false)},
       {"transf-inf + rn50-train",
        bench::InferenceClient(ModelId::kTransformer,
-                              harness::ClientConfig::Arrivals::kClosedLoop, 0.0, true),
+                              trace::ArrivalKind::kClosedLoop, 0.0, true),
        bench::TrainingClient(ModelId::kResNet50, false)},
   };
   const harness::SchedulerKind schedulers[] = {

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   bench::ParseBenchArgs(&argc, argv);
   bench::PrintHeader("Figure 6", "inference-training collocation, Apollo trace arrivals");
   bench::MatrixOptions options;
-  options.hp_arrivals = harness::ClientConfig::Arrivals::kApollo;
+  options.hp_arrivals = trace::ArrivalKind::kApollo;
   options.rate_case = trace::CollocationCase::kInfTrainPoisson;  // same mean rates
   options.partners_are_training = true;
   bench::RunCollocationMatrix("fig06", options);

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   bench::ParseBenchArgs(&argc, argv);
   bench::PrintHeader("Figure 7", "inference-training collocation, Poisson arrivals");
   bench::MatrixOptions options;
-  options.hp_arrivals = harness::ClientConfig::Arrivals::kPoisson;
+  options.hp_arrivals = trace::ArrivalKind::kPoisson;
   options.rate_case = trace::CollocationCase::kInfTrainPoisson;
   options.partners_are_training = true;
   bench::RunCollocationMatrix("fig07", options);

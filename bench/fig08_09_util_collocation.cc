@@ -23,7 +23,7 @@ harness::ExperimentResult Run(bool collocated, telemetry::Hub* hub = nullptr) {
       collocated ? harness::SchedulerKind::kOrion : harness::SchedulerKind::kDedicated;
   config.telemetry = hub;
   config.clients.push_back(bench::InferenceClient(workloads::ModelId::kResNet50,
-                                                  harness::ClientConfig::Arrivals::kUniform,
+                                                  trace::ArrivalKind::kUniform,
                                                   100.0, true));
   if (collocated) {
     config.clients.push_back(bench::TrainingClient(workloads::ModelId::kResNet50, false));

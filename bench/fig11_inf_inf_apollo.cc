@@ -12,10 +12,10 @@ int main(int argc, char** argv) {
   bench::ParseBenchArgs(&argc, argv);
   bench::PrintHeader("Figure 11", "inference-inference collocation, Apollo trace");
   bench::MatrixOptions options;
-  options.hp_arrivals = harness::ClientConfig::Arrivals::kApollo;
+  options.hp_arrivals = trace::ArrivalKind::kApollo;
   options.rate_case = trace::CollocationCase::kInfInfUniform;
   options.partners_are_training = false;
-  options.be_arrivals = harness::ClientConfig::Arrivals::kUniform;
+  options.be_arrivals = trace::ArrivalKind::kUniform;
   options.be_rate_case = trace::CollocationCase::kInfInfUniform;
   bench::RunCollocationMatrix("fig11", options);
   return 0;

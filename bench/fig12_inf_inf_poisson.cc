@@ -11,10 +11,10 @@ int main(int argc, char** argv) {
   bench::ParseBenchArgs(&argc, argv);
   bench::PrintHeader("Figure 12", "inference-inference collocation, Poisson arrivals");
   bench::MatrixOptions options;
-  options.hp_arrivals = harness::ClientConfig::Arrivals::kPoisson;
+  options.hp_arrivals = trace::ArrivalKind::kPoisson;
   options.rate_case = trace::CollocationCase::kInfInfPoisson;
   options.partners_are_training = false;
-  options.be_arrivals = harness::ClientConfig::Arrivals::kPoisson;
+  options.be_arrivals = trace::ArrivalKind::kPoisson;
   options.be_rate_case = trace::CollocationCase::kInfInfPoisson;
   bench::RunCollocationMatrix("fig12", options);
   return 0;

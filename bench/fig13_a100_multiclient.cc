@@ -30,14 +30,14 @@ int main(int argc, char** argv) {
     config.warmup_us = bench::WarmupWindowUs();
     config.duration_us = bench::MeasureWindowUs();
     config.clients.push_back(bench::InferenceClient(
-        hp_model, harness::ClientConfig::Arrivals::kPoisson,
+        hp_model, trace::ArrivalKind::kPoisson,
         trace::RequestsPerSecond(hp_model, trace::CollocationCase::kInfInfPoisson), true));
     for (auto be_model : bench::AllModels()) {
       if (be_model == hp_model) {
         continue;
       }
       config.clients.push_back(bench::InferenceClient(
-          be_model, harness::ClientConfig::Arrivals::kPoisson,
+          be_model, trace::ArrivalKind::kPoisson,
           trace::RequestsPerSecond(be_model, trace::CollocationCase::kInfInfPoisson), false));
     }
 

@@ -22,7 +22,7 @@ harness::ExperimentResult Run(harness::SchedulerKind kind, core::OrionOptions op
   config.warmup_us = bench::WarmupWindowUs();
   config.duration_us = bench::MeasureWindowUs();
   config.clients.push_back(bench::InferenceClient(
-      workloads::ModelId::kResNet50, harness::ClientConfig::Arrivals::kPoisson,
+      workloads::ModelId::kResNet50, trace::ArrivalKind::kPoisson,
       trace::RequestsPerSecond(workloads::ModelId::kResNet50,
                                trace::CollocationCase::kInfTrainPoisson),
       true));

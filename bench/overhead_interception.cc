@@ -35,7 +35,7 @@ void PrintInterceptionOverheadTable() {
       harness::ClientConfig client;
       client.workload = workload;
       client.high_priority = true;
-      client.arrivals = harness::ClientConfig::Arrivals::kClosedLoop;
+      client.arrivals = trace::ArrivalKind::kClosedLoop;
       config.clients = {client};
 
       config.scheduler = harness::SchedulerKind::kDedicated;

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader("Sensitivity (Section 6.4)", "DUR_THRESHOLD sweep");
 
   const harness::ClientConfig hp = bench::InferenceClient(
-      workloads::ModelId::kResNet101, harness::ClientConfig::Arrivals::kPoisson,
+      workloads::ModelId::kResNet101, trace::ArrivalKind::kPoisson,
       trace::RequestsPerSecond(workloads::ModelId::kResNet101,
                                trace::CollocationCase::kInfTrainPoisson),
       true);

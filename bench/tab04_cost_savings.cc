@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader("Table 4", "training cost savings under Orion collocation");
 
   const harness::ClientConfig hp = bench::InferenceClient(
-      workloads::ModelId::kResNet50, harness::ClientConfig::Arrivals::kPoisson,
+      workloads::ModelId::kResNet50, trace::ArrivalKind::kPoisson,
       trace::RequestsPerSecond(workloads::ModelId::kResNet50,
                                trace::CollocationCase::kInfTrainPoisson),
       true);

@@ -27,7 +27,7 @@ harness::ExperimentConfig ServingConfig(int best_effort_clients,
   detector.workload =
       workloads::MakeWorkload(workloads::ModelId::kResNet101, workloads::TaskType::kInference);
   detector.high_priority = true;
-  detector.arrivals = harness::ClientConfig::Arrivals::kApollo;
+  detector.arrivals = trace::ArrivalKind::kApollo;
   detector.rps = trace::RequestsPerSecond(workloads::ModelId::kResNet101,
                                           trace::CollocationCase::kInfInfUniform);
   config.clients.push_back(detector);
@@ -40,7 +40,7 @@ harness::ExperimentConfig ServingConfig(int best_effort_clients,
     batch.workload = workloads::MakeWorkload(backfill_models[i % 4],
                                              workloads::TaskType::kInference);
     batch.high_priority = false;
-    batch.arrivals = harness::ClientConfig::Arrivals::kClosedLoop;  // offline: always busy
+    batch.arrivals = trace::ArrivalKind::kClosedLoop;  // offline: always busy
     config.clients.push_back(batch);
   }
   return config;

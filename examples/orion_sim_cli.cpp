@@ -117,17 +117,17 @@ bool ParseClient(const std::string& spec, harness::ClientConfig* client, bool* p
     return false;
   }
   client->workload = workloads::MakeWorkload(model, task);
-  client->arrivals = harness::ClientConfig::Arrivals::kClosedLoop;
+  client->arrivals = trace::ArrivalKind::kClosedLoop;
   std::size_t index = 2;
   if (index < tokens.size()) {
     if (tokens[index] == "poisson" || tokens[index] == "uniform" ||
         tokens[index] == "apollo") {
       if (tokens[index] == "poisson") {
-        client->arrivals = harness::ClientConfig::Arrivals::kPoisson;
+        client->arrivals = trace::ArrivalKind::kPoisson;
       } else if (tokens[index] == "uniform") {
-        client->arrivals = harness::ClientConfig::Arrivals::kUniform;
+        client->arrivals = trace::ArrivalKind::kUniform;
       } else {
-        client->arrivals = harness::ClientConfig::Arrivals::kApollo;
+        client->arrivals = trace::ArrivalKind::kApollo;
       }
       ++index;
       if (index >= tokens.size()) {
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
     hp.workload =
         workloads::MakeWorkload(workloads::ModelId::kResNet50, workloads::TaskType::kInference);
     hp.high_priority = true;
-    hp.arrivals = harness::ClientConfig::Arrivals::kPoisson;
+    hp.arrivals = trace::ArrivalKind::kPoisson;
     hp.rps = 15.0;
     harness::ClientConfig be;
     be.workload =

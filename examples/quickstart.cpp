@@ -65,14 +65,14 @@ int main() {
   ClientConfig hp;
   hp.workload = workload;
   hp.high_priority = true;
-  hp.arrivals = ClientConfig::Arrivals::kPoisson;
+  hp.arrivals = orion::trace::ArrivalKind::kPoisson;
   hp.rps = orion::trace::RequestsPerSecond(ModelId::kResNet50,
                                            orion::trace::CollocationCase::kInfTrainPoisson);
 
   ClientConfig be;
   be.workload = MakeWorkload(ModelId::kResNet50, TaskType::kTraining);
   be.high_priority = false;
-  be.arrivals = ClientConfig::Arrivals::kClosedLoop;
+  be.arrivals = orion::trace::ArrivalKind::kClosedLoop;
 
   config.clients = {hp, be};
 

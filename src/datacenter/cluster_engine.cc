@@ -33,7 +33,6 @@
 #include "src/serving/request.h"
 #include "src/sim/simulator.h"
 #include "src/trace/arrivals.h"
-#include "src/trace/diurnal.h"
 
 namespace orion {
 namespace datacenter {
@@ -44,26 +43,6 @@ using serving::ReplicaView;
 using serving::Request;
 using serving::RequestOutcome;
 using serving::RouteReason;
-
-std::unique_ptr<trace::ArrivalProcess> MakeArrivals(const serving::ModelServiceConfig& cfg) {
-  switch (cfg.arrivals) {
-    case serving::ArrivalKind::kUniform:
-      return trace::MakeUniform(cfg.rps);
-    case serving::ArrivalKind::kPoisson:
-      return trace::MakePoisson(cfg.rps);
-    case serving::ArrivalKind::kApollo:
-      return trace::MakeApollo(cfg.rps);
-    case serving::ArrivalKind::kDiurnal: {
-      trace::DiurnalConfig diurnal = cfg.diurnal;
-      if (diurnal.mean_rps <= 0.0) {
-        diurnal.mean_rps = cfg.rps;
-      }
-      return trace::MakeDiurnal(diurnal);
-    }
-  }
-  ORION_CHECK_MSG(false, "unknown arrival kind");
-  return nullptr;
-}
 
 // The datacenter network (num_nodes > 1): a 100 GbE NIC per node through one
 // ToR switch hop, per direction, full duplex; and the serialized tensors a
@@ -135,7 +114,6 @@ class ClusterEngine {
       : config_(cluster_config.serving),
         spec_(cluster_config.cluster),
         router_(cluster_config.serving.policy, cluster_config.serving.models.size()),
-        admission_(cluster_config.serving.admission),
         horizon_(cluster_config.serving.warmup_us + cluster_config.serving.duration_us) {
     ORION_CHECK(spec_.num_nodes >= 1);
     ORION_CHECK(spec_.gpus_per_node >= 1);
@@ -146,14 +124,15 @@ class ClusterEngine {
       ORION_CHECK(cfg.rps > 0.0);
       ORION_CHECK(cfg.slo_us > 0.0);
       ORION_CHECK(cfg.initial_replicas >= 1);
-      ORION_CHECK(cfg.min_replicas >= 1);
       ORION_CHECK(cfg.max_replicas >= cfg.initial_replicas);
+      ORION_CHECK_MSG(cfg.arrivals != trace::ArrivalKind::kClosedLoop,
+                      "a serving front-end takes open-loop arrivals, not kClosedLoop");
       models_.push_back(std::make_unique<ModelState>(
           cfg,
           serving::BatchCostModel(config_.device, cfg.workload,
                                   cfg.tier == serving::PriorityTier::kLatencyCritical,
                                   config_.launch_overhead_us),
-          MakeArrivals(cfg), root.Fork(m)));
+          trace::MakeArrivals(cfg.arrivals, cfg.rps, cfg.diurnal), root.Fork(m)));
       if (cfg.llm.enabled) {
         ORION_CHECK_MSG(cfg.workload.model == workloads::ModelId::kLlmDecode,
                         "LLM serving requires the kLlmDecode workload");
@@ -320,15 +299,14 @@ class ClusterEngine {
     metrics_ = hub_ != nullptr ? &hub_->metrics() : &local_metrics_;
     const bool tracing = hub_ != nullptr && hub_->tracing();
     attr_ = hub_ != nullptr && hub_->attribution_enabled();
+    std::vector<std::string> labels;
+    for (const auto& model : models_) {
+      labels.push_back(workloads::WorkloadName(model->cfg.workload));
+    }
+    telemetry::DisambiguateLabels(&labels);
     for (std::size_t m = 0; m < models_.size(); ++m) {
       ModelState& model = *models_[m];
-      model.label = workloads::WorkloadName(model.cfg.workload);
-      for (std::size_t prev = 0; prev < m; ++prev) {
-        if (models_[prev]->label == model.label) {
-          model.label += "#" + std::to_string(m);
-          break;
-        }
-      }
+      model.label = labels[m];
       const telemetry::Labels by_service = {{"service", model.label}};
       model.total_offered = metrics_->GetCounter("serving.offered_total", by_service);
       model.total_completed = metrics_->GetCounter("serving.completed_total", by_service);
@@ -442,7 +420,7 @@ class ClusterEngine {
 
     const int node = PickNode(m);
     if (node < 0) {
-      HandleNoReplica(m, std::move(request));
+      LimboOrDrop(m, std::move(request), /*hold=*/false);
       return;
     }
     // Admission against the chosen node's least-loaded replica.
@@ -462,7 +440,7 @@ class ClusterEngine {
     const DurationUs service = model.llm_cost != nullptr
                                    ? model.llm_cost->PrefillUs(request.prompt_tokens)
                                    : model.cost.BatchServiceUs(est_batch);
-    if (!admission_.Admit(request, model.cfg.tier, best_wait, service)) {
+    if (!serving::Admit(config_.admission, request, model.cfg.tier, best_wait, service)) {
       request.outcome = RequestOutcome::kShed;
       model.total_shed->Inc();
       ++model.w_shed;
@@ -472,11 +450,7 @@ class ClusterEngine {
       Mark("shed", {{"service", model.label}});
       return;
     }
-    if (NetworkOn()) {
-      ForwardRequest(node, std::move(request), std::nullopt);
-    } else {
-      Deliver(node, std::move(request), std::nullopt);
-    }
+    Route(node, std::move(request), std::nullopt);
   }
 
   // Batch size the next dispatch will likely use (admission's service-time
@@ -489,9 +463,11 @@ class ClusterEngine {
                          static_cast<int>(queued_ahead) + 1);
   }
 
-  void HandleNoReplica(std::size_t m, Request request) {
+  // No node can take `request` now. It waits in limbo for the next replica
+  // activation when one is provisioning or `hold` is set, else it is dropped.
+  void LimboOrDrop(std::size_t m, Request request, bool hold) {
     ModelState& model = *models_[m];
-    if (PendingReplicas(m) > 0) {
+    if (hold || PendingReplicas(m) > 0) {
       model.limbo.push_back(std::move(request));
       return;
     }
@@ -558,6 +534,16 @@ class ClusterEngine {
       view.outstanding_us = OutstandingUs(r);
       views->push_back(view);
       ids->push_back(id);
+    }
+  }
+
+  // Sends an admitted request to `node`: over the network when there is one,
+  // else straight to level-2 routing (Deliver, which reads `forced`).
+  void Route(int node, Request request, std::optional<RouteReason> forced) {
+    if (NetworkOn()) {
+      ForwardRequest(node, std::move(request), forced);
+    } else {
+      Deliver(node, std::move(request), forced);
     }
   }
 
@@ -699,8 +685,18 @@ class ClusterEngine {
       }
     }
     const int batch = static_cast<int>(r.in_flight.size());
-    const DurationUs iso_us = models_[r.model]->cost.BatchServiceUs(batch);
-    const DurationUs service = iso_us * Slowdown(r);
+    StartService(id, models_[r.model]->cost.BatchServiceUs(batch), Slowdown(r),
+                 &ClusterEngine::OnBatchComplete);
+  }
+
+  // Occupies replica `id` with the batch or step now in r.in_flight: its
+  // isolated-roofline cost `iso_us` stretched by `slowdown`, after which
+  // `on_complete(id)` runs.
+  void StartService(int id, DurationUs iso_us, double slowdown,
+                    void (ClusterEngine::*on_complete)(int)) {
+    Replica& r = replica(id);
+    const TimeUs now = sim_.now();
+    const DurationUs service = iso_us * slowdown;
     if (attr_) {
       r.batch_iso_us = iso_us;
     }
@@ -708,22 +704,38 @@ class ClusterEngine {
     r.batch_start = now;
     r.busy_until = now + service;
     r.completion =
-        sim_.ScheduleAfter(service, [this, id] { OnBatchComplete(id); });
+        sim_.ScheduleAfter(service, [this, id, on_complete] { (this->*on_complete)(id); });
+  }
+
+  // The shared head of a finished batch or step: counts it on the node and,
+  // before any completion is finalized, splits its service time into the
+  // isolated price (kExecute) and the collocation stall (kInterference).
+  NodeState& FinishService(Replica& r) {
+    NodeState& node = node_state(NodeOf(r.gpu));
+    ++node.batches;
+    if (attr_) {
+      for (Request& request : r.in_flight) {
+        request.ledger.ChargeExecStep(sim_.now(), r.batch_iso_us);
+      }
+    }
+    return node;
+  }
+
+  // The shared tail: the replica goes idle, and the busy stretch since
+  // batch_start counts toward the autoscaler's utilization window.
+  void GoIdle(Replica& r) {
+    const TimeUs now = sim_.now();
+    r.busy_in_eval_window_us += now - r.batch_start;
+    r.busy = false;
+    if (attr_) {
+      r.idle_since = now;
+    }
   }
 
   void OnBatchComplete(int id) {
     Replica& r = replica(id);
-    const TimeUs now = sim_.now();
-    NodeState& node = node_state(NodeOf(r.gpu));
-    ++node.batches;
+    NodeState& node = FinishService(r);
     node.requests += r.in_flight.size();
-    if (attr_) {
-      // Split the batch's service time into its isolated price (kExecute) and
-      // the collocation stall (kInterference) before OnBatchServed finalizes.
-      for (Request& request : r.in_flight) {
-        request.ledger.ChargeExecStep(now, r.batch_iso_us);
-      }
-    }
     OnBatchServed(r);  // reads r.in_flight / batch_start / reason
     if (r.llm != nullptr) {
       // Request-level LLM baseline: the whole batch's KV lives until the
@@ -732,19 +744,14 @@ class ClusterEngine {
         r.llm->kv.Free(seq.id);
       }
     }
-    r.busy_in_eval_window_us += now - r.batch_start;
     r.in_flight.clear();
-    r.busy = false;
-    if (attr_) {
-      r.idle_since = now;
-    }
+    GoIdle(r);
     if (r.state == Replica::State::kDraining && r.batcher.empty()) {
       RetireReplica(id);
       return;
     }
     TryDispatch(id);
   }
-
 
   // Continuous (iteration-level) batching, Orca-style: one decode step at a
   // time; sequences join/leave between steps (DESIGN.md §13).
@@ -819,15 +826,8 @@ class ClusterEngine {
       }
       step_us += cost.DecodeStepUs(decoding, static_cast<int>(context_sum / decoding));
     }
-    if (attr_) {
-      r.batch_iso_us = step_us;  // pre-slowdown: the step's isolated price
-    }
-    step_us *= Slowdown(r);
-    r.busy = true;
-    r.batch_start = now;
-    r.busy_until = now + step_us;
     r.dispatch_reason = serving::DispatchReason::kContinuous;
-    r.completion = sim_.ScheduleAfter(step_us, [this, id] { OnLlmStepComplete(id); });
+    StartService(id, step_us, Slowdown(r), &ClusterEngine::OnLlmStepComplete);
   }
 
   void OnLlmStepComplete(int id) {
@@ -835,15 +835,9 @@ class ClusterEngine {
     Replica::LlmState& st = *r.llm;
     const TimeUs now = sim_.now();
     const TimeUs start = r.batch_start;
-    NodeState& node = node_state(NodeOf(r.gpu));
-    ++node.batches;
-    if (attr_) {
-      // Charge the step to every participant before tokens are assigned, so a
-      // first-token snapshot below sums exactly to TTFT.
-      for (Request& seq : r.in_flight) {
-        seq.ledger.ChargeExecStep(now, r.batch_iso_us);
-      }
-    }
+    // Charged before tokens are assigned, so a first-token snapshot below
+    // sums exactly to TTFT.
+    NodeState& node = FinishService(r);
     // Every sequence in the step emitted exactly one token: joiners their
     // first (from the prefill; rejoiners their next, the recompute re-derived
     // the earlier ones), running sequences their next from the decode step.
@@ -862,11 +856,7 @@ class ClusterEngine {
     }
     OnDecodeStep(r, static_cast<int>(n), st.joined_this_step, start, now);
     st.joined_this_step = 0;
-    r.busy_in_eval_window_us += now - start;
-    r.busy = false;
-    if (attr_) {
-      r.idle_since = now;
-    }
+    GoIdle(r);
     // Finished sequences leave the iteration and release their KV.
     for (std::size_t i = 0; i < r.in_flight.size();) {
       if (r.in_flight[i].generated >= r.in_flight[i].target_tokens) {
@@ -874,7 +864,7 @@ class ClusterEngine {
         r.in_flight.erase(r.in_flight.begin() + static_cast<long>(i));
         st.kv.Free(seq.id);
         ++node.requests;
-        OnSequenceFinished(r, seq, start, now);
+        Respond(r, seq, start, now);
       } else {
         ++i;
       }
@@ -948,15 +938,7 @@ class ClusterEngine {
       }
       seq.generated = seq.target_tokens;  // the batch runs to completion
     }
-    if (attr_) {
-      r.batch_iso_us = breakdown.total_us;
-    }
-    const DurationUs service = breakdown.total_us * slowdown;
-    r.busy = true;
-    r.batch_start = now;
-    r.busy_until = now + service;
-    r.completion =
-        sim_.ScheduleAfter(service, [this, id] { OnBatchComplete(id); });
+    StartService(id, breakdown.total_us, slowdown, &ClusterEngine::OnBatchComplete);
   }
 
   // Stops routing to replica `id`; it retires once idle and empty.
@@ -1205,16 +1187,8 @@ class ClusterEngine {
     const TimeUs now = sim_.now();
     ModelState& model = *models_[r.model];
     const int batch_size = static_cast<int>(r.in_flight.size());
-    if (!NetworkOn()) {
-      for (const Request& request : r.in_flight) {
-        CompleteRequest(request, r.id, r.gpu, r.batch_start, now, now);
-      }
-    } else {
-      // The computed responses still have to cross the network; completion
-      // accounting happens when each one reaches the front-end.
-      for (const Request& request : r.in_flight) {
-        SendResponse(r.id, r.gpu, r.batch_start, now, request);
-      }
+    for (const Request& request : r.in_flight) {
+      Respond(r, request, r.batch_start, now);
     }
     if (model.track >= 0) {
       hub_->spans().Complete(gpu_tracks_[static_cast<std::size_t>(r.gpu)], r.id,
@@ -1265,12 +1239,14 @@ class ClusterEngine {
     }
   }
 
-  void OnSequenceFinished(Replica& r, const Request& request, TimeUs step_start,
-                          TimeUs step_end) {
+  // `request` finished in the batch or step [start, end] on `r`. Without a
+  // network it completes now; otherwise its response still has to cross the
+  // network, and completion accounting happens when it reaches the front-end.
+  void Respond(Replica& r, const Request& request, TimeUs start, TimeUs end) {
     if (!NetworkOn()) {
-      CompleteRequest(request, r.id, r.gpu, step_start, step_end, step_end);
+      CompleteRequest(request, r.id, r.gpu, start, end, end);
     } else {
-      SendResponse(r.id, r.gpu, step_start, step_end, request);
+      SendResponse(r.id, r.gpu, start, end, request);
     }
   }
 
@@ -1454,11 +1430,7 @@ class ClusterEngine {
       model.limbo.pop_front();
       const int node = PickNode(r.model);
       ORION_CHECK(node >= 0);  // this replica just activated
-      if (NetworkOn()) {
-        ForwardRequest(node, std::move(request), RouteReason::kLimboDrain);
-      } else {
-        Deliver(node, std::move(request), RouteReason::kLimboDrain);
-      }
+      Route(node, std::move(request), RouteReason::kLimboDrain);
     }
   }
 
@@ -1595,22 +1567,10 @@ class ClusterEngine {
     }
     const int node = PickNode(m);
     if (node < 0) {
-      if (PendingReplicas(m) > 0 || was_running) {
-        model.limbo.push_back(std::move(request));
-      } else {
-        model.total_dropped->Inc();
-        if (InWindow(sim_.now())) {
-          model.dropped->Inc();
-        }
-        Mark("drop", {{"service", model.label}});
-      }
+      LimboOrDrop(m, std::move(request), /*hold=*/was_running);
       return;
     }
-    if (NetworkOn()) {
-      ForwardRequest(node, std::move(request), RouteReason::kFailoverRehome);
-    } else {
-      Deliver(node, std::move(request), RouteReason::kFailoverRehome);
-    }
+    Route(node, std::move(request), RouteReason::kFailoverRehome);
   }
 
   // --- Autoscaling. ---
@@ -1625,7 +1585,6 @@ class ClusterEngine {
       signals.completions = model.w_completions;
       signals.slo_met = model.w_slo_met;
       signals.shed = model.w_shed;
-      signals.min_replicas = model.cfg.min_replicas;
       signals.max_replicas = model.cfg.max_replicas;
       signals.pending_replicas = PendingReplicas(m);
       double busy = 0.0;
@@ -1797,7 +1756,6 @@ class ClusterEngine {
   ClusterSpec spec_;
   Simulator sim_;
   serving::Router router_;
-  serving::AdmissionController admission_;
   TimeUs horizon_;
   std::vector<NodeState> nodes_;
   std::vector<GpuShard> gpus_;    // by global (node-major) GPU index

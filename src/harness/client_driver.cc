@@ -19,20 +19,9 @@ ClientDriver::ClientDriver(Simulator* sim, core::Scheduler* scheduler, core::Cli
       op_overhead_us_(op_overhead_us),
       rng_(rng) {
   ORION_CHECK(sim_ != nullptr && scheduler_ != nullptr);
-  switch (config_.arrivals) {
-    case ClientConfig::Arrivals::kClosedLoop:
-      arrivals_ = trace::MakeClosedLoop();
-      break;
-    case ClientConfig::Arrivals::kPoisson:
-      arrivals_ = trace::MakePoisson(config_.rps);
-      break;
-    case ClientConfig::Arrivals::kUniform:
-      arrivals_ = trace::MakeUniform(config_.rps);
-      break;
-    case ClientConfig::Arrivals::kApollo:
-      arrivals_ = trace::MakeApollo(config_.rps);
-      break;
-  }
+  ORION_CHECK_MSG(config_.arrivals != trace::ArrivalKind::kDiurnal,
+                  "diurnal arrivals are a serving front-end shape, not a client's");
+  arrivals_ = trace::MakeArrivals(config_.arrivals, config_.rps);
   template_ops_ = workloads::BuildRequestOps(device, config_.workload);
   if (config_.use_cuda_graphs) {
     // Capture runs of consecutive kernel launches into graph ops of at most

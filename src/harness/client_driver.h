@@ -30,8 +30,9 @@ namespace harness {
 struct ClientConfig {
   workloads::WorkloadSpec workload;
   bool high_priority = false;
-  enum class Arrivals { kClosedLoop, kPoisson, kUniform, kApollo } arrivals =
-      Arrivals::kClosedLoop;
+  using Arrivals = trace::ArrivalKind;  // kept only because perfbench/ names it
+  // Any kind but kDiurnal, the serving front-end's multi-hour shape.
+  trace::ArrivalKind arrivals = trace::ArrivalKind::kClosedLoop;
   double rps = 0.0;  // ignored for closed loop
 
   // §7 extension: submit each request's kernels as captured CUDA graphs

@@ -146,22 +146,14 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
                         << " bytes; enable config.paging to page the overflow (§5.1.3)");
   }
 
-  // --- Per-client telemetry labels. Collocations of one model against
-  // itself are common (hp + be copies of the same workload): suffix
-  // duplicates so clients never merge. Shared by the attribution sinks and
+  // --- Per-client telemetry labels, shared by the attribution sinks and
   // the result-mirror step below.
-  std::vector<std::string> client_labels(config.clients.size());
-  for (std::size_t c = 0; c < config.clients.size(); ++c) {
-    const ClientConfig& cc = config.clients[c];
-    client_labels[c] = workloads::WorkloadName(cc.workload) +
-                       (cc.high_priority ? "/hp" : "/be");
-    for (std::size_t prev = 0; prev < c; ++prev) {
-      if (client_labels[prev] == client_labels[c]) {
-        client_labels[c] += "#" + std::to_string(c);
-        break;
-      }
-    }
+  std::vector<std::string> client_labels;
+  for (const ClientConfig& cc : config.clients) {
+    client_labels.push_back(workloads::WorkloadName(cc.workload) +
+                            (cc.high_priority ? "/hp" : "/be"));
   }
+  telemetry::DisambiguateLabels(&client_labels);
   const bool attr =
       config.telemetry != nullptr && config.telemetry->attribution_enabled();
   const auto bind_attribution = [&](ClientDriver& driver, std::size_t c) {

@@ -61,9 +61,16 @@ void GpuRuntime::Submit(const Op& op, gpusim::StreamId stream, CompletionCb done
     case OpType::kFree: {
       // The harness frees by size rather than by handle: it models framework
       // allocator behaviour coarsely. A free of N bytes synchronises the
-      // device, then releases the oldest-fit accounting entry. We keep exact
-      // handle-based frees on the MemoryManager API for library users.
-      device_.SynchronizeDevice([done = std::move(done)]() mutable {
+      // device, then releases the issuing client's oldest live N-byte
+      // allocation. Exact handle-based frees stay on the MemoryManager API.
+      const std::size_t bytes = op.bytes;
+      const std::uint64_t client = op.client_id;
+      device_.SynchronizeDevice([this, bytes, client, done = std::move(done)]() mutable {
+        const MemHandle handle = memory_.Oldest(bytes, client);
+        ORION_CHECK_MSG(handle != kInvalidMemHandle,
+                        "free of " << bytes << "B matches no live allocation of client "
+                                   << client);
+        memory_.Free(handle);
         if (done) {
           done();
         }

@@ -25,6 +25,18 @@ void MemoryManager::Free(MemHandle handle) {
   allocations_.erase(it);
 }
 
+MemHandle MemoryManager::Oldest(std::size_t bytes, std::uint64_t client) const {
+  // Handles are issued in increasing order, so the oldest is the smallest.
+  MemHandle oldest = kInvalidMemHandle;
+  for (const auto& [handle, allocation] : allocations_) {
+    if (allocation.bytes == bytes && allocation.client == client &&
+        (oldest == kInvalidMemHandle || handle < oldest)) {
+      oldest = handle;
+    }
+  }
+  return oldest;
+}
+
 std::size_t MemoryManager::ReleaseClient(std::uint64_t client) {
   std::size_t released = 0;
   for (auto it = allocations_.begin(); it != allocations_.end();) {

@@ -26,6 +26,9 @@ class MemoryManager {
   MemHandle Allocate(std::size_t bytes, std::uint64_t client = 0);
   // Frees a previous allocation; aborts on unknown or double-freed handles.
   void Free(MemHandle handle);
+  // The oldest live allocation of exactly `bytes` tagged with `client`, or
+  // kInvalidMemHandle when there is none (size-based cudaFree).
+  MemHandle Oldest(std::size_t bytes, std::uint64_t client) const;
   // Frees every live allocation tagged with `client` (process-exit cleanup,
   // src/fault). Returns the number of bytes released.
   std::size_t ReleaseClient(std::uint64_t client);

@@ -12,11 +12,9 @@ constexpr double kBeSlack = 0.7;  // best-effort services yield headroom first
 
 }  // namespace
 
-AdmissionController::AdmissionController(const AdmissionConfig& config) : config_(config) {}
-
-bool AdmissionController::Admit(const Request& request, PriorityTier tier,
-                                DurationUs predicted_wait_us, DurationUs service_us) const {
-  if (!config_.enabled) {
+bool Admit(const AdmissionConfig& config, const Request& request, PriorityTier tier,
+           DurationUs predicted_wait_us, DurationUs service_us) {
+  if (!config.enabled) {
     return true;
   }
   const double slack =

@@ -14,6 +14,15 @@ constexpr DurationUs kReplicaStartFixedUs = 50e3;  // 50 ms
 
 }  // namespace
 
+DurationUs SerialKernelsUs(const std::vector<gpusim::KernelDesc>& kernels,
+                           DurationUs launch_overhead_us) {
+  DurationUs total = 0.0;
+  for (const gpusim::KernelDesc& kernel : kernels) {
+    total += kernel.duration_us;
+  }
+  return total + launch_overhead_us * static_cast<double>(kernels.size());
+}
+
 BatchCostModel::BatchCostModel(const gpusim::DeviceSpec& device,
                                const workloads::WorkloadSpec& workload, bool high_priority,
                                DurationUs launch_overhead_us)
@@ -34,12 +43,8 @@ DurationUs BatchCostModel::BatchServiceUs(int batch) const {
   }
   workloads::WorkloadSpec batched = workload_;
   batched.batch_size = workload_.batch_size * batch;
-  const auto kernels = workloads::BuildKernels(device_, batched);
-  DurationUs total = 0.0;
-  for (const auto& kernel : kernels) {
-    total += kernel.duration_us;
-  }
-  total += launch_overhead_us_ * static_cast<double>(kernels.size());
+  const DurationUs total =
+      SerialKernelsUs(workloads::BuildKernels(device_, batched), launch_overhead_us_);
   if (index >= cache_.size()) {
     cache_.resize(index + 1, 0.0);
   }

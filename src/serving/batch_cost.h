@@ -25,6 +25,12 @@
 namespace orion {
 namespace serving {
 
+// Device-busy time of `kernels` run back to back: the sum of their
+// durations plus `launch_overhead_us` of host submission per kernel. The one
+// pricing rule of both serving cost models.
+DurationUs SerialKernelsUs(const std::vector<gpusim::KernelDesc>& kernels,
+                           DurationUs launch_overhead_us);
+
 class BatchCostModel {
  public:
   // `workload` describes one request (its batch_size is the per-request

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/serving/batch_cost.h"
 
 namespace orion {
 namespace serving {
@@ -19,14 +20,6 @@ LlmCostModel::LlmCostModel(const gpusim::DeviceSpec& device, const LlmServiceCon
   ORION_CHECK(service.ttft_slo_us > 0.0 && service.tpot_slo_us > 0.0);
 }
 
-DurationUs LlmCostModel::KernelsUs(const std::vector<gpusim::KernelDesc>& kernels) const {
-  DurationUs total = 0.0;
-  for (const gpusim::KernelDesc& kernel : kernels) {
-    total += kernel.duration_us;
-  }
-  return total + launch_overhead_us_ * static_cast<double>(kernels.size());
-}
-
 int LlmCostModel::ContextBucket(int context_tokens) const {
   return ((std::max(1, context_tokens) + kKvBlockTokens - 1) / kKvBlockTokens) * kKvBlockTokens;
 }
@@ -37,8 +30,8 @@ DurationUs LlmCostModel::PrefillUs(int context_tokens) const {
   if (it != prefill_cache_.end()) {
     return it->second;
   }
-  const DurationUs cost =
-      KernelsUs(workloads::BuildLlmPrefillKernels(device_, service_.model, bucket));
+  const DurationUs cost = SerialKernelsUs(
+      workloads::BuildLlmPrefillKernels(device_, service_.model, bucket), launch_overhead_us_);
   prefill_cache_.emplace(bucket, cost);
   return cost;
 }
@@ -52,8 +45,9 @@ DurationUs LlmCostModel::DecodeStepUs(int batch, int context_tokens) const {
   if (it != step_cache_.end()) {
     return it->second;
   }
-  const DurationUs cost =
-      KernelsUs(workloads::BuildLlmDecodeStepKernels(device_, service_.model, batch, bucket));
+  const DurationUs cost = SerialKernelsUs(
+      workloads::BuildLlmDecodeStepKernels(device_, service_.model, batch, bucket),
+      launch_overhead_us_);
   step_cache_.emplace(key, cost);
   return cost;
 }

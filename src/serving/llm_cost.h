@@ -94,7 +94,6 @@ class LlmCostModel {
   const LlmServiceConfig& service() const { return service_; }
 
  private:
-  DurationUs KernelsUs(const std::vector<gpusim::KernelDesc>& kernels) const;
   int ContextBucket(int context_tokens) const;
 
   gpusim::DeviceSpec device_;

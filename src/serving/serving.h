@@ -42,18 +42,14 @@
 #include "src/serving/llm_cost.h"
 #include "src/serving/request.h"
 #include "src/serving/router.h"
-#include "src/trace/diurnal.h"
+#include "src/trace/arrivals.h"
 #include "src/workloads/models.h"
 
 namespace orion {
 namespace serving {
 
-// Open-loop arrival shapes for a service's request stream. (Closed-loop
-// arrivals are a client-side notion and make no sense for a front-end.)
-// kDiurnal is the non-stationary shape for multi-hour datacenter runs: a
-// sinusoidal daily wave with MMPP bursts (trace::DiurnalArrivals),
-// parameterized by ModelServiceConfig::diurnal.
-enum class ArrivalKind : std::uint8_t { kUniform, kPoisson, kApollo, kDiurnal };
+// Kept only because perfbench/ names it; the arrival model is trace's.
+using ArrivalKind = trace::ArrivalKind;
 
 // Replica slots per GPU that placement (cluster::BestGpuFor) may fill.
 inline constexpr int kMaxReplicasPerGpu = 2;
@@ -68,14 +64,16 @@ struct ModelServiceConfig {
   // superseded by the per-token TTFT/TPOT SLOs in `llm`. The workload must be
   // kLlmDecode (its signature still drives placement and interference).
   LlmServiceConfig llm;
-  ArrivalKind arrivals = ArrivalKind::kPoisson;
+  // Any open-loop kind: closed-loop arrivals are a client-side notion and
+  // make no sense for a front-end. kDiurnal is the non-stationary shape for
+  // multi-hour datacenter runs, parameterized by `diurnal` below.
+  trace::ArrivalKind arrivals = trace::ArrivalKind::kPoisson;
   double rps = 50.0;
   // kDiurnal parameters (shape, bursts). When diurnal.mean_rps <= 0 the
   // service's `rps` above is used as the long-run mean rate.
   trace::DiurnalConfig diurnal;
   int initial_replicas = 1;
-  int min_replicas = 1;
-  int max_replicas = 4;
+  int max_replicas = 4;  // the autoscaler never drains below one replica
 };
 
 struct ServingConfig {

@@ -17,6 +17,17 @@ const char* MetricKindName(MetricKind kind) {
   return "unknown";
 }
 
+void DisambiguateLabels(std::vector<std::string>* labels) {
+  for (std::size_t i = 0; i < labels->size(); ++i) {
+    for (std::size_t prev = 0; prev < i; ++prev) {
+      if ((*labels)[prev] == (*labels)[i]) {
+        (*labels)[i] += "#" + std::to_string(i);
+        break;
+      }
+    }
+  }
+}
+
 std::string MetricRegistry::EncodeKey(const std::string& name, const Labels& labels) {
   std::string key = name;
   if (!labels.empty()) {

@@ -34,6 +34,11 @@ namespace telemetry {
 // Ordered key=value pairs attached to a metric (and to trace-span args).
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
+// Makes per-entity label values unique in place so two entities never merge
+// into one metric or track: a label equal to an earlier one gets a
+// "#<index>" suffix (collocations of one model against itself are common).
+void DisambiguateLabels(std::vector<std::string>* labels);
+
 // Monotonically increasing count (events, requests, bytes).
 class Counter {
  public:

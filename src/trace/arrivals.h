@@ -1,27 +1,39 @@
-// Request arrival processes (§6.1).
+// Request arrival processes (§6.1): the one arrival model every client and
+// serving front-end draws from.
 //
 // The paper drives inference jobs with three arrival patterns:
 //   * Uniform inter-arrival — autonomous-driving style periodic requests,
 //   * Poisson — event-driven services (rates from the Azure Functions trace,
 //     Table 3),
 //   * the Apollo object-detection trace from the DISB benchmark.
-// Training jobs submit iterations in a closed loop.
+// Training jobs submit iterations in a closed loop. Multi-hour datacenter
+// runs add a fifth, non-stationary shape: a diurnal wave with bursts
+// (diurnal.h).
 //
-// The real Apollo trace is not redistributable here; ApolloArrivals is a
+// The real Apollo trace is not redistributable here; the kApollo process is a
 // seeded synthetic stand-in: near-periodic camera-frame arrivals with bounded
 // jitter plus occasional short bursts (multiple sensor events in one frame
 // window), which reproduces the queueing pressure the trace exerts.
 #ifndef SRC_TRACE_ARRIVALS_H_
 #define SRC_TRACE_ARRIVALS_H_
 
+#include <cstdint>
 #include <memory>
-#include <string>
 
 #include "src/common/rng.h"
 #include "src/common/time_types.h"
+#include "src/trace/diurnal.h"
 
 namespace orion {
 namespace trace {
+
+enum class ArrivalKind : std::uint8_t {
+  kClosedLoop,  // back-to-back requests (training jobs, offline inference)
+  kUniform,     // inter-arrival exactly 1/rps
+  kPoisson,     // exponential inter-arrival with mean 1/rps
+  kApollo,      // synthetic Apollo-like trace; bursts add ~10% over rps
+  kDiurnal,     // non-homogeneous Poisson: sinusoidal wave times MMPP bursts
+};
 
 class ArrivalProcess {
  public:
@@ -33,58 +45,13 @@ class ArrivalProcess {
   // True for closed-loop processes: the next request is issued immediately
   // after the previous one completes, and NextInterarrival is not used.
   virtual bool closed_loop() const { return false; }
-
-  virtual std::string name() const = 0;
 };
 
-// Fixed-rate arrivals: inter-arrival time is exactly 1/rps.
-class UniformArrivals : public ArrivalProcess {
- public:
-  explicit UniformArrivals(double requests_per_second);
-  DurationUs NextInterarrival(Rng& rng) override;
-  std::string name() const override;
-
- private:
-  DurationUs period_us_;
-};
-
-// Poisson arrivals: exponential inter-arrival with mean 1/rps.
-class PoissonArrivals : public ArrivalProcess {
- public:
-  explicit PoissonArrivals(double requests_per_second);
-  DurationUs NextInterarrival(Rng& rng) override;
-  std::string name() const override;
-
- private:
-  DurationUs mean_us_;
-};
-
-// Synthetic Apollo-like trace (see file comment).
-class ApolloArrivals : public ArrivalProcess {
- public:
-  // `requests_per_second` sets the base camera frame rate; bursts add ~10%
-  // extra requests on top.
-  explicit ApolloArrivals(double requests_per_second);
-  DurationUs NextInterarrival(Rng& rng) override;
-  std::string name() const override;
-
- private:
-  DurationUs period_us_;
-  int burst_remaining_ = 0;
-};
-
-// Closed loop: back-to-back requests (training jobs, offline inference).
-class ClosedLoopArrivals : public ArrivalProcess {
- public:
-  DurationUs NextInterarrival(Rng& rng) override;
-  bool closed_loop() const override { return true; }
-  std::string name() const override { return "closed-loop"; }
-};
-
-std::unique_ptr<ArrivalProcess> MakeUniform(double rps);
-std::unique_ptr<ArrivalProcess> MakePoisson(double rps);
-std::unique_ptr<ArrivalProcess> MakeApollo(double rps);
-std::unique_ptr<ArrivalProcess> MakeClosedLoop();
+// The arrival process of `kind` at `rps` > 0 requests per second (unused by
+// kClosedLoop). kDiurnal takes its shape and bursts from `diurnal`, whose
+// long-run mean falls back to `rps` when diurnal.mean_rps <= 0.
+std::unique_ptr<ArrivalProcess> MakeArrivals(ArrivalKind kind, double rps,
+                                             const DiurnalConfig& diurnal = {});
 
 }  // namespace trace
 }  // namespace orion

@@ -11,23 +11,22 @@
 //                          multiplier is also 1: bursts raise the rate by
 //                          `burst_factor` for exponentially-distributed
 //                          episodes, calm periods compensate below 1.
-//   * DiurnalArrivals    — a non-homogeneous Poisson process combining both
-//                          modulators, generated by thinning against the
-//                          peak rate (Lewis & Shedler), so it composes with
-//                          the ArrivalProcess interface and stays bit-
-//                          deterministic under a fixed Rng.
+//   * DiurnalConfig      — both modulators around a long-run mean rate: the
+//                          parameters of the ArrivalKind::kDiurnal process
+//                          (arrivals.h), a non-homogeneous Poisson process
+//                          generated by thinning against the peak rate
+//                          (Lewis & Shedler), bit-deterministic under a
+//                          fixed Rng.
 //   * DiurnalMix         — a per-service bundle of DiurnalConfigs with a
 //                          shared shape, the front door used by the
 //                          datacenter bench's 24h-compressed mix.
 #ifndef SRC_TRACE_DIURNAL_H_
 #define SRC_TRACE_DIURNAL_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/time_types.h"
-#include "src/trace/arrivals.h"
 
 namespace orion {
 namespace trace {
@@ -63,32 +62,6 @@ struct DiurnalConfig {
   DiurnalShape shape;
   BurstMix burst;
 };
-
-// Non-homogeneous Poisson arrivals: rate(t) = mean_rps * shape(t) * mmpp(t),
-// generated by thinning against the peak rate. Owns its absolute clock
-// (accumulated interarrivals), so each instance is an independent stream.
-class DiurnalArrivals : public ArrivalProcess {
- public:
-  explicit DiurnalArrivals(const DiurnalConfig& config);
-
-  DurationUs NextInterarrival(Rng& rng) override;
-  std::string name() const override;
-
-  const DiurnalConfig& config() const { return config_; }
-
- private:
-  double RateAt(TimeUs t) const;
-  void AdvanceBurstState(Rng& rng, TimeUs until);
-
-  DiurnalConfig config_;
-  double peak_rate_per_us_ = 0.0;  // thinning envelope
-  TimeUs now_us_ = 0.0;            // accumulated synthetic clock
-  bool bursting_ = false;
-  TimeUs burst_edge_us_ = 0.0;     // next calm<->burst transition
-  bool burst_seeded_ = false;
-};
-
-std::unique_ptr<ArrivalProcess> MakeDiurnal(const DiurnalConfig& config);
 
 // Per-service diurnal configs sharing one shape (each service keeps its own
 // phase so peaks need not align). Front door for multi-model datacenter mixes.

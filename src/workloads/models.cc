@@ -148,48 +148,16 @@ void BuildTransformerStack(GraphBuilder& g, const TransformerConfig& cfg, int ba
 
 // --- LLM token-generation (extension, paper §7). ---------------------------
 
-struct LlmConfig {
-  int layers;
-  int hidden;
-  int heads;
-  int context;       // KV-cache length attended per step
-  int decode_steps;  // tokens generated per request
-};
-
-void BuildLlmDecode(GraphBuilder& g, const LlmConfig& cfg, int batch) {
-  const double b = batch;
-  const double head_dim = static_cast<double>(cfg.hidden) / cfg.heads;
-  for (int step = 0; step < cfg.decode_steps; ++step) {
-    const std::string t = "tok" + std::to_string(step) + ".";
-    g.Embedding(t + "embed", b, cfg.hidden);
-    for (int layer = 0; layer < cfg.layers; ++layer) {
-      const std::string p = t + "layer" + std::to_string(layer) + ".";
-      // Skinny GEMMs (m = batch): dominated by streaming the weight matrix,
-      // hence memory-bound — the §7 observation.
-      g.Linear(p + "qkv", b, cfg.hidden, 3.0 * cfg.hidden);
-      // Attention over the KV cache: pure gather + dot products.
-      g.Gemm(p + "attn.scores", b * cfg.heads, cfg.context, head_dim);
-      g.Softmax(p + "attn.softmax", b * cfg.heads, cfg.context);
-      g.Gemm(p + "attn.context", b * cfg.heads, head_dim, cfg.context);
-      g.Linear(p + "attn.out", b, cfg.hidden, cfg.hidden);
-      g.LayerNorm(p + "ln1", b, cfg.hidden);
-      g.Linear(p + "ffn.fc1", b, cfg.hidden, 4.0 * cfg.hidden);
-      g.Gelu(p + "ffn.gelu", b * 4.0 * cfg.hidden);
-      g.Linear(p + "ffn.fc2", b, 4.0 * cfg.hidden, cfg.hidden);
-      g.LayerNorm(p + "ln2", b, cfg.hidden);
-    }
-    g.Linear(t + "lm_head", b, cfg.hidden, 4000.0);  // sampled softmax head
-  }
-}
-
 // Serving-LLM (LlmModelConfig) shape constants: FFN inner dim = kLlmFfnMult
 // * hidden, and the vocabulary the embedding/lm-head table covers.
 constexpr double kLlmFfnMult = 4.0;
 constexpr int kLlmVocab = 32000;
 
 // One transformer decoder layer at `rows` query rows attending to `context`
-// KV positions. Shared by the prefill builder (rows = context = prompt) and
-// the decode-step builder (rows = batch, context = cache length).
+// KV positions. Shared by the prefill builder (rows = context = prompt), the
+// decode-step builder (rows = batch, context = cache length) and the legacy
+// kLlmDecode workload. Skinny GEMMs (rows = batch) are dominated by
+// streaming the weight matrix, hence memory-bound — the §7 observation.
 void BuildLlmLayer(GraphBuilder& g, const LlmModelConfig& cfg, const std::string& p,
                    double rows, double context) {
   const double head_dim = static_cast<double>(cfg.hidden) / cfg.heads;
@@ -204,6 +172,23 @@ void BuildLlmLayer(GraphBuilder& g, const LlmModelConfig& cfg, const std::string
   g.Gelu(p + "ffn.gelu", rows * ffn);
   g.Linear(p + "ffn.fc2", rows, ffn, cfg.hidden);
   g.LayerNorm(p + "ln2", rows, cfg.hidden);
+}
+
+// The kLlmDecode workload: kDecodeSteps tokens of the default LlmModelConfig,
+// every step attending to a kContext-token KV cache.
+void BuildLlmDecode(GraphBuilder& g, int batch) {
+  constexpr int kContext = 512;
+  constexpr int kDecodeSteps = 8;
+  const LlmModelConfig cfg;
+  const double b = batch;
+  for (int step = 0; step < kDecodeSteps; ++step) {
+    const std::string t = "tok" + std::to_string(step) + ".";
+    g.Embedding(t + "embed", b, cfg.hidden);
+    for (int layer = 0; layer < cfg.layers; ++layer) {
+      BuildLlmLayer(g, cfg, t + "layer" + std::to_string(layer) + ".", b, kContext);
+    }
+    g.Linear(t + "lm_head", b, cfg.hidden, 4000.0);  // sampled softmax head
+  }
 }
 
 std::vector<gpusim::KernelDesc> FinishLlmGraph(const gpusim::DeviceSpec& device,
@@ -313,7 +298,7 @@ void BuildModelGraph(GraphBuilder& g, const WorkloadSpec& spec) {
       break;
     }
     case ModelId::kLlmDecode:
-      BuildLlmDecode(g, LlmConfig{12, 2048, 16, 512, 8}, spec.batch_size);
+      BuildLlmDecode(g, spec.batch_size);
       break;
   }
 }

@@ -103,11 +103,11 @@ harness::ExperimentConfig Fig06Pair(harness::SchedulerKind scheduler) {
   harness::ClientConfig hp;
   hp.workload = MakeWorkload(ModelId::kResNet50, TaskType::kInference);
   hp.high_priority = true;
-  hp.arrivals = harness::ClientConfig::Arrivals::kApollo;
+  hp.arrivals = trace::ArrivalKind::kApollo;
   hp.rps = trace::RequestsPerSecond(ModelId::kResNet50, trace::CollocationCase::kInfTrainPoisson);
   harness::ClientConfig be;
   be.workload = MakeWorkload(ModelId::kResNet50, TaskType::kTraining);
-  be.arrivals = harness::ClientConfig::Arrivals::kClosedLoop;
+  be.arrivals = trace::ArrivalKind::kClosedLoop;
   config.clients = {hp, be};
   return config;
 }

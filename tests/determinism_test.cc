@@ -40,15 +40,15 @@ ExperimentConfig FaultedConfig() {
   ClientConfig hp;
   hp.workload = MakeWorkload(ModelId::kResNet50, TaskType::kInference);
   hp.high_priority = true;
-  hp.arrivals = ClientConfig::Arrivals::kPoisson;
+  hp.arrivals = trace::ArrivalKind::kPoisson;
   hp.rps = trace::RequestsPerSecond(ModelId::kResNet50,
                                     trace::CollocationCase::kInfTrainPoisson);
   ClientConfig be1;
   be1.workload = MakeWorkload(ModelId::kResNet50, TaskType::kTraining);
-  be1.arrivals = ClientConfig::Arrivals::kClosedLoop;
+  be1.arrivals = trace::ArrivalKind::kClosedLoop;
   ClientConfig be2;
   be2.workload = MakeWorkload(ModelId::kMobileNetV2, TaskType::kTraining);
-  be2.arrivals = ClientConfig::Arrivals::kClosedLoop;
+  be2.arrivals = trace::ArrivalKind::kClosedLoop;
   config.clients = {hp, be1, be2};
 
   fault::FaultEvent degrade;
@@ -241,7 +241,7 @@ serving::ServingConfig FaultedServingConfig() {
   serving::ModelServiceConfig bert;
   bert.workload = MakeWorkload(ModelId::kBert, TaskType::kInference);
   bert.tier = serving::PriorityTier::kBestEffort;
-  bert.arrivals = serving::ArrivalKind::kApollo;
+  bert.arrivals = trace::ArrivalKind::kApollo;
   bert.rps = 20.0;
   bert.slo_us = MsToUs(400.0);
   config.models = {resnet, bert};
@@ -297,7 +297,7 @@ TEST(DeterminismTest, SameSeedClusterRunIsBitIdentical) {
   config.serving = FaultedServingConfig();
   config.serving.models[0].initial_replicas = 8;
   config.serving.models[0].max_replicas = 16;
-  config.serving.models[1].arrivals = serving::ArrivalKind::kDiurnal;
+  config.serving.models[1].arrivals = trace::ArrivalKind::kDiurnal;
   config.serving.models[1].diurnal.shape.period_us = SecToUs(4.0);
   config.serving.models[1].diurnal.burst.burst_factor = 3.0;
   config.serving.models[1].diurnal.burst.burst_fraction = 0.1;

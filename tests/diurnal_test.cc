@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/trace/arrivals.h"
 #include "src/trace/diurnal.h"
 
 namespace orion {
@@ -72,18 +73,18 @@ TEST(DiurnalArrivalsTest, SameSeedReproducesExactStream) {
   config.shape.period_us = SecToUs(60.0);
   config.burst.burst_factor = 4.0;
   config.burst.burst_fraction = 0.1;
-  auto a = MakeDiurnal(config);
-  auto b = MakeDiurnal(config);
+  auto a = MakeArrivals(ArrivalKind::kDiurnal, config.mean_rps, config);
+  auto b = MakeArrivals(ArrivalKind::kDiurnal, config.mean_rps, config);
   Rng rng_a(42);
   Rng rng_b(42);
   for (int i = 0; i < 500; ++i) {
     EXPECT_DOUBLE_EQ(a->NextInterarrival(rng_a), b->NextInterarrival(rng_b));
   }
   // A different seed gives a different stream.
-  auto c = MakeDiurnal(config);
+  auto c = MakeArrivals(ArrivalKind::kDiurnal, config.mean_rps, config);
   Rng rng_c(43);
   bool any_diff = false;
-  auto d = MakeDiurnal(config);
+  auto d = MakeArrivals(ArrivalKind::kDiurnal, config.mean_rps, config);
   Rng rng_d(42);
   for (int i = 0; i < 50; ++i) {
     if (c->NextInterarrival(rng_c) != d->NextInterarrival(rng_d)) {
@@ -103,7 +104,7 @@ TEST(DiurnalArrivalsTest, FitGenerateReproducesUnderReseeding) {
   config.burst.burst_fraction = 0.15;
   config.burst.mean_burst_us = SecToUs(0.5);
   for (const std::uint64_t seed : {1ull, 99ull}) {
-    auto process = MakeDiurnal(config);
+    auto process = MakeArrivals(ArrivalKind::kDiurnal, config.mean_rps, config);
     Rng rng(seed);
     const auto [mean_rps, cv2] = RateAndCv2(*process, rng, 20000);
     EXPECT_NEAR(mean_rps, 150.0, 15.0) << "seed " << seed;
@@ -116,7 +117,7 @@ TEST(DiurnalArrivalsTest, MeanRateIsPreservedOverAFullPeriod) {
   config.mean_rps = 200.0;
   config.shape.period_us = SecToUs(50.0);
   config.shape.peak_to_trough = 3.0;
-  auto process = MakeDiurnal(config);
+  auto process = MakeArrivals(ArrivalKind::kDiurnal, config.mean_rps, config);
   Rng rng(5);
   std::size_t count = 0;
   TimeUs t = 0.0;
@@ -136,7 +137,7 @@ TEST(DiurnalArrivalsTest, RateFollowsTheWave) {
   config.mean_rps = 500.0;
   config.shape.period_us = SecToUs(40.0);
   config.shape.peak_to_trough = 3.0;
-  auto process = MakeDiurnal(config);
+  auto process = MakeArrivals(ArrivalKind::kDiurnal, config.mean_rps, config);
   Rng rng(3);
   std::size_t peak_half = 0;
   std::size_t trough_half = 0;
@@ -178,8 +179,8 @@ TEST(DiurnalMixTest, AddServiceKeepsPhaseAndSharesPeriod) {
     EXPECT_DOUBLE_EQ(mix.service_config(i).mean_rps, 500.0);
   }
   // A service's config drives a process that is deterministic per seed.
-  auto p0 = MakeDiurnal(mix.service_config(1));
-  auto p1 = MakeDiurnal(mix.service_config(1));
+  auto p0 = MakeArrivals(ArrivalKind::kDiurnal, 500.0, mix.service_config(1));
+  auto p1 = MakeArrivals(ArrivalKind::kDiurnal, 500.0, mix.service_config(1));
   Rng ra(9);
   Rng rb(9);
   for (int i = 0; i < 100; ++i) {

@@ -569,13 +569,13 @@ harness::ExperimentConfig InfTrainConfig(DurationUs duration = SecToUs(2.0)) {
   harness::ClientConfig hp;
   hp.workload = MakeWorkload(ModelId::kResNet50, TaskType::kInference);
   hp.high_priority = true;
-  hp.arrivals = harness::ClientConfig::Arrivals::kPoisson;
+  hp.arrivals = trace::ArrivalKind::kPoisson;
   hp.rps = trace::RequestsPerSecond(ModelId::kResNet50,
                                     trace::CollocationCase::kInfTrainPoisson);
 
   harness::ClientConfig be;
   be.workload = MakeWorkload(ModelId::kResNet50, TaskType::kTraining);
-  be.arrivals = harness::ClientConfig::Arrivals::kClosedLoop;
+  be.arrivals = trace::ArrivalKind::kClosedLoop;
 
   config.clients = {hp, be};
   return config;
@@ -610,7 +610,7 @@ TEST(ExperimentFaultTest, HangedClientIsCaughtByWatchdog) {
   // arms on a throttled poll).
   harness::ClientConfig be2;
   be2.workload = MakeWorkload(ModelId::kMobileNetV2, TaskType::kTraining);
-  be2.arrivals = harness::ClientConfig::Arrivals::kClosedLoop;
+  be2.arrivals = trace::ArrivalKind::kClosedLoop;
   config.clients.push_back(be2);
   config.orion.runaway_timeout_factor = 4.0;
 

@@ -23,13 +23,13 @@ ExperimentConfig InfTrainConfig(SchedulerKind scheduler, DurationUs duration = S
   ClientConfig hp;
   hp.workload = MakeWorkload(ModelId::kResNet50, TaskType::kInference);
   hp.high_priority = true;
-  hp.arrivals = ClientConfig::Arrivals::kPoisson;
+  hp.arrivals = trace::ArrivalKind::kPoisson;
   hp.rps = trace::RequestsPerSecond(ModelId::kResNet50,
                                     trace::CollocationCase::kInfTrainPoisson);
 
   ClientConfig be;
   be.workload = MakeWorkload(ModelId::kResNet50, TaskType::kTraining);
-  be.arrivals = ClientConfig::Arrivals::kClosedLoop;
+  be.arrivals = trace::ArrivalKind::kClosedLoop;
 
   config.clients = {hp, be};
   return config;
@@ -141,15 +141,15 @@ TEST(HarnessTest, MultipleBestEffortClients) {
   ClientConfig hp;
   hp.workload = MakeWorkload(ModelId::kResNet50, TaskType::kInference);
   hp.high_priority = true;
-  hp.arrivals = ClientConfig::Arrivals::kPoisson;
+  hp.arrivals = trace::ArrivalKind::kPoisson;
   hp.rps = 40.0;
   ClientConfig be1;
   be1.workload = MakeWorkload(ModelId::kMobileNetV2, TaskType::kInference);
-  be1.arrivals = ClientConfig::Arrivals::kUniform;
+  be1.arrivals = trace::ArrivalKind::kUniform;
   be1.rps = 60.0;
   ClientConfig be2;
   be2.workload = MakeWorkload(ModelId::kTransformer, TaskType::kInference);
-  be2.arrivals = ClientConfig::Arrivals::kUniform;
+  be2.arrivals = trace::ArrivalKind::kUniform;
   be2.rps = 15.0;
   config.clients = {hp, be1, be2};
   const ExperimentResult result = RunExperiment(config);
@@ -203,7 +203,7 @@ TEST(HarnessTest, IdealHasNegligibleServiceInflation) {
 
 TEST(HarnessTest, ApolloArrivalsRun) {
   auto config = InfTrainConfig(SchedulerKind::kOrion, SecToUs(2.0));
-  config.clients[0].arrivals = ClientConfig::Arrivals::kApollo;
+  config.clients[0].arrivals = trace::ArrivalKind::kApollo;
   config.clients[0].rps = 40.0;
   const ExperimentResult result = RunExperiment(config);
   EXPECT_GT(result.hp().completed, 40u);

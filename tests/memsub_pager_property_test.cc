@@ -416,7 +416,7 @@ TEST(SwappingTest, FittingPairsNeverSwap) {
   hp.workload =
       workloads::MakeWorkload(workloads::ModelId::kResNet50, workloads::TaskType::kInference);
   hp.high_priority = true;
-  hp.arrivals = harness::ClientConfig::Arrivals::kPoisson;
+  hp.arrivals = trace::ArrivalKind::kPoisson;
   hp.rps = 15.0;
   harness::ClientConfig be;
   be.workload =

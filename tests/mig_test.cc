@@ -21,7 +21,7 @@ ExperimentConfig PairConfig(SchedulerKind scheduler) {
   ClientConfig hp;
   hp.workload = MakeWorkload(ModelId::kResNet50, TaskType::kInference);
   hp.high_priority = true;
-  hp.arrivals = ClientConfig::Arrivals::kPoisson;
+  hp.arrivals = trace::ArrivalKind::kPoisson;
   hp.rps = 15.0;
   ClientConfig be;
   be.workload = MakeWorkload(ModelId::kResNet50, TaskType::kTraining);
@@ -105,7 +105,7 @@ TEST(MigTest, HpDeviceMetricsFollowTheHpClient) {
   for (const SchedulerKind kind : {SchedulerKind::kDedicated, SchedulerKind::kMig}) {
     ExperimentConfig hp_first = PairConfig(kind);
     hp_first.duration_us = SecToUs(1.0);
-    hp_first.clients[0].arrivals = ClientConfig::Arrivals::kClosedLoop;
+    hp_first.clients[0].arrivals = trace::ArrivalKind::kClosedLoop;
     ExperimentConfig hp_second = hp_first;
     std::swap(hp_second.clients[0], hp_second.clients[1]);
     const ExperimentResult a = RunExperiment(hp_first);

@@ -67,6 +67,36 @@ TEST_F(RuntimeTest, MallocSynchronisesDevice) {
   EXPECT_EQ(rt.memory().used(), std::size_t{1024 * 1024});
 }
 
+TEST_F(RuntimeTest, FreeReleasesTheClientsOldestAllocation) {
+  GpuRuntime rt(&sim_, spec_);
+  const auto stream = rt.CreateStream();
+  Op malloc_op;
+  malloc_op.type = OpType::kMalloc;
+  malloc_op.bytes = 1024 * 1024;
+  malloc_op.client_id = 3;
+  Op free_op = malloc_op;
+  free_op.type = OpType::kFree;
+  bool freed = false;
+  rt.Submit(malloc_op, stream, nullptr);
+  rt.Submit(free_op, stream, [&]() { freed = true; });
+  sim_.RunUntilIdle();
+  EXPECT_TRUE(freed);
+  EXPECT_EQ(rt.memory().used(), 0u);
+  EXPECT_EQ(rt.memory().live_allocations(), 0u);
+}
+
+TEST(MemoryManagerTest, OldestPicksTheFirstMatchingAllocation) {
+  MemoryManager mem(1000);
+  const MemHandle a = mem.Allocate(100, 1);
+  mem.Allocate(200, 1);
+  const MemHandle c = mem.Allocate(100, 1);
+  mem.Allocate(100, 2);
+  EXPECT_EQ(mem.Oldest(100, 1), a);
+  mem.Free(a);
+  EXPECT_EQ(mem.Oldest(100, 1), c);
+  EXPECT_EQ(mem.Oldest(300, 1), kInvalidMemHandle);
+}
+
 TEST_F(RuntimeTest, EventQueryNonBlocking) {
   GpuRuntime rt(&sim_, spec_);
   const auto stream = rt.CreateStream();

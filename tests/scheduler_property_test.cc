@@ -36,11 +36,11 @@ ExperimentConfig MixConfig(SchedulerKind scheduler, std::uint64_t seed) {
   const bool hp_inference = scheduler != SchedulerKind::kTickTock && rng.NextDouble() < 0.6;
   if (hp_inference) {
     hp.workload = MakeWorkload(ModelId::kResNet50, TaskType::kInference);
-    hp.arrivals = ClientConfig::Arrivals::kPoisson;
+    hp.arrivals = trace::ArrivalKind::kPoisson;
     hp.rps = rng.UniformDouble(10.0, 30.0);
   } else {
     hp.workload = MakeWorkload(ModelId::kResNet50, TaskType::kTraining);
-    hp.arrivals = ClientConfig::Arrivals::kClosedLoop;
+    hp.arrivals = trace::ArrivalKind::kClosedLoop;
   }
   hp.high_priority = true;
 
@@ -50,7 +50,7 @@ ExperimentConfig MixConfig(SchedulerKind scheduler, std::uint64_t seed) {
                              scheduler == SchedulerKind::kTickTock ? TaskType::kTraining
                                                                    : TaskType::kInference);
   if (be.workload.task == TaskType::kInference) {
-    be.arrivals = ClientConfig::Arrivals::kUniform;
+    be.arrivals = trace::ArrivalKind::kUniform;
     be.rps = rng.UniformDouble(10.0, 40.0);
   }
   config.clients = {hp, be};
@@ -126,14 +126,14 @@ TEST_P(CompletionOrderTest, RequestsCompleteInOrderExactlyOnce) {
   ClientConfig hp;
   hp.workload = MakeWorkload(ModelId::kMobileNetV2, TaskType::kInference);
   hp.high_priority = true;
-  hp.arrivals = ClientConfig::Arrivals::kUniform;
+  hp.arrivals = trace::ArrivalKind::kUniform;
   hp.rps = 50.0;
   ClientConfig be;
   be.workload = MakeWorkload(ModelId::kMobileNetV2,
                              kind == SchedulerKind::kTickTock ? TaskType::kTraining
                                                               : TaskType::kInference);
   if (be.workload.task == TaskType::kInference) {
-    be.arrivals = ClientConfig::Arrivals::kUniform;
+    be.arrivals = trace::ArrivalKind::kUniform;
     be.rps = 30.0;
   }
   config.clients = {hp, be};

@@ -219,34 +219,33 @@ TEST(RouterTest, PickReasonMatchesPolicyAndCandidateCount) {
 // --- Admission control. ---
 
 TEST(AdmissionTest, ShedsPredictedDeadlineMiss) {
-  const AdmissionController admission{AdmissionConfig{}};
+  const AdmissionConfig config;
   Request request;
   request.arrival_us = 1000.0;
   request.deadline_us = 1000.0 + 50e3;
-  EXPECT_TRUE(admission.Admit(request, PriorityTier::kLatencyCritical,
-                              /*predicted_wait_us=*/20e3, /*service_us=*/10e3));
-  EXPECT_FALSE(admission.Admit(request, PriorityTier::kLatencyCritical, 45e3, 10e3));
+  EXPECT_TRUE(Admit(config, request, PriorityTier::kLatencyCritical,
+                    /*predicted_wait_us=*/20e3, /*service_us=*/10e3));
+  EXPECT_FALSE(Admit(config, request, PriorityTier::kLatencyCritical, 45e3, 10e3));
 }
 
 TEST(AdmissionTest, BestEffortShedsEarlier) {
-  const AdmissionController admission{AdmissionConfig{}};
+  const AdmissionConfig config;
   Request request;
   request.deadline_us = 100e3;
   // 80% of the deadline: fine for latency-critical (slack 1.0), beyond
   // best-effort's 0.7 slack.
-  EXPECT_TRUE(admission.Admit(request, PriorityTier::kLatencyCritical, 70e3, 10e3));
-  EXPECT_FALSE(admission.Admit(request, PriorityTier::kBestEffort, 70e3, 10e3));
+  EXPECT_TRUE(Admit(config, request, PriorityTier::kLatencyCritical, 70e3, 10e3));
+  EXPECT_FALSE(Admit(config, request, PriorityTier::kBestEffort, 70e3, 10e3));
   // 60%: inside both.
-  EXPECT_TRUE(admission.Admit(request, PriorityTier::kBestEffort, 50e3, 10e3));
+  EXPECT_TRUE(Admit(config, request, PriorityTier::kBestEffort, 50e3, 10e3));
 }
 
 TEST(AdmissionTest, DisabledAdmitsEverything) {
   AdmissionConfig config;
   config.enabled = false;
-  const AdmissionController admission(config);
   Request request;
   request.deadline_us = 1.0;
-  EXPECT_TRUE(admission.Admit(request, PriorityTier::kLatencyCritical, 1e9, 1e9));
+  EXPECT_TRUE(Admit(config, request, PriorityTier::kLatencyCritical, 1e9, 1e9));
 }
 
 // --- Autoscaler decisions. ---

@@ -171,7 +171,7 @@ TEST(TimeQuantumIntegrationTest, IdleClientReleasesQuantumEarly) {
   harness::ExperimentConfig config = TqConfig(2.0);
   config.duration_us = SecToUs(3.0);
   config.device.memory_bytes = 20 * kPage;
-  config.clients[0].arrivals = harness::ClientConfig::Arrivals::kPoisson;
+  config.clients[0].arrivals = trace::ArrivalKind::kPoisson;
   config.clients[0].rps = 5.0;
   config.clients[0].paging_ws_fraction = 0.01;
   config.clients[1].workload = workloads::MakeWorkload(workloads::ModelId::kMobileNetV2,

@@ -11,20 +11,20 @@ namespace trace {
 namespace {
 
 TEST(ArrivalsTest, UniformIsExactlyPeriodic) {
-  UniformArrivals arrivals(100.0);
+  const auto arrivals = MakeArrivals(ArrivalKind::kUniform, 100.0);
   Rng rng(1);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(arrivals.NextInterarrival(rng), 10000.0);  // 1/100s in µs
+    EXPECT_DOUBLE_EQ(arrivals->NextInterarrival(rng), 10000.0);  // 1/100s in µs
   }
-  EXPECT_FALSE(arrivals.closed_loop());
+  EXPECT_FALSE(arrivals->closed_loop());
 }
 
 TEST(ArrivalsTest, PoissonMeanMatchesRate) {
-  PoissonArrivals arrivals(50.0);
+  const auto arrivals = MakeArrivals(ArrivalKind::kPoisson, 50.0);
   Rng rng(2);
   OnlineStats stats;
   for (int i = 0; i < 100000; ++i) {
-    stats.Add(arrivals.NextInterarrival(rng));
+    stats.Add(arrivals->NextInterarrival(rng));
   }
   EXPECT_NEAR(stats.mean(), 20000.0, 300.0);
   // Exponential: stddev ~= mean.
@@ -32,21 +32,21 @@ TEST(ArrivalsTest, PoissonMeanMatchesRate) {
 }
 
 TEST(ArrivalsTest, PoissonDeterministicAcrossSeeds) {
-  PoissonArrivals arrivals(50.0);
+  const auto arrivals = MakeArrivals(ArrivalKind::kPoisson, 50.0);
   Rng a(7);
   Rng b(7);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_DOUBLE_EQ(arrivals.NextInterarrival(a), arrivals.NextInterarrival(b));
+    EXPECT_DOUBLE_EQ(arrivals->NextInterarrival(a), arrivals->NextInterarrival(b));
   }
 }
 
 TEST(ArrivalsTest, ApolloMeanRateNearTarget) {
-  ApolloArrivals arrivals(40.0);
+  const auto arrivals = MakeArrivals(ArrivalKind::kApollo, 40.0);
   Rng rng(3);
   double total = 0.0;
   constexpr int kN = 100000;
   for (int i = 0; i < kN; ++i) {
-    total += arrivals.NextInterarrival(rng);
+    total += arrivals->NextInterarrival(rng);
   }
   const double achieved_rps = kN / (total / 1e6);
   // Bursts add requests on top of the base rate.
@@ -55,12 +55,12 @@ TEST(ArrivalsTest, ApolloMeanRateNearTarget) {
 }
 
 TEST(ArrivalsTest, ApolloHasBursts) {
-  ApolloArrivals arrivals(40.0);
+  const auto arrivals = MakeArrivals(ArrivalKind::kApollo, 40.0);
   Rng rng(4);
   const double period = 1e6 / 40.0;
   int burst_gaps = 0;
   for (int i = 0; i < 10000; ++i) {
-    if (arrivals.NextInterarrival(rng) < 0.1 * period) {
+    if (arrivals->NextInterarrival(rng) < 0.1 * period) {
       ++burst_gaps;
     }
   }
@@ -69,28 +69,28 @@ TEST(ArrivalsTest, ApolloHasBursts) {
 }
 
 TEST(ArrivalsTest, ApolloInterarrivalsPositive) {
-  ApolloArrivals arrivals(40.0);
+  const auto arrivals = MakeArrivals(ArrivalKind::kApollo, 40.0);
   Rng rng(5);
   for (int i = 0; i < 10000; ++i) {
-    EXPECT_GT(arrivals.NextInterarrival(rng), 0.0);
+    EXPECT_GT(arrivals->NextInterarrival(rng), 0.0);
   }
 }
 
 TEST(ArrivalsTest, ClosedLoopFlag) {
-  ClosedLoopArrivals arrivals;
+  const auto arrivals = MakeArrivals(ArrivalKind::kClosedLoop, 0.0);
   Rng rng(6);
-  EXPECT_TRUE(arrivals.closed_loop());
-  EXPECT_DOUBLE_EQ(arrivals.NextInterarrival(rng), 0.0);
+  EXPECT_TRUE(arrivals->closed_loop());
+  EXPECT_DOUBLE_EQ(arrivals->NextInterarrival(rng), 0.0);
 }
 
 TEST(ArrivalsTest, ClosedLoopZeroThinkTimeConsumesNoRandomness) {
   // Zero think time: every gap is exactly 0, no matter how often it's
   // drawn, and the RNG stream is left untouched — a closed-loop client in a
   // mixed fleet must not shift any open-loop client's arrival sequence.
-  ClosedLoopArrivals arrivals;
+  const auto arrivals = MakeArrivals(ArrivalKind::kClosedLoop, 0.0);
   Rng used(9);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_DOUBLE_EQ(arrivals.NextInterarrival(used), 0.0);
+    EXPECT_DOUBLE_EQ(arrivals->NextInterarrival(used), 0.0);
   }
   Rng fresh(9);
   for (int i = 0; i < 8; ++i) {
@@ -110,32 +110,46 @@ TEST(ArrivalsTest, ReseedingReproducesEverySequence) {
     }
     return gaps;
   };
-  for (int kind = 0; kind < 3; ++kind) {
-    const auto make = [&]() -> std::unique_ptr<ArrivalProcess> {
-      switch (kind) {
-        case 0: return MakeUniform(80.0);
-        case 1: return MakePoisson(80.0);
-        default: return MakeApollo(80.0);
-      }
-    };
+  for (const ArrivalKind kind :
+       {ArrivalKind::kUniform, ArrivalKind::kPoisson, ArrivalKind::kApollo,
+        ArrivalKind::kDiurnal}) {
+    const auto make = [&] { return MakeArrivals(kind, 80.0); };
     const auto a = make();
     const auto b = make();
-    EXPECT_EQ(sequence(*a, 42), sequence(*b, 42)) << a->name();
+    EXPECT_EQ(sequence(*a, 42), sequence(*b, 42)) << static_cast<int>(kind);
     // Apollo keeps burst state across draws; a fresh instance with a fresh
     // rng of a different seed must diverge (uniform is seed-free by design).
-    if (kind != 0) {
+    if (kind != ArrivalKind::kUniform) {
       const auto c = make();
       const auto d = make();
-      EXPECT_NE(sequence(*c, 42), sequence(*d, 43)) << c->name();
+      EXPECT_NE(sequence(*c, 42), sequence(*d, 43)) << static_cast<int>(kind);
     }
   }
 }
 
+TEST(ArrivalsTest, DiurnalMeanFallsBackToRps) {
+  // kDiurnal with diurnal.mean_rps <= 0 runs at the caller's rps; a flat
+  // shape without bursts is then a plain Poisson stream at that rate.
+  DiurnalConfig diurnal;
+  diurnal.mean_rps = 0.0;
+  diurnal.shape.peak_to_trough = 1.0;
+  const auto arrivals = MakeArrivals(ArrivalKind::kDiurnal, 50.0, diurnal);
+  Rng rng(8);
+  OnlineStats stats;
+  for (int i = 0; i < 100000; ++i) {
+    stats.Add(arrivals->NextInterarrival(rng));
+  }
+  EXPECT_NEAR(stats.mean(), 20000.0, 300.0);
+}
+
 TEST(ArrivalsTest, Factories) {
-  EXPECT_NE(MakeUniform(10.0), nullptr);
-  EXPECT_NE(MakePoisson(10.0), nullptr);
-  EXPECT_NE(MakeApollo(10.0), nullptr);
-  EXPECT_NE(MakeClosedLoop(), nullptr);
+  for (const ArrivalKind kind :
+       {ArrivalKind::kClosedLoop, ArrivalKind::kUniform, ArrivalKind::kPoisson,
+        ArrivalKind::kApollo, ArrivalKind::kDiurnal}) {
+    const auto arrivals = MakeArrivals(kind, 10.0);
+    ASSERT_NE(arrivals, nullptr);
+    EXPECT_EQ(arrivals->closed_loop(), kind == ArrivalKind::kClosedLoop);
+  }
 }
 
 TEST(RequestRatesTest, Table3Values) {

@@ -33,7 +33,8 @@ KEYWORDS = {"return", "else", "case", "throw", "new", "co_return"}
 # string does not start a comment and a quote inside a comment opens nothing.
 TOKEN = re.compile(r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])+\'|//[^\n]*|/\*.*?\*/', re.S)
 SCOPE = re.compile(r"\s*(?:template\s*<[^>]*>\s*)?(class|struct)\s+(\w+)[^;{]*\{")
-FIELD = re.compile(r"\s*(?!return\b|using\b|static\b|friend\b|enum\b|typedef\b)"
+# `\s*+` takes the whole indent, so the keyword guard sees the first word.
+FIELD = re.compile(r"\s*+(?!return\b|using\b|static\b|friend\b|enum\b|typedef\b)"
                    r"[\w:<>,\s*&]+?[\s*&](\w+)\s*(?:=[^;]*|\{[^}]*\})?;\s*$")
 FUNC = re.compile(r"\s*(?:(?:static|virtual|inline|explicit|constexpr|friend)\s+)*"
                   r"(?:\[\[\w+\]\]\s*)?[\w:<>,*&\s]+?[\s*&](\w+)\s*\(")
