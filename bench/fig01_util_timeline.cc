@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   // Re-run a single iteration with a fresh device to get a clean timeline.
   Simulator sim;
   runtime::GpuRuntime rt(&sim, device);
+  rt.device().utilization().KeepSamples();
   const auto stream = rt.CreateStream();
   const auto ops = workloads::BuildRequestOps(device, spec);
   // Submit with host pacing like the real framework would.
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  const auto avg = rt.device().utilization().AverageOver(0.0, end);
+  const auto avg = rt.device().utilization().Average(end);
   std::cout << "\niteration time: " << UsToMs(end) << " ms ("
             << profile.kernels.size() << " kernels)\n";
   std::cout << "averages (paper: compute <40%, membw <55%): compute "

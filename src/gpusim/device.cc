@@ -100,8 +100,13 @@ void Device::LaunchKernel(StreamId stream, const KernelDesc& kernel, CompletionC
   op.done = std::move(done);
   op.seq = next_seq_++;
   streams_[static_cast<std::size_t>(stream)].queue.push_back(std::move(op));
+  // A kernel queued behind a busy stream head changes no rate, grant or
+  // target, so only a kernel that started needs a pass.
+  const std::size_t running = running_.size();
   ActivateStreamHead(stream);
-  Reschedule();
+  if (running_.size() != running) {
+    Reschedule();
+  }
 }
 
 void Device::EnqueueMemcpy(StreamId stream, std::size_t bytes, MemcpyKind kind,
@@ -395,7 +400,9 @@ void Device::ComputeRates(std::vector<KernelRate>* rates) const {
     // paper measures this effect in Table 2 (BN2d+BN2d speeds up only 1.08x
     // despite 80% aggregate SM headroom); kCacheInterference is calibrated
     // against that row.
-    const double own_membw = rk->desc.membw_util * share;
+    // Own traffic is scaled like the sum it came from, so a lone kernel's
+    // foreign traffic is exactly 0 on a degraded device too.
+    const double own_membw = rk->desc.membw_util * share / membw_factor_;
     const double foreign_membw = membw - own_membw;
     const double penalty = 1.0 + kCacheInterference * foreign_membw;
     share = share / (slowdown * penalty);  // share now holds the rate

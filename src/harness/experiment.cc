@@ -311,6 +311,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
 
   const TimeUs measure_from = config.warmup_us;
   const TimeUs horizon = config.warmup_us + config.duration_us;
+  for (auto& rt : runtimes) {
+    rt->device().utilization().set_window_start(measure_from);
+  }
   for (auto& driver : drivers) {
     driver->set_measure_from(measure_from);
     driver->Start();
@@ -354,7 +357,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     result.clients.push_back(std::move(cr));
   }
   result.utilization =
-      runtimes[hp_partition]->device().utilization().AverageOver(measure_from, horizon);
+      runtimes[hp_partition]->device().utilization().Average(horizon);
   if (injector != nullptr) {
     result.faults_injected = injector->injected();
     result.faults_skipped = injector->skipped();

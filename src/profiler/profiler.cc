@@ -24,18 +24,20 @@ namespace {
 // Replays requests of one workload back-to-back on a dedicated device with
 // host-side launch pacing: each op submission costs `launch_overhead_us` of
 // host time; blocking ops stall the host until the device completes them.
+// The device's utilization window starts with request `warmup_requests`.
 class Replayer {
  public:
   using RequestDone = std::function<void(int request, TimeUs start, TimeUs end)>;
 
   Replayer(Simulator* sim, runtime::GpuRuntime* rt, gpusim::StreamId stream,
-           std::vector<runtime::Op> ops, DurationUs overhead, int total_requests,
-           RequestDone on_done)
+           std::vector<runtime::Op> ops, DurationUs overhead, int warmup_requests,
+           int total_requests, RequestDone on_done)
       : sim_(sim),
         rt_(rt),
         stream_(stream),
         ops_(std::move(ops)),
         overhead_(overhead),
+        warmup_requests_(warmup_requests),
         total_requests_(total_requests),
         on_done_(std::move(on_done)) {
     ORION_CHECK(!ops_.empty());
@@ -50,6 +52,9 @@ class Replayer {
     }
     next_op_ = 0;
     request_start_ = sim_->now();
+    if (request_ == warmup_requests_) {
+      rt_->device().utilization().set_window_start(request_start_);
+    }
     SubmitNext();
   }
 
@@ -84,6 +89,7 @@ class Replayer {
   gpusim::StreamId stream_;
   std::vector<runtime::Op> ops_;
   DurationUs overhead_;
+  int warmup_requests_;
   int total_requests_;
   RequestDone on_done_;
   int request_ = 0;
@@ -128,12 +134,9 @@ WorkloadProfile MeasureProfile(const gpusim::DeviceSpec& device,
 
   const int total = options.warmup_requests + options.measured_requests;
   LatencyRecorder latencies;
-  TimeUs measure_start = 0.0;
-  Replayer replayer(&sim, &rt, stream, ops, options.launch_overhead_us, total,
+  Replayer replayer(&sim, &rt, stream, ops, options.launch_overhead_us,
+                    options.warmup_requests, total,
                     [&](int request, TimeUs start, TimeUs end) {
-                      if (request == options.warmup_requests) {
-                        measure_start = start;
-                      }
                       if (request >= options.warmup_requests) {
                         latencies.Add(end - start);
                       }
@@ -147,7 +150,7 @@ WorkloadProfile MeasureProfile(const gpusim::DeviceSpec& device,
   profile.request_latency_us = latencies.mean();
 
   const gpusim::UtilizationSample avg =
-      rt.device().utilization().AverageOver(measure_start, sim.now());
+      rt.device().utilization().Average(sim.now());
   profile.avg_compute_util = avg.compute;
   profile.avg_membw_util = avg.membw;
   profile.avg_sm_busy = avg.sm_busy;

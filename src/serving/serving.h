@@ -69,8 +69,8 @@ struct ModelServiceConfig {
   // multi-hour datacenter runs, parameterized by `diurnal` below.
   trace::ArrivalKind arrivals = trace::ArrivalKind::kPoisson;
   double rps = 50.0;
-  // kDiurnal parameters (shape, bursts). When diurnal.mean_rps <= 0 the
-  // service's `rps` above is used as the long-run mean rate.
+  // kDiurnal parameters (shape, bursts). The long-run mean rate is `rps`
+  // above unless diurnal.mean_rps (default 0) is set.
   trace::DiurnalConfig diurnal;
   int initial_replicas = 1;
   int max_replicas = 4;  // the autoscaler never drains below one replica

@@ -48,8 +48,8 @@ class ArrivalProcess {
 };
 
 // The arrival process of `kind` at `rps` > 0 requests per second (unused by
-// kClosedLoop). kDiurnal takes its shape and bursts from `diurnal`, whose
-// long-run mean falls back to `rps` when diurnal.mean_rps <= 0.
+// kClosedLoop). kDiurnal takes its shape and bursts from `diurnal` and runs
+// at a long-run mean of `rps`, unless diurnal.mean_rps (default 0) is set.
 std::unique_ptr<ArrivalProcess> MakeArrivals(ArrivalKind kind, double rps,
                                              const DiurnalConfig& diurnal = {});
 

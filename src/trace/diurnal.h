@@ -58,7 +58,7 @@ struct BurstMix {
 };
 
 struct DiurnalConfig {
-  double mean_rps = 10.0;  // long-run average rate
+  double mean_rps = 0.0;  // long-run average rate; <= 0: MakeArrivals' rps
   DiurnalShape shape;
   BurstMix burst;
 };

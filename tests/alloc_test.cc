@@ -3,11 +3,10 @@
 //
 //   * Bare device: once one request of the fig06 ResNet50 inference/training
 //     pair has warmed the buffers, 16 more requests launch, run and retire
-//     every kernel without allocating; the utilization sample log's
-//     amortized growth is the only allocation left.
+//     every kernel without allocating.
 //   * Full runs: one fig06 RunExperiment pair under each collocation
 //     scheduler, printed as allocations per kernel and bounded at the
-//     measured value rounded up to the next tenth, so a new per-kernel
+//     measured value rounded up to the next hundredth, so a new per-kernel
 //     allocation fails here instead of showing up as bench wall clock.
 #include <gtest/gtest.h>
 
@@ -68,29 +67,18 @@ TEST(AllocTest, BareDeviceSteadyStateAllocatesNothing) {
   };
   request();  // warm-up: grows the queues, the event pool and the scratch
 
-  // The one growing structure is the utilization sample log, whose vector
-  // doubles now and then (lazy utilization would remove it); a request may
-  // allocate exactly once, and only if that log reallocated.
   constexpr int kRequests = 16;
   std::size_t allocations = 0;
-  std::size_t log_reallocations = 0;
   for (int r = 0; r < kRequests; ++r) {
-    const std::size_t capacity = device.utilization().samples().capacity();
     const std::size_t before = Allocations();
     request();
     const std::size_t made = Allocations() - before;
-    const bool log_grew = device.utilization().samples().capacity() != capacity;
-    EXPECT_EQ(made, log_grew ? 1u : 0u) << "request " << r;
+    EXPECT_EQ(made, 0u) << "request " << r;
     allocations += made;
-    log_reallocations += log_grew ? 1 : 0;
   }
   const std::size_t kernels = kRequests * (hp_kernels.size() + be_kernels.size());
   ASSERT_EQ(device.kernels_completed(), kernels + hp_kernels.size() + be_kernels.size());
-  std::printf(
-      "bare device: %zu allocations over %zu kernels, %zu of them utilization-log "
-      "reallocations (%.4f per kernel besides the log)\n",
-      allocations, kernels, log_reallocations,
-      static_cast<double>(allocations - log_reallocations) / static_cast<double>(kernels));
+  std::printf("bare device: %zu allocations over %zu kernels\n", allocations, kernels);
 }
 
 // The fig06 pair: Apollo-arrival ResNet50 inference at its inf-train rate
@@ -114,7 +102,7 @@ harness::ExperimentConfig Fig06Pair(harness::SchedulerKind scheduler) {
 
 struct SchedulerBound {
   harness::SchedulerKind scheduler;
-  double max_per_kernel;  // measured, rounded up to the next tenth
+  double max_per_kernel;  // measured, rounded up to the next hundredth
 };
 
 TEST(AllocTest, Fig06PairAllocationsPerKernel) {
@@ -123,13 +111,13 @@ TEST(AllocTest, Fig06PairAllocationsPerKernel) {
   for (const harness::ClientConfig& client : Fig06Pair(harness::SchedulerKind::kOrion).clients) {
     kernels_per_request.push_back(workloads::BuildKernels(spec, client.workload).size());
   }
-  // Measured: 0.152, 0.647, 0.232, 0.232, 1.472 and 1.511 per kernel. What
+  // Measured: 0.151, 0.646, 0.231, 0.231, 1.471 and 1.510 per kernel. What
   // is left sits above the device: scheduler queues and completion
   // callbacks whose captures outgrow std::function's inline buffer.
   const SchedulerBound bounds[] = {
-      {harness::SchedulerKind::kDedicated, 0.2}, {harness::SchedulerKind::kTemporal, 0.7},
-      {harness::SchedulerKind::kStreams, 0.3},   {harness::SchedulerKind::kMps, 0.3},
-      {harness::SchedulerKind::kReef, 1.5},      {harness::SchedulerKind::kOrion, 1.6},
+      {harness::SchedulerKind::kDedicated, 0.16}, {harness::SchedulerKind::kTemporal, 0.65},
+      {harness::SchedulerKind::kStreams, 0.24},   {harness::SchedulerKind::kMps, 0.24},
+      {harness::SchedulerKind::kReef, 1.48},      {harness::SchedulerKind::kOrion, 1.52},
   };
   for (const SchedulerBound& bound : bounds) {
     const harness::ExperimentConfig config = Fig06Pair(bound.scheduler);

@@ -3,6 +3,8 @@
 // priorities, events, copies, and device synchronisation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "src/gpusim/device.h"
@@ -31,6 +33,40 @@ TEST_F(DeviceTest, SingleKernelRunsForItsDuration) {
   EXPECT_DOUBLE_EQ(done_at, 100.0);
   EXPECT_EQ(device.kernels_completed(), 1u);
   EXPECT_EQ(device.FreeSms(), spec_.num_sms);
+}
+
+TEST_F(DeviceTest, QueuedLaunchesLeaveTheRunningKernelsCompletionUntouched) {
+  // A launch behind a busy stream head changes no rate or grant, so the
+  // running kernel keeps the completion time computed when it started.
+  // Re-timing it at 41.9 us would land at 41.9 + (123.456 - 41.9), one ulp
+  // past 123.456.
+  Device device(&sim_, spec_);
+  const StreamId stream = device.CreateStream();
+  TimeUs done_at = -1.0;
+  device.LaunchKernel(stream, MakeKernel("k", 123.456, 0.5, 0.2, 40),
+                      [&]() { done_at = sim_.now(); });
+  for (const TimeUs at : {41.9, 77.7, 100.0}) {
+    sim_.ScheduleAt(at, [&device, stream]() {
+      device.LaunchKernel(stream, MakeKernel("queued", 10.0, 0.5, 0.2, 40));
+    });
+  }
+  sim_.RunUntilIdle();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(done_at), std::bit_cast<std::uint64_t>(123.456));
+  EXPECT_EQ(device.kernels_completed(), 4u);
+}
+
+TEST_F(DeviceTest, LoneKernelOnDegradedBandwidthRunsForItsDuration) {
+  // The co-residency penalty charges only other kernels' traffic: a kernel
+  // alone on a device with 70% of its bandwidth left, whose traffic still
+  // fits, runs exactly its duration.
+  Device device(&sim_, spec_);
+  device.ScaleMembw(0.7);
+  const StreamId stream = device.CreateStream();
+  TimeUs done_at = -1.0;
+  device.LaunchKernel(stream, MakeKernel("k", 100.0, 0.3, 0.5, 40),
+                      [&]() { done_at = sim_.now(); });
+  sim_.RunUntilIdle();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(done_at), std::bit_cast<std::uint64_t>(100.0));
 }
 
 TEST_F(DeviceTest, SameStreamKernelsRunSequentially) {
@@ -286,7 +322,7 @@ TEST_F(DeviceTest, UtilizationAveragesReflectLoad) {
   sim_.RunUntilIdle();
   device.SynchronizeDevice([]() {});
   sim_.RunUntilIdle();
-  const UtilizationSample avg = device.utilization().AverageOver(0.0, 100.0);
+  const UtilizationSample avg = device.utilization().Average(100.0);
   EXPECT_NEAR(avg.compute, 0.8, 1e-6);
   EXPECT_NEAR(avg.membw, 0.4, 1e-6);
   // Effective demand: 40 SMs scaled by occupancy pressure

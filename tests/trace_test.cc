@@ -142,6 +142,19 @@ TEST(ArrivalsTest, DiurnalMeanFallsBackToRps) {
   EXPECT_NEAR(stats.mean(), 20000.0, 300.0);
 }
 
+TEST(ArrivalsTest, DefaultDiurnalRunsAtTheCallersRps) {
+  // A default DiurnalConfig leaves the rate to `rps`: 100 s at 80 rps (the
+  // default 24 h wave barely moves in 100 s) draws about 8000 arrivals.
+  const auto arrivals = MakeArrivals(ArrivalKind::kDiurnal, 80.0);
+  Rng rng(3);
+  DurationUs elapsed = 0.0;
+  int count = 0;
+  while ((elapsed += arrivals->NextInterarrival(rng)) < SecToUs(100.0)) {
+    ++count;
+  }
+  EXPECT_NEAR(count / 100.0, 80.0, 3.0);
+}
+
 TEST(ArrivalsTest, Factories) {
   for (const ArrivalKind kind :
        {ArrivalKind::kClosedLoop, ArrivalKind::kUniform, ArrivalKind::kPoisson,
