@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -147,6 +146,7 @@ class ClusterEngine {
     }
 
     nodes_.resize(static_cast<std::size_t>(spec_.num_nodes));
+    node_picks_.resize(nodes_.size());
     gpus_.resize(static_cast<std::size_t>(spec_.num_nodes * spec_.gpus_per_node));
     if (NetworkOn()) {
       // One fabric per NIC rather than one over the whole star. The star has
@@ -272,11 +272,22 @@ class ClusterEngine {
     std::size_t w_shed = 0;
   };
 
-  // One payload crossing the network fabric. Responses cancelled by a node
-  // death complete at the cancel instant: the batch had already been served,
-  // only the notification leg is cut short (documented simplification).
+  // PickNode's answer: a node and its least-outstanding active replica.
+  struct NodePick {
+    int node = -1;  // -1: no node has an active replica
+    int replica = -1;
+    DurationUs outstanding_us = 0.0;
+  };
+
+  // One payload crossing the network fabric, in a slot of net_ops_. Responses
+  // cancelled by a node death complete at the cancel instant: the batch had
+  // already been served, only the notification leg is cut short (documented
+  // simplification).
   struct NetOp {
     enum class Kind : std::uint8_t { kRequest, kResponse, kState };
+    // Issue order; 0 marks a free slot. 32 bits, so the fabric callback's
+    // (this, slot, id) capture fits std::function's inline buffer.
+    std::uint32_t id = 0;
     Kind kind = Kind::kRequest;
     bool cancelled = false;
     int node = -1;  // destination (request/state) or source (response)
@@ -355,11 +366,17 @@ class ClusterEngine {
       control_track_ = hub_->spans().Track("serving-control");
       gpu_tracks_.reserve(gpus_.size());
       for (int g = 0; g < static_cast<int>(gpus_.size()); ++g) {
-        const std::string name =
-            spec_.num_nodes == 1
-                ? "gpu" + std::to_string(g)
-                : "n" + std::to_string(NodeOf(g)) + "/gpu" +
-                      std::to_string(g % spec_.gpus_per_node);
+        // "gpu<g>" on one node, "n<node>/gpu<local>" on a cluster. Appended
+        // piecewise: gcc 12 reports a false -Wrestrict for `"n" + string&&`
+        // once this function is inlined.
+        std::string name;
+        if (spec_.num_nodes > 1) {
+          name += 'n';
+          name += std::to_string(NodeOf(g));
+          name += '/';
+        }
+        name += "gpu";
+        name += std::to_string(spec_.num_nodes == 1 ? g : g % spec_.gpus_per_node);
         gpu_tracks_.push_back(hub_->spans().Track(name));
       }
     }
@@ -418,23 +435,14 @@ class ClusterEngine {
       model.offered->Inc();
     }
 
-    const int node = PickNode(m);
-    if (node < 0) {
+    const NodePick pick = PickNode(m);
+    if (pick.node < 0) {
       LimboOrDrop(m, std::move(request), /*hold=*/false);
       return;
     }
-    // Admission against the chosen node's least-loaded replica.
-    std::vector<ReplicaView> views;
-    std::vector<int> ids;
-    BuildNodeViews(node, m, &views, &ids);
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < views.size(); ++i) {
-      if (views[i].outstanding_us < views[best].outstanding_us) {
-        best = i;
-      }
-    }
-    const DurationUs best_wait = views[best].outstanding_us;
-    const int est_batch = EstimatedBatch(views[best].queued);
+    // Admission against the chosen node's least-outstanding replica.
+    const DurationUs best_wait = pick.outstanding_us;
+    const int est_batch = EstimatedBatch(replica(pick.replica).batcher.size());
     // LLM admission gates the TTFT deadline: the work between dispatch and
     // the first token is the prefill (the queue ahead is in best_wait).
     const DurationUs service = model.llm_cost != nullptr
@@ -450,7 +458,7 @@ class ClusterEngine {
       Mark("shed", {{"service", model.label}});
       return;
     }
-    Route(node, std::move(request), std::nullopt);
+    Route(pick.node, std::move(request), std::nullopt);
   }
 
   // Batch size the next dispatch will likely use (admission's service-time
@@ -488,53 +496,32 @@ class ClusterEngine {
     return pending;
   }
 
-  // Level-1 routing: the node to send an admitted request of `m` to, or -1
-  // when no node has an active replica. Least-outstanding compares each
-  // node's best replica; ties break towards the lowest node id.
-  int PickNode(std::size_t m) {
-    std::vector<double> node_best(static_cast<std::size_t>(spec_.num_nodes),
-                                  std::numeric_limits<double>::infinity());
-    std::vector<bool> has(static_cast<std::size_t>(spec_.num_nodes), false);
+  // Level-1 routing in one scan of the model's replicas: the node to send an
+  // admitted request of `m` to, with that node's least-outstanding active
+  // replica (the first in id order on ties), or node -1 when no node has an
+  // active replica. Nodes compare their best replicas; ties break towards
+  // the lowest node id.
+  NodePick PickNode(std::size_t m) {
+    std::fill(node_picks_.begin(), node_picks_.end(), NodePick{});
     for (const int id : models_[m]->replicas) {
       const Replica& r = replica(id);
-      const auto n = static_cast<std::size_t>(NodeOf(r.gpu));
-      if (r.state != Replica::State::kActive || !nodes_[n].alive) {
+      const int n = NodeOf(r.gpu);
+      if (r.state != Replica::State::kActive || !node_state(n).alive) {
         continue;
       }
-      has[n] = true;
-      node_best[n] = std::min(node_best[n], OutstandingUs(r));
-    }
-    int best = -1;
-    for (int n = 0; n < spec_.num_nodes; ++n) {
-      if (!has[static_cast<std::size_t>(n)]) {
-        continue;
-      }
-      if (best < 0 ||
-          node_best[static_cast<std::size_t>(n)] < node_best[static_cast<std::size_t>(best)]) {
-        best = n;
+      const DurationUs outstanding = OutstandingUs(r);
+      NodePick& best = node_picks_[static_cast<std::size_t>(n)];
+      if (best.node < 0 || outstanding < best.outstanding_us) {
+        best = NodePick{n, id, outstanding};
       }
     }
-    return best;
-  }
-
-  // Active replicas of `m` on `node`, sorted by id (creation order).
-  void BuildNodeViews(int node, std::size_t m, std::vector<ReplicaView>* views,
-                      std::vector<int>* ids) {
-    views->clear();
-    ids->clear();
-    for (const int id : models_[m]->replicas) {
-      const Replica& r = replica(id);
-      if (NodeOf(r.gpu) != node || r.state != Replica::State::kActive) {
-        continue;
+    NodePick pick;
+    for (const NodePick& best : node_picks_) {
+      if (best.node >= 0 && (pick.node < 0 || best.outstanding_us < pick.outstanding_us)) {
+        pick = best;
       }
-      ReplicaView view;
-      view.replica_id = id;
-      view.queued = r.batcher.size();
-      view.in_flight = r.in_flight.size();
-      view.outstanding_us = OutstandingUs(r);
-      views->push_back(view);
-      ids->push_back(id);
     }
+    return pick;
   }
 
   // Sends an admitted request to `node`: over the network when there is one,
@@ -550,22 +537,39 @@ class ClusterEngine {
   // Level-2 routing: pick the replica on `node` and queue the request there.
   // `forced` overrides the recorded route reason (failover rehomes, limbo
   // drains).
+  //
+  // The candidates are the active replicas of the model on `node` in id
+  // (creation) order, built into the engine-owned views_. Deliver re-enters
+  // through RehomeOrphan and EnqueueAt, so views_ is dead once either runs.
+  // Only the interference-aware policy reads outstanding_us; the others skip
+  // its co-resident scan.
   void Deliver(int node, Request request, std::optional<RouteReason> forced) {
     const auto m = static_cast<std::size_t>(request.model);
-    std::vector<ReplicaView> views;
-    std::vector<int> ids;
-    BuildNodeViews(node, m, &views, &ids);
-    if (views.empty()) {
+    const bool reads_outstanding = router_.policy() == serving::RoutePolicy::kInterferenceAware;
+    views_.clear();
+    for (const int id : models_[m]->replicas) {
+      const Replica& r = replica(id);
+      if (NodeOf(r.gpu) != node || r.state != Replica::State::kActive) {
+        continue;
+      }
+      ReplicaView view;
+      view.replica_id = id;
+      view.queued = r.batcher.size();
+      view.in_flight = r.in_flight.size();
+      view.outstanding_us = reads_outstanding ? OutstandingUs(r) : 0.0;
+      views_.push_back(view);
+    }
+    if (views_.empty()) {
       // The node lost its replicas while the request was on the wire
       // (network path only; the synchronous path routes against live views).
       RehomeOrphan(m, std::move(request), /*was_running=*/true);
       return;
     }
-    const std::size_t idx = router_.Pick(m, views);
+    const int id = views_[router_.Pick(m, views_)].replica_id;
     request.node = node;
     request.route_reason =
-        forced.has_value() ? *forced : PickReason(router_.policy(), views.size());
-    EnqueueAt(ids[idx], std::move(request));
+        forced.has_value() ? *forced : PickReason(router_.policy(), views_.size());
+    EnqueueAt(id, std::move(request));
   }
 
   // --- One replica: creation, queue, batches, decode steps, retirement. ---
@@ -1088,17 +1092,37 @@ class ClusterEngine {
 
   // --- Network legs (num_nodes > 1). ---
 
-  void StartOp(int src, int dst, std::size_t bytes, NetOp op) {
-    const std::uint64_t op_id = next_op_id_++;
-    auto [it, inserted] = net_ops_.emplace(op_id, std::move(op));
-    ORION_CHECK(inserted);
+  // Takes a free slot of net_ops_ for a new leg and stamps the next op id.
+  NetOp& NewOp(NetOp::Kind kind, int node) {
+    ORION_CHECK_MSG(next_op_id_ < std::numeric_limits<std::uint32_t>::max(),
+                    "network op ids exhausted");
+    std::uint32_t slot = 0;
+    if (free_net_ops_.empty()) {
+      slot = static_cast<std::uint32_t>(net_ops_.size());
+      net_ops_.emplace_back();
+    } else {
+      slot = free_net_ops_.back();
+      free_net_ops_.pop_back();
+    }
+    NetOp& op = net_ops_[slot];
+    op = NetOp{};
+    op.id = ++next_op_id_;
+    op.kind = kind;
+    op.node = node;
+    return op;
+  }
+
+  // Puts `op` (a slot of net_ops_ set up by NewOp) on the wire.
+  void StartOp(int src, int dst, std::size_t bytes, NetOp& op) {
+    const auto slot = static_cast<std::uint32_t>(&op - net_ops_.data());
+    const std::uint32_t id = op.id;
     // Transfers run on the target node's NIC fabric; endpoint 0 of the
     // mini-topology is the node, kHostNode the ToR/front-end side.
     const int node = src == interconnect::kHostNode ? dst : src;
     const int fab_src = src == interconnect::kHostNode ? interconnect::kHostNode : 0;
     const int fab_dst = dst == interconnect::kHostNode ? interconnect::kHostNode : 0;
-    it->second.transfer = fabrics_[static_cast<std::size_t>(node)]->StartTransfer(
-        fab_src, fab_dst, bytes, [this, op_id] { OnNetOpDone(op_id); });
+    op.transfer = fabrics_[static_cast<std::size_t>(node)]->StartTransfer(
+        fab_src, fab_dst, bytes, [this, slot, id] { OnNetOpDone(slot, id); });
   }
 
   void ForwardRequest(int node, Request request, std::optional<RouteReason> forced) {
@@ -1114,21 +1138,17 @@ class ClusterEngine {
       // limbo drain: the limbo wait; failover: kPreempt) and opens the wire.
       request.ledger.Advance(sim_.now(), attribution::Phase::kNetRequest);
     }
-    NetOp op;
-    op.kind = NetOp::Kind::kRequest;
-    op.node = node;
+    NetOp& op = NewOp(NetOp::Kind::kRequest, node);
     op.request = std::move(request);
     op.forced = forced;
-    StartOp(interconnect::kHostNode, node, kRequestBytes, std::move(op));
+    StartOp(interconnect::kHostNode, node, kRequestBytes, op);
   }
 
   void SendResponse(int replica_id, int gpu_global, TimeUs batch_start, TimeUs batch_end,
                     const Request& request) {
     const int node = NodeOf(gpu_global);
     ++models_[static_cast<std::size_t>(request.model)]->in_network;
-    NetOp op;
-    op.kind = NetOp::Kind::kResponse;
-    op.node = node;
+    NetOp& op = NewOp(NetOp::Kind::kResponse, node);
     op.request = request;
     if (attr_) {
       op.request.ledger.Advance(sim_.now(), attribution::Phase::kNetResponse);
@@ -1137,14 +1157,16 @@ class ClusterEngine {
     op.gpu = gpu_global;
     op.batch_start = batch_start;
     op.batch_end = batch_end;
-    StartOp(node, interconnect::kHostNode, kResponseBytes, std::move(op));
+    StartOp(node, interconnect::kHostNode, kResponseBytes, op);
   }
 
-  void OnNetOpDone(std::uint64_t op_id) {
-    auto it = net_ops_.find(op_id);
-    ORION_CHECK(it != net_ops_.end());
-    NetOp op = std::move(it->second);
-    net_ops_.erase(it);
+  // The leg in `slot` arrived or was cancelled. The slot is freed before the
+  // leg's handler runs, since routing and completion can start new legs.
+  void OnNetOpDone(std::uint32_t slot, std::uint32_t id) {
+    ORION_CHECK(slot < net_ops_.size() && net_ops_[slot].id == id);
+    NetOp op = std::move(net_ops_[slot]);
+    net_ops_[slot].id = 0;
+    free_net_ops_.push_back(slot);
     switch (op.kind) {
       case NetOp::Kind::kRequest: {
         ModelState& model = *models_[static_cast<std::size_t>(op.request.model)];
@@ -1399,11 +1421,9 @@ class ClusterEngine {
       if (NetworkOn()) {
         // Ship the model state to the node first; the provisioning delay
         // starts when the weights arrive.
-        NetOp op;
-        op.kind = NetOp::Kind::kState;
-        op.node = NodeOf(*best);
+        NetOp& op = NewOp(NetOp::Kind::kState, NodeOf(*best));
         op.replica_id = id;
-        StartOp(interconnect::kHostNode, op.node, model.cost.state_bytes(), std::move(op));
+        StartOp(interconnect::kHostNode, op.node, model.cost.state_bytes(), op);
       } else {
         sim_.ScheduleAfter(model.cost.ProvisionUs(), [this, id] { ActivateReplica(id); });
       }
@@ -1428,7 +1448,7 @@ class ClusterEngine {
     while (!model.limbo.empty()) {
       Request request = std::move(model.limbo.front());
       model.limbo.pop_front();
-      const int node = PickNode(r.model);
+      const int node = PickNode(r.model).node;
       ORION_CHECK(node >= 0);  // this replica just activated
       Route(node, std::move(request), RouteReason::kLimboDrain);
     }
@@ -1508,15 +1528,19 @@ class ClusterEngine {
       interconnect::Fabric& fabric = *fabrics_[static_cast<std::size_t>(n)];
       fabric.SetLinkFactor(/*link=*/0, /*forward=*/true, 0.0);
       fabric.SetLinkFactor(/*link=*/0, /*forward=*/false, 0.0);
-      std::vector<std::uint64_t> doomed;
-      for (auto& [op_id, op] : net_ops_) {
-        if (op.node == n && !op.cancelled) {
+      // Cancels go out in op-id (issue) order, which slot order is not:
+      // a leg that finished early frees its slot for a later one.
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> doomed;  // (id, slot)
+      for (std::uint32_t slot = 0; slot < net_ops_.size(); ++slot) {
+        NetOp& op = net_ops_[slot];
+        if (op.id != 0 && op.node == n && !op.cancelled) {
           op.cancelled = true;
-          doomed.push_back(op_id);
+          doomed.emplace_back(op.id, slot);
         }
       }
-      for (const std::uint64_t op_id : doomed) {
-        fabric.CancelTransfer(net_ops_.at(op_id).transfer);
+      std::sort(doomed.begin(), doomed.end());
+      for (const auto& [id, slot] : doomed) {
+        fabric.CancelTransfer(net_ops_[slot].transfer);
       }
     }
     for (int local = 0; local < spec_.gpus_per_node; ++local) {
@@ -1565,7 +1589,7 @@ class ClusterEngine {
     if (InWindow(sim_.now())) {
       model.failed_over->Inc();
     }
-    const int node = PickNode(m);
+    const int node = PickNode(m).node;
     if (node < 0) {
       LimboOrDrop(m, std::move(request), /*hold=*/was_running);
       return;
@@ -1767,12 +1791,18 @@ class ClusterEngine {
   std::vector<std::unique_ptr<ModelState>> models_;
   std::uint64_t next_request_id_ = 0;
 
-  // In-flight network payloads, keyed by a monotonically increasing op id so
-  // iteration (the node-down sweep) follows start order deterministically.
-  std::map<std::uint64_t, NetOp> net_ops_;
-  std::uint64_t next_op_id_ = 0;
+  // In-flight network legs: a slot pool with a free list, so a leg costs no
+  // allocation once the pool is warm. Op ids grow monotonically; the
+  // node-down sweep cancels in their order.
+  std::vector<NetOp> net_ops_;
+  std::vector<std::uint32_t> free_net_ops_;
+  std::uint32_t next_op_id_ = 0;
   std::size_t node_faults_ = 0;
   std::size_t requests_forwarded_ = 0;
+  // Routing scratch: PickNode's per-node best (by node) and Deliver's
+  // candidate views. Neither is read after a call that can re-enter routing.
+  std::vector<NodePick> node_picks_;
+  std::vector<ReplicaView> views_;
   // Dispatches config_.fault_plan; null on a fault-free run.
   std::unique_ptr<fault::FaultInjector> injector_;
 

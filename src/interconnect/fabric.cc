@@ -63,7 +63,6 @@ std::uint32_t Fabric::AllocTransferSlot() {
 void Fabric::ReleaseTransferSlot(std::uint32_t slot) {
   Transfer& t = slab_[slot];
   t.done = nullptr;
-  t.route.clear();  // keeps capacity; route is move-assigned on reuse
   t.cancelled_in_setup = false;
   free_transfer_slots_.push_back(slot);
 }

@@ -16,11 +16,12 @@
 // index; mutations mark their directions dirty and RefreshRates() re-solves
 // only the members of dirty directions — the whole-fabric recompute survives
 // as a debug-mode oracle (set_debug_oracle) that re-derives every rate from
-// scratch and checks exact equality. Per-transfer progress integration is
-// allocation-free: transfers live in a reusable slab and `active_` preserves
-// activation order, so byte accrual and completion callbacks happen in the
-// same order (and with the same floating-point results) as the original
-// list-walk implementation.
+// scratch and checks exact equality. A warm fabric starts, integrates and
+// retires a transfer without allocating (given a callback std::function keeps
+// inline): transfers live in a reusable slab with inline routes (Path), and
+// `active_` preserves activation order, so byte accrual and completion
+// callbacks happen in the same order (and with the same floating-point
+// results) as the original list-walk implementation.
 //
 // Deliberately NOT modeled: work-conserving redistribution of a bottlenecked
 // transfer's unused share on its other links (max-min fairness across the
@@ -124,7 +125,7 @@ class Fabric : public gpusim::HostLinkModel {
  private:
   struct Transfer {
     TransferId id = 0;
-    std::vector<Hop> route;
+    Path route;
     double remaining = 0.0;  // bytes
     double rate = 0.0;       // cached fair-share rate, bytes/us
     Callback done;

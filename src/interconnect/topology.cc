@@ -115,24 +115,24 @@ LinkId NodeTopology::NvLinkBetween(int gpu_a, int gpu_b) const {
   return kInvalidLink;
 }
 
-std::vector<Hop> NodeTopology::Route(int src, int dst) const {
+Path NodeTopology::Route(int src, int dst) const {
   ORION_CHECK(src != dst);
   ORION_CHECK(src == kHostNode || (src >= 0 && src < num_gpus_));
   ORION_CHECK(dst == kHostNode || (dst >= 0 && dst < num_gpus_));
   if (src == kHostNode) {
-    return {Hop{PcieLink(dst), true}};
+    return Path(Hop{PcieLink(dst), true});
   }
   if (dst == kHostNode) {
-    return {Hop{PcieLink(src), false}};
+    return Path(Hop{PcieLink(src), false});
   }
   const LinkId nv = NvLinkBetween(src, dst);
   if (nv != kInvalidLink) {
-    return {Hop{nv, link(nv).node_a == src}};
+    return Path(Hop{nv, link(nv).node_a == src});
   }
   // Bounce through the root complex: up the source's link, down the
   // destination's. Each direction of each PCIe link is an independent
   // resource, so this transfer contends with host traffic of both GPUs.
-  return {Hop{PcieLink(src), false}, Hop{PcieLink(dst), true}};
+  return Path(Hop{PcieLink(src), false}, Hop{PcieLink(dst), true});
 }
 
 std::vector<int> NodeTopology::PreferredRing(std::vector<int> gpus) const {

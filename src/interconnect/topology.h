@@ -14,6 +14,8 @@
 #ifndef SRC_INTERCONNECT_TOPOLOGY_H_
 #define SRC_INTERCONNECT_TOPOLOGY_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -52,6 +54,26 @@ struct Hop {
   bool forward = true;
 
   bool operator==(const Hop&) const = default;
+};
+
+// The hops of one route, stored inline: a route is a direct link or the
+// bounce up the source's host link and down the destination's, never more
+// than two hops, so a transfer's route costs no allocation.
+class Path {
+ public:
+  Path() = default;
+  explicit Path(Hop only) : hops_{only}, size_(1) {}
+  Path(Hop first, Hop second) : hops_{first, second}, size_(2) {}
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Hop& operator[](std::size_t i) const { return hops_[i]; }
+  const Hop* begin() const { return hops_.data(); }
+  const Hop* end() const { return hops_.data() + size_; }
+
+ private:
+  std::array<Hop, 2> hops_{};
+  std::size_t size_ = 0;
 };
 
 // Default link speeds (GB/s per direction), roughly PCIe 3.0 x16 effective
@@ -94,7 +116,7 @@ class NodeTopology {
 
   // Route of a transfer src -> dst; either endpoint may be kHostNode.
   // GPU pairs use their NVLink when present, otherwise PCIe via the root.
-  std::vector<Hop> Route(int src, int dst) const;
+  Path Route(int src, int dst) const;
 
   // Orders `gpus` into a ring that maximises NVLink adjacency (greedy
   // nearest-neighbour from the lowest id; deterministic). The collective

@@ -33,7 +33,6 @@ class MemoryManager {
   // src/fault). Returns the number of bytes released.
   std::size_t ReleaseClient(std::uint64_t client);
 
-  std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return used_; }
   std::size_t available() const { return capacity_ - used_; }
   double utilization() const {

@@ -45,7 +45,9 @@ struct ReplicaView {
   int replica_id = -1;
   std::size_t queued = 0;          // waiting in the replica's batcher
   std::size_t in_flight = 0;       // in the batch currently on the device
-  DurationUs outstanding_us = 0.0;  // predicted drain time incl. slowdown
+  // Predicted drain time incl. slowdown. Only kInterferenceAware reads it,
+  // so the engine leaves it 0 under the other policies.
+  DurationUs outstanding_us = 0.0;
 };
 
 class Router {

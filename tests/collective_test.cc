@@ -52,7 +52,7 @@ TEST(CollectiveTest, AllReduceMovesExactRingTraffic) {
       const int next = (i + 1) % n;
       const auto link = topo.NvLinkBetween(i, next);
       ASSERT_NE(link, interconnect::kInvalidLink);
-      const auto route = topo.Route(i, next);
+      const interconnect::Path route = topo.Route(i, next);
       ASSERT_EQ(route.size(), 1u);
       EXPECT_NEAR(fabric.BytesMoved(link, route[0].forward), expected, 1.0)
           << "n=" << n << " link " << i << "->" << next;

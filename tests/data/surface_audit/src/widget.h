@@ -1,4 +1,5 @@
-// Fixture for tools/surface_audit.py: one header of config fields.
+// Fixture for tools/surface_audit.py: one header of config fields and free
+// functions.
 #pragma once
 
 double Half(double x);
@@ -12,3 +13,6 @@ struct WidgetOptions {
 };
 
 void WidgetPreset(WidgetOptions* options);
+
+int WidgetDead(int x);  // declared and defined, called nowhere
+void WidgetHook();      // never called, but src/ takes its address

@@ -4,12 +4,14 @@
 // addressing, and the request accounting identity under all of it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "src/datacenter/cluster.h"
 #include "src/fault/fault_plan.h"
 #include "src/serving/serving.h"
+#include "src/telemetry/telemetry.h"
 
 namespace orion {
 namespace datacenter {
@@ -230,6 +232,37 @@ TEST(DatacenterTest, AccountingIdentityHoldsThroughNodeDeath) {
                                        model.total_dropped + model.left_in_system)
         << deaths << " node death(s)";
   }
+}
+
+// A node death cancels the legs on its NIC in issue order. Overloaded at
+// 800 rps, node 0's death re-forwards its deep queue in one burst, and
+// node 1 dies 20 µs later while its share streams. The burst draws its
+// net-op slots from a free list that earlier legs, finishing out of issue
+// order, left unsorted, so slot order is not issue order: a cancel that
+// walked the slots would end the burst out of transfer-id order on the
+// fabric track.
+TEST(DatacenterTest, NodeDeathCancelsLegsInIssueOrder) {
+  ClusterConfig config = FailoverCluster();
+  config.serving.models[0].rps = 800.0;
+  fault::FaultEvent second = config.serving.fault_plan.events[0];
+  second.at_us += 20.0;
+  second.node = 1;
+  config.serving.fault_plan.events.push_back(second);
+  telemetry::Hub hub;
+  hub.EnableTracing();
+  config.serving.telemetry = &hub;
+  const ClusterResult result = RunCluster(config);
+  EXPECT_EQ(result.node_faults, 2u);
+  // A leg cancelled while streaming ends at the death instant itself.
+  std::vector<std::uint64_t> ended;
+  for (const telemetry::TraceEvent& event : hub.spans().events()) {
+    if (event.kind == telemetry::TraceEventKind::kAsyncEnd && event.ts == second.at_us) {
+      ended.push_back(event.id);
+    }
+  }
+  ASSERT_GE(ended.size(), 3u) << "the second death no longer catches the burst on the wire";
+  EXPECT_TRUE(std::is_sorted(ended.begin(), ended.end()))
+      << "cancelled transfer ids in end order: " << ::testing::PrintToString(ended);
 }
 
 // Node-fault churn on a 4-node cluster: two kills mid-run while requests are

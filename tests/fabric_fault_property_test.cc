@@ -80,7 +80,7 @@ class FabricChurn {
   }
 
   void Start(int src, int dst, std::size_t bytes) {
-    const auto route = topo_.Route(src, dst);
+    const Path route = topo_.Route(src, dst);
     ASSERT_FALSE(route.empty());
     const std::size_t index = log_.size();
     TransferLog entry;

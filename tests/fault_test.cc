@@ -142,7 +142,7 @@ TEST(LinkFaultTest, TransferStallsInPlaceAndResumes) {
   const NodeTopology topo = NodeTopology::FullNvLink(2);
   Simulator sim;
   Fabric fabric(&sim, topo);
-  const auto route = topo.Route(0, 1);
+  const interconnect::Path route = topo.Route(0, 1);
   ASSERT_EQ(route.size(), 1u);
   const auto link = route[0].link;
   const bool forward = route[0].forward;
@@ -176,7 +176,7 @@ TEST(LinkFaultTest, CancelKeepsMovedBytesAndFiresCompletion) {
   const NodeTopology topo = NodeTopology::FullNvLink(2);
   Simulator sim;
   Fabric fabric(&sim, topo);
-  const auto route = topo.Route(0, 1);
+  const interconnect::Path route = topo.Route(0, 1);
   const std::size_t bytes = 16 * kMb;
   TimeUs done_at = -1.0;
   const auto id = fabric.StartTransfer(0, 1, bytes, [&]() { done_at = sim.now(); });
@@ -232,7 +232,7 @@ TEST(CollectiveFaultTest, FlapIsWaitedOutWithoutReformation) {
   engine.AllReduce(Iota(n), bytes, [&]() { done = true; });
 
   // Flap one ring direction mid-step-0; restore well after the timeout.
-  const auto route = topo.Route(0, 1);
+  const interconnect::Path route = topo.Route(0, 1);
   sim.ScheduleAt(20.0,
                  [&]() { fabric.SetLinkFactor(route[0].link, route[0].forward, 0.0); });
   sim.ScheduleAt(150.0,
@@ -265,7 +265,7 @@ TEST(CollectiveFaultTest, PermanentStallGivesUpAndTerminates) {
   // One ring direction dies permanently but the GPU stays on the fabric
   // (its other links are healthy): not a death, so no re-formation — the
   // engine must stop re-arming its timer instead of spinning forever.
-  const auto route = topo.Route(0, 1);
+  const interconnect::Path route = topo.Route(0, 1);
   sim.ScheduleAt(20.0,
                  [&]() { fabric.SetLinkFactor(route[0].link, route[0].forward, 0.0); });
   sim.RunUntilIdle();  // must terminate: bounded timer events
@@ -299,7 +299,7 @@ TEST(CollectiveFaultTest, RingReformationMovesExactTrafficOnSurvivingRing) {
     for (std::size_t i = 0; i < ring.size(); ++i) {
       const int src = ring[i];
       const int dst = ring[(i + 1) % ring.size()];
-      const auto route = topo.Route(src, dst);
+      const interconnect::Path route = topo.Route(src, dst);
       bytes_at_reform[{src, dst}] = fabric.BytesMoved(route[0].link, route[0].forward);
     }
   });
@@ -336,7 +336,7 @@ TEST(CollectiveFaultTest, RingReformationMovesExactTrafficOnSurvivingRing) {
   for (std::size_t i = 0; i < new_ring.size(); ++i) {
     const int src = new_ring[i];
     const int dst = new_ring[(i + 1) % new_ring.size()];
-    const auto route = topo.Route(src, dst);
+    const interconnect::Path route = topo.Route(src, dst);
     const double moved =
         fabric.BytesMoved(route[0].link, route[0].forward) - bytes_at_reform[{src, dst}];
     EXPECT_NEAR(moved, expected, 1.0) << "ring edge " << src << "->" << dst;

@@ -35,16 +35,16 @@ TEST(TopologyTest, PcieOnlyRoutes) {
   EXPECT_EQ(topo.links().size(), 4u);  // one host link per GPU
 
   // Host <-> GPU: single hop on the GPU's own link.
-  const auto h2d = topo.Route(kHostNode, 2);
+  const Path h2d = topo.Route(kHostNode, 2);
   ASSERT_EQ(h2d.size(), 1u);
   EXPECT_EQ(h2d[0].link, topo.PcieLink(2));
   EXPECT_TRUE(h2d[0].forward);
-  const auto d2h = topo.Route(2, kHostNode);
+  const Path d2h = topo.Route(2, kHostNode);
   ASSERT_EQ(d2h.size(), 1u);
   EXPECT_FALSE(d2h[0].forward);
 
   // Peer transfer bounces through the root: up src's link, down dst's.
-  const auto p2p = topo.Route(0, 3);
+  const Path p2p = topo.Route(0, 3);
   ASSERT_EQ(p2p.size(), 2u);
   EXPECT_EQ(p2p[0].link, topo.PcieLink(0));
   EXPECT_FALSE(p2p[0].forward);
@@ -60,7 +60,7 @@ TEST(TopologyTest, NvLinkPairsRouting) {
   EXPECT_EQ(topo.NvLinkBetween(1, 2), kInvalidLink);
   EXPECT_EQ(topo.NvLinkBetween(0, 3), kInvalidLink);
 
-  const auto direct = topo.Route(1, 0);
+  const Path direct = topo.Route(1, 0);
   ASSERT_EQ(direct.size(), 1u);
   EXPECT_EQ(direct[0].link, topo.NvLinkBetween(0, 1));
   EXPECT_EQ(topo.Route(1, 2).size(), 2u);
@@ -163,7 +163,7 @@ TEST(FabricTest, ContentionIsPerLinkDirection) {
   sim.RunUntilIdle();
   EXPECT_NEAR(nv, AloneUs(topo, 2, 3, bytes), 1e-6);
   // Three-way split on the bottleneck hop.
-  const auto route = topo.Route(0, 2);
+  const Path route = topo.Route(0, 2);
   const double latency = topo.link(route[0].link).latency_us * 2;
   const double rate = topo.link(route[1].link).gbps * 1e3 / 3.0;
   EXPECT_NEAR(p2p, latency + static_cast<double>(bytes) / rate, 1e-6);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""List the public surface of src/ that only tests/ uses: deletion candidates.
+"""List the public surface of src/ that only tests/ uses, or nothing uses.
 
 Surface = every field of a struct named *Config, *Options or *Spec in a
 src/ header, plus every public function (free or member) declared in a src/
@@ -9,8 +9,10 @@ perfbench/ and tests/ use it:
   * a function is used where `Name(` appears as a call, not a declaration.
 A field that src/ itself sets (a preset such as DeviceSpec::V100_16GB) or a
 function that src/ itself calls is in use by the program and never listed.
-Matching is by name, so a name shared by two structs counts for both: the
-audit can miss a candidate but does not invent one.
+A second list names the public functions nothing calls at all: no call in
+src/ or any user, only their own declaration and definition. Both lists are
+deletion candidates. Matching is by name, so a name shared by two structs
+counts for both: the audit can miss a candidate but does not invent one.
 
 --knobs lists instead the fields that no file in bench/, examples/ or
 perfbench/ mentions and that src/ never assigns: options only their default
@@ -83,7 +85,10 @@ def surface():
 
 
 def calls(text, name):
-    """True when `text` calls `name`: no return type precedes it on its line."""
+    """True when `text` calls `name` (no return type precedes it on its line)
+    or takes its address (`&Name`, as in a table of function pointers)."""
+    if re.search(r"&\s*(?:\w+::)*" + name + r"\b(?!\s*\()", text):
+        return True
     for match in re.finditer(r"(?<![\w~])(?:\w+::)*" + name + r"\s*\(", text):
         before = text[text.rfind("\n", 0, match.start()) + 1:match.start()].rstrip()
         word = re.search(r"(\w+)$", before)
@@ -105,6 +110,7 @@ def main():
     joined = {d: "\n".join(files.values()) for d, files in texts.items()}
     seen = set()
     rows = []
+    dead = []
     for kind, qualified, name, header in surface():
         if qualified in seen or (args.knobs and kind != "field"):
             continue
@@ -116,16 +122,23 @@ def main():
         else:
             used = {d: calls(joined[d], name) for d in USERS}
             used["src"] = calls(joined["src"], name)
+        row = (kind, qualified, header.relative_to(ROOT))
         if args.knobs:
             listed = not any(used[d] for d in PROGRAMS + ("src",))
         else:
             listed = used["tests"] and not any(used[d] for d in used if d != "tests")
+            if kind == "function" and not any(used.values()):
+                dead.append(row)
         if listed:
-            rows.append((kind, qualified, header.relative_to(ROOT)))
+            rows.append(row)
     what = "fields no program sets" if args.knobs else "entries only tests/ uses"
     print(f"{len(rows)} {what} (of {len(seen)} audited):")
     for kind, qualified, header in rows:
         print(f"  {kind:8} {qualified:52} {header}")
+    if not args.knobs:
+        print(f"{len(dead)} functions nothing calls:")
+        for kind, qualified, header in dead:
+            print(f"  {kind:8} {qualified:52} {header}")
     return 1 if args.knobs and rows else 0
 
 
