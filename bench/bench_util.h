@@ -162,7 +162,7 @@ inline bool AttributionRequested() { return !GlobalBenchArgs().attr_out.empty();
 inline void ExportTelemetry(telemetry::Hub& hub) {
   const BenchArgs& args = GlobalBenchArgs();
   if (!args.trace_out.empty()) {
-    telemetry::ExportChromeTrace(hub, args.trace_out);
+    telemetry::ExportChromeTrace(hub.spans(), args.trace_out);
     std::cout << "wrote trace: " << args.trace_out
               << " (open in https://ui.perfetto.dev)\n";
   }

@@ -168,7 +168,6 @@ void TimeQuantumScheduler::Activate() {
     rr_cursor_ = (index + 1) % n;
     active_ = client.id;
     quantum_expired_ = false;
-    ++client.quanta;
     ++quanta_granted_;
     // Anti-thrashing quantum: a multiple of the measured swap-in cost, so
     // the paging bill amortises over a long burst of uninterrupted work.
@@ -250,15 +249,6 @@ void TimeQuantumScheduler::OnClientCrash(core::ClientId client) {
     active_ = -1;
     Activate();
   }
-}
-
-std::size_t TimeQuantumScheduler::client_quanta(core::ClientId client) const {
-  for (const ClientState& state : clients_) {
-    if (state.id == client) {
-      return state.quanta;
-    }
-  }
-  return 0;
 }
 
 DurationUs TimeQuantumScheduler::exclusive_us() const {

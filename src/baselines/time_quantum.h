@@ -52,8 +52,6 @@ class TimeQuantumScheduler : public core::Scheduler {
   // --- Introspection (tests / benches). ---
   std::size_t exclusive_entries() const { return exclusive_entries_; }
   std::size_t quanta_granted() const { return quanta_granted_; }
-  // Per-client quanta received since entering exclusive mode (fairness).
-  std::size_t client_quanta(core::ClientId client) const;
   DurationUs exclusive_us() const;
 
  private:
@@ -66,7 +64,6 @@ class TimeQuantumScheduler : public core::Scheduler {
     // rotation waits for the boundary (never preempt mid-request).
     bool open_request = false;
     bool crashed = false;
-    std::size_t quanta = 0;
   };
 
   void Submit(ClientState& client, core::SchedOp op);

@@ -161,8 +161,11 @@ class ClusterEngine {
     }
     BindTelemetry();
     if (config_.telemetry != nullptr) {
-      for (auto& fabric : fabrics_) {
-        fabric->set_telemetry(config_.telemetry);
+      for (std::size_t n = 0; n < fabrics_.size(); ++n) {
+        std::string track = "n";
+        track += std::to_string(n);
+        track += "/nic";
+        fabrics_[n]->set_telemetry(config_.telemetry, track);
       }
     }
   }

@@ -86,11 +86,6 @@ StreamId Device::CreateStream(int priority) {
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
-int Device::stream_priority(StreamId stream) const {
-  ORION_CHECK(stream >= 0 && stream < static_cast<int>(streams_.size()));
-  return streams_[static_cast<std::size_t>(stream)].priority;
-}
-
 void Device::LaunchKernel(StreamId stream, const KernelDesc& kernel, CompletionCb done) {
   ORION_CHECK(stream >= 0 && stream < static_cast<int>(streams_.size()));
   ORION_CHECK_MSG(kernel.duration_us >= 0.0, "kernel with negative duration: " << kernel.name);

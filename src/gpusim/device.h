@@ -80,10 +80,8 @@ class Device {
   Device& operator=(const Device&) = delete;
 
   const DeviceSpec& spec() const { return spec_; }
-  Simulator* simulator() { return sim_; }
 
   StreamId CreateStream(int priority = kPriorityDefault);
-  int stream_priority(StreamId stream) const;
 
   // --- Op submission (asynchronous; `done` fires via a zero-delay event). ---
   void LaunchKernel(StreamId stream, const KernelDesc& kernel, CompletionCb done = nullptr);

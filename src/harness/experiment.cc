@@ -210,7 +210,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     auto rt = std::make_unique<runtime::GpuRuntime>(&sim, spec);
     rt->device().set_pcie_priority_scheduling(config.pcie_priority_scheduling);
     if (config.telemetry != nullptr && config.telemetry->tracing()) {
-      config.telemetry->kernels().RecordInto(rt->device(), "gpu" + std::to_string(p));
+      config.telemetry->TraceKernels(rt->device(), "gpu" + std::to_string(p));
     }
     auto sched = MakeScheduler(config.scheduler, config.orion);
     sched->set_telemetry(config.telemetry);

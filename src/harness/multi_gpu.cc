@@ -270,7 +270,7 @@ MultiGpuResult RunDdpExperiment(const MultiGpuConfig& config) {
     auto rt = std::make_unique<runtime::GpuRuntime>(&sim, config.device);
     rt->device().AttachHostLink(&fabric, gpu);
     if (config.telemetry != nullptr && config.telemetry->tracing()) {
-      config.telemetry->kernels().RecordInto(rt->device(), "gpu" + std::to_string(gpu));
+      config.telemetry->TraceKernels(rt->device(), "gpu" + std::to_string(gpu));
     }
     runtimes.push_back(std::move(rt));
   }

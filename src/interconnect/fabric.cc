@@ -36,7 +36,7 @@ std::string NodeName(int node) {
 
 }  // namespace
 
-void Fabric::set_telemetry(telemetry::Hub* hub) {
+void Fabric::set_telemetry(telemetry::Hub* hub, const std::string& track) {
   hub_ = hub;
   if (hub_ == nullptr) {
     trace_track_ = -1;
@@ -46,7 +46,7 @@ void Fabric::set_telemetry(telemetry::Hub* hub) {
   }
   transfers_started_metric_ = hub_->metrics().GetCounter("fabric.transfers_started");
   bytes_requested_metric_ = hub_->metrics().GetCounter("fabric.bytes_requested");
-  trace_track_ = hub_->tracing() ? hub_->spans().Track("fabric") : -1;
+  trace_track_ = hub_->tracing() ? hub_->spans().Track(track) : -1;
 }
 
 std::uint32_t Fabric::AllocTransferSlot() {
@@ -153,12 +153,6 @@ int Fabric::ActiveTransfers() const {
   return static_cast<int>(active_.size() + setup_.size());
 }
 
-int Fabric::ActiveOnLink(LinkId link, bool forward) const {
-  const std::size_t index = DirIndex(Hop{link, forward});
-  ORION_CHECK(index < dirs_.size());
-  return dirs_[index].count;
-}
-
 double Fabric::BytesMoved(LinkId link, bool forward) const {
   const std::size_t index = DirIndex(Hop{link, forward});
   ORION_CHECK(index < bytes_moved_.size());
@@ -178,12 +172,6 @@ void Fabric::SetLinkFactor(LinkId link, bool forward, double factor) {
   MarkDirty(index);
   RefreshRates();
   RetireAndReschedule();
-}
-
-double Fabric::LinkFactor(LinkId link, bool forward) const {
-  const std::size_t index = DirIndex(Hop{link, forward});
-  ORION_CHECK(index < link_factor_.size());
-  return link_factor_[index];
 }
 
 void Fabric::DisconnectGpu(int gpu) {

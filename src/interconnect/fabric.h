@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "src/common/time_types.h"
@@ -62,13 +63,13 @@ class Fabric : public gpusim::HostLinkModel {
   Fabric& operator=(const Fabric&) = delete;
 
   const NodeTopology& topology() const { return topology_; }
-  Simulator* simulator() { return sim_; }
 
   // Telemetry (src/telemetry): transfer statistics become "fabric.*" registry
   // counters and, with tracing on, every transfer (host copies included) is
-  // an async span on a "fabric" track named "src->dst" with its byte count.
-  // Call before starting transfers.
-  void set_telemetry(telemetry::Hub* hub);
+  // an async span on the `track` track named "src->dst" with its byte count.
+  // Transfer ids are per fabric, so fabrics sharing a hub need distinct
+  // tracks. Call before starting transfers.
+  void set_telemetry(telemetry::Hub* hub, const std::string& track = "fabric");
 
   // Starts an asynchronous transfer of `bytes` from node `src` to node `dst`
   // (kHostNode for host memory). `done` fires via a simulator event once the
@@ -84,8 +85,6 @@ class Fabric : public gpusim::HostLinkModel {
 
   // Transfers currently in flight (setup phase included).
   int ActiveTransfers() const;
-  // Transfers currently streaming on `link` in the given direction.
-  int ActiveOnLink(LinkId link, bool forward) const;
   // Cumulative payload bytes that have crossed `link` in the given direction
   // since construction. (A double: bytes accrue fluidly.)
   double BytesMoved(LinkId link, bool forward) const;
@@ -98,7 +97,6 @@ class Fabric : public gpusim::HostLinkModel {
   // keep their route and resume when the factor comes back, so a flap costs
   // only the outage interval. Affected rates are recomputed immediately.
   void SetLinkFactor(LinkId link, bool forward, double factor);
-  double LinkFactor(LinkId link, bool forward) const;
   // The GPU fell off the bus: both directions of every link touching it go
   // down for good (FaultKind::kGpuDown).
   void DisconnectGpu(int gpu);

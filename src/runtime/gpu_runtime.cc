@@ -8,7 +8,7 @@ namespace orion {
 namespace runtime {
 
 GpuRuntime::GpuRuntime(Simulator* sim, gpusim::DeviceSpec spec)
-    : sim_(sim), device_(sim, spec), memory_(spec.memory_bytes) {
+    : device_(sim, spec), memory_(spec.memory_bytes) {
   ORION_CHECK(sim != nullptr);
 }
 

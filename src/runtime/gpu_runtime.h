@@ -27,7 +27,6 @@ class GpuRuntime {
 
   GpuRuntime(Simulator* sim, gpusim::DeviceSpec spec);
 
-  Simulator* simulator() { return sim_; }
   gpusim::Device& device() { return device_; }
   const gpusim::Device& device() const { return device_; }
   MemoryManager& memory() { return memory_; }
@@ -48,7 +47,6 @@ class GpuRuntime {
   static bool EventQuery(const gpusim::GpuEvent& event) { return event.done; }
 
  private:
-  Simulator* sim_;
   gpusim::Device device_;
   MemoryManager memory_;
 };

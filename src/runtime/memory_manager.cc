@@ -52,16 +52,5 @@ std::size_t MemoryManager::ReleaseClient(std::uint64_t client) {
   return released;
 }
 
-std::size_t MemoryManager::used_by(std::uint64_t client) const {
-  std::size_t total = 0;
-  for (const auto& [handle, allocation] : allocations_) {
-    (void)handle;
-    if (allocation.client == client) {
-      total += allocation.bytes;
-    }
-  }
-  return total;
-}
-
 }  // namespace runtime
 }  // namespace orion

@@ -39,8 +39,6 @@ class MemoryManager {
     return capacity_ > 0 ? static_cast<double>(used_) / static_cast<double>(capacity_) : 0.0;
   }
   std::size_t live_allocations() const { return allocations_.size(); }
-  // Live bytes held by `client`.
-  std::size_t used_by(std::uint64_t client) const;
 
  private:
   struct Allocation {

@@ -83,22 +83,26 @@ void WriteArgs(std::ostream& os, const Labels& args) {
   os << "}";
 }
 
-void WriteSpanEvents(const SpanTracer& spans, std::ostream& os, bool* first) {
+}  // namespace
+
+void WriteChromeTrace(const SpanTracer& spans, std::ostream& os) {
+  os << "[";
+  bool first = true;
   for (std::size_t track = 0; track < spans.tracks().size(); ++track) {
-    if (!*first) {
+    if (!first) {
       os << ",";
     }
-    *first = false;
+    first = false;
     os << "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << track
        << ",\"args\":{\"name\":";
     WriteJsonString(os, spans.tracks()[track]);
     os << "}}";
   }
   for (const TraceEvent& event : spans.events()) {
-    if (!*first) {
+    if (!first) {
       os << ",";
     }
-    *first = false;
+    first = false;
     os << "\n{\"name\":";
     WriteJsonString(os, event.name);
     os << ",\"cat\":";
@@ -108,11 +112,13 @@ void WriteSpanEvents(const SpanTracer& spans, std::ostream& os, bool* first) {
       case TraceEventKind::kComplete:
         os << ",\"tid\":" << event.tid << ",\"ph\":\"X\",\"dur\":" << Ts(event.dur);
         break;
+      // Async ids are process-scoped ("id2":{"local":...}): two tracks that
+      // each number their spans from 0 never pair each other's begin and end.
       case TraceEventKind::kAsyncBegin:
-        os << ",\"tid\":0,\"ph\":\"b\",\"id\":" << event.id;
+        os << ",\"tid\":0,\"ph\":\"b\",\"id2\":{\"local\":" << event.id << "}";
         break;
       case TraceEventKind::kAsyncEnd:
-        os << ",\"tid\":0,\"ph\":\"e\",\"id\":" << event.id;
+        os << ",\"tid\":0,\"ph\":\"e\",\"id2\":{\"local\":" << event.id << "}";
         break;
       case TraceEventKind::kInstant:
         os << ",\"tid\":0,\"ph\":\"i\",\"s\":\"p\"";
@@ -130,9 +136,8 @@ void WriteSpanEvents(const SpanTracer& spans, std::ostream& os, bool* first) {
     }
     os << "}";
   }
+  os << (first ? "]\n" : "\n]\n");
 }
-
-}  // namespace
 
 void WriteMetricsCsv(const MetricRegistry& metrics, std::ostream& os) {
   os << "metric,labels,kind,value,count,p50,p95,p99,min,max,sum\n";
@@ -159,29 +164,6 @@ void WriteMetricsCsv(const MetricRegistry& metrics, std::ostream& os) {
   }
 }
 
-void WriteChromeTrace(const SpanTracer& spans, std::ostream& os) {
-  os << "[";
-  bool first = true;
-  WriteSpanEvents(spans, os, &first);
-  if (first) {
-    os << "]\n";
-    return;
-  }
-  os << "\n]\n";
-}
-
-void WriteChromeTrace(const Hub& hub, std::ostream& os) {
-  os << "[";
-  bool first = true;
-  WriteSpanEvents(hub.spans(), os, &first);
-  hub.kernels().WriteChromeTraceEvents(os, kKernelPidBase, &first);
-  if (first) {
-    os << "]\n";
-    return;
-  }
-  os << "\n]\n";
-}
-
 void ExportMetricsCsv(const MetricRegistry& metrics, const std::string& path) {
   std::ofstream os(path);
   ORION_CHECK_MSG(os.good(), "cannot open metrics output file " << path);
@@ -189,10 +171,10 @@ void ExportMetricsCsv(const MetricRegistry& metrics, const std::string& path) {
   ORION_CHECK_MSG(os.good(), "failed writing metrics to " << path);
 }
 
-void ExportChromeTrace(const Hub& hub, const std::string& path) {
+void ExportChromeTrace(const SpanTracer& spans, const std::string& path) {
   std::ofstream os(path);
   ORION_CHECK_MSG(os.good(), "cannot open trace output file " << path);
-  WriteChromeTrace(hub, os);
+  WriteChromeTrace(spans, os);
   ORION_CHECK_MSG(os.good(), "failed writing trace to " << path);
 }
 
@@ -219,7 +201,7 @@ void StreamingExporter::Flush() {
     ExportMetricsCsv(hub_->metrics(), options_.metrics_path);
   }
   if (!options_.trace_path.empty() && hub_->tracing()) {
-    ExportChromeTrace(*hub_, options_.trace_path);
+    ExportChromeTrace(hub_->spans(), options_.trace_path);
   }
   ++flushes_;
   next_flush_ = sim_->ScheduleAfter(options_.period_us, [this]() { Flush(); });

@@ -5,14 +5,12 @@
 // metric (counters and gauges fill `value`; histograms fill the
 // count/mean/percentile columns from their current window).
 //
-// WriteChromeTrace merges the hub's kernel execution tracks (one Chrome
-// process per device, one thread per stream) with the cross-layer spans of
-// the SpanTracer (one process per span track) into a single JSON array
-// loadable by chrome://tracing and https://ui.perfetto.dev — request
-// lifecycles, scheduler decisions, collectives, fabric transfers and fault
-// markers on the same timeline as the kernels they explain. Span tracks take
-// pids [0, N); kernel tracks follow at kKernelPidBase so device lanes group
-// together below the logical tracks.
+// WriteChromeTrace renders the SpanTracer as one JSON array loadable by
+// chrome://tracing and https://ui.perfetto.dev: one Chrome process per span
+// track, pids in registration order. Kernel executions are "kernel" slices on
+// per-device tracks (Hub::TraceKernels), so request lifecycles, scheduler
+// decisions, collectives, fabric transfers and fault markers share one
+// timeline with the kernels they explain.
 //
 // Both exporters are deterministic: rows are sorted, events keep the
 // simulator's event order, and timestamps are printed with fixed precision.
@@ -28,21 +26,14 @@
 namespace orion {
 namespace telemetry {
 
-// First pid used for kernel (device) tracks in a merged trace.
-inline constexpr int kKernelPidBase = 1000;
-
 void WriteMetricsCsv(const MetricRegistry& metrics, std::ostream& os);
 
-// Spans only (no kernel tracks).
 void WriteChromeTrace(const SpanTracer& spans, std::ostream& os);
-
-// Full merge: spans + kernel tracks.
-void WriteChromeTrace(const Hub& hub, std::ostream& os);
 
 // File-writing convenience used by the bench binaries; aborts on I/O errors
 // (a bench asked to export must not silently drop the artefact).
 void ExportMetricsCsv(const MetricRegistry& metrics, const std::string& path);
-void ExportChromeTrace(const Hub& hub, const std::string& path);
+void ExportChromeTrace(const SpanTracer& spans, const std::string& path);
 
 // Streaming telemetry export: periodically rewrites the --trace-out /
 // --metrics-out artefacts DURING a long run instead of only at its end, so a

@@ -21,7 +21,9 @@ void DisambiguateLabels(std::vector<std::string>* labels) {
   for (std::size_t i = 0; i < labels->size(); ++i) {
     for (std::size_t prev = 0; prev < i; ++prev) {
       if ((*labels)[prev] == (*labels)[i]) {
-        (*labels)[i] += "#" + std::to_string(i);
+        // Appended piecewise: gcc 12 warns -Wrestrict on "#" + to_string(i).
+        (*labels)[i] += '#';
+        (*labels)[i] += std::to_string(i);
         break;
       }
     }

@@ -11,6 +11,10 @@ TrackId SpanTracer::Track(const std::string& name) {
       return static_cast<TrackId>(i);
     }
   }
+  return AddTrack(name);
+}
+
+TrackId SpanTracer::AddTrack(const std::string& name) {
   tracks_.push_back(name);
   return static_cast<TrackId>(tracks_.size() - 1);
 }

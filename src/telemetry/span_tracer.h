@@ -3,9 +3,9 @@
 // Records hierarchical spans, instant markers and flow links for export in
 // the Chrome trace-event format (exporters.h). Each *track* is a Chrome
 // "process" (one lane group in Perfetto): a serving model's request
-// lifecycles, a GPU's batch executions, the collective engine, the fabric,
-// the fault injector. Within a track, the `tid` picks the row — a replica, a
-// stream, or a per-request virtual thread.
+// lifecycles, a GPU's batch executions or kernels, the collective engine,
+// the fabric, the fault injector. Within a track, the `tid` picks the row —
+// a replica, a stream, or a per-request virtual thread.
 //
 // Event kinds map 1:1 onto Chrome trace phases:
 //   * Complete  → "X": a slice with explicit start and end (request phases,
@@ -60,9 +60,12 @@ class SpanTracer {
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
 
-  // Registers (or finds) a named track. Track order is registration order;
+  // Finds the named track, or appends it. Track order is registration order;
   // the exporter assigns pids from it deterministically.
   TrackId Track(const std::string& name);
+  // Always appends a new track, even when one of that name exists (one per
+  // traced device, so two runs into one hub never share a lane).
+  TrackId AddTrack(const std::string& name);
 
   void Complete(TrackId track, std::int64_t tid, const std::string& name, TimeUs start,
                 TimeUs end, Labels args = {}, const std::string& category = "span");

@@ -1,5 +1,5 @@
 // Unified telemetry hub: one handle bundling the metric registry, the
-// cross-layer span tracer and the multi-device kernel trace collector.
+// cross-layer span tracer and the latency attribution registry.
 //
 // A harness or bench creates one Hub per run and passes it down through the
 // configs (ExperimentConfig / MultiGpuConfig / ServingConfig all carry a
@@ -7,8 +7,8 @@
 //
 //   * counters/gauges/histograms → hub->metrics()  (always cheap)
 //   * spans / instants / flows   → hub->spans()    (only when tracing())
-//   * kernel execution records   → hub->kernels()  (installed by harnesses
-//     onto every simulated device when tracing is enabled)
+//   * kernel execution records   → hub->TraceKernels(device, ...) (installed
+//     by harnesses onto every simulated device when tracing is enabled)
 //
 // The null-object default keeps instrumentation zero-cost: every site guards
 // on `hub == nullptr` (no sink installed) and on `hub->tracing()` for span
@@ -18,12 +18,17 @@
 #ifndef SRC_TELEMETRY_TELEMETRY_H_
 #define SRC_TELEMETRY_TELEMETRY_H_
 
-#include "src/gpusim/trace_export.h"
+#include <string>
+
 #include "src/telemetry/attribution/report.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/span_tracer.h"
 
 namespace orion {
+namespace gpusim {
+class Device;
+}  // namespace gpusim
+
 namespace telemetry {
 
 class Hub {
@@ -38,8 +43,11 @@ class Hub {
   SpanTracer& spans() { return spans_; }
   const SpanTracer& spans() const { return spans_; }
 
-  gpusim::TraceCollector& kernels() { return kernels_; }
-  const gpusim::TraceCollector& kernels() const { return kernels_; }
+  // Installs `device`'s kernel trace sink: each kernel execution becomes a
+  // "kernel" Complete slice on a new track named `track_name`, one row per
+  // stream. Every call appends a track, so two runs recorded into one hub
+  // never share a lane. The hub must outlive the device's use.
+  TrackId TraceKernels(gpusim::Device& device, const std::string& track_name);
 
   // Span/kernel collection is opt-in (metrics are always on): benches enable
   // it when a --trace-out path was given, tests when they assert on spans.
@@ -58,7 +66,6 @@ class Hub {
  private:
   MetricRegistry metrics_;
   SpanTracer spans_;
-  gpusim::TraceCollector kernels_;
   attribution::AttributionRegistry attribution_;
   bool tracing_ = false;
   bool attribution_enabled_ = false;

@@ -361,25 +361,6 @@ void GraphBuilder::Embedding(const std::string& name, double tokens, double hidd
   Push(std::move(fwd), std::move(bwd));
 }
 
-void GraphBuilder::AddBias(const std::string& name, double elems) {
-  KernelWork fwd;
-  fwd.name = name;
-  fwd.flops = elems;
-  fwd.bytes = 2.0 * elems * kBytesPerElem;
-  fwd.compute_eff = 0.40;
-  fwd.mem_eff = 0.85;
-  fwd.phase = gpusim::KernelPhase::kForward;
-  fwd.geometry = ElementwiseGeometry(elems);
-
-  std::vector<KernelWork> bwd;
-  if (task_ == TaskType::kTraining) {
-    KernelWork back = fwd;
-    back.name = name + ".bwd";
-    bwd = {back};
-  }
-  Push(std::move(fwd), std::move(bwd));
-}
-
 void GraphBuilder::Loss(const std::string& name, double rows, double cols) {
   if (task_ != TaskType::kTraining) {
     return;

@@ -44,7 +44,6 @@ class GraphBuilder {
   void Gelu(const std::string& name, double elems);
   void Dropout(const std::string& name, double elems);
   void Embedding(const std::string& name, double tokens, double hidden);
-  void AddBias(const std::string& name, double elems);
 
   // Fully connected layer: GEMM with parameters tracked for the update phase.
   void Linear(const std::string& name, double batch_rows, double in_features,

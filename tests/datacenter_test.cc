@@ -6,6 +6,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/datacenter/cluster.h"
@@ -150,6 +154,40 @@ TEST(DatacenterTest, MultiNodeClusterServesOverTheNetwork) {
     total_requests += node.requests;
   }
   EXPECT_EQ(total_requests, model.total_completed);
+}
+
+// Each NIC is its own fabric numbering its transfers from 0, so each gets
+// its own trace track: every async begin then pairs with exactly one end on
+// its own (track, id), which is the (pid, id) an exported async span is
+// scoped to.
+TEST(DatacenterTest, EachNicTracesTransfersOnItsOwnTrack) {
+  ClusterConfig config = SmallCluster(2, 2);
+  config.serving.duration_us = SecToUs(1.0);
+  config.serving.models[0].initial_replicas = 4;  // fill both nodes
+  telemetry::Hub hub;
+  hub.EnableTracing();
+  config.serving.telemetry = &hub;
+  RunCluster(config);
+
+  const std::vector<std::string>& tracks = hub.spans().tracks();
+  EXPECT_EQ(std::count(tracks.begin(), tracks.end(), "n0/nic"), 1);
+  EXPECT_EQ(std::count(tracks.begin(), tracks.end(), "n1/nic"), 1);
+  EXPECT_EQ(std::count(tracks.begin(), tracks.end(), "fabric"), 0);
+  std::map<std::pair<telemetry::TrackId, std::uint64_t>, std::pair<int, int>> spans;
+  for (const telemetry::TraceEvent& event : hub.spans().events()) {
+    if (event.kind == telemetry::TraceEventKind::kAsyncBegin) {
+      ++spans[{event.track, event.id}].first;
+    } else if (event.kind == telemetry::TraceEventKind::kAsyncEnd) {
+      ++spans[{event.track, event.id}].second;
+    }
+  }
+  std::set<telemetry::TrackId> span_tracks;
+  for (const auto& [key, count] : spans) {
+    span_tracks.insert(key.first);
+    EXPECT_EQ(count, std::make_pair(1, 1))
+        << tracks[static_cast<std::size_t>(key.first)] << " id " << key.second;
+  }
+  EXPECT_EQ(span_tracks.size(), 2u);
 }
 
 TEST(DatacenterTest, LeastOutstandingSpreadsLoadAcrossNodes) {

@@ -108,7 +108,7 @@ std::pair<std::string, std::string> TelemetryExports(const ExperimentConfig& con
   std::ostringstream csv;
   telemetry::WriteMetricsCsv(hub.metrics(), csv);
   std::ostringstream trace;
-  telemetry::WriteChromeTrace(hub, trace);
+  telemetry::WriteChromeTrace(hub.spans(), trace);
   return {csv.str(), trace.str()};
 }
 

@@ -20,6 +20,7 @@
 
 #include <bit>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -44,7 +45,9 @@ std::vector<SoupOp> MakeSoup(std::uint64_t seed, int num_streams, int num_kernel
     op.stream = static_cast<int>(rng.UniformInt(0, num_streams - 1));
     KernelDesc& kernel = op.kernel;
     kernel.kernel_id = static_cast<std::uint64_t>(i);
-    kernel.name = "k" + std::to_string(i);
+    std::string name = "k";
+    name += std::to_string(i);
+    kernel.name = name;
     kernel.duration_us = rng.UniformDouble(5.0, 800.0);
     kernel.compute_util = rng.UniformDouble(0.02, 0.95);
     kernel.membw_util = rng.UniformDouble(0.02, 0.95);
@@ -195,7 +198,9 @@ TEST_P(EventOrderTest, EventNeverFiresBeforePriorOps) {
       device.RecordEvent(stream, events.back().get());
     } else {
       KernelDesc kernel;
-      kernel.name = "k" + std::to_string(i);
+      std::string name = "k";
+      name += std::to_string(i);
+      kernel.name = name;
       kernel.duration_us = rng.UniformDouble(10.0, 200.0);
       kernel.compute_util = rng.UniformDouble(0.1, 0.9);
       kernel.membw_util = rng.UniformDouble(0.1, 0.9);

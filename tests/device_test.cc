@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/gpusim/device.h"
@@ -74,7 +75,9 @@ TEST_F(DeviceTest, SameStreamKernelsRunSequentially) {
   const StreamId stream = device.CreateStream();
   std::vector<TimeUs> completions;
   for (int i = 0; i < 3; ++i) {
-    device.LaunchKernel(stream, MakeKernel("k" + std::to_string(i), 50.0, 0.3, 0.1, 10),
+    std::string name = "k";
+    name += std::to_string(i);
+    device.LaunchKernel(stream, MakeKernel(name, 50.0, 0.3, 0.1, 10),
                         [&]() { completions.push_back(sim_.now()); });
   }
   sim_.RunUntilIdle();
@@ -377,7 +380,9 @@ TEST_F(DeviceTest, ManyKernelsConserveWork) {
   int completed = 0;
   for (int i = 0; i < kN; ++i) {
     const StreamId stream = device.CreateStream();
-    device.LaunchKernel(stream, MakeKernel("k" + std::to_string(i), 100.0, 1.0, 0.2, 80),
+    std::string name = "k";
+    name += std::to_string(i);
+    device.LaunchKernel(stream, MakeKernel(name, 100.0, 1.0, 0.2, 80),
                         [&]() { ++completed; });
   }
   sim_.RunUntilIdle();

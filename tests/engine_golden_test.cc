@@ -137,7 +137,7 @@ void ExpectEngineOutputMatches(const ClusterConfig& base, const std::string& pre
   config.serving.telemetry = &hub;
   RunCluster(config);
   std::ostringstream trace;
-  telemetry::WriteChromeTrace(hub, trace);
+  telemetry::WriteChromeTrace(hub.spans(), trace);
   std::ostringstream metrics;
   telemetry::WriteMetricsCsv(hub.metrics(), metrics);
   std::ostringstream attr;

@@ -1,13 +1,20 @@
 // Telemetry subsystem tests: metric registry semantics, span tracer
-// recording, exporter output shape (CSV + Chrome trace JSON), golden-file
-// stability of the trace format, and byte-identical determinism of a traced
-// end-to-end serving run.
+// recording, exporter output shape (CSV + Chrome trace JSON), kernel slices
+// recorded through Hub::TraceKernels, golden-file stability of the trace
+// format, and byte-identical determinism of a traced end-to-end serving run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "src/gpusim/device.h"
+#include "src/harness/experiment.h"
 #include "src/serving/serving.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/exporters.h"
@@ -135,27 +142,146 @@ TEST(ExporterTest, CsvHasHeaderAndSortedRows) {
   EXPECT_LT(b, c);
 }
 
-TEST(ExporterTest, MergedTraceGroupsKernelTracksAboveKernelPidBase) {
+// --- Kernel slices (Hub::TraceKernels). ---
+
+// The "kernel" Complete slices a hub holds, in completion order.
+std::vector<TraceEvent> KernelSlices(const Hub& hub) {
+  std::vector<TraceEvent> kernels;
+  for (const TraceEvent& event : hub.spans().events()) {
+    if (event.category == "kernel") {
+      kernels.push_back(event);
+    }
+  }
+  return kernels;
+}
+
+std::string Json(const Hub& hub) {
+  std::ostringstream os;
+  WriteChromeTrace(hub.spans(), os);
+  return os.str();
+}
+
+TEST(KernelTraceTest, EachKernelIsASliceOnItsStreamRow) {
   Hub hub;
-  hub.EnableTracing();
   Simulator sim;
   gpusim::Device device(&sim, gpusim::DeviceSpec::V100_16GB());
-  hub.kernels().RecordInto(device, "gpu0");
-  device.LaunchKernel(device.CreateStream(),
-                      testutil::MakeKernel("conv", 100.0, 0.5, 0.2, 10));
-  const TrackId t = hub.spans().Track("control");
-  hub.spans().Instant(t, "marker", 5.0);
+  const TrackId track = hub.TraceKernels(device, "test-gpu");
+  const gpusim::StreamId s1 = device.CreateStream();
+  const gpusim::StreamId s2 = device.CreateStream();
+  device.LaunchKernel(s1, testutil::MakeKernel("alpha", 100.0, 0.5, 0.2, 10));
+  device.LaunchKernel(s2, testutil::MakeKernel("beta", 50.0, 0.2, 0.5, 10));
   sim.RunUntilIdle();
+  const std::vector<TraceEvent> kernels = KernelSlices(hub);
+  ASSERT_EQ(kernels.size(), 2u);
+  for (const TraceEvent& k : kernels) {
+    EXPECT_EQ(k.kind, TraceEventKind::kComplete);
+    EXPECT_EQ(k.track, track);
+    EXPECT_EQ(k.tid, k.name == "alpha" ? s1 : s2);  // stream id is the row
+    EXPECT_GT(k.dur, 0.0);
+    ASSERT_EQ(k.args.size(), 2u);
+    EXPECT_EQ(k.args[0].first, "kernel_id");
+    EXPECT_EQ(k.args[1].first, "sm_needed");
+  }
 
-  std::ostringstream os;
-  WriteChromeTrace(hub, os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"pid\":0"), std::string::npos);     // span track
-  EXPECT_NE(json.find("\"pid\":1000"), std::string::npos);  // kernel track
-  EXPECT_NE(json.find("\"conv\""), std::string::npos);
+  const std::string json = Json(hub);
+  EXPECT_NE(json.find("\"test-gpu\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"alpha\",\"cat\":\"kernel\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"beta\",\"cat\":\"kernel\""), std::string::npos);
+  EXPECT_NE(json.find("\"tid\":1,\"ph\":\"X\""), std::string::npos);
+  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
+            std::count(json.begin(), json.end(), '}'));
+}
+
+TEST(KernelTraceTest, EscapesKernelNames) {
+  Hub hub;
+  Simulator sim;
+  gpusim::Device device(&sim, gpusim::DeviceSpec::V100_16GB());
+  hub.TraceKernels(device, "gpu0");
+  device.LaunchKernel(device.CreateStream(),
+                      testutil::MakeKernel("weird\"name\\with\nstuff", 10.0, 0.3, 0.1, 4));
+  sim.RunUntilIdle();
+  EXPECT_NE(Json(hub).find("weird\\\"name\\\\with\\nstuff"), std::string::npos);
+}
+
+TEST(KernelTraceTest, TwoDevicesGetTwoTracks) {
+  Hub hub;
+  Simulator sim;
+  gpusim::Device gpu0(&sim, gpusim::DeviceSpec::V100_16GB());
+  gpusim::Device gpu1(&sim, gpusim::DeviceSpec::V100_16GB());
+  const TrackId control = hub.spans().Track("control");
+  const TrackId t0 = hub.TraceKernels(gpu0, "gpu0");
+  const TrackId t1 = hub.TraceKernels(gpu1, "gpu1");
+  gpu0.LaunchKernel(gpu0.CreateStream(), testutil::MakeKernel("on-zero", 100.0, 0.5, 0.2, 10));
+  gpu1.LaunchKernel(gpu1.CreateStream(), testutil::MakeKernel("on-one", 50.0, 0.2, 0.5, 10));
+  hub.spans().Instant(control, "marker", 5.0);
+  sim.RunUntilIdle();
+  // Kernel tracks take pids in registration order, like every other track.
+  EXPECT_EQ(control, 0);
+  EXPECT_EQ(t0, 1);
+  EXPECT_EQ(t1, 2);
+  const std::vector<TraceEvent> kernels = KernelSlices(hub);
+  ASSERT_EQ(kernels.size(), 2u);
+  for (const TraceEvent& k : kernels) {
+    EXPECT_EQ(k.track, k.name == "on-zero" ? t0 : t1);
+  }
+  const std::string json = Json(hub);
+  EXPECT_NE(json.find("\"pid\":1,\"args\":{\"name\":\"gpu0\"}"), std::string::npos);
+  EXPECT_NE(json.find("\"pid\":2,\"args\":{\"name\":\"gpu1\"}"), std::string::npos);
   EXPECT_NE(json.find("\"marker\""), std::string::npos);
-  EXPECT_NE(json.find("\"gpu0\""), std::string::npos);
-  EXPECT_NE(json.find("\"control\""), std::string::npos);
+}
+
+TEST(KernelTraceTest, EmptyTraceIsStillValid) {
+  EXPECT_EQ(Json(Hub()), "[]\n");
+}
+
+// Past t = 1 s a kernel's ts has seven integer digits: the writer must keep
+// all of them and three decimals, not six significant digits.
+TEST(KernelTraceTest, LateKernelKeepsFixedPointTimestamp) {
+  Hub hub;
+  Simulator sim;
+  gpusim::Device device(&sim, gpusim::DeviceSpec::V100_16GB());
+  hub.TraceKernels(device, "gpu0");
+  const gpusim::StreamId stream = device.CreateStream();
+  sim.ScheduleAt(1234567.891, [&]() {
+    device.LaunchKernel(stream, testutil::MakeKernel("late", 12.5, 0.3, 0.1, 4));
+  });
+  sim.RunUntilIdle();
+  const std::vector<TraceEvent> kernels = KernelSlices(hub);
+  ASSERT_EQ(kernels.size(), 1u);
+  ASSERT_GT(kernels[0].ts, 1e6);
+  char ts[64];
+  std::snprintf(ts, sizeof(ts), "%.3f", kernels[0].ts);
+  EXPECT_NE(Json(hub).find("\"ts\":" + std::string(ts) + ","), std::string::npos)
+      << Json(hub);
+}
+
+// Every RunExperiment call appends its own device track, so two runs into
+// one hub (each starting at t = 0) never interleave on one lane.
+TEST(KernelTraceTest, TwoRunsIntoOneHubUseDistinctTracks) {
+  Hub hub;
+  hub.EnableTracing();
+  harness::ExperimentConfig config;
+  config.scheduler = harness::SchedulerKind::kStreams;
+  config.warmup_us = 0.0;
+  config.duration_us = MsToUs(50.0);
+  harness::ClientConfig client;
+  client.workload = workloads::MakeWorkload(workloads::ModelId::kMobileNetV2,
+                                            workloads::TaskType::kInference);
+  client.high_priority = true;
+  client.arrivals = trace::ArrivalKind::kClosedLoop;
+  config.clients = {client};
+  config.telemetry = &hub;
+  harness::RunExperiment(config);
+  harness::RunExperiment(config);
+
+  std::set<TrackId> kernel_tracks;
+  for (const TraceEvent& k : KernelSlices(hub)) {
+    kernel_tracks.insert(k.track);
+  }
+  ASSERT_EQ(kernel_tracks.size(), 2u);
+  for (const TrackId track : kernel_tracks) {
+    EXPECT_EQ(hub.spans().tracks()[static_cast<std::size_t>(track)], "gpu0");
+  }
 }
 
 // Golden-file pin of the Chrome-trace JSON shape: one event of every kind on
@@ -252,7 +378,7 @@ TEST(TelemetryDeterminismTest, SameSeedServingRunsExportIdenticalArtefacts) {
     config.telemetry = &hub;
     (void)serving::RunServing(config);
     std::ostringstream trace_os, csv_os;
-    WriteChromeTrace(hub, trace_os);
+    WriteChromeTrace(hub.spans(), trace_os);
     WriteMetricsCsv(hub.metrics(), csv_os);
     traces[run] = trace_os.str();
     csvs[run] = csv_os.str();
@@ -282,7 +408,7 @@ TEST(TelemetryDeterminismTest, SameSeedLlmServingRunsExportIdenticalArtefacts) {
     config.telemetry = &hub;
     (void)serving::RunServing(config);
     std::ostringstream trace_os, csv_os;
-    WriteChromeTrace(hub, trace_os);
+    WriteChromeTrace(hub.spans(), trace_os);
     WriteMetricsCsv(hub.metrics(), csv_os);
     traces[run] = trace_os.str();
     csvs[run] = csv_os.str();

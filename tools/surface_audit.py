@@ -17,9 +17,11 @@ counts for both: the audit can miss a candidate but does not invent one.
 --knobs lists instead the fields that no file in bench/, examples/ or
 perfbench/ mentions and that src/ never assigns: options only their default
 (or a test) ever sets, which should be constants. It exits 1 when that list
-is non-empty. --root DIR audits another tree (default: this repository).
+is non-empty. --dead prints only the functions nothing calls and exits 1
+when there are any. --root DIR audits another tree (default: this
+repository).
 
-Run from the repository root:  python3 tools/surface_audit.py [--knobs]
+Run from the repository root:  python3 tools/surface_audit.py [--knobs|--dead]
 """
 import argparse
 import pathlib
@@ -100,8 +102,11 @@ def calls(text, name):
 def main():
     global ROOT
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--knobs", action="store_true",
-                        help="list config fields no program sets; exit 1 if any")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--knobs", action="store_true",
+                      help="list config fields no program sets; exit 1 if any")
+    mode.add_argument("--dead", action="store_true",
+                      help="list functions nothing calls; exit 1 if any")
     parser.add_argument("--root", type=pathlib.Path, default=ROOT,
                         help="tree to audit (default: this repository)")
     args = parser.parse_args()
@@ -131,14 +136,17 @@ def main():
                 dead.append(row)
         if listed:
             rows.append(row)
-    what = "fields no program sets" if args.knobs else "entries only tests/ uses"
-    print(f"{len(rows)} {what} (of {len(seen)} audited):")
-    for kind, qualified, header in rows:
-        print(f"  {kind:8} {qualified:52} {header}")
+    if not args.dead:
+        what = "fields no program sets" if args.knobs else "entries only tests/ uses"
+        print(f"{len(rows)} {what} (of {len(seen)} audited):")
+        for kind, qualified, header in rows:
+            print(f"  {kind:8} {qualified:52} {header}")
     if not args.knobs:
         print(f"{len(dead)} functions nothing calls:")
         for kind, qualified, header in dead:
             print(f"  {kind:8} {qualified:52} {header}")
+    if args.dead:
+        return 1 if dead else 0
     return 1 if args.knobs and rows else 0
 
 
