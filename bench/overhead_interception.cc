@@ -73,6 +73,7 @@ void BM_DeviceKernelCycle(benchmark::State& state) {
   kernel.compute_util = 0.5;
   kernel.membw_util = 0.2;
   kernel.geometry = {40, 1024, 64, 0};
+  kernel.sm_needed = gpusim::SmsNeeded(gpusim::DeviceSpec::V100_16GB(), kernel.geometry);
   for (auto _ : state) {
     device.LaunchKernel(stream, kernel);
     sim.RunUntilIdle();
@@ -102,6 +103,7 @@ void BM_OrionEnqueueDecision(benchmark::State& state) {
   kernel.compute_util = 0.2;
   kernel.membw_util = 0.7;
   kernel.geometry = {10, 1024, 64, 0};
+  kernel.sm_needed = gpusim::SmsNeeded(gpusim::DeviceSpec::V100_16GB(), kernel.geometry);
   for (auto _ : state) {
     core::SchedOp op;
     op.op.type = runtime::OpType::kKernelLaunch;

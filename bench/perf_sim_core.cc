@@ -20,6 +20,10 @@
 //   device_kernel_pair     one fig06 kernel pair replayed on a high- and a
 //                          default-priority stream of a device until drained
 //                          (gpusim per-kernel cost; events = kernels)
+//   fig06_pair_run         one warm harness::RunExperiment of the fig06 Orion
+//                          pair at --quick windows: client drivers, the
+//                          Orion scheduler and the device together
+//                          (events = kernels of completed requests)
 //   serving_inprocess      repeated serving::RunServing of the ext_online_serving
 //                          base configuration at --quick windows
 //   cluster_serving        repeated datacenter::RunCluster of a 4-node x 2-GPU
@@ -45,10 +49,12 @@
 #include "src/common/check.h"
 #include "src/datacenter/cluster.h"
 #include "src/gpusim/device.h"
+#include "src/harness/experiment.h"
 #include "src/interconnect/fabric.h"
 #include "src/interconnect/topology.h"
 #include "src/serving/serving.h"
 #include "src/sim/simulator.h"
+#include "src/trace/request_rates.h"
 #include "src/workloads/models.h"
 
 using namespace orion;
@@ -350,6 +356,45 @@ std::size_t RunDeviceKernelPair(std::size_t requests, std::size_t* events_out) {
   return device.kernels_completed();
 }
 
+// --- Harness -------------------------------------------------------------
+
+// The fig06 pair under Orion: Apollo-arrival ResNet50 inference at its
+// inf-train rate (high priority) next to closed-loop ResNet50 training, at
+// the --quick windows of bench_util.
+harness::ExperimentConfig Fig06PairConfig() {
+  harness::ClientConfig hp;
+  hp.workload =
+      workloads::MakeWorkload(workloads::ModelId::kResNet50, workloads::TaskType::kInference);
+  hp.high_priority = true;
+  hp.arrivals = trace::ArrivalKind::kApollo;
+  hp.rps = trace::RequestsPerSecond(workloads::ModelId::kResNet50,
+                                    trace::CollocationCase::kInfTrainPoisson);
+  harness::ClientConfig be;
+  be.workload =
+      workloads::MakeWorkload(workloads::ModelId::kResNet50, workloads::TaskType::kTraining);
+  be.arrivals = trace::ArrivalKind::kClosedLoop;
+
+  harness::ExperimentConfig config;
+  config.scheduler = harness::SchedulerKind::kOrion;
+  config.warmup_us = bench::kWarmupUs * 0.25;
+  config.duration_us = bench::kDurationUs * 0.125;
+  config.seed = bench::GlobalBenchArgs().seed;
+  config.clients = {hp, be};
+  return config;
+}
+
+// One RunExperiment of `config`; returns the kernels of the requests and
+// iterations it completed, given each client's kernels per request.
+std::size_t RunPair(const harness::ExperimentConfig& config,
+                    const std::vector<std::size_t>& kernels_per_request) {
+  const harness::ExperimentResult result = harness::RunExperiment(config);
+  std::size_t kernels = 0;
+  for (std::size_t c = 0; c < result.clients.size(); ++c) {
+    kernels += result.clients[c].completed_total * kernels_per_request[c];
+  }
+  return kernels;
+}
+
 // --- Serving wall clock -------------------------------------------------
 
 // The ext_online_serving base configuration (2 GPUs, hp ResNet50 + be BERT)
@@ -485,6 +530,18 @@ int main(int argc, char** argv) {
       return RunDeviceKernelPair(scale * 8, &events);
     });
     m.extra = static_cast<double>(events);  // extra = simulator events
+  }
+  {
+    const harness::ExperimentConfig config = Fig06PairConfig();
+    std::vector<std::size_t> kernels_per_request;
+    for (const harness::ClientConfig& client : config.clients) {
+      kernels_per_request.push_back(workloads::BuildKernels(config.device, client.workload).size());
+    }
+    // Warm: profiles and request templates are memoized per process.
+    RunPair(config, kernels_per_request);
+    Measurement& m = Measure("fig06_pair_run", repeats,
+                             [&]() { return RunPair(config, kernels_per_request); });
+    m.extra = m.wall_ms_min;  // extra = ms per run
   }
   {
     const serving::ServingConfig config = ServingQuickConfig();

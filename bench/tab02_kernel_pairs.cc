@@ -30,6 +30,7 @@ gpusim::KernelDesc Conv2d() {
   kernel.compute_util = 0.89;
   kernel.membw_util = 0.20;
   kernel.geometry = {80, 1024, 64, 0};  // occupies all 80 SMs
+  kernel.sm_needed = gpusim::SmsNeeded(gpusim::DeviceSpec::V100_16GB(), kernel.geometry);
   return kernel;
 }
 
@@ -41,6 +42,7 @@ gpusim::KernelDesc Bn2d() {
   kernel.compute_util = 0.14;
   kernel.membw_util = 0.80;
   kernel.geometry = {32, 1024, 64, 0};  // 40% of SMs
+  kernel.sm_needed = gpusim::SmsNeeded(gpusim::DeviceSpec::V100_16GB(), kernel.geometry);
   return kernel;
 }
 

@@ -71,8 +71,8 @@ void ReefScheduler::PollBestEffort() {
         // duration checks. Padding works at thread-block granularity: a grid
         // larger than the device still fits into leftover SMs wave by wave,
         // so the requirement is capped at device size.
-        const int needed = std::min(core::ViewOf(op, be.profile, rt_->device().spec()).sm_needed,
-                                    rt_->device().spec().num_sms);
+        const int needed =
+            std::min(core::ViewOf(op, be.profile).sm_needed, rt_->device().spec().num_sms);
         const bool fits = needed <= rt_->device().FreeSms();
         return hp_outstanding_ == 0 || fits;
       },

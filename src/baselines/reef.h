@@ -15,7 +15,6 @@
 #ifndef SRC_BASELINES_REEF_H_
 #define SRC_BASELINES_REEF_H_
 
-#include <deque>
 #include <vector>
 
 #include "src/core/scheduler.h"
@@ -39,7 +38,7 @@ class ReefScheduler : public core::Scheduler {
     core::ClientId id = 0;
     gpusim::StreamId stream = gpusim::kInvalidStream;
     const profiler::WorkloadProfile* profile = nullptr;
-    std::deque<core::SchedOp> queue;
+    common::Ring<core::SchedOp> queue;
   };
 
   // Listing 1's round-robin scan with REEF-N's admit: queue depth, then

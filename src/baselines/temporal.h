@@ -9,7 +9,6 @@
 #ifndef SRC_BASELINES_TEMPORAL_H_
 #define SRC_BASELINES_TEMPORAL_H_
 
-#include <deque>
 #include <vector>
 
 #include "src/core/scheduler.h"
@@ -28,7 +27,7 @@ class TemporalScheduler : public core::Scheduler {
   struct ClientState {
     core::ClientId id = 0;
     bool high_priority = false;
-    std::deque<core::SchedOp> queue;
+    common::Ring<core::SchedOp> queue;
   };
 
   // Picks the next request owner if the device is free.

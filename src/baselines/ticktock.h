@@ -13,7 +13,6 @@
 #ifndef SRC_BASELINES_TICKTOCK_H_
 #define SRC_BASELINES_TICKTOCK_H_
 
-#include <deque>
 #include <vector>
 
 #include "src/core/scheduler.h"
@@ -35,7 +34,7 @@ class TickTockScheduler : public core::Scheduler {
   struct ClientState {
     core::ClientId id = 0;
     gpusim::StreamId stream = gpusim::kInvalidStream;
-    std::deque<core::SchedOp> queue;
+    common::Ring<core::SchedOp> queue;
     int outstanding = 0;      // submitted-but-not-completed ops
     bool submitted_any = false;  // submitted something during this round
   };

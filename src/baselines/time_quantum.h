@@ -23,7 +23,6 @@
 #ifndef SRC_BASELINES_TIME_QUANTUM_H_
 #define SRC_BASELINES_TIME_QUANTUM_H_
 
-#include <deque>
 #include <vector>
 
 #include "src/core/scheduler.h"
@@ -58,7 +57,7 @@ class TimeQuantumScheduler : public core::Scheduler {
   struct ClientState {
     core::ClientId id = 0;
     gpusim::StreamId stream = gpusim::kInvalidStream;
-    std::deque<core::SchedOp> queue;  // buffered while not active (exclusive)
+    common::Ring<core::SchedOp> queue;  // buffered while not active (exclusive)
     int inflight_requests = 0;        // end-of-request ops submitted, not done
     // A request's ops were submitted but its end-of-request op was not yet:
     // rotation waits for the boundary (never preempt mid-request).

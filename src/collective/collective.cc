@@ -245,7 +245,7 @@ void CollectiveEngine::IssueSend(const std::shared_ptr<RingOp>& op, int src, int
     // ops, and is visible to StreamIdle / SynchronizeDevice.
     channel->second.device->EnqueueExternal(
         channel->second.stream,
-        [this, op, epoch, src, dst, bytes](gpusim::Device::CompletionCb on_wire_done) {
+        [this, op, epoch, src, dst, bytes](gpusim::Device::ExternalDone on_wire_done) {
           if (op->epoch != epoch) {
             // The ring re-formed while this send sat queued behind other
             // comm traffic: skip the wire, just release the stream.

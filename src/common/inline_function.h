@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -30,6 +31,15 @@ namespace common {
 
 template <typename Signature, std::size_t InlineBytes = 64>
 class InlineFunction;
+
+// Callables that can be empty: function pointers, std::function and
+// InlineFunction of any size.
+template <typename T>
+struct IsNullableCallable : std::is_pointer<T> {};
+template <typename Signature>
+struct IsNullableCallable<std::function<Signature>> : std::true_type {};
+template <typename Signature, std::size_t InlineBytes>
+struct IsNullableCallable<InlineFunction<Signature, InlineBytes>> : std::true_type {};
 
 template <typename R, typename... Args, std::size_t InlineBytes>
 class InlineFunction<R(Args...), InlineBytes> {
@@ -43,13 +53,7 @@ class InlineFunction<R(Args...), InlineBytes> {
                                         !std::is_same_v<D, std::nullptr_t> &&
                                         std::is_invocable_r_v<R, D&, Args...>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (FitsInline<D>()) {
-      ::new (static_cast<void*>(&storage_)) D(std::forward<F>(f));
-      ops_ = &InlineModel<D>::kOps;
-    } else {
-      ::new (static_cast<void*>(&storage_)) D*(new D(std::forward<F>(f)));
-      ops_ = &HeapModel<D>::kOps;
-    }
+    Emplace<D>(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& other) noexcept { MoveFrom(other); }
@@ -78,13 +82,7 @@ class InlineFunction<R(Args...), InlineBytes> {
                                         std::is_invocable_r_v<R, D&, Args...>>>
   InlineFunction& operator=(F&& f) {
     Reset();
-    if constexpr (FitsInline<D>()) {
-      ::new (static_cast<void*>(&storage_)) D(std::forward<F>(f));
-      ops_ = &InlineModel<D>::kOps;
-    } else {
-      ::new (static_cast<void*>(&storage_)) D*(new D(std::forward<F>(f)));
-      ops_ = &HeapModel<D>::kOps;
-    }
+    Emplace<D>(std::forward<F>(f));
     return *this;
   }
 
@@ -97,7 +95,9 @@ class InlineFunction<R(Args...), InlineBytes> {
   friend bool operator==(const InlineFunction& f, std::nullptr_t) { return f.ops_ == nullptr; }
   friend bool operator!=(const InlineFunction& f, std::nullptr_t) { return f.ops_ != nullptr; }
 
-  R operator()(Args... args) {
+  // Const like std::function's: a hook captured by a non-mutable lambda
+  // stays callable. The target itself may still mutate its state.
+  R operator()(Args... args) const {
     ORION_CHECK_MSG(ops_ != nullptr, "invoking empty InlineFunction");
     return ops_->invoke(&storage_, std::forward<Args>(args)...);
   }
@@ -117,6 +117,27 @@ class InlineFunction<R(Args...), InlineBytes> {
     // no indirect calls on the simulator's move-heavy hot path.
     bool trivial;
   };
+
+  // Stores `f` unless it is a null callable (an empty std::function or
+  // InlineFunction of another size, a null function pointer): like
+  // std::function, wrapping an empty callable yields an empty one, so a
+  // completion hook passed on through a wider callback type still tests
+  // false.
+  template <typename D, typename F>
+  void Emplace(F&& f) {
+    if constexpr (IsNullableCallable<D>::value) {
+      if (!static_cast<bool>(static_cast<const D&>(f))) {
+        return;
+      }
+    }
+    if constexpr (FitsInline<D>()) {
+      ::new (static_cast<void*>(&storage_)) D(std::forward<F>(f));
+      ops_ = &InlineModel<D>::kOps;
+    } else {
+      ::new (static_cast<void*>(&storage_)) D*(new D(std::forward<F>(f)));
+      ops_ = &HeapModel<D>::kOps;
+    }
+  }
 
   template <typename D>
   static constexpr bool FitsInline() {
@@ -176,7 +197,7 @@ class InlineFunction<R(Args...), InlineBytes> {
   }
 
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) std::byte storage_[InlineBytes];
+  alignas(std::max_align_t) mutable std::byte storage_[InlineBytes];
 };
 
 }  // namespace common

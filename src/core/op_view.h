@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/core/scheduler.h"
-#include "src/gpusim/device_spec.h"
 #include "src/gpusim/kernel.h"
 #include "src/profiler/profiler.h"
 #include "src/runtime/gpu_runtime.h"
@@ -51,7 +50,6 @@ struct KernelView {
 // rather than trusting the descriptor a real interceptor would not see.
 inline KernelView ViewOfKernel(const gpusim::KernelDesc& kernel,
                                const profiler::WorkloadProfile* profile,
-                               const gpusim::DeviceSpec& spec,
                                bool conservative_miss = false) {
   KernelView view;
   if (profile != nullptr) {
@@ -65,29 +63,28 @@ inline KernelView ViewOfKernel(const gpusim::KernelDesc& kernel,
     if (conservative_miss) {
       view.duration_us = kernel.duration_us;
       view.profile = gpusim::ResourceProfile::kMemoryBound;
-      view.sm_needed = gpusim::SmsNeeded(spec, kernel.geometry);
+      view.sm_needed = kernel.sm_needed;
       return view;
     }
   }
   view.duration_us = kernel.duration_us;
   view.profile = gpusim::ClassifyKernel(kernel);
-  view.sm_needed = gpusim::SmsNeeded(spec, kernel.geometry);
+  view.sm_needed = kernel.sm_needed;
   return view;
 }
 
 // Aggregate view of a kernel or graph op.
 inline KernelView ViewOf(const runtime::Op& op, const profiler::WorkloadProfile* profile,
-                         const gpusim::DeviceSpec& spec,
                          bool conservative_miss = false) {
   if (op.type == runtime::OpType::kKernelLaunch) {
-    return ViewOfKernel(op.kernel, profile, spec, conservative_miss);
+    return ViewOfKernel(op.kernel, profile, conservative_miss);
   }
   KernelView view;
   view.profiled = !op.graph_kernels.empty();
   double compute_time = 0.0;
   double memory_time = 0.0;
   for (const gpusim::KernelDesc& kernel : op.graph_kernels) {
-    const KernelView k = ViewOfKernel(kernel, profile, spec, conservative_miss);
+    const KernelView k = ViewOfKernel(kernel, profile, conservative_miss);
     view.duration_us += k.duration_us;
     view.sm_needed = std::max(view.sm_needed, k.sm_needed);
     view.profiled = view.profiled && k.profiled;
@@ -113,7 +110,7 @@ inline KernelView ViewOf(const runtime::Op& op, const profiler::WorkloadProfile*
 // (§5.1.3); a compute head goes to `submit` when `admit(client, op)` accepts
 // it, after which the scan restarts at the client following the submitter.
 // A full round with no progress (every head held, every queue empty) ends
-// the drain. `Client` needs `queue` (a deque of SchedOp) and `stream`.
+// the drain. `Client` needs `queue` (a FIFO of SchedOp) and `stream`.
 template <typename Client, typename Admit, typename Submit>
 void DrainRoundRobin(std::vector<Client>& clients, std::size_t* cursor,
                      runtime::GpuRuntime* rt, Admit&& admit, Submit&& submit) {

@@ -145,8 +145,7 @@ void OrionScheduler::SubmitHp(SchedOp op) {
   if (IsComputeOp(op.op)) {
     ++hp_outstanding_;
     hp_running_profiles_.push_back(
-        ViewOf(op.op, hp_profile_, rt_->device().spec(), options_.conservative_profile_miss)
-            .profile);
+        ViewOf(op.op, hp_profile_, options_.conservative_profile_miss).profile);
     auto on_complete = std::move(op.on_complete);
     rt_->Submit(op.op, hp_stream_, [this, on_complete = std::move(on_complete)]() {
       ORION_CHECK(hp_outstanding_ > 0);
@@ -214,8 +213,7 @@ void OrionScheduler::PollBestEffort() {
             return false;
           }
         }
-        view = ViewOf(op, be.profile, rt_->device().spec(),
-                      options_.conservative_profile_miss);
+        view = ViewOf(op, be.profile, options_.conservative_profile_miss);
         if (!ScheduleBe(view)) {
           be_profile_skips_->Inc();
           return false;
@@ -254,10 +252,15 @@ void OrionScheduler::SubmitBe(BeClient& be, SchedOp op, const KernelView& view) 
   // Track progress of the best-effort stream without blocking: record a CUDA
   // event after the kernel and poll it with cudaEventQuery (§5.1.2). Events
   // the device already resolved are dropped first.
-  while (!be_events_.empty() && be_events_.front().done) {
+  while (!be_events_.empty() && be_events_.front()->done) {
+    spare_events_.push_back(std::move(be_events_.front()));
     be_events_.pop_front();
   }
-  be_submitted_ = &be_events_.emplace_back();
+  if (spare_events_.empty()) {
+    spare_events_.push_back(std::make_unique<gpusim::GpuEvent>());
+  }
+  be_submitted_ = be_events_.emplace_back(std::move(spare_events_.back())).get();
+  spare_events_.pop_back();
   ++be_submitted_seq_;
   be_submitted_client_ = be.id;
   rt_->RecordEvent(be.stream, be_submitted_, nullptr);

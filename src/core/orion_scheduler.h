@@ -25,7 +25,7 @@
 #define SRC_CORE_ORION_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <vector>
 
 #include "src/core/op_view.h"
@@ -117,7 +117,7 @@ class OrionScheduler : public Scheduler {
     // overlap with the hp tenant (the "who to blame" input for the
     // kInterference phase). Labelled per client in the hub registry.
     telemetry::Counter* collocated_us = nullptr;
-    std::deque<SchedOp> queue;
+    common::Ring<SchedOp> queue;
     bool quarantined = false;
     // Expected µs of this client's submitted-but-not-completed kernels; the
     // slice of be_duration_ recredited if the client crashes mid-flight.
@@ -151,16 +151,18 @@ class OrionScheduler : public Scheduler {
   DurationUs hp_target_latency_ = 0.0;
   int hp_outstanding_ = 0;  // submitted-but-not-completed hp kernels
   // Profiles of outstanding hp kernels, FIFO; front = currently executing.
-  std::deque<gpusim::ResourceProfile> hp_running_profiles_;
+  common::Ring<gpusim::ResourceProfile> hp_running_profiles_;
 
   // Best-effort state.
   std::vector<BeClient> be_clients_;
   std::size_t rr_cursor_ = 0;
   double be_duration_ = 0.0;  // expected µs of outstanding be kernels (Listing 1)
-  // Events recorded after best-effort kernels, oldest first. A deque keeps
-  // element addresses stable while the device holds them; resolved events
-  // are popped from the front before each record.
-  std::deque<gpusim::GpuEvent> be_events_;
+  // Events recorded after best-effort kernels, oldest first. Each lives in
+  // its own allocation, so its address stays put while the device holds it;
+  // resolved events are popped from the front before each record and kept
+  // in spare_events_ for reuse.
+  common::Ring<std::unique_ptr<gpusim::GpuEvent>> be_events_;
+  std::vector<std::unique_ptr<gpusim::GpuEvent>> spare_events_;
   gpusim::GpuEvent* be_submitted_ = nullptr;  // event after last be kernel
   std::uint64_t be_submitted_seq_ = 0;  // bumped per record: the watchdog's identity
   ClientId be_submitted_client_ = -1;   // who recorded be_submitted_

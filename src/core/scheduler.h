@@ -10,10 +10,11 @@
 #ifndef SRC_CORE_SCHEDULER_H_
 #define SRC_CORE_SCHEDULER_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "src/common/inline_function.h"
+#include "src/common/ring.h"
 #include "src/profiler/profiler.h"
 #include "src/runtime/gpu_runtime.h"
 #include "src/runtime/op.h"
@@ -39,12 +40,19 @@ struct SchedClientInfo {
   const profiler::WorkloadProfile* profile = nullptr;
 };
 
+// A client op's completion hook. Client drivers capture only `this`; the
+// policies wrap the hook with their own bookkeeping before submitting the
+// op, and a 32-byte hook keeps the largest such wrapper (Orion's, 64 bytes)
+// inside the simulator event's inline buffer, so a completion allocates
+// nothing.
+using OpCompletion = common::InlineFunction<void(), 16>;
+
 // A client op plus its completion hook. The hook fires (in virtual time)
 // when the op completes on the device; client drivers use it to measure
 // request latency and to unblock after synchronous ops.
 struct SchedOp {
   runtime::Op op;
-  std::function<void()> on_complete;
+  OpCompletion on_complete;
 };
 
 // The per-client state record of `clients` whose `id` is `id`, or null.

@@ -44,23 +44,6 @@ Device::Device(Simulator* sim, DeviceSpec spec) : sim_(sim), spec_(std::move(spe
   last_update_ = sim_->now();
 }
 
-void Device::OpQueue::pop_front() {
-  ORION_CHECK(!empty());
-  Op& op = ops_[head_];
-  op.external = nullptr;
-  op.done = nullptr;
-  ++head_;
-  if (head_ == ops_.size()) {
-    ops_.clear();
-    head_ = 0;
-  } else if (head_ >= 32 && 2 * head_ >= ops_.size()) {
-    // Each op moves at most once per compaction, and only after at least
-    // as many were popped: amortized O(1).
-    ops_.erase(ops_.begin(), ops_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-}
-
 void Device::DegradeSms(int sms_lost) {
   ORION_CHECK(sms_lost >= 0);
   // Integrate progress at the old capacity before shrinking it.
@@ -82,19 +65,27 @@ void Device::ScaleMembw(double factor) {
 }
 
 StreamId Device::CreateStream(int priority) {
-  streams_.push_back(Stream{priority, std::pow(4.0, priority), OpQueue(), false});
+  Stream& stream = streams_.emplace_back();
+  stream.priority = priority;
+  stream.weight = std::pow(4.0, priority);
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
 void Device::LaunchKernel(StreamId stream, const KernelDesc& kernel, CompletionCb done) {
   ORION_CHECK(stream >= 0 && stream < static_cast<int>(streams_.size()));
   ORION_CHECK_MSG(kernel.duration_us >= 0.0, "kernel with negative duration: " << kernel.name);
-  Op op;
+  ORION_CHECK_MSG(kernel.sm_needed > 0, "kernel without sm_needed: " << kernel.name);
+  if (debug_oracle_) {
+    ORION_CHECK_MSG(kernel.sm_needed == SmsNeeded(spec_, kernel.geometry),
+                    "kernel " << kernel.name << " carries sm_needed " << kernel.sm_needed
+                              << " but needs " << SmsNeeded(spec_, kernel.geometry)
+                              << " SMs on " << spec_.name);
+  }
+  Op& op = streams_[static_cast<std::size_t>(stream)].queue.emplace_back();
   op.type = Op::Type::kKernel;
   op.kernel = kernel;
   op.done = std::move(done);
   op.seq = next_seq_++;
-  streams_[static_cast<std::size_t>(stream)].queue.push_back(std::move(op));
   // A kernel queued behind a busy stream head changes no rate, grant or
   // target, so only a kernel that started needs a pass.
   const std::size_t running = running_.size();
@@ -107,24 +98,22 @@ void Device::LaunchKernel(StreamId stream, const KernelDesc& kernel, CompletionC
 void Device::EnqueueMemcpy(StreamId stream, std::size_t bytes, MemcpyKind kind,
                            CompletionCb done) {
   ORION_CHECK(stream >= 0 && stream < static_cast<int>(streams_.size()));
-  Op op;
+  Op& op = streams_[static_cast<std::size_t>(stream)].queue.emplace_back();
   op.type = Op::Type::kMemcpy;
   op.bytes = bytes;
   op.memcpy_kind = kind;
   op.done = std::move(done);
   op.seq = next_seq_++;
-  streams_[static_cast<std::size_t>(stream)].queue.push_back(std::move(op));
   ActivateStreamHead(stream);
 }
 
 void Device::EnqueueMemset(StreamId stream, std::size_t bytes, CompletionCb done) {
   ORION_CHECK(stream >= 0 && stream < static_cast<int>(streams_.size()));
-  Op op;
+  Op& op = streams_[static_cast<std::size_t>(stream)].queue.emplace_back();
   op.type = Op::Type::kMemset;
   op.bytes = bytes;
   op.done = std::move(done);
   op.seq = next_seq_++;
-  streams_[static_cast<std::size_t>(stream)].queue.push_back(std::move(op));
   ActivateStreamHead(stream);
 }
 
@@ -132,24 +121,23 @@ void Device::RecordEvent(StreamId stream, GpuEvent* event, CompletionCb done) {
   ORION_CHECK(stream >= 0 && stream < static_cast<int>(streams_.size()));
   ORION_CHECK(event != nullptr);
   event->done = false;
-  Op op;
+  Op& op = streams_[static_cast<std::size_t>(stream)].queue.emplace_back();
   op.type = Op::Type::kEvent;
   op.event = event;
   op.done = std::move(done);
   op.seq = next_seq_++;
-  streams_[static_cast<std::size_t>(stream)].queue.push_back(std::move(op));
   ActivateStreamHead(stream);
 }
 
 void Device::EnqueueExternal(StreamId stream, ExternalBody body, CompletionCb done) {
   ORION_CHECK(stream >= 0 && stream < static_cast<int>(streams_.size()));
   ORION_CHECK(body != nullptr);
-  Op op;
+  Stream& s = streams_[static_cast<std::size_t>(stream)];
+  s.externals.push_back(std::move(body));
+  Op& op = s.queue.emplace_back();
   op.type = Op::Type::kExternal;
-  op.external = std::move(body);
   op.done = std::move(done);
   op.seq = next_seq_++;
-  streams_[static_cast<std::size_t>(stream)].queue.push_back(std::move(op));
   ActivateStreamHead(stream);
 }
 
@@ -221,9 +209,8 @@ void Device::ActivateStreamHead(StreamId stream_id) {
       case Op::Type::kEvent: {
         front.event->done = true;
         front.event->completed_at = sim_->now();
-        CompletionCb done = std::move(front.done);
+        DeliverCallback(std::move(front.done));
         stream.queue.pop_front();
-        DeliverCallback(std::move(done));
         continue;  // next op may also be startable
       }
       case Op::Type::kKernel: {
@@ -234,7 +221,7 @@ void Device::ActivateStreamHead(StreamId stream_id) {
         // execution of grids larger than the device, so the progress model
         // caps the SM demand at device size: a kernel granted every SM it
         // can use runs at full rate.
-        const int raw_sm_needed = SmsNeeded(spec_, front.kernel.geometry);
+        const int raw_sm_needed = front.kernel.sm_needed;
         // Effective SM demand models occupancy pressure, not grid size: a
         // compute-bound kernel's blocks hold most of each SM's register file
         // and issue slots (~75-90%), while a memory-bound kernel only needs
@@ -257,7 +244,7 @@ void Device::ActivateStreamHead(StreamId stream_id) {
         rk.started_at = sim_->now();
         rk.seq = front.seq;
         rk.desc = front.kernel;
-        rk.done = std::move(front.done);
+        stream.head_done = std::move(front.done);
         stream.queue.pop_front();
         stream.head_active = true;
         // Appended with no SMs: existing indices and the rate cache hold.
@@ -266,12 +253,13 @@ void Device::ActivateStreamHead(StreamId stream_id) {
         return;  // SM grant happens in Reschedule()
       }
       case Op::Type::kExternal: {
-        ExternalBody body = std::move(front.external);
-        CompletionCb done = std::move(front.done);
+        ExternalBody body = std::move(stream.externals.front());
+        stream.externals.pop_front();
+        stream.head_done = std::move(front.done);
         stream.queue.pop_front();
         stream.head_active = true;
-        body([this, stream_id, done = std::move(done)]() mutable {
-          FinishOp(stream_id, std::move(done));
+        body([this, stream_id]() {
+          FinishOp(stream_id);
           Reschedule();
         });
         return;
@@ -283,7 +271,7 @@ void Device::ActivateStreamHead(StreamId stream_id) {
         copy.priority = stream.priority;
         copy.kind = front.memcpy_kind;
         copy.seq = front.seq;
-        copy.done = std::move(front.done);
+        stream.head_done = std::move(front.done);
         stream.queue.pop_front();
         stream.head_active = true;
         copy_queue_.push_back(std::move(copy));
@@ -294,11 +282,11 @@ void Device::ActivateStreamHead(StreamId stream_id) {
         const DurationUs duration =
             kMemsetOverheadUs + static_cast<double>(front.bytes) /
                                     (spec_.peak_membw_gbps * membw_factor_ * 1e3);
-        CompletionCb done = std::move(front.done);
+        stream.head_done = std::move(front.done);
         stream.queue.pop_front();
         stream.head_active = true;
-        sim_->ScheduleAfter(duration, [this, stream_id, done = std::move(done)]() mutable {
-          FinishOp(stream_id, std::move(done));
+        sim_->ScheduleAfter(duration, [this, stream_id]() {
+          FinishOp(stream_id);
           Reschedule();
         });
         return;
@@ -307,11 +295,11 @@ void Device::ActivateStreamHead(StreamId stream_id) {
   }
 }
 
-void Device::FinishOp(StreamId stream_id, CompletionCb done) {
+void Device::FinishOp(StreamId stream_id) {
   Stream& stream = streams_[static_cast<std::size_t>(stream_id)];
   ORION_CHECK(stream.head_active);
   stream.head_active = false;
-  DeliverCallback(std::move(done));
+  DeliverCallback(std::move(stream.head_done));
   ActivateStreamHead(stream_id);
   CheckDeviceSync();
 }
@@ -321,18 +309,23 @@ void Device::StartNextCopy() {
     return;
   }
   copy_active_ = true;
-  auto next = copy_queue_.begin();
+  std::size_t next = 0;
   if (pcie_priority_) {
     // Pick the highest-priority pending copy; FIFO within a priority level.
-    for (auto it = copy_queue_.begin(); it != copy_queue_.end(); ++it) {
-      if (it->priority > next->priority ||
-          (it->priority == next->priority && it->seq < next->seq)) {
-        next = it;
+    for (std::size_t i = 1; i < copy_queue_.size(); ++i) {
+      const PendingCopy& c = copy_queue_[i];
+      const PendingCopy& best = copy_queue_[next];
+      if (c.priority > best.priority || (c.priority == best.priority && c.seq < best.seq)) {
+        next = i;
       }
     }
+    // Bring it to the front; the copies it passes keep their order.
+    for (std::size_t i = next; i > 0; --i) {
+      std::swap(copy_queue_[i], copy_queue_[i - 1]);
+    }
   }
-  PendingCopy copy = std::move(*next);
-  copy_queue_.erase(next);
+  PendingCopy copy = copy_queue_.front();
+  copy_queue_.pop_front();
 
   // Chunked transfer (priority mode): large copies release the engine every
   // kCopyChunkBytes so higher-priority copies wait one chunk at most.
@@ -345,14 +338,14 @@ void Device::StartNextCopy() {
   copy.bytes -= chunk;
   copy.started = true;
 
-  auto on_chunk_done = [this, copy = std::move(copy)]() mutable {
+  auto on_chunk_done = [this, copy]() {
     copy_active_ = false;
     if (copy.bytes > 0) {
       // Re-queue the remainder; a higher-priority copy may now cut in.
-      copy_queue_.push_back(std::move(copy));
+      copy_queue_.push_back(copy);
     } else {
       ++memcpys_completed_;
-      FinishOp(copy.stream, std::move(copy.done));
+      FinishOp(copy.stream);
     }
     StartNextCopy();
     Reschedule();
@@ -461,7 +454,7 @@ void Device::CompleteFinishedKernels() {
         record.sm_needed = rk.sm_needed;
         trace_sink_(record);
       }
-      FinishOp(rk.stream, std::move(rk.done));
+      FinishOp(rk.stream);
     } else {
       ++i;
     }
@@ -724,7 +717,7 @@ void Device::CheckDeviceSync() {
   }
 }
 
-void Device::DeliverCallback(CompletionCb cb) {
+void Device::DeliverCallback(CompletionCb&& cb) {
   if (cb) {
     sim_->ScheduleAfter(0.0, std::move(cb));
   }

@@ -24,11 +24,11 @@
 #define SRC_GPUSIM_DEVICE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
 
+#include "src/common/ring.h"
 #include "src/common/time_types.h"
 #include "src/gpusim/device_spec.h"
 #include "src/gpusim/host_link.h"
@@ -72,7 +72,9 @@ struct KernelExecRecord {
 
 class Device {
  public:
-  using CompletionCb = std::function<void()>;
+  // The simulator's event callback type, so delivering a completion moves
+  // it into the event slot without wrapping it.
+  using CompletionCb = Simulator::Callback;
   using KernelTraceSink = std::function<void(const KernelExecRecord&)>;
 
   Device(Simulator* sim, DeviceSpec spec);
@@ -95,8 +97,10 @@ class Device {
   // completion callback, and the stream stays blocked until that callback
   // fires. This keeps external work FIFO-ordered with the stream's other ops
   // and visible to StreamIdle / SynchronizeDevice, without the device
-  // knowing what the work is.
-  using ExternalBody = std::function<void(CompletionCb)>;
+  // knowing what the work is. The finish signal is copyable, so a body may
+  // hand it to a std::function-based link fabric.
+  using ExternalDone = std::function<void()>;
+  using ExternalBody = std::function<void(ExternalDone)>;
   void EnqueueExternal(StreamId stream, ExternalBody body, CompletionCb done = nullptr);
   // Fires once every stream has drained (device-wide synchronisation, the
   // semantics cudaMalloc/cudaFree impose in §5.1.3).
@@ -159,9 +163,11 @@ class Device {
   // --- Debug oracle. ---
   // When on, every Reschedule recomputes the progress rates and allocation
   // targets from scratch and checks them bitwise against the cached ones,
-  // and a Reschedule that takes the clean-state path also checks that the
-  // full grant loop would have retired, re-targeted and granted nothing.
-  // Any divergence is a fatal ORION_CHECK. Meant for tests.
+  // a Reschedule that takes the clean-state path also checks that the
+  // full grant loop would have retired, re-targeted and granted nothing,
+  // and every launched kernel's sm_needed must equal SmsNeeded(spec(),
+  // geometry) (a descriptor built for another device fails here). Any
+  // divergence is a fatal ORION_CHECK. Meant for tests.
   void set_debug_oracle(bool on) { debug_oracle_ = on; }
   // Clean-state passes the oracle checked.
   std::size_t debug_oracle_checks() const { return debug_oracle_checks_; }
@@ -169,38 +175,28 @@ class Device {
  private:
   struct Op {
     enum class Type : std::uint8_t { kKernel, kMemcpy, kMemset, kEvent, kExternal };
-    Type type = Type::kKernel;
+    // Largest-aligned first: a stream can hold thousands of queued ops.
+    CompletionCb done;
     KernelDesc kernel;            // kKernel
     std::size_t bytes = 0;        // kMemcpy / kMemset
-    MemcpyKind memcpy_kind = MemcpyKind::kHostToDevice;
     GpuEvent* event = nullptr;    // kEvent
-    ExternalBody external;        // kExternal
-    CompletionCb done;
     std::uint64_t seq = 0;        // global submission order (determinism)
-  };
-
-  // FIFO of not-yet-started ops in one vector that keeps its capacity, so
-  // a stream in steady state enqueues and starts ops without allocating (a
-  // std::deque allocates a block every few pushes). Popped ops stay behind
-  // `head_` until the queue drains or they make up half of it.
-  class OpQueue {
-   public:
-    bool empty() const { return head_ == ops_.size(); }
-    Op& front() { return ops_[head_]; }
-    void push_back(Op&& op) { ops_.push_back(std::move(op)); }
-    // Drops the front op; its callables must already be moved out or dead.
-    void pop_front();
-
-   private:
-    std::vector<Op> ops_;
-    std::size_t head_ = 0;
+    Type type = Type::kKernel;
+    MemcpyKind memcpy_kind = MemcpyKind::kHostToDevice;
   };
 
   struct Stream {
     int priority = kPriorityDefault;
-    double weight = 1.0;         // water-filling weight, 4^priority
-    OpQueue queue;               // ops not yet started (front = next)
-    bool head_active = false;    // front-of-queue op currently executing
+    double weight = 1.0;          // water-filling weight, 4^priority
+    common::Ring<Op> queue;       // ops not yet started (front = next)
+    // Bodies of the queued kExternal ops, in queue order. Kept out of Op,
+    // which they would make 48 bytes larger for every kernel.
+    common::Ring<ExternalBody> externals;
+    bool head_active = false;     // front-of-queue op currently executing
+    // Completion of the executing op: a stream runs one op at a time, so
+    // the kernel, copy, memset or external op that holds the stream keeps
+    // its callback here until FinishOp delivers it.
+    CompletionCb head_done;
   };
 
   struct RunningKernel {
@@ -216,7 +212,6 @@ class Device {
     DurationUs block_duration = 0.0;
     TimeUs started_at = 0.0;
     std::uint64_t seq = 0;
-    CompletionCb done;
   };
 
   // Progress rate of one SM-holding kernel, by its index in running_.
@@ -232,7 +227,6 @@ class Device {
     int priority = kPriorityDefault;  // stream priority at enqueue time
     MemcpyKind kind = MemcpyKind::kHostToDevice;
     std::uint64_t seq = 0;
-    CompletionCb done;
   };
 
   // Integrates running-kernel progress from last_update_ to now and records
@@ -266,10 +260,13 @@ class Device {
   // Starts the front op of `stream` if it is startable (event/memset resolve
   // immediately; memcpy goes to the copy engine; kernels wait for SMs).
   void ActivateStreamHead(StreamId stream);
-  void FinishOp(StreamId stream, CompletionCb done);
+  // Ends the executing op of `stream`: delivers its head_done and starts
+  // the next op.
+  void FinishOp(StreamId stream);
   void StartNextCopy();
   void CheckDeviceSync();
-  void DeliverCallback(CompletionCb cb);
+  // Schedules `cb` (if set) as a zero-delay event, moving it out.
+  void DeliverCallback(CompletionCb&& cb);
 
   Simulator* sim_;
   DeviceSpec spec_;
@@ -297,7 +294,7 @@ class Device {
   std::vector<double> oracle_targets_;
 
   // Copy engine: single queue, one transfer at a time.
-  std::deque<PendingCopy> copy_queue_;
+  common::Ring<PendingCopy> copy_queue_;
   bool copy_active_ = false;
   bool pcie_priority_ = false;
   EventHandle copy_event_;

@@ -82,6 +82,15 @@ struct KernelDesc {
   double compute_util = 0.0;
   double membw_util = 0.0;
 
+  // SMs the launch geometry occupies on the device the descriptor was built
+  // for: SmsNeeded(spec, geometry), computed once by whoever builds the
+  // descriptor. The device model, the profiler and the schedulers read it
+  // instead of redoing the occupancy divisions per launch. Occupancy
+  // depends on the device (V100 and A100 differ in shared memory per SM),
+  // so a descriptor is only valid on devices of the spec it was built for;
+  // the device's debug oracle checks that.
+  int sm_needed = 0;
+
   // True if the (simulated) profiling tool has a roofline analysis for this
   // kernel; some kernels lack one (§3.1, footnote 4).
   bool has_roofline = false;

@@ -22,38 +22,9 @@ ClientDriver::ClientDriver(Simulator* sim, core::Scheduler* scheduler, core::Cli
   ORION_CHECK_MSG(config_.arrivals != trace::ArrivalKind::kDiurnal,
                   "diurnal arrivals are a serving front-end shape, not a client's");
   arrivals_ = trace::MakeArrivals(config_.arrivals, config_.rps);
-  template_ops_ = workloads::BuildRequestOps(device, config_.workload);
-  if (config_.use_cuda_graphs) {
-    // Capture runs of consecutive kernel launches into graph ops of at most
-    // kGraphCaptureLimit kernels (frameworks capture per layer block).
-    constexpr std::size_t kGraphCaptureLimit = 32;
-    std::vector<runtime::Op> captured;
-    std::size_t i = 0;
-    while (i < template_ops_.size()) {
-      if (template_ops_[i].type != runtime::OpType::kKernelLaunch) {
-        captured.push_back(template_ops_[i]);
-        ++i;
-        continue;
-      }
-      runtime::Op graph;
-      graph.type = runtime::OpType::kGraphLaunch;
-      while (i < template_ops_.size() &&
-             template_ops_[i].type == runtime::OpType::kKernelLaunch &&
-             graph.graph_kernels.size() < kGraphCaptureLimit) {
-        graph.graph_kernels.push_back(template_ops_[i].kernel);
-        ++i;
-      }
-      captured.push_back(std::move(graph));
-    }
-    for (std::size_t j = 0; j < captured.size(); ++j) {
-      captured[j].index_in_request = static_cast<std::uint32_t>(j);
-      captured[j].end_of_request = j + 1 == captured.size();
-    }
-    template_ops_ = std::move(captured);
-  }
-  for (runtime::Op& op : template_ops_) {
-    op.client_id = static_cast<std::uint64_t>(id_);
-  }
+  // Shared with every run of this workload on this device: the driver only
+  // reads it, stamping each op's client and request ids on its copy.
+  ops_ = &workloads::SharedRequestTemplate(device, config_.workload, config_.use_cuda_graphs).ops;
 }
 
 std::string ClientDriver::name() const {
@@ -92,6 +63,7 @@ void ClientDriver::Hang(DurationUs runaway_us) {
   op.kernel.name = "runaway";
   op.kernel.duration_us = runaway_us;
   op.kernel.geometry = gpusim::LaunchGeometry{};
+  op.kernel.sm_needed = 1;  // one block, which fits on one SM of any device
   op.kernel.compute_util = 0.5;
   op.kernel.membw_util = 0.5;
   op.client_id = static_cast<std::uint64_t>(id_);
@@ -148,15 +120,15 @@ void ClientDriver::SubmitNextOp() {
   if (crashed_) {
     return;  // process died between ops of the request
   }
-  ORION_CHECK(next_op_ < template_ops_.size());
-  runtime::Op op = template_ops_[next_op_];
-  op.request_id = next_request_id_;
-  const bool last = op.end_of_request;
-  const bool blocking = op.blocking;
+  ORION_CHECK(next_op_ < ops_->size());
+  core::SchedOp sched_op;
+  sched_op.op = (*ops_)[next_op_];
+  sched_op.op.client_id = static_cast<std::uint64_t>(id_);
+  sched_op.op.request_id = next_request_id_;
+  const bool last = sched_op.op.end_of_request;
+  const bool blocking = sched_op.op.blocking;
   ++next_op_;
 
-  core::SchedOp sched_op;
-  sched_op.op = std::move(op);
   if (last) {
     sched_op.on_complete = [this]() { OnRequestComplete(); };
   } else if (blocking) {

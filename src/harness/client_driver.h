@@ -11,11 +11,11 @@
 #ifndef SRC_HARNESS_CLIENT_DRIVER_H_
 #define SRC_HARNESS_CLIENT_DRIVER_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/ring.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/core/scheduler.h"
@@ -118,9 +118,9 @@ class ClientDriver {
   DurationUs op_overhead_us_;
   Rng rng_;
   std::unique_ptr<trace::ArrivalProcess> arrivals_;
-  std::vector<runtime::Op> template_ops_;
+  const std::vector<runtime::Op>* ops_ = nullptr;  // the shared request template
 
-  std::deque<TimeUs> pending_arrivals_;
+  common::Ring<TimeUs> pending_arrivals_;
   bool request_in_flight_ = false;
   bool crashed_ = false;
   TimeUs current_arrival_ = 0.0;

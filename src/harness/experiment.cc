@@ -101,14 +101,17 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
 
   // --- Offline profiling phase (§5.2), one profile per distinct workload,
   // in client order: the fault injector forks its poison RNG per profile in
-  // that order, so it must not depend on hashing.
-  std::vector<std::unique_ptr<profiler::WorkloadProfile>> profiles;
+  // that order, so it must not depend on hashing. Runs read the
+  // process-wide memo's profiles in place; a run with a fault plan works on
+  // its own copies, since profile poisoning edits them.
+  std::vector<const profiler::WorkloadProfile*> profiles;
+  std::vector<std::unique_ptr<profiler::WorkloadProfile>> poisonable;
   const auto profile_of =
-      [&profiles](const workloads::WorkloadSpec& workload) -> profiler::WorkloadProfile* {
+      [&profiles](const workloads::WorkloadSpec& workload) -> const profiler::WorkloadProfile* {
     const std::string name = workloads::WorkloadName(workload);
-    for (const auto& profile : profiles) {
+    for (const profiler::WorkloadProfile* profile : profiles) {
       if (profile->workload_name == name) {
-        return profile.get();
+        return profile;
       }
     }
     return nullptr;
@@ -119,8 +122,14 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     }
     profiler::ProfileOptions opts = config.profile_options;
     opts.launch_overhead_us = config.launch_overhead_us;
-    profiles.push_back(std::make_unique<profiler::WorkloadProfile>(
-        profiler::ProfileWorkload(config.device, client.workload, opts)));
+    const profiler::WorkloadProfile& shared =
+        profiler::SharedProfile(config.device, client.workload, opts);
+    if (config.fault_plan.empty()) {
+      profiles.push_back(&shared);
+    } else {
+      poisonable.push_back(std::make_unique<profiler::WorkloadProfile>(shared));
+      profiles.push_back(poisonable.back().get());
+    }
   }
 
   // --- Memory admission (§5.1.3). Shared-GPU collocations must fit in
@@ -134,7 +143,10 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   if (shares_gpu) {
     std::size_t total_state = 0;
     for (std::size_t i = 0; i < config.clients.size(); ++i) {
-      state[i] = workloads::ApproxModelStateBytes(config.clients[i].workload);
+      const ClientConfig& cc = config.clients[i];
+      state[i] =
+          workloads::SharedRequestTemplate(config.device, cc.workload, cc.use_cuda_graphs)
+              .state_bytes;
       total_state += state[i];
     }
     if (total_state > config.device.memory_bytes) {
@@ -279,7 +291,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     for (auto& sched : schedulers) {
       injector->RegisterScheduler(sched.get());
     }
-    for (const auto& profile : profiles) {
+    for (const auto& profile : poisonable) {
       injector->RegisterProfile(profile.get());
     }
     // Client faults only: this harness has no fabric and no cluster. A crash

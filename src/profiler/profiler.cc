@@ -30,12 +30,12 @@ class Replayer {
   using RequestDone = std::function<void(int request, TimeUs start, TimeUs end)>;
 
   Replayer(Simulator* sim, runtime::GpuRuntime* rt, gpusim::StreamId stream,
-           std::vector<runtime::Op> ops, DurationUs overhead, int warmup_requests,
+           const std::vector<runtime::Op>& ops, DurationUs overhead, int warmup_requests,
            int total_requests, RequestDone on_done)
       : sim_(sim),
         rt_(rt),
         stream_(stream),
-        ops_(std::move(ops)),
+        ops_(ops),
         overhead_(overhead),
         warmup_requests_(warmup_requests),
         total_requests_(total_requests),
@@ -87,7 +87,7 @@ class Replayer {
   Simulator* sim_;
   runtime::GpuRuntime* rt_;
   gpusim::StreamId stream_;
-  std::vector<runtime::Op> ops_;
+  const std::vector<runtime::Op>& ops_;
   DurationUs overhead_;
   int warmup_requests_;
   int total_requests_;
@@ -122,7 +122,7 @@ WorkloadProfile MeasureProfile(const gpusim::DeviceSpec& device,
   runtime::GpuRuntime rt(&sim, device);
   const gpusim::StreamId stream = rt.CreateStream();
 
-  std::vector<runtime::Op> ops = workloads::BuildRequestOps(device, spec);
+  const std::vector<runtime::Op>& ops = workloads::SharedRequestTemplate(device, spec).ops;
 
   // Accumulate measured durations per kernel id.
   std::unordered_map<std::uint64_t, std::pair<double, int>> measured;  // sum, count
@@ -169,7 +169,7 @@ WorkloadProfile MeasureProfile(const gpusim::DeviceSpec& device,
     kp.compute_util = kernel.compute_util;
     kp.membw_util = kernel.membw_util;
     kp.profile = gpusim::ClassifyKernel(kernel);
-    kp.sm_needed = gpusim::SmsNeeded(device, kernel.geometry);
+    kp.sm_needed = kernel.sm_needed;
     profile.kernels.push_back(std::move(kp));
   }
   profile.RebuildIndex();
@@ -198,9 +198,9 @@ ProfileMemo& Memo() {
 
 }  // namespace
 
-WorkloadProfile ProfileWorkload(const gpusim::DeviceSpec& device,
-                                const workloads::WorkloadSpec& spec,
-                                const ProfileOptions& options) {
+const WorkloadProfile& SharedProfile(const gpusim::DeviceSpec& device,
+                                     const workloads::WorkloadSpec& spec,
+                                     const ProfileOptions& options) {
   ProfileMemo& memo = Memo();
   ProfileKey key{device, spec, options};
   {
@@ -212,10 +212,17 @@ WorkloadProfile ProfileWorkload(const gpusim::DeviceSpec& device,
   }
   // Measured outside the lock so distinct inputs can profile concurrently.
   // If another thread stored the same key meanwhile, its entry is kept; the
-  // two profiles are equal.
+  // two profiles are equal. Entries are never erased, so references into
+  // the map stay valid.
   WorkloadProfile profile = MeasureProfile(device, spec, options);
   const std::lock_guard<std::mutex> lock(memo.mutex);
   return memo.profiles.try_emplace(std::move(key), std::move(profile)).first->second;
+}
+
+WorkloadProfile ProfileWorkload(const gpusim::DeviceSpec& device,
+                                const workloads::WorkloadSpec& spec,
+                                const ProfileOptions& options) {
+  return SharedProfile(device, spec, options);
 }
 
 void SaveProfile(const WorkloadProfile& profile, std::ostream& os) {

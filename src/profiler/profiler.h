@@ -16,9 +16,10 @@
 // scheduler loads at startup. Profiles can be saved to / loaded from files.
 //
 // Like the paper's offline profile files, each input is profiled once per
-// process: ProfileWorkload memoizes on the full (DeviceSpec, WorkloadSpec,
-// ProfileOptions) value and hands every caller its own copy, so a caller may
-// edit its profile (fault injection poisons them) without touching others.
+// process: SharedProfile memoizes on the full (DeviceSpec, WorkloadSpec,
+// ProfileOptions) value and hands every caller the one shared profile;
+// ProfileWorkload hands out a copy, which a caller may edit (fault injection
+// poisons them) without touching others.
 #ifndef SRC_PROFILER_PROFILER_H_
 #define SRC_PROFILER_PROFILER_H_
 
@@ -75,7 +76,13 @@ struct ProfileOptions {
 };
 
 // Runs the offline profiling phase on a dedicated simulated device, once per
-// distinct input per process (thread-safe); returns a copy of the profile.
+// distinct input per process (thread-safe), and returns the memoized
+// profile itself: shared by every caller, immutable, valid until exit.
+const WorkloadProfile& SharedProfile(const gpusim::DeviceSpec& device,
+                                     const workloads::WorkloadSpec& spec,
+                                     const ProfileOptions& options = {});
+
+// A copy of SharedProfile(...), for callers that edit their profile.
 WorkloadProfile ProfileWorkload(const gpusim::DeviceSpec& device,
                                 const workloads::WorkloadSpec& spec,
                                 const ProfileOptions& options = {});

@@ -15,9 +15,9 @@
 #ifndef SRC_SERVING_BATCHER_H_
 #define SRC_SERVING_BATCHER_H_
 
-#include <deque>
 #include <vector>
 
+#include "src/common/ring.h"
 #include "src/common/time_types.h"
 #include "src/serving/request.h"
 
@@ -84,7 +84,7 @@ class DynamicBatcher {
 
  private:
   BatchingConfig config_;
-  std::deque<Request> queue_;
+  common::Ring<Request> queue_;
 };
 
 }  // namespace serving

@@ -53,7 +53,11 @@ class EventHandle {
 
 class Simulator {
  public:
-  using Callback = common::InlineFunction<void(), 56>;
+  // 64 inline bytes: the largest completion wrapper on the kernel path
+  // (Orion's best-effort wrapper: `this`, a client id, two doubles and the
+  // client's 32-byte hook) fits, and a slot is no larger than with 56
+  // (the buffer is 16-byte aligned either way).
+  using Callback = common::InlineFunction<void(), 64>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;

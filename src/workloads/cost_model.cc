@@ -20,6 +20,7 @@ gpusim::KernelDesc BuildKernel(const gpusim::DeviceSpec& spec, const KernelWork&
   desc.phase = work.phase;
 
   const int sm_needed = gpusim::SmsNeeded(spec, work.geometry);
+  desc.sm_needed = sm_needed;
   const double sm_frac = std::min(1.0, static_cast<double>(sm_needed) / spec.num_sms);
 
   const double peak_flops = spec.peak_fp32_tflops * 1e12;     // FLOP/s

@@ -1,5 +1,7 @@
 #include "src/workloads/models.h"
 
+#include <map>
+#include <mutex>
 #include <utility>
 
 #include "src/common/check.h"
@@ -399,6 +401,81 @@ std::size_t ApproxModelStateBytes(const WorkloadSpec& spec) {
   // Framework/CUDA context overhead.
   const double overhead = 600.0 * 1024 * 1024;
   return static_cast<std::size_t>(param_bytes + act_bytes + overhead);
+}
+
+std::vector<runtime::Op> CaptureCudaGraphs(const std::vector<runtime::Op>& ops) {
+  constexpr std::size_t kGraphCaptureLimit = 32;
+  std::vector<runtime::Op> captured;
+  std::size_t i = 0;
+  while (i < ops.size()) {
+    if (ops[i].type != runtime::OpType::kKernelLaunch) {
+      captured.push_back(ops[i]);
+      ++i;
+      continue;
+    }
+    runtime::Op graph;
+    graph.type = runtime::OpType::kGraphLaunch;
+    while (i < ops.size() && ops[i].type == runtime::OpType::kKernelLaunch &&
+           graph.graph_kernels.size() < kGraphCaptureLimit) {
+      graph.graph_kernels.push_back(ops[i].kernel);
+      ++i;
+    }
+    captured.push_back(std::move(graph));
+  }
+  for (std::size_t j = 0; j < captured.size(); ++j) {
+    captured[j].index_in_request = static_cast<std::uint32_t>(j);
+    captured[j].end_of_request = j + 1 == captured.size();
+  }
+  return captured;
+}
+
+namespace {
+
+// A template depends only on its inputs: kernel ids are built from (model,
+// task, index) and the cost model is a pure function of the device.
+struct TemplateKey {
+  gpusim::DeviceSpec device;
+  WorkloadSpec spec;
+  bool cuda_graphs = false;
+
+  auto operator<=>(const TemplateKey&) const = default;
+};
+
+struct TemplateMemo {
+  std::mutex mutex;
+  std::map<TemplateKey, RequestTemplate> templates;  // guarded by mutex
+};
+
+TemplateMemo& Memo() {
+  static TemplateMemo memo;
+  return memo;
+}
+
+}  // namespace
+
+const RequestTemplate& SharedRequestTemplate(const gpusim::DeviceSpec& device,
+                                             const WorkloadSpec& spec, bool cuda_graphs) {
+  TemplateMemo& memo = Memo();
+  TemplateKey key{device, spec, cuda_graphs};
+  {
+    const std::lock_guard<std::mutex> lock(memo.mutex);
+    const auto it = memo.templates.find(key);
+    if (it != memo.templates.end()) {
+      return it->second;
+    }
+  }
+  // Built outside the lock so distinct inputs can build concurrently. If
+  // another thread stored the same key meanwhile, its entry is kept; the
+  // two templates are equal. Entries are never erased, so references into
+  // the map stay valid.
+  RequestTemplate built;
+  built.ops = BuildRequestOps(device, spec);
+  if (cuda_graphs) {
+    built.ops = CaptureCudaGraphs(built.ops);
+  }
+  built.state_bytes = ApproxModelStateBytes(spec);
+  const std::lock_guard<std::mutex> lock(memo.mutex);
+  return memo.templates.try_emplace(std::move(key), std::move(built)).first->second;
 }
 
 // --- LLM serving builders (prefill / per-step decode). ----------------------

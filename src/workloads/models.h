@@ -74,6 +74,27 @@ std::vector<runtime::Op> BuildRequestOps(const gpusim::DeviceSpec& device,
 // and the harness's fits-in-memory admission check.
 std::size_t ApproxModelStateBytes(const WorkloadSpec& spec);
 
+// §7 extension: captures each run of consecutive kernel launches into graph
+// ops of at most 32 kernels (frameworks capture per layer block); other ops
+// pass through. Renumbers index_in_request and marks the last op.
+std::vector<runtime::Op> CaptureCudaGraphs(const std::vector<runtime::Op>& ops);
+
+// Everything a run needs of one workload on one device that does not change
+// between requests or runs.
+struct RequestTemplate {
+  // BuildRequestOps(device, spec), captured by CaptureCudaGraphs when asked.
+  std::vector<runtime::Op> ops;
+  std::size_t state_bytes = 0;  // ApproxModelStateBytes(spec)
+};
+
+// The request template of (device, spec, cuda_graphs), built on first use
+// and kept for the life of the process: a mutex-guarded memo like
+// profiler::SharedProfile's, so concurrent runs may share it. Every caller
+// gets the same immutable entry; the reference stays valid until exit.
+const RequestTemplate& SharedRequestTemplate(const gpusim::DeviceSpec& device,
+                                             const WorkloadSpec& spec,
+                                             bool cuda_graphs = false);
+
 // Learnable-parameter bytes alone (fp32, embedding tables included): the
 // gradient volume a data-parallel trainer all-reduces every iteration.
 std::size_t ApproxParameterBytes(const WorkloadSpec& spec);

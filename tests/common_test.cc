@@ -1,13 +1,17 @@
 // Unit tests for src/common: RNG determinism and distributions, statistics,
-// table rendering.
+// table rendering, the inline callable and the ring FIFO.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "src/common/inline_function.h"
+#include "src/common/ring.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
@@ -245,6 +249,109 @@ TEST(InlineFunctionTest, ArgumentsAndReturnForwarded) {
 TEST(InlineFunctionDeathTest, InvokingEmptyIsChecked) {
   TestFn f;
   EXPECT_DEATH(f(), "empty InlineFunction");
+}
+
+// A completion hook passed on through a wider callback type keeps testing
+// false when empty, as std::function does, so "no callback" survives every
+// hop from the scheduler to the device.
+TEST(InlineFunctionTest, WrappingAnEmptyCallableStaysEmpty) {
+  common::InlineFunction<int(), 16> narrow;
+  TestFn wide = std::move(narrow);
+  EXPECT_TRUE(wide == nullptr);
+  wide = std::function<int()>();
+  EXPECT_TRUE(wide == nullptr);
+  int (*null_fn)() = nullptr;
+  wide = null_fn;
+  EXPECT_TRUE(wide == nullptr);
+
+  // Fills the 16-byte buffer, so the relocation copies no unset bytes.
+  common::InlineFunction<int(), 16> seven = [a = std::int64_t{3}, b = std::int64_t{4}]() {
+    return static_cast<int>(a + b);
+  };
+  wide = std::move(seven);
+  ASSERT_TRUE(wide != nullptr);
+  EXPECT_TRUE(wide.is_inline());
+  EXPECT_EQ(wide(), 7);
+}
+
+// Pops `count` elements from the front of `ring` into a vector.
+std::vector<int> PopFront(common::Ring<int>& ring, std::size_t count) {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(ring.front());
+    ring.pop_front();
+  }
+  return out;
+}
+
+TEST(RingTest, FifoOrderAndIndexing) {
+  common::Ring<int> ring;
+  EXPECT_TRUE(ring.empty());
+  for (int i = 0; i < 5; ++i) {
+    ring.push_back(i);
+  }
+  EXPECT_EQ(ring.size(), 5u);
+  EXPECT_EQ(ring[3], 3);
+  EXPECT_EQ(ring[4], 4);
+  EXPECT_EQ(PopFront(ring, 5), (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(ring.empty());
+}
+
+// The buffer fills while its head sits mid-buffer, so growth has to unwrap
+// the elements oldest first.
+TEST(RingTest, GrowsWhileWrapped) {
+  common::Ring<int> ring;
+  for (int i = 0; i < 8; ++i) {
+    ring.push_back(i);
+  }
+  const std::size_t capacity = ring.capacity();
+  ASSERT_EQ(capacity, 8u);
+  EXPECT_EQ(PopFront(ring, 5), (std::vector<int>{0, 1, 2, 3, 4}));
+  for (int i = 8; i < 13; ++i) {
+    ring.push_back(i);  // wraps around the end of the buffer
+  }
+  EXPECT_EQ(ring.capacity(), capacity);
+  ring.push_back(13);  // full and wrapped: grows
+  EXPECT_EQ(ring.capacity(), 2 * capacity);
+  std::vector<int> all(ring.begin(), ring.end());
+  EXPECT_EQ(all, (std::vector<int>{5, 6, 7, 8, 9, 10, 11, 12, 13}));
+  EXPECT_EQ(PopFront(ring, 9), all);
+}
+
+TEST(RingTest, PushFrontPrecedesTheQueue) {
+  common::Ring<int> ring;
+  ring.push_back(2);
+  ring.push_back(3);
+  ring.push_front(1);  // wraps the head below slot 0
+  ring.push_front(0);
+  EXPECT_EQ(ring.front(), 0);
+  for (int i = 4; i < 12; ++i) {
+    ring.push_back(i);  // grows with the head wrapped
+  }
+  EXPECT_EQ(PopFront(ring, 12), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+}
+
+TEST(RingTest, HoldsMoveOnlyElementsAndDestroysThem) {
+  auto alive = std::make_shared<int>(0);
+  {
+    common::Ring<std::unique_ptr<std::shared_ptr<int>>> ring;
+    for (int i = 0; i < 20; ++i) {
+      ring.push_back(std::make_unique<std::shared_ptr<int>>(alive));
+    }
+    EXPECT_EQ(alive.use_count(), 21);
+    std::unique_ptr<std::shared_ptr<int>> first = std::move(ring.front());
+    ring.pop_front();
+    first.reset();
+    EXPECT_EQ(alive.use_count(), 20);
+    common::Ring<std::unique_ptr<std::shared_ptr<int>>> moved = std::move(ring);
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(moved.size(), 19u);
+    moved.clear();
+    EXPECT_EQ(alive.use_count(), 1);
+    EXPECT_GE(moved.capacity(), 19u);  // clear keeps the buffer
+    moved.push_back(std::make_unique<std::shared_ptr<int>>(alive));
+  }
+  EXPECT_EQ(alive.use_count(), 1);  // the destructor destroyed the rest
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ TEST(OpViewTest, KernelViewMatchesDescriptor) {
   runtime::Op op;
   op.type = runtime::OpType::kKernelLaunch;
   op.kernel = kernel;
-  const auto view = core::ViewOf(op, nullptr, gpusim::DeviceSpec::V100_16GB());
+  const auto view = core::ViewOf(op, nullptr);
   EXPECT_DOUBLE_EQ(view.duration_us, 120.0);
   EXPECT_EQ(view.profile, gpusim::ResourceProfile::kComputeBound);
   EXPECT_EQ(view.sm_needed, 24);
@@ -56,7 +56,7 @@ TEST(OpViewTest, GraphViewAggregates) {
   op.graph_kernels = {MakeKernel("a", 100.0, 0.9, 0.1, 10),   // compute, 100us
                       MakeKernel("b", 300.0, 0.1, 0.9, 40),   // memory, 300us
                       MakeKernel("c", 50.0, 0.9, 0.1, 20)};   // compute, 50us
-  const auto view = core::ViewOf(op, nullptr, gpusim::DeviceSpec::V100_16GB());
+  const auto view = core::ViewOf(op, nullptr);
   EXPECT_DOUBLE_EQ(view.duration_us, 450.0);
   EXPECT_EQ(view.sm_needed, 40);  // max across the graph
   // Memory-bound time (300) dominates compute time (150).

@@ -56,6 +56,7 @@ std::vector<SoupOp> MakeSoup(std::uint64_t seed, int num_streams, int num_kernel
     kernel.geometry.registers_per_thread = static_cast<int>(rng.UniformInt(16, 128));
     kernel.geometry.shared_mem_per_block =
         static_cast<int>(rng.UniformInt(0, 48)) * 1024;
+    kernel.sm_needed = SmsNeeded(DeviceSpec::V100_16GB(), kernel.geometry);
     soup.push_back(op);
   }
   return soup;
@@ -205,6 +206,7 @@ TEST_P(EventOrderTest, EventNeverFiresBeforePriorOps) {
       kernel.compute_util = rng.UniformDouble(0.1, 0.9);
       kernel.membw_util = rng.UniformDouble(0.1, 0.9);
       kernel.geometry = {static_cast<int>(rng.UniformInt(1, 200)), 256, 64, 0};
+      kernel.sm_needed = SmsNeeded(device.spec(), kernel.geometry);
       device.LaunchKernel(stream, kernel);
       ++kernels_submitted;
     }
@@ -215,6 +217,7 @@ TEST_P(EventOrderTest, EventNeverFiresBeforePriorOps) {
       noise.compute_util = 0.6;
       noise.membw_util = 0.4;
       noise.geometry = {80, 1024, 64, 0};
+      noise.sm_needed = SmsNeeded(device.spec(), noise.geometry);
       device.LaunchKernel(other, noise);
     }
   }

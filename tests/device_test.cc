@@ -392,6 +392,35 @@ TEST_F(DeviceTest, ManyKernelsConserveWork) {
   EXPECT_LE(sim_.now(), kN * 100.0 * 1.08);
 }
 
+// A descriptor carries the occupancy of the device it was built for. V100
+// and A100 differ in shared memory per SM (96 vs 164 KiB), so a geometry
+// with 64 KiB of shared memory per block fits one block per SM on a V100
+// and two on an A100; the oracle rejects the A100 stamp on a V100.
+using DeviceDeathTest = DeviceTest;
+
+TEST_F(DeviceDeathTest, OracleRejectsKernelStampedForAnotherDevice) {
+  KernelDesc kernel = MakeKernel("smem-heavy", 100.0, 0.5, 0.5, 1);
+  kernel.geometry = {160, 256, 32, 64 * 1024};
+  kernel.sm_needed = SmsNeeded(DeviceSpec::A100_40GB(), kernel.geometry);
+  ASSERT_EQ(kernel.sm_needed, 80);
+  ASSERT_EQ(SmsNeeded(spec_, kernel.geometry), 160);
+  EXPECT_DEATH(
+      {
+        Device device(&sim_, spec_);
+        device.set_debug_oracle(true);
+        device.LaunchKernel(device.CreateStream(), kernel);
+      },
+      "carries sm_needed 80 but needs 160 SMs");
+
+  kernel.sm_needed = SmsNeeded(spec_, kernel.geometry);  // stamped for this device
+  Device device(&sim_, spec_);
+  device.set_debug_oracle(true);
+  bool done = false;
+  device.LaunchKernel(device.CreateStream(), kernel, [&]() { done = true; });
+  sim_.RunUntilIdle();
+  EXPECT_TRUE(done);
+}
+
 }  // namespace
 }  // namespace gpusim
 }  // namespace orion

@@ -332,31 +332,31 @@ TEST(KernelViewTest, ProfiledOnlyWhenTheProfileCoversEveryKernel) {
   runtime::Op kernel;
   kernel.type = runtime::OpType::kKernelLaunch;
   kernel.kernel = known;
-  EXPECT_TRUE(ViewOf(kernel, &profile, spec).profiled);
-  EXPECT_TRUE(ViewOf(kernel, &profile, spec, /*conservative_miss=*/true).profiled);
-  EXPECT_FALSE(ViewOf(kernel, nullptr, spec).profiled);
+  EXPECT_TRUE(ViewOf(kernel, &profile).profiled);
+  EXPECT_TRUE(ViewOf(kernel, &profile, /*conservative_miss=*/true).profiled);
+  EXPECT_FALSE(ViewOf(kernel, nullptr).profiled);
 
   runtime::Op miss = kernel;
   miss.kernel = unknown;
-  EXPECT_FALSE(ViewOf(miss, &profile, spec).profiled);
-  const KernelView conservative = ViewOf(miss, &profile, spec, /*conservative_miss=*/true);
+  EXPECT_FALSE(ViewOf(miss, &profile).profiled);
+  const KernelView conservative = ViewOf(miss, &profile, /*conservative_miss=*/true);
   EXPECT_FALSE(conservative.profiled);
   EXPECT_EQ(conservative.profile, gpusim::ResourceProfile::kMemoryBound);
 
   runtime::Op graph;
   graph.type = runtime::OpType::kGraphLaunch;
-  EXPECT_FALSE(ViewOf(graph, &profile, spec).profiled);  // empty graph
+  EXPECT_FALSE(ViewOf(graph, &profile).profiled);  // empty graph
   graph.graph_kernels = {known, known};
-  EXPECT_TRUE(ViewOf(graph, &profile, spec).profiled);
-  EXPECT_FALSE(ViewOf(graph, nullptr, spec).profiled);
+  EXPECT_TRUE(ViewOf(graph, &profile).profiled);
+  EXPECT_FALSE(ViewOf(graph, nullptr).profiled);
   graph.graph_kernels.push_back(unknown);
-  const KernelView partial = ViewOf(graph, &profile, spec);
+  const KernelView partial = ViewOf(graph, &profile);
   EXPECT_FALSE(partial.profiled);
   EXPECT_DOUBLE_EQ(partial.duration_us, 280.0);  // still the whole graph's time
 
   runtime::Op memory;
   memory.type = runtime::OpType::kMemcpyH2D;
-  EXPECT_FALSE(ViewOf(memory, &profile, spec).profiled);
+  EXPECT_FALSE(ViewOf(memory, &profile).profiled);
 }
 
 using OrionSchedulerDeathTest = OrionSchedulerTest;

@@ -24,6 +24,7 @@ inline gpusim::KernelDesc MakeKernel(const std::string& name, DurationUs duratio
   kernel.geometry.threads_per_block = 1024;
   kernel.geometry.registers_per_thread = 64;
   kernel.geometry.shared_mem_per_block = 0;
+  kernel.sm_needed = sms;
   return kernel;
 }
 

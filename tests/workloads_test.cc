@@ -3,8 +3,12 @@
 // Table 1 trends), and the cost model obeys its roofline contract.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "src/gpusim/kernel.h"
 #include "src/workloads/cost_model.h"
@@ -153,6 +157,62 @@ TEST_P(ModelZooTest, RequestOpsBracketedByCopies) {
   }
 }
 
+// Field by field, doubles bitwise.
+void ExpectSameKernel(const gpusim::KernelDesc& a, const gpusim::KernelDesc& b) {
+  EXPECT_EQ(a.kernel_id, b.kernel_id);
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.geometry.num_blocks, b.geometry.num_blocks);
+  EXPECT_EQ(a.geometry.threads_per_block, b.geometry.threads_per_block);
+  EXPECT_EQ(a.geometry.registers_per_thread, b.geometry.registers_per_thread);
+  EXPECT_EQ(a.geometry.shared_mem_per_block, b.geometry.shared_mem_per_block);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.duration_us),
+            std::bit_cast<std::uint64_t>(b.duration_us));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.compute_util),
+            std::bit_cast<std::uint64_t>(b.compute_util));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.membw_util), std::bit_cast<std::uint64_t>(b.membw_util));
+  EXPECT_EQ(a.sm_needed, b.sm_needed);
+  EXPECT_EQ(a.has_roofline, b.has_roofline);
+  EXPECT_EQ(a.roofline_class, b.roofline_class);
+  EXPECT_EQ(a.phase, b.phase);
+}
+
+void ExpectSameOps(const std::vector<runtime::Op>& a, const std::vector<runtime::Op>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].type, b[i].type);
+    ExpectSameKernel(a[i].kernel, b[i].kernel);
+    ASSERT_EQ(a[i].graph_kernels.size(), b[i].graph_kernels.size());
+    for (std::size_t k = 0; k < a[i].graph_kernels.size(); ++k) {
+      ExpectSameKernel(a[i].graph_kernels[k], b[i].graph_kernels[k]);
+    }
+    EXPECT_EQ(a[i].bytes, b[i].bytes);
+    EXPECT_EQ(a[i].blocking, b[i].blocking);
+    EXPECT_EQ(a[i].client_id, b[i].client_id);
+    EXPECT_EQ(a[i].request_id, b[i].request_id);
+    EXPECT_EQ(a[i].index_in_request, b[i].index_in_request);
+    EXPECT_EQ(a[i].end_of_request, b[i].end_of_request);
+  }
+}
+
+// The memoized template is exactly what a fresh build produces, on both
+// devices (their occupancy differs) and with and without graph capture.
+TEST_P(ModelZooTest, SharedTemplateEqualsFreshBuild) {
+  const auto [model, task] = GetParam();
+  const WorkloadSpec spec = MakeWorkload(model, task);
+  for (const gpusim::DeviceSpec& device :
+       {gpusim::DeviceSpec::V100_16GB(), gpusim::DeviceSpec::A100_40GB()}) {
+    for (const bool graphs : {false, true}) {
+      SCOPED_TRACE(device.name + (graphs ? " graphs" : " kernels"));
+      const RequestTemplate& shared = SharedRequestTemplate(device, spec, graphs);
+      const std::vector<runtime::Op> fresh = BuildRequestOps(device, spec);
+      ExpectSameOps(shared.ops, graphs ? CaptureCudaGraphs(fresh) : fresh);
+      EXPECT_EQ(shared.state_bytes, ApproxModelStateBytes(spec));
+      EXPECT_EQ(&SharedRequestTemplate(device, spec, graphs), &shared);  // built once
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, ModelZooTest,
     ::testing::Combine(::testing::Values(ModelId::kResNet50, ModelId::kMobileNetV2,
@@ -163,6 +223,40 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(ModelName(std::get<0>(info.param))) +
              (std::get<1>(info.param) == TaskType::kInference ? "_inf" : "_train");
     });
+
+// Concurrent runs share the memo: four threads asking for every paper
+// workload at once on a device no other test uses (so every entry is built
+// here) all get the same entries, equal to fresh builds.
+TEST(RequestTemplateTest, ConcurrentBuildsAgree) {
+  gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();
+  device.memory_bytes += 4096;  // a key of its own; occupancy and costs unchanged
+  std::vector<WorkloadSpec> specs;
+  for (const ModelId model : kAllModels) {
+    for (const TaskType task : {TaskType::kInference, TaskType::kTraining}) {
+      specs.push_back(MakeWorkload(model, task));
+    }
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<const RequestTemplate*>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&device, &specs, &seen, t]() {
+      for (const WorkloadSpec& spec : specs) {
+        seen[static_cast<std::size_t>(t)].push_back(&SharedRequestTemplate(device, spec));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t w = 0; w < specs.size(); ++w) {
+    SCOPED_TRACE(WorkloadName(specs[w]));
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(t)][w], seen[0][w]);
+    }
+    ExpectSameOps(seen[0][w]->ops, BuildRequestOps(device, specs[w]));
+  }
+}
 
 TEST(ModelZooTest, TrainingHasBackwardAndUpdatePhases) {
   const auto kernels = BuildKernels(kV100, MakeWorkload(ModelId::kResNet50, TaskType::kTraining));
