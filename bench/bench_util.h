@@ -83,15 +83,44 @@ inline double ParseDoubleFlag(std::string_view flag, const char* text) {
   return value;
 }
 
-// Parses --quick / --seed=N / --window-scale=X / --help and removes them
-// from argv. Leftover --benchmark_* flags are kept for binaries that forward
-// to google benchmark (overhead_interception); any other leftover flag is an
-// error. Call first thing in main().
-inline void ParseBenchArgs(int* argc, char** argv) {
+// The telemetry flags a bench honours, or'ed together. A bench that records
+// no instrumented run honours none of them.
+enum ExportFlags : unsigned {
+  kNoExports = 0,
+  kTraceOut = 1u << 0,    // --trace-out
+  kMetricsOut = 1u << 1,  // --metrics-out
+  kAttrOut = 1u << 2,     // --attr-out
+  kFlushPeriod = 1u << 3, // --flush-period-ms
+  kAllExports = kTraceOut | kMetricsOut | kAttrOut | kFlushPeriod,
+};
+
+// Parses --quick / --seed=N / --window-scale=X / --help and the telemetry
+// flags in `honoured`, and removes them from argv. A telemetry flag the
+// bench does not honour is rejected by name rather than ignored. Leftover
+// --benchmark_* flags are kept for binaries that forward to google benchmark
+// (overhead_interception); any other leftover flag is an error. Every error
+// exits with status 2. Call first thing in main().
+inline void ParseBenchArgs(int* argc, char** argv, unsigned honoured = kNoExports) {
   BenchArgs& args = GlobalBenchArgs();
+  const auto require = [&](unsigned flag, std::string_view name) {
+    if ((honoured & flag) == 0) {
+      std::cerr << argv[0] << " does not support " << name
+                << ": it records no telemetry of that kind (try --help)\n";
+      std::exit(2);
+    }
+  };
   int kept = 1;
   for (int i = 1; i < *argc; ++i) {
     const std::string_view arg(argv[i]);
+    if (arg.rfind("--trace-out", 0) == 0) {
+      require(kTraceOut, "--trace-out");
+    } else if (arg.rfind("--metrics-out", 0) == 0) {
+      require(kMetricsOut, "--metrics-out");
+    } else if (arg.rfind("--attr-out", 0) == 0) {
+      require(kAttrOut, "--attr-out");
+    } else if (arg.rfind("--flush-period-ms", 0) == 0) {
+      require(kFlushPeriod, "--flush-period-ms");
+    }
     if (arg == "--quick") {
       args.quick = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
@@ -121,19 +150,28 @@ inline void ParseBenchArgs(int* argc, char** argv) {
         std::exit(2);
       }
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "Usage: " << argv[0]
-                << " [--quick] [--seed=N] [--window-scale=X]"
-                   " [--trace-out=P] [--metrics-out=P] [--attr-out=P]"
-                   " [--flush-period-ms=X]\n"
+      std::cout << "Usage: " << argv[0] << " [--quick] [--seed=N] [--window-scale=X]"
+                << ((honoured & kTraceOut) != 0 ? " [--trace-out=P]" : "")
+                << ((honoured & kMetricsOut) != 0 ? " [--metrics-out=P]" : "")
+                << ((honoured & kAttrOut) != 0 ? " [--attr-out=P]" : "")
+                << ((honoured & kFlushPeriod) != 0 ? " [--flush-period-ms=X]" : "") << "\n"
                 << "  --quick           ~8x shorter measurement windows (CI smoke)\n"
                 << "  --seed=N          experiment seed (default 42)\n"
-                << "  --window-scale=X  multiply warmup+measurement windows by X\n"
-                << "  --trace-out=P     write a Chrome/Perfetto trace of one run to P\n"
-                << "  --metrics-out=P   write that run's metrics snapshot as CSV to P\n"
-                << "  --attr-out=P      write that run's per-service latency attribution\n"
-                   "                    (SLO-miss blame ledger) as CSV to P\n"
-                << "  --flush-period-ms=X  also rewrite those artefacts every X ms of\n"
-                   "                    simulated time during the run (streaming export)\n";
+                << "  --window-scale=X  multiply warmup+measurement windows by X\n";
+      if ((honoured & kTraceOut) != 0) {
+        std::cout << "  --trace-out=P     write a Chrome/Perfetto trace of one run to P\n";
+      }
+      if ((honoured & kMetricsOut) != 0) {
+        std::cout << "  --metrics-out=P   write that run's metrics snapshot as CSV to P\n";
+      }
+      if ((honoured & kAttrOut) != 0) {
+        std::cout << "  --attr-out=P      write that run's per-service latency attribution\n"
+                     "                    (SLO-miss blame ledger) as CSV to P\n";
+      }
+      if ((honoured & kFlushPeriod) != 0) {
+        std::cout << "  --flush-period-ms=X  also rewrite those artefacts every X ms of\n"
+                     "                    simulated time during the run (streaming export)\n";
+      }
       std::exit(0);
     } else if (arg.rfind("--benchmark", 0) == 0) {
       argv[kept++] = argv[i];  // google-benchmark flag: leave for the caller

@@ -224,7 +224,7 @@ void TelemetryArm() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(&argc, argv, bench::kTraceOut | bench::kMetricsOut);
   bench::PrintHeader("Extension (datacenter serving)",
                      "multi-node clusters, node faults, diurnal load");
   Acceptance acceptance;

@@ -201,7 +201,7 @@ void TelemetryArm() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(&argc, argv, bench::kTraceOut | bench::kMetricsOut | bench::kAttrOut);
   bench::PrintHeader("Extension (LLM serving)",
                      "continuous batching, KV-cache pressure, per-token SLOs");
   const bool continuous_tpot_below = BatchingModeArm();

@@ -163,7 +163,7 @@ bool SameResults(const harness::ExperimentResult& a, const harness::ExperimentRe
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(&argc, argv, bench::kAllExports);
   bench::PrintHeader("Extension (memory oversubscription)",
                      "Orion vs nvshare time-quantum vs naive paging vs dedicated");
 

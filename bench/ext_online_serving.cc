@@ -210,7 +210,7 @@ void TelemetryArm() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(&argc, argv, bench::kTraceOut | bench::kMetricsOut);
   bench::PrintHeader("Extension (online serving)",
                      "SLO-aware routing, batching, autoscaling and failover");
   Acceptance acceptance;

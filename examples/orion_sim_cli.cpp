@@ -252,18 +252,20 @@ int main(int argc, char** argv) {
     std::cout << "(no --client given; running the default resnet50 inf+train demo)\n";
   }
 
-  // §5.1.3: a shared GPU must hold every client's state unless the pager
-  // services the overflow (RunExperiment aborts on it; reject it here).
-  const bool shares_gpu = config.scheduler != harness::SchedulerKind::kDedicated &&
-                          config.scheduler != harness::SchedulerKind::kMig;
-  std::size_t total_state = 0;
-  for (const harness::ClientConfig& client : config.clients) {
-    total_state += workloads::ApproxModelStateBytes(client.workload);
-  }
-  if (shares_gpu && total_state > config.device.memory_bytes && !config.paging.enabled) {
-    std::cerr << "collocation exceeds GPU memory by "
-              << Cell(static_cast<double>(total_state - config.device.memory_bytes) / 1e9, 2)
-              << " GB; add :swap to a client to page the overflow\n";
+  // §5.1.3: every partition must hold its clients' state, unless the pager
+  // services a shared GPU's overflow (RunExperiment aborts on it; reject it
+  // here).
+  if (const auto overflow = harness::FirstMemoryOverflow(config)) {
+    const auto gb = [](std::size_t bytes) { return Cell(static_cast<double>(bytes) / 1e9, 2); };
+    if (config.scheduler == harness::SchedulerKind::kMig ||
+        config.scheduler == harness::SchedulerKind::kDedicated) {
+      std::cerr << "client " << overflow->partition << " exceeds its "
+                << gb(overflow->capacity_bytes) << " GB partition by "
+                << gb(overflow->excess_bytes) << " GB\n";
+    } else {
+      std::cerr << "collocation exceeds GPU memory by " << gb(overflow->excess_bytes)
+                << " GB; add :swap to a client to page the overflow\n";
+    }
     return 2;
   }
 

@@ -4,10 +4,8 @@
 // The serving engine (src/serving) answers "how do routing, batching,
 // admission, autoscaling and failover behave on ONE multi-GPU node". This
 // subsystem scales that question out: `num_nodes` server nodes, each with
-// `gpus_per_node` GPUs, joined by a datacenter network of NIC links into one
-// ToR switch, each NIC an interconnect::Fabric — the same fluid-flow link
-// model that times PCIe and NVLink transfers inside a node, reused at NIC
-// bandwidth and switch latency.
+// `gpus_per_node` GPUs, joined by a datacenter network (NicNetwork, in
+// nic_network.h: the PCIe/NVLink fabric model at NIC bandwidth).
 //
 // One engine (cluster_engine.cc) owns every replica and GPU. GPUs are
 // indexed node-major (global = node * gpus_per_node + local), so fault plans
@@ -63,6 +61,8 @@ struct NodeSummary {
   std::size_t replicas_killed = 0;  // lost to faults (drained retires excluded)
   std::size_t batches = 0;          // batches served on this node
   std::size_t requests = 0;         // requests served on this node
+
+  bool operator==(const NodeSummary&) const = default;
 };
 
 struct ClusterResult {

@@ -13,7 +13,6 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,8 +22,8 @@
 #include "src/cluster/placement.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/datacenter/nic_network.h"
 #include "src/fault/fault_injector.h"
-#include "src/interconnect/fabric.h"
 #include "src/serving/batch_cost.h"
 #include "src/serving/batcher.h"
 #include "src/serving/kv_cache.h"
@@ -40,16 +39,7 @@ namespace {
 
 using serving::ReplicaView;
 using serving::Request;
-using serving::RequestOutcome;
 using serving::RouteReason;
-
-// The datacenter network (num_nodes > 1): a 100 GbE NIC per node through one
-// ToR switch hop, per direction, full duplex; and the serialized tensors a
-// request and its response carry across it.
-constexpr double kNicGbps = 12.5;
-constexpr double kNicLatencyUs = 10.0;
-constexpr std::size_t kRequestBytes = 32 * 1024;
-constexpr std::size_t kResponseBytes = 128 * 1024;
 
 // One replica process of a model service, resident on one GPU.
 struct Replica {
@@ -62,7 +52,6 @@ struct Replica {
   struct LlmState {
     explicit LlmState(const serving::KvCacheConfig& kv_config) : kv(kv_config) {}
     serving::KvCacheAllocator kv;
-    std::size_t kv_reserved_bytes = 0;  // counted against the GPU shard
     int joined_this_step = 0;  // trailing in_flight entries that prefilled this step
   };
 
@@ -70,6 +59,8 @@ struct Replica {
   std::size_t model = 0;
   int gpu = -1;  // global GPU index, node-major: node * gpus_per_node + local
   enum class State { kProvisioning, kActive, kDraining, kDead } state = State::kProvisioning;
+  // Serving: past provisioning and not yet dead.
+  bool running() const { return state == State::kActive || state == State::kDraining; }
   serving::DynamicBatcher batcher;
   std::vector<Request> in_flight;
   std::unique_ptr<LlmState> llm;  // null for fixed-cost services
@@ -94,17 +85,7 @@ struct Replica {
 
 struct GpuShard {
   bool alive = true;
-  std::size_t used_bytes = 0;
   std::vector<int> replicas;  // ids of resident (non-dead) replicas, ascending
-};
-
-// Liveness and the per-node activity a NodeSummary reports.
-struct NodeState {
-  bool alive = true;
-  std::size_t batches = 0;
-  std::size_t requests = 0;
-  std::size_t replicas_created = 0;
-  std::size_t replicas_killed = 0;
 };
 
 class ClusterEngine {
@@ -146,27 +127,16 @@ class ClusterEngine {
     }
 
     nodes_.resize(static_cast<std::size_t>(spec_.num_nodes));
+    for (int n = 0; n < spec_.num_nodes; ++n) {
+      node_state(n).node = n;
+    }
     node_picks_.resize(nodes_.size());
     gpus_.resize(static_cast<std::size_t>(spec_.num_nodes * spec_.gpus_per_node));
-    if (NetworkOn()) {
-      // One fabric per NIC rather than one over the whole star. The star has
-      // no shared links (every route is the single host<->node NIC hop), so
-      // splitting is model-identical, and each NIC's transfers, byte counters
-      // and fault state stay on that node's own fabric. Endpoint 0 of each
-      // mini-topology is the node; interconnect::kHostNode is the ToR side.
-      for (int n = 0; n < spec_.num_nodes; ++n) {
-        fabrics_.push_back(std::make_unique<interconnect::Fabric>(
-            &sim_, interconnect::NodeTopology::NicStar(kNicGbps, kNicLatencyUs)));
-      }
-    }
     BindTelemetry();
-    if (config_.telemetry != nullptr) {
-      for (std::size_t n = 0; n < fabrics_.size(); ++n) {
-        std::string track = "n";
-        track += std::to_string(n);
-        track += "/nic";
-        fabrics_[n]->set_telemetry(config_.telemetry, track);
-      }
+    if (NetworkOn()) {
+      // After BindTelemetry, so the NIC tracks follow the GPU tracks.
+      network_.emplace(&sim_, spec_.num_nodes, config_.telemetry,
+                       [this](Leg& leg) { OnLegLanded(leg); });
     }
   }
 
@@ -214,7 +184,7 @@ class ClusterEngine {
           arrivals(std::move(arrival_process)),
           rng(arrival_rng) {}
 
-    serving::ModelServiceConfig cfg;
+    const serving::ModelServiceConfig& cfg;  // in config_.models
     serving::BatchCostModel cost;
     // Per-phase LLM costs; null unless cfg.llm.enabled (its presence is the
     // engine-wide "is this an LLM service" predicate).
@@ -267,13 +237,13 @@ class ClusterEngine {
     telemetry::Histogram* ttft = nullptr;        // arrival → first token, µs
     telemetry::Histogram* tpot = nullptr;        // inter-token µs after the first
 
-    // Autoscaler evaluation-window counters (reset every eval period, so
-    // they stay plain fields rather than monotonic registry counters).
-    std::size_t w_arrivals = 0;
-    std::size_t w_completions = 0;
-    std::size_t w_slo_met = 0;
-    std::size_t w_shed = 0;
+    // The autoscaler's arrival, completion, SLO and shed counts since its
+    // last evaluation (reset every eval period, so plain fields rather than
+    // monotonic registry counters).
+    serving::ModelWindowSignals window;
   };
+
+  using Leg = NicNetwork::Leg;
 
   // PickNode's answer: a node and its least-outstanding active replica.
   struct NodePick {
@@ -282,29 +252,10 @@ class ClusterEngine {
     DurationUs outstanding_us = 0.0;
   };
 
-  // One payload crossing the network fabric, in a slot of net_ops_. Responses
-  // cancelled by a node death complete at the cancel instant: the batch had
-  // already been served, only the notification leg is cut short (documented
-  // simplification).
-  struct NetOp {
-    enum class Kind : std::uint8_t { kRequest, kResponse, kState };
-    // Issue order; 0 marks a free slot. 32 bits, so the fabric callback's
-    // (this, slot, id) capture fits std::function's inline buffer.
-    std::uint32_t id = 0;
-    Kind kind = Kind::kRequest;
-    bool cancelled = false;
-    int node = -1;  // destination (request/state) or source (response)
-    interconnect::TransferId transfer = 0;
-    Request request;                            // kRequest / kResponse payload
-    std::optional<RouteReason> forced;          // kRequest: routing reason override
-    int replica_id = -1;                        // kResponse server / kState target
-    int gpu = -1;                               // kResponse: global GPU of server
-    TimeUs batch_start = 0.0;                   // kResponse
-    TimeUs batch_end = 0.0;                     // kResponse
-  };
-
   bool NetworkOn() const { return spec_.num_nodes > 1; }
   int NodeOf(int gpu) const { return gpu / spec_.gpus_per_node; }
+  // The most requests one batch or decode step takes.
+  int MaxBatch() const { return config_.batching.enabled ? serving::kMaxBatchSize : 1; }
 
   // Binds every instrument against the hub registry (a private registry
   // when no hub is configured) and registers the trace tracks.
@@ -362,8 +313,8 @@ class ClusterEngine {
     if (spec_.num_nodes > 1) {
       // Datacenter-level instruments exist only on real clusters so an N=1
       // run exports exactly the single-node engine's metric set.
-      node_faults_c_ = metrics_->GetCounter("datacenter.node_faults");
-      requests_forwarded_c_ = metrics_->GetCounter("datacenter.requests_forwarded");
+      node_faults_ = metrics_->GetCounter("datacenter.node_faults");
+      requests_forwarded_ = metrics_->GetCounter("datacenter.requests_forwarded");
     }
     if (tracing) {
       control_track_ = hub_->spans().Track("serving-control");
@@ -393,10 +344,18 @@ class ClusterEngine {
 
   bool InWindow(TimeUs t) const { return t >= config_.warmup_us && t <= horizon_; }
 
+  // Counts an event now: in the whole-run counter, and in the window's.
+  void Count(telemetry::Counter* total, telemetry::Counter* windowed) {
+    total->Inc();
+    if (InWindow(sim_.now())) {
+      windowed->Inc();
+    }
+  }
+
   Replica& replica(int id) { return replicas_[static_cast<std::size_t>(id)]; }
   const Replica& replica(int id) const { return replicas_[static_cast<std::size_t>(id)]; }
   GpuShard& gpu(int g) { return gpus_[static_cast<std::size_t>(g)]; }
-  NodeState& node_state(int n) { return nodes_[static_cast<std::size_t>(n)]; }
+  NodeSummary& node_state(int n) { return nodes_[static_cast<std::size_t>(n)]; }
 
   // --- Arrivals, admission, two-level routing. ---
 
@@ -432,46 +391,32 @@ class ClusterEngine {
     if (attr_) {
       request.ledger.Begin(now);
     }
-    model.total_offered->Inc();
-    ++model.w_arrivals;
-    if (InWindow(now)) {
-      model.offered->Inc();
-    }
+    Count(model.total_offered, model.offered);
+    ++model.window.arrivals;
 
     const NodePick pick = PickNode(m);
     if (pick.node < 0) {
       LimboOrDrop(m, std::move(request), /*hold=*/false);
       return;
     }
-    // Admission against the chosen node's least-outstanding replica.
+    // Admission against the chosen node's least-outstanding replica, with
+    // the batch its next dispatch will likely use: the queue ahead plus this
+    // request, capped by the batcher.
     const DurationUs best_wait = pick.outstanding_us;
-    const int est_batch = EstimatedBatch(replica(pick.replica).batcher.size());
+    const int est_batch =
+        std::min<int>(MaxBatch(), static_cast<int>(replica(pick.replica).batcher.size()) + 1);
     // LLM admission gates the TTFT deadline: the work between dispatch and
     // the first token is the prefill (the queue ahead is in best_wait).
     const DurationUs service = model.llm_cost != nullptr
                                    ? model.llm_cost->PrefillUs(request.prompt_tokens)
                                    : model.cost.BatchServiceUs(est_batch);
     if (!serving::Admit(config_.admission, request, model.cfg.tier, best_wait, service)) {
-      request.outcome = RequestOutcome::kShed;
-      model.total_shed->Inc();
-      ++model.w_shed;
-      if (InWindow(now)) {
-        model.shed->Inc();
-      }
+      Count(model.total_shed, model.shed);
+      ++model.window.shed;
       Mark("shed", {{"service", model.label}});
       return;
     }
     Route(pick.node, std::move(request), std::nullopt);
-  }
-
-  // Batch size the next dispatch will likely use (admission's service-time
-  // estimate): the queue ahead plus this request, capped by the batcher.
-  int EstimatedBatch(std::size_t queued_ahead) const {
-    if (!config_.batching.enabled) {
-      return 1;
-    }
-    return std::min<int>(serving::kMaxBatchSize,
-                         static_cast<int>(queued_ahead) + 1);
   }
 
   // No node can take `request` now. It waits in limbo for the next replica
@@ -482,21 +427,14 @@ class ClusterEngine {
       model.limbo.push_back(std::move(request));
       return;
     }
-    model.total_dropped->Inc();
-    if (InWindow(sim_.now())) {
-      model.dropped->Inc();
-    }
+    Count(model.total_dropped, model.dropped);
     Mark("drop", {{"service", model.label}});
   }
 
   int PendingReplicas(std::size_t m) const {
-    int pending = 0;
-    for (const int id : models_[m]->replicas) {
-      if (replica(id).state == Replica::State::kProvisioning) {
-        ++pending;
-      }
-    }
-    return pending;
+    return static_cast<int>(std::count_if(
+        models_[m]->replicas.begin(), models_[m]->replicas.end(),
+        [this](int id) { return replica(id).state == Replica::State::kProvisioning; }));
   }
 
   // Level-1 routing in one scan of the model's replicas: the node to send an
@@ -509,7 +447,7 @@ class ClusterEngine {
     for (const int id : models_[m]->replicas) {
       const Replica& r = replica(id);
       const int n = NodeOf(r.gpu);
-      if (r.state != Replica::State::kActive || !node_state(n).alive) {
+      if (r.state != Replica::State::kActive || !node_state(n).alive_end) {
         continue;
       }
       const DurationUs outstanding = OutstandingUs(r);
@@ -530,11 +468,20 @@ class ClusterEngine {
   // Sends an admitted request to `node`: over the network when there is one,
   // else straight to level-2 routing (Deliver, which reads `forced`).
   void Route(int node, Request request, std::optional<RouteReason> forced) {
-    if (NetworkOn()) {
-      ForwardRequest(node, std::move(request), forced);
-    } else {
+    if (!NetworkOn()) {
       Deliver(node, std::move(request), forced);
+      return;
     }
+    ++models_[static_cast<std::size_t>(request.model)]->in_network;
+    requests_forwarded_->Inc();
+    if (attr_) {
+      // Closes whatever came before (fresh admission: a zero-width kQueue;
+      // limbo drain: the limbo wait; failover: kPreempt) and opens the wire.
+      request.ledger.Advance(sim_.now(), attribution::Phase::kNetRequest);
+    }
+    Leg& leg = network_->Send(Leg::Kind::kRequest, node);
+    leg.request = std::move(request);
+    leg.forced = forced;
   }
 
   // Level-2 routing: pick the replica on `node` and queue the request there.
@@ -555,12 +502,10 @@ class ClusterEngine {
       if (NodeOf(r.gpu) != node || r.state != Replica::State::kActive) {
         continue;
       }
-      ReplicaView view;
-      view.replica_id = id;
-      view.queued = r.batcher.size();
-      view.in_flight = r.in_flight.size();
-      view.outstanding_us = reads_outstanding ? OutstandingUs(r) : 0.0;
-      views_.push_back(view);
+      views_.push_back({.replica_id = id,
+                        .queued = r.batcher.size(),
+                        .in_flight = r.in_flight.size(),
+                        .outstanding_us = reads_outstanding ? OutstandingUs(r) : 0.0});
     }
     if (views_.empty()) {
       // The node lost its replicas while the request was on the wire
@@ -570,22 +515,31 @@ class ClusterEngine {
     }
     const int id = views_[router_.Pick(m, views_)].replica_id;
     request.node = node;
-    request.route_reason =
-        forced.has_value() ? *forced : PickReason(router_.policy(), views_.size());
+    request.route_reason = forced.value_or(PickReason(router_.policy(), views_.size()));
     EnqueueAt(id, std::move(request));
   }
 
   // --- One replica: creation, queue, batches, decode steps, retirement. ---
 
   // Folds [idle_since, now] into idle_accum_us for a non-busy replica.
-  // Attribution-only bookkeeping; callers guard on attr_.
+  // Attribution-only bookkeeping: a no-op unless attribution is on.
   void SyncIdle(Replica& r) {
-    if (!r.busy &&
-        (r.state == Replica::State::kActive || r.state == Replica::State::kDraining)) {
+    if (attr_ && !r.busy && r.running()) {
       const TimeUs now = sim_.now();
       r.idle_accum_us += now - r.idle_since;
       r.idle_since = now;
     }
+  }
+
+  // Device memory held on GPU `g`: its residents' state and KV caches.
+  std::size_t UsedBytes(int g) const {
+    std::size_t used = 0;
+    for (const int id : gpus_[static_cast<std::size_t>(g)].replicas) {
+      const Replica& r = replica(id);
+      used += models_[r.model]->cost.state_bytes() +
+              (r.llm != nullptr ? r.llm->kv.capacity_bytes() : 0);
+    }
+    return used;
   }
 
   // Creates a replica of `model` on global GPU `g` and returns its id, the
@@ -598,26 +552,22 @@ class ClusterEngine {
     r.id = id;
     r.model = model;
     r.gpu = g;
-    GpuShard& shard = gpu(g);
-    shard.used_bytes += models_[model]->cost.state_bytes();
-    shard.replicas.push_back(id);
+    gpu(g).replicas.push_back(id);
     ++node_state(NodeOf(g)).replicas_created;
     if (models_[model]->llm_cost != nullptr) {
       const serving::LlmServiceConfig& llm = models_[model]->cfg.llm;
       // Carve the replica's KV cache out of whatever device memory remains
       // free on its GPU (vLLM-style), optionally capped by the service config.
       const std::size_t memory = config_.device.memory_bytes;
-      const std::size_t free = memory > shard.used_bytes ? memory - shard.used_bytes : 0;
+      const std::size_t used = UsedBytes(g);
+      const std::size_t free = memory > used ? memory - used : 0;
       const std::size_t capacity = llm.kv_capacity_bytes > 0
                                        ? std::min(llm.kv_capacity_bytes, free)
                                        : free;
-      serving::KvCacheConfig kv_config;
-      kv_config.block_tokens = serving::kKvBlockTokens;
-      kv_config.bytes_per_token = models_[model]->llm_cost->kv_bytes_per_token();
-      kv_config.capacity_bytes = capacity;
-      r.llm = std::make_unique<Replica::LlmState>(kv_config);
-      r.llm->kv_reserved_bytes = capacity;
-      shard.used_bytes += capacity;
+      r.llm = std::make_unique<Replica::LlmState>(serving::KvCacheConfig{
+          .block_tokens = serving::kKvBlockTokens,
+          .bytes_per_token = models_[model]->llm_cost->kv_bytes_per_token(),
+          .capacity_bytes = capacity});
       // Progress guarantee for the eviction loop: a lone sequence must always
       // fit, or it could be preempted forever without finishing.
       const int worst = llm.prompt_tokens + std::max(1, llm.max_decode_tokens);
@@ -626,13 +576,16 @@ class ClusterEngine {
                       "LLM replica KV cache cannot hold one full sequence");
     }
     if (active) {
-      r.state = Replica::State::kActive;
-      r.active_since = sim_.now();
-      r.idle_since = sim_.now();
-    } else {
-      r.state = Replica::State::kProvisioning;
+      Activate(r);
     }
     return id;
+  }
+
+  // Starts serving; the idle clock starts with the replica.
+  void Activate(Replica& r) {
+    r.state = Replica::State::kActive;
+    r.active_since = sim_.now();
+    r.idle_since = sim_.now();
   }
 
   // Queues a routed request at replica `id` and dispatches if a batch is ready.
@@ -650,8 +603,7 @@ class ClusterEngine {
 
   void TryDispatch(int id) {
     Replica& r = replica(id);
-    if (r.busy || r.batcher.empty() ||
-        (r.state != Replica::State::kActive && r.state != Replica::State::kDraining)) {
+    if (r.busy || r.batcher.empty() || !r.running()) {
       return;
     }
     if (r.llm != nullptr && models_[r.model]->cfg.llm.continuous) {
@@ -661,8 +613,8 @@ class ClusterEngine {
       TryStepLlm(id);
       return;
     }
+    sim_.Cancel(r.linger);
     if (r.batcher.ShouldDispatch(sim_.now())) {
-      sim_.Cancel(r.linger);
       r.dispatch_reason = r.state == Replica::State::kDraining
                               ? serving::DispatchReason::kDrain
                               : r.batcher.WhyDispatch(sim_.now());
@@ -670,7 +622,6 @@ class ClusterEngine {
       return;
     }
     // Linger for more requests: wake at the oldest request's delay bound.
-    sim_.Cancel(r.linger);
     r.linger = sim_.ScheduleAt(r.batcher.LingerDeadline(), [this, id] { TryDispatch(id); });
   }
 
@@ -681,9 +632,7 @@ class ClusterEngine {
       return;
     }
     const TimeUs now = sim_.now();
-    if (attr_) {
-      SyncIdle(r);
-    }
+    SyncIdle(r);
     r.batcher.TakeBatchInto(&r.in_flight);  // reuses the replica's buffer
     for (Request& request : r.in_flight) {
       request.start_service_us = now;
@@ -717,8 +666,8 @@ class ClusterEngine {
   // The shared head of a finished batch or step: counts it on the node and,
   // before any completion is finalized, splits its service time into the
   // isolated price (kExecute) and the collocation stall (kInterference).
-  NodeState& FinishService(Replica& r) {
-    NodeState& node = node_state(NodeOf(r.gpu));
+  NodeSummary& FinishService(Replica& r) {
+    NodeSummary& node = node_state(NodeOf(r.gpu));
     ++node.batches;
     if (attr_) {
       for (Request& request : r.in_flight) {
@@ -741,9 +690,17 @@ class ClusterEngine {
 
   void OnBatchComplete(int id) {
     Replica& r = replica(id);
-    NodeState& node = FinishService(r);
-    node.requests += r.in_flight.size();
-    OnBatchServed(r);  // reads r.in_flight / batch_start / reason
+    FinishService(r).requests += r.in_flight.size();
+    // A request-level LLM batch prefilled every sequence and decoded each to
+    // completion: one token from the prefill plus its target.
+    double tokens = 0.0;
+    for (const Request& request : r.in_flight) {
+      Respond(r, request, r.batch_start, sim_.now());
+      tokens += 1.0 + static_cast<double>(request.target_tokens);
+    }
+    const int batch = static_cast<int>(r.in_flight.size());
+    CountDeviceBatch(r, r.batch_start, sim_.now(), batch, /*step=*/false, tokens,
+                     /*prefills=*/batch);
     if (r.llm != nullptr) {
       // Request-level LLM baseline: the whole batch's KV lives until the
       // longest generation finished, i.e. right now.
@@ -753,27 +710,20 @@ class ClusterEngine {
     }
     r.in_flight.clear();
     GoIdle(r);
-    if (r.state == Replica::State::kDraining && r.batcher.empty()) {
-      RetireReplica(id);
-      return;
+    if (!RetireIfDrained(r)) {
+      TryDispatch(id);
     }
-    TryDispatch(id);
   }
 
   // Continuous (iteration-level) batching, Orca-style: one decode step at a
   // time; sequences join/leave between steps (DESIGN.md §13).
   void TryStepLlm(int id) {
     Replica& r = replica(id);
-    if (r.busy ||
-        (r.state != Replica::State::kActive && r.state != Replica::State::kDraining)) {
+    if (r.busy || !r.running()) {
       return;
     }
-    Replica::LlmState& st = *r.llm;
     const serving::LlmCostModel& cost = *models_[r.model]->llm_cost;
-    const TimeUs now = sim_.now();
-    if (attr_) {
-      SyncIdle(r);
-    }
+    SyncIdle(r);
 
     // 1. Reserve KV for the token every running sequence produces this step,
     //    preempting the newest sequence (possibly the one being extended) on
@@ -782,48 +732,30 @@ class ClusterEngine {
     std::size_t i = 0;
     while (i < r.in_flight.size()) {
       Request& seq = r.in_flight[i];
-      if (st.kv.TryReserve(seq.id, seq.prompt_tokens + seq.generated + 1)) {
+      if (r.llm->kv.TryReserve(seq.id, seq.prompt_tokens + seq.generated + 1)) {
         ++i;
         continue;
       }
       PreemptNewestLlm(id);
     }
 
-    // 2. Join sequences from the queue head while batch slots and KV capacity
-    //    allow; stop at the first that does not fit (head-of-line order:
-    //    requeued evictions first, then FIFO).
-    const serving::BatchingConfig& batching = config_.batching;
-    const int max_batch = batching.enabled ? serving::kMaxBatchSize : 1;
-    st.joined_this_step = 0;
+    // 2. Join sequences from the queue head. Fresh sequences prefill their
+    //    prompt; evicted rejoiners recompute prompt + generated (preemption
+    //    with recompute).
+    r.llm->joined_this_step = JoinFromQueue(r, /*full_footprint=*/false);
     DurationUs prefill_us = 0.0;
-    while (static_cast<int>(r.in_flight.size()) < max_batch && !r.batcher.empty()) {
-      const Request& head = r.batcher.Front();
-      if (!st.kv.TryReserve(head.id, head.prompt_tokens + head.generated + 1)) {
-        break;
-      }
-      Request seq = r.batcher.PopFront();
-      seq.start_service_us = now;
-      if (attr_) {
-        // Fresh joiners close kQueue (split against linger); evicted rejoiners
-        // close kPreempt — their whole rejoin wait is recompute, not queueing.
-        seq.ledger.LeaveQueue(now, r.idle_accum_us, attribution::Phase::kExecute);
-      }
-      // Fresh sequences prefill their prompt; evicted rejoiners recompute
-      // prompt + generated (preemption with recompute).
-      prefill_us += cost.PrefillUs(seq.prompt_tokens + seq.generated);
-      r.in_flight.push_back(std::move(seq));
-      ++st.joined_this_step;
+    for (std::size_t j = r.in_flight.size() - static_cast<std::size_t>(r.llm->joined_this_step);
+         j < r.in_flight.size(); ++j) {
+      prefill_us += cost.PrefillUs(r.in_flight[j].prompt_tokens + r.in_flight[j].generated);
     }
     if (r.in_flight.empty()) {
-      if (r.state == Replica::State::kDraining && r.batcher.empty()) {
-        RetireReplica(id);
-      }
+      RetireIfDrained(r);
       return;
     }
 
     // 3. One iteration: every joiner's prefill plus one decode step for the
     //    sequences that were already running.
-    const int decoding = static_cast<int>(r.in_flight.size()) - st.joined_this_step;
+    const int decoding = static_cast<int>(r.in_flight.size()) - r.llm->joined_this_step;
     DurationUs step_us = prefill_us;
     if (decoding > 0) {
       long context_sum = 0;
@@ -839,19 +771,18 @@ class ClusterEngine {
 
   void OnLlmStepComplete(int id) {
     Replica& r = replica(id);
-    Replica::LlmState& st = *r.llm;
     const TimeUs now = sim_.now();
     const TimeUs start = r.batch_start;
     // Charged before tokens are assigned, so a first-token snapshot below
     // sums exactly to TTFT.
-    NodeState& node = FinishService(r);
+    NodeSummary& node = FinishService(r);
     // Every sequence in the step emitted exactly one token: joiners their
     // first (from the prefill; rejoiners their next, the recompute re-derived
     // the earlier ones), running sequences their next from the decode step.
     const std::size_t n = r.in_flight.size();
     for (std::size_t i = 0; i < n; ++i) {
       Request& seq = r.in_flight[i];
-      const bool joined = i >= n - static_cast<std::size_t>(st.joined_this_step);
+      const bool joined = i >= n - static_cast<std::size_t>(r.llm->joined_this_step);
       if (joined && seq.first_token_us < 0.0) {
         seq.first_token_us = now;
         if (attr_) {
@@ -861,26 +792,25 @@ class ClusterEngine {
         ++seq.generated;
       }
     }
-    OnDecodeStep(r, static_cast<int>(n), st.joined_this_step, start, now);
-    st.joined_this_step = 0;
+    CountDeviceBatch(r, start, now, static_cast<int>(n), /*step=*/true,
+                     /*tokens=*/static_cast<double>(n), r.llm->joined_this_step);
+    r.llm->joined_this_step = 0;
     GoIdle(r);
     // Finished sequences leave the iteration and release their KV.
     for (std::size_t i = 0; i < r.in_flight.size();) {
       if (r.in_flight[i].generated >= r.in_flight[i].target_tokens) {
         Request seq = std::move(r.in_flight[i]);
         r.in_flight.erase(r.in_flight.begin() + static_cast<long>(i));
-        st.kv.Free(seq.id);
+        r.llm->kv.Free(seq.id);
         ++node.requests;
         Respond(r, seq, start, now);
       } else {
         ++i;
       }
     }
-    if (r.state == Replica::State::kDraining && r.in_flight.empty() && r.batcher.empty()) {
-      RetireReplica(id);
-      return;
+    if (!RetireIfDrained(r)) {
+      TryStepLlm(id);
     }
-    TryStepLlm(id);
   }
 
   // Frees the newest running sequence's KV and requeues it (preemption with
@@ -899,43 +829,61 @@ class ClusterEngine {
       // until the sequence rejoins a step (recompute wait, not queueing).
       seq.ledger.Advance(sim_.now(), attribution::Phase::kPreempt);
     }
-    OnKvEviction(r, seq);
+    const ModelState& model = *models_[r.model];
+    if (InWindow(sim_.now())) {
+      model.kv_evictions->Inc();
+    }
+    Mark("kv-evict", {{"service", model.label},
+                      {"replica", std::to_string(r.id)},
+                      {"request", std::to_string(seq.id)}});
     r.batcher.Requeue(std::move(seq));
+  }
+
+  // Moves sequences from the queue head into r.in_flight while batch slots
+  // and KV capacity allow, stopping at the first that does not fit
+  // (head-of-line order: requeued evictions first, then FIFO). A joiner
+  // reserves KV for its context plus the next token, or with
+  // `full_footprint` for its whole generation. Returns how many joined.
+  int JoinFromQueue(Replica& r, bool full_footprint) {
+    const TimeUs now = sim_.now();
+    int joined = 0;
+    while (static_cast<int>(r.in_flight.size()) < MaxBatch() && !r.batcher.empty()) {
+      const Request& head = r.batcher.Front();
+      const int tokens = full_footprint
+                             ? head.prompt_tokens + std::max(1, head.target_tokens)
+                             : head.prompt_tokens + head.generated + 1;
+      if (!r.llm->kv.TryReserve(head.id, tokens)) {
+        break;
+      }
+      Request seq = r.batcher.PopFront();
+      seq.start_service_us = now;
+      if (attr_) {
+        // Fresh joiners close kQueue (split against linger); evicted rejoiners
+        // close kPreempt — their whole rejoin wait is recompute, not queueing.
+        seq.ledger.LeaveQueue(now, r.idle_accum_us, attribution::Phase::kExecute);
+      }
+      r.in_flight.push_back(std::move(seq));
+      ++joined;
+    }
+    return joined;
   }
 
   // Request-level LLM batching (llm.continuous off): the baseline where a
   // batch decodes to its longest target before anything completes.
   void StartLlmBatch(int id) {
     Replica& r = replica(id);
-    Replica::LlmState& st = *r.llm;
     const serving::LlmCostModel& cost = *models_[r.model]->llm_cost;
     const TimeUs now = sim_.now();
-    if (attr_) {
-      SyncIdle(r);
-    }
-    const serving::BatchingConfig& batching = config_.batching;
-    const int take = batching.enabled ? serving::kMaxBatchSize : 1;
+    SyncIdle(r);
     r.in_flight.clear();
     // Request-level batching reserves each sequence's FULL KV footprint up
     // front (no mid-batch eviction); the batch is capped by what fits.
-    while (static_cast<int>(r.in_flight.size()) < take && !r.batcher.empty()) {
-      const Request& head = r.batcher.Front();
-      const int full = head.prompt_tokens + std::max(1, head.target_tokens);
-      if (!st.kv.TryReserve(head.id, full)) {
-        break;
-      }
-      Request seq = r.batcher.PopFront();
-      if (attr_) {
-        seq.ledger.LeaveQueue(now, r.idle_accum_us, attribution::Phase::kExecute);
-      }
-      r.in_flight.push_back(std::move(seq));
-    }
+    JoinFromQueue(r, /*full_footprint=*/true);
     // A free replica's cache is empty, and one full sequence always fits.
     ORION_CHECK(!r.in_flight.empty());
     const serving::LlmBatchBreakdown breakdown = cost.RequestLevelBatchUs(r.in_flight);
     const double slowdown = Slowdown(r);
     for (Request& seq : r.in_flight) {
-      seq.start_service_us = now;
       // All prefills run up front; every first token lands when they finish.
       // A first token already delivered (failover orphan re-served after its
       // replica died mid-decode) stays delivered: re-prefilling recomputes
@@ -952,30 +900,32 @@ class ClusterEngine {
   void DrainReplica(int id) {
     Replica& r = replica(id);
     r.state = Replica::State::kDraining;
-    if (!r.busy && r.batcher.empty() && r.in_flight.empty()) {
-      RetireReplica(id);
-    }
+    RetireIfDrained(r);
   }
 
-  void ReleaseFromGpu(int id) {
-    Replica& r = replica(id);
-    GpuShard& shard = gpu(r.gpu);
-    shard.used_bytes -= models_[r.model]->cost.state_bytes();
-    if (r.llm != nullptr) {
-      shard.used_bytes -= r.llm->kv_reserved_bytes;
+  // The shared tail of retirement and of a kill: a replica that ran stops
+  // accruing replica-seconds, its memory and GPU slot are freed, and it is
+  // dead.
+  void Bury(Replica& r) {
+    if (r.running()) {
+      AccountReplicaTime(r.active_since);
     }
-    shard.replicas.erase(std::find(shard.replicas.begin(), shard.replicas.end(), id));
+    std::vector<int>& residents = gpu(r.gpu).replicas;
+    residents.erase(std::find(residents.begin(), residents.end(), r.id));
+    r.state = Replica::State::kDead;
   }
 
-  void RetireReplica(int id) {
-    Replica& r = replica(id);
-    ORION_CHECK(!r.busy && r.batcher.empty());
+  // Retires `r` if it is draining and idle with nothing left to serve.
+  bool RetireIfDrained(Replica& r) {
+    if (r.state != Replica::State::kDraining || r.busy || !r.in_flight.empty() ||
+        !r.batcher.empty()) {
+      return false;
+    }
     ORION_CHECK_MSG(r.llm == nullptr || r.llm->kv.used_blocks() == 0,
                     "retiring LLM replica leaks KV-cache blocks");
     sim_.Cancel(r.linger);
-    AccountReplicaTime(r.active_since);
-    ReleaseFromGpu(id);
-    r.state = Replica::State::kDead;
+    Bury(r);
+    return true;
   }
 
   // Kills replica `id` (fault path): cancels its events, releases its GPU,
@@ -986,9 +936,9 @@ class ClusterEngine {
     ORION_CHECK(r.state != Replica::State::kDead);
     sim_.Cancel(r.completion);
     sim_.Cancel(r.linger);
+    SyncIdle(r);
+    const TimeUs now = sim_.now();
     if (attr_) {
-      SyncIdle(r);
-      const TimeUs now = sim_.now();
       // In-flight work dies with the replica: the partial batch/step time the
       // orphans already spent is wasted, so it reclassifies as kPreempt (not
       // execute), and the open phase stays kPreempt through re-routing.
@@ -1003,8 +953,7 @@ class ClusterEngine {
       if (attr_) {
         // Queued orphans close their queue wait here; the re-route leg that
         // follows is preemption fallout, not fresh queueing.
-        request.ledger.LeaveQueue(sim_.now(), r.idle_accum_us,
-                                  attribution::Phase::kPreempt);
+        request.ledger.LeaveQueue(now, r.idle_accum_us, attribution::Phase::kPreempt);
       }
       orphans.push_back(std::move(request));
     }
@@ -1013,7 +962,6 @@ class ClusterEngine {
       // their prompt wherever they rehome. A first token that had genuinely
       // been delivered stays delivered; one merely scheduled (request-level
       // batch still running) is lost with the batch.
-      const TimeUs now = sim_.now();
       for (Request& request : orphans) {
         request.generated = 0;
         if (request.first_token_us > now) {
@@ -1021,28 +969,21 @@ class ClusterEngine {
         }
       }
     }
-    const bool was_running =
-        r.state == Replica::State::kActive || r.state == Replica::State::kDraining;
-    if (was_running) {
-      AccountReplicaTime(r.active_since);
-    }
     r.busy = false;
-    ReleaseFromGpu(id);
-    r.state = Replica::State::kDead;
+    Bury(r);
     ++node_state(NodeOf(r.gpu)).replicas_killed;
     return orphans;
   }
 
   // Predicted time to drain everything ahead of a new arrival at `r`.
   DurationUs OutstandingUs(const Replica& r) const {
-    const serving::BatchingConfig& batching = config_.batching;
     const TimeUs now = sim_.now();
     DurationUs work = r.busy ? std::max(0.0, r.busy_until - now) : 0.0;
     const std::size_t queued = r.batcher.size();
     if (queued == 0) {
       return work;
     }
-    const int max_batch = batching.enabled ? serving::kMaxBatchSize : 1;
+    const int max_batch = MaxBatch();
     if (r.llm != nullptr) {
       // Predicted TTFT contribution of routing a new sequence here: the
       // running step's remainder, plus the queue ahead of it, plus its own
@@ -1083,8 +1024,7 @@ class ClusterEngine {
         continue;
       }
       const Replica& other = replica(other_id);
-      if (other.state != Replica::State::kActive &&
-          other.state != Replica::State::kDraining) {
+      if (!other.running()) {
         continue;  // provisioning replicas hold memory but run no kernels yet
       }
       pressure += cluster::PairInterference(models_[r.model]->cost.signature(),
@@ -1093,174 +1033,69 @@ class ClusterEngine {
     return serving::InterferenceSlowdown(models_[r.model]->cfg.tier, pressure);
   }
 
-  // --- Network legs (num_nodes > 1). ---
+  // --- Network legs (num_nodes > 1): Route and Respond send them. ---
 
-  // Takes a free slot of net_ops_ for a new leg and stamps the next op id.
-  NetOp& NewOp(NetOp::Kind kind, int node) {
-    ORION_CHECK_MSG(next_op_id_ < std::numeric_limits<std::uint32_t>::max(),
-                    "network op ids exhausted");
-    std::uint32_t slot = 0;
-    if (free_net_ops_.empty()) {
-      slot = static_cast<std::uint32_t>(net_ops_.size());
-      net_ops_.emplace_back();
+  // A leg arrived or was cancelled by a node death.
+  void OnLegLanded(Leg& leg) {
+    if (leg.kind == Leg::Kind::kState) {
+      const int id = leg.replica_id;
+      const Replica& r = replica(id);
+      // A cancelled leg's target node died, and the replica with it.
+      if (!leg.cancelled && r.state == Replica::State::kProvisioning) {
+        sim_.ScheduleAfter(models_[r.model]->cost.ProvisionUs(),
+                           [this, id] { ActivateReplica(id); });
+      }
+      return;
+    }
+    const auto m = static_cast<std::size_t>(leg.request.model);
+    ORION_CHECK(models_[m]->in_network > 0);
+    --models_[m]->in_network;
+    if (leg.kind == Leg::Kind::kResponse) {
+      CompleteRequest(leg.request, leg.replica_id, leg.batch_start, leg.batch_end, sim_.now());
+    } else if (leg.cancelled || !node_state(leg.node).alive_end) {
+      RehomeOrphan(m, std::move(leg.request), /*was_running=*/true);
     } else {
-      slot = free_net_ops_.back();
-      free_net_ops_.pop_back();
-    }
-    NetOp& op = net_ops_[slot];
-    op = NetOp{};
-    op.id = ++next_op_id_;
-    op.kind = kind;
-    op.node = node;
-    return op;
-  }
-
-  // Puts `op` (a slot of net_ops_ set up by NewOp) on the wire.
-  void StartOp(int src, int dst, std::size_t bytes, NetOp& op) {
-    const auto slot = static_cast<std::uint32_t>(&op - net_ops_.data());
-    const std::uint32_t id = op.id;
-    // Transfers run on the target node's NIC fabric; endpoint 0 of the
-    // mini-topology is the node, kHostNode the ToR/front-end side.
-    const int node = src == interconnect::kHostNode ? dst : src;
-    const int fab_src = src == interconnect::kHostNode ? interconnect::kHostNode : 0;
-    const int fab_dst = dst == interconnect::kHostNode ? interconnect::kHostNode : 0;
-    op.transfer = fabrics_[static_cast<std::size_t>(node)]->StartTransfer(
-        fab_src, fab_dst, bytes, [this, slot, id] { OnNetOpDone(slot, id); });
-  }
-
-  void ForwardRequest(int node, Request request, std::optional<RouteReason> forced) {
-    ModelState& model = *models_[static_cast<std::size_t>(request.model)];
-    ++model.in_network;
-    ++requests_forwarded_;
-    if (requests_forwarded_c_ != nullptr) {
-      requests_forwarded_c_->Inc();
-    }
-    request.node = node;
-    if (attr_) {
-      // Closes whatever came before (fresh admission: a zero-width kQueue;
-      // limbo drain: the limbo wait; failover: kPreempt) and opens the wire.
-      request.ledger.Advance(sim_.now(), attribution::Phase::kNetRequest);
-    }
-    NetOp& op = NewOp(NetOp::Kind::kRequest, node);
-    op.request = std::move(request);
-    op.forced = forced;
-    StartOp(interconnect::kHostNode, node, kRequestBytes, op);
-  }
-
-  void SendResponse(int replica_id, int gpu_global, TimeUs batch_start, TimeUs batch_end,
-                    const Request& request) {
-    const int node = NodeOf(gpu_global);
-    ++models_[static_cast<std::size_t>(request.model)]->in_network;
-    NetOp& op = NewOp(NetOp::Kind::kResponse, node);
-    op.request = request;
-    if (attr_) {
-      op.request.ledger.Advance(sim_.now(), attribution::Phase::kNetResponse);
-    }
-    op.replica_id = replica_id;
-    op.gpu = gpu_global;
-    op.batch_start = batch_start;
-    op.batch_end = batch_end;
-    StartOp(node, interconnect::kHostNode, kResponseBytes, op);
-  }
-
-  // The leg in `slot` arrived or was cancelled. The slot is freed before the
-  // leg's handler runs, since routing and completion can start new legs.
-  void OnNetOpDone(std::uint32_t slot, std::uint32_t id) {
-    ORION_CHECK(slot < net_ops_.size() && net_ops_[slot].id == id);
-    NetOp op = std::move(net_ops_[slot]);
-    net_ops_[slot].id = 0;
-    free_net_ops_.push_back(slot);
-    switch (op.kind) {
-      case NetOp::Kind::kRequest: {
-        ModelState& model = *models_[static_cast<std::size_t>(op.request.model)];
-        ORION_CHECK(model.in_network > 0);
-        --model.in_network;
-        if (op.cancelled || !node_state(op.node).alive) {
-          RehomeOrphan(static_cast<std::size_t>(op.request.model), std::move(op.request),
-                       /*was_running=*/true);
-        } else {
-          Deliver(op.node, std::move(op.request), op.forced);
-        }
-        break;
-      }
-      case NetOp::Kind::kResponse: {
-        ModelState& model = *models_[static_cast<std::size_t>(op.request.model)];
-        ORION_CHECK(model.in_network > 0);
-        --model.in_network;
-        CompleteRequest(op.request, op.replica_id, op.gpu, op.batch_start, op.batch_end,
-                        sim_.now());
-        break;
-      }
-      case NetOp::Kind::kState: {
-        if (op.cancelled) {
-          break;  // target node died; the replica was killed with it
-        }
-        const int id = op.replica_id;
-        const Replica& r = replica(id);
-        if (r.state == Replica::State::kProvisioning) {
-          sim_.ScheduleAfter(models_[r.model]->cost.ProvisionUs(),
-                             [this, id] { ActivateReplica(id); });
-        }
-        break;
-      }
+      Deliver(leg.node, std::move(leg.request), leg.forced);
     }
   }
 
   // --- Completion accounting. ---
 
-  void OnBatchServed(Replica& r) {
-    const TimeUs now = sim_.now();
+  // Counts a device batch of `batch` sequences that ran on `r` over
+  // [start, end]: a request-level batch, or with `step` one continuous-
+  // batching iteration, which counts as a batch so mean_batch_size reports
+  // the mean iteration width. It is a slice on the GPU track when tracing,
+  // and an LLM service counts the `tokens` and `prefills` it produced.
+  void CountDeviceBatch(const Replica& r, TimeUs start, TimeUs end, int batch, bool step,
+                        double tokens, int prefills) {
     ModelState& model = *models_[r.model];
-    const int batch_size = static_cast<int>(r.in_flight.size());
-    for (const Request& request : r.in_flight) {
-      Respond(r, request, r.batch_start, now);
-    }
     if (model.track >= 0) {
-      hub_->spans().Complete(gpu_tracks_[static_cast<std::size_t>(r.gpu)], r.id,
-                             "batch:" + model.label, r.batch_start, now,
-                             {{"batch_size", std::to_string(batch_size)},
-                              {"replica", std::to_string(r.id)},
-                              {"reason", serving::DispatchReasonName(r.dispatch_reason)}},
-                             "batch");
-    }
-    if (InWindow(now)) {
-      model.batches->Inc();
-      model.batched_requests->Inc(static_cast<double>(batch_size));
-      if (model.llm_cost != nullptr) {
-        // Request-level LLM baseline: the batch prefilled every sequence and
-        // decoded each to completion (one token from prefill + target more).
-        double tokens = 0.0;
-        for (const Request& request : r.in_flight) {
-          tokens += 1.0 + static_cast<double>(request.target_tokens);
-        }
-        model.tokens->Inc(tokens);
-        model.prefills->Inc(static_cast<double>(batch_size));
+      telemetry::Labels args = {{"batch_size", std::to_string(batch)}};
+      if (step) {
+        args.emplace_back("prefills", std::to_string(prefills));
+        args.emplace_back("kv_blocks", std::to_string(r.llm->kv.used_blocks()));
       }
+      args.emplace_back("replica", std::to_string(r.id));
+      if (!step) {
+        args.emplace_back("reason", serving::DispatchReasonName(r.dispatch_reason));
+      }
+      hub_->spans().Complete(gpu_tracks_[static_cast<std::size_t>(r.gpu)], r.id,
+                             (step ? "step:" : "batch:") + model.label, start, end,
+                             std::move(args), step ? "decode-step" : "batch");
     }
-  }
-
-  void OnDecodeStep(Replica& r, int batch, int prefills, TimeUs start, TimeUs end) {
-    ModelState& model = *models_[r.model];
-    if (model.track >= 0) {
-      hub_->spans().Complete(
-          gpu_tracks_[static_cast<std::size_t>(r.gpu)], r.id, "step:" + model.label,
-          start, end,
-          {{"batch_size", std::to_string(batch)},
-           {"prefills", std::to_string(prefills)},
-           {"kv_blocks", std::to_string(r.llm->kv.used_blocks())},
-           {"replica", std::to_string(r.id)}},
-          "decode-step");
+    if (!InWindow(end)) {
+      return;
     }
-    if (InWindow(end)) {
-      model.decode_steps->Inc();
-      model.tokens->Inc(static_cast<double>(batch));  // one token per sequence
+    model.batches->Inc();
+    model.batched_requests->Inc(static_cast<double>(batch));
+    if (model.llm_cost != nullptr) {
+      model.tokens->Inc(tokens);
       if (prefills > 0) {
         model.prefills->Inc(static_cast<double>(prefills));
       }
-      // A step is the device-batch unit of continuous batching: count it so
-      // mean_batch_size reports the mean iteration width.
-      model.batches->Inc();
-      model.batched_requests->Inc(static_cast<double>(batch));
+      if (step) {
+        model.decode_steps->Inc();
+      }
     }
   }
 
@@ -1269,20 +1104,18 @@ class ClusterEngine {
   // network, and completion accounting happens when it reaches the front-end.
   void Respond(Replica& r, const Request& request, TimeUs start, TimeUs end) {
     if (!NetworkOn()) {
-      CompleteRequest(request, r.id, r.gpu, start, end, end);
-    } else {
-      SendResponse(r.id, r.gpu, start, end, request);
+      CompleteRequest(request, r.id, start, end, end);
+      return;
     }
-  }
-
-  void OnKvEviction(Replica& r, const Request& request) {
-    ModelState& model = *models_[r.model];
-    if (InWindow(sim_.now())) {
-      model.kv_evictions->Inc();
+    ++models_[static_cast<std::size_t>(request.model)]->in_network;
+    Leg& leg = network_->Send(Leg::Kind::kResponse, NodeOf(r.gpu));
+    leg.request = request;
+    if (attr_) {
+      leg.request.ledger.Advance(sim_.now(), attribution::Phase::kNetResponse);
     }
-    Mark("kv-evict", {{"service", model.label},
-                      {"replica", std::to_string(r.id)},
-                      {"request", std::to_string(request.id)}});
+    leg.replica_id = r.id;
+    leg.batch_start = start;
+    leg.batch_end = end;
   }
 
   void AccountReplicaTime(TimeUs active_since) {
@@ -1293,14 +1126,13 @@ class ClusterEngine {
     }
   }
 
-
   // `exec_end` is the device batch completion; `complete_us` when the
   // response reached the front-end (identical without a network).
-  void CompleteRequest(const Request& request, int replica_id, int gpu_global,
-                       TimeUs batch_start, TimeUs exec_end, TimeUs complete_us) {
+  void CompleteRequest(const Request& request, int replica_id, TimeUs batch_start,
+                       TimeUs exec_end, TimeUs complete_us) {
     ModelState& model = *models_[static_cast<std::size_t>(request.model)];
     model.total_completed->Inc();
-    ++model.w_completions;
+    ++model.window.completions;
     bool met = complete_us <= request.deadline_us;
     DurationUs ttft = 0.0;
     DurationUs tpot = 0.0;
@@ -1352,7 +1184,7 @@ class ClusterEngine {
       }
     }
     if (met) {
-      ++model.w_slo_met;
+      ++model.window.slo_met;
     }
     if (InWindow(complete_us)) {
       model.completed->Inc();
@@ -1393,8 +1225,8 @@ class ClusterEngine {
                                "respond");
       }
       hub_->spans().FlowStart(model.track, row, request.id, request.start_service_us);
-      hub_->spans().FlowEnd(gpu_tracks_[static_cast<std::size_t>(gpu_global)], replica_id,
-                            request.id, batch_start);
+      hub_->spans().FlowEnd(gpu_tracks_[static_cast<std::size_t>(replica(replica_id).gpu)],
+                            replica_id, request.id, batch_start);
     }
   }
 
@@ -1407,7 +1239,7 @@ class ClusterEngine {
     std::vector<cluster::GpuResidents> residents(gpus_.size());
     for (std::size_t g = 0; g < gpus_.size(); ++g) {
       residents[g].alive = gpus_[g].alive;
-      residents[g].used_bytes = gpus_[g].used_bytes;
+      residents[g].used_bytes = UsedBytes(static_cast<int>(g));
       for (const int id : gpus_[g].replicas) {
         residents[g].jobs.push_back(models_[replica(id).model]->cost.signature());
       }
@@ -1424,9 +1256,7 @@ class ClusterEngine {
       if (NetworkOn()) {
         // Ship the model state to the node first; the provisioning delay
         // starts when the weights arrive.
-        NetOp& op = NewOp(NetOp::Kind::kState, NodeOf(*best));
-        op.replica_id = id;
-        StartOp(interconnect::kHostNode, op.node, model.cost.state_bytes(), op);
+        network_->Send(Leg::Kind::kState, NodeOf(*best), model.cost.state_bytes()).replica_id = id;
       } else {
         sim_.ScheduleAfter(model.cost.ProvisionUs(), [this, id] { ActivateReplica(id); });
       }
@@ -1439,11 +1269,7 @@ class ClusterEngine {
     if (r.state != Replica::State::kProvisioning) {
       return;  // killed while provisioning
     }
-    r.state = Replica::State::kActive;
-    r.active_since = sim_.now();
-    if (attr_) {
-      r.idle_since = sim_.now();  // the idle clock starts with the replica
-    }
+    Activate(r);
     ModelState& model = *models_[r.model];
     Mark("replica-active", {{"service", model.label},
                             {"replica", std::to_string(id)},
@@ -1484,20 +1310,21 @@ class ClusterEngine {
 
   // The fault handler's cases; each returns whether it applied the fault.
   bool ApplyGpuDown(const fault::FaultEvent& event) {
-    if (event.gpu < 0 || event.gpu >= static_cast<int>(gpus_.size())) {
-      return false;
-    }
-    GpuShard& shard = gpu(event.gpu);
-    if (!shard.alive) {
+    if (event.gpu < 0 || event.gpu >= static_cast<int>(gpus_.size()) || !gpu(event.gpu).alive) {
       return false;
     }
     Mark("gpu-down", {{"gpu", std::to_string(event.gpu)}});
-    shard.alive = false;
-    const std::vector<int> victims = shard.replicas;  // the kills mutate the list
+    gpu(event.gpu).alive = false;
+    KillResidents(event.gpu);
+    return true;
+  }
+
+  // Kills every replica on GPU `g`, already marked dead, in id order.
+  void KillResidents(int g) {
+    const std::vector<int> victims = gpu(g).replicas;  // the kills mutate the list
     for (const int id : victims) {
       KillAndRehome(id);
     }
-    return true;
   }
 
   bool ApplyReplicaCrash(const fault::FaultEvent& event) {
@@ -1511,46 +1338,25 @@ class ClusterEngine {
 
   bool ApplyNodeDown(const fault::FaultEvent& event) {
     const int n = event.node;
-    if (n < 0 || n >= spec_.num_nodes || !node_state(n).alive) {
+    if (n < 0 || n >= spec_.num_nodes || !node_state(n).alive_end) {
       return false;
-    }
-    ++node_faults_;
-    if (node_faults_c_ != nullptr) {
-      node_faults_c_->Inc();
     }
     Mark("node-down", {{"node", std::to_string(n)}});
     const int first_gpu = n * spec_.gpus_per_node;
-    node_state(n).alive = false;
+    node_state(n).alive_end = false;
     for (int local = 0; local < spec_.gpus_per_node; ++local) {
       gpu(first_gpu + local).alive = false;
     }
-    if (!fabrics_.empty()) {
-      // Cut the NIC and abort every transfer touching the node. Cancelled
-      // forwards re-route to survivors when their abort callback fires;
-      // cancelled responses complete at the abort instant.
-      interconnect::Fabric& fabric = *fabrics_[static_cast<std::size_t>(n)];
-      fabric.SetLinkFactor(/*link=*/0, /*forward=*/true, 0.0);
-      fabric.SetLinkFactor(/*link=*/0, /*forward=*/false, 0.0);
-      // Cancels go out in op-id (issue) order, which slot order is not:
-      // a leg that finished early frees its slot for a later one.
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> doomed;  // (id, slot)
-      for (std::uint32_t slot = 0; slot < net_ops_.size(); ++slot) {
-        NetOp& op = net_ops_[slot];
-        if (op.id != 0 && op.node == n && !op.cancelled) {
-          op.cancelled = true;
-          doomed.emplace_back(op.id, slot);
-        }
-      }
-      std::sort(doomed.begin(), doomed.end());
-      for (const auto& [id, slot] : doomed) {
-        fabric.CancelTransfer(net_ops_[slot].transfer);
-      }
+    if (network_.has_value()) {
+      node_faults_->Inc();
+      // Cancelled forwards re-route to survivors when their abort callback
+      // fires; cancelled responses complete at the abort instant.
+      network_->CutNode(n);
     }
+    // Every GPU of the node is dead before the first kill, so no replacement
+    // lands on a sibling GPU.
     for (int local = 0; local < spec_.gpus_per_node; ++local) {
-      const std::vector<int> victims = gpu(first_gpu + local).replicas;
-      for (const int id : victims) {
-        KillAndRehome(id);
-      }
+      KillResidents(first_gpu + local);
     }
     return true;
   }
@@ -1562,14 +1368,12 @@ class ClusterEngine {
   void KillAndRehome(int id) {
     const Replica& r = replica(id);
     const std::size_t m = r.model;
-    const int gpu_global = r.gpu;
-    const bool was_running =
-        r.state == Replica::State::kActive || r.state == Replica::State::kDraining;
+    const bool was_running = r.running();
     std::vector<Request> orphans = KillReplica(id);
     replicas_lost_->Inc();
     Mark("replica-killed", {{"service", models_[m]->label},
                             {"replica", std::to_string(id)},
-                            {"gpu", std::to_string(gpu_global)}});
+                            {"gpu", std::to_string(r.gpu)}});
     for (Request& request : orphans) {
       RehomeOrphan(m, std::move(request), was_running);
     }
@@ -1607,18 +1411,14 @@ class ClusterEngine {
     const DurationUs period = config_.autoscaler.eval_period_us;
     for (std::size_t m = 0; m < models_.size(); ++m) {
       ModelState& model = *models_[m];
-      serving::ModelWindowSignals signals;
-      signals.arrivals = model.w_arrivals;
-      signals.completions = model.w_completions;
-      signals.slo_met = model.w_slo_met;
-      signals.shed = model.w_shed;
+      serving::ModelWindowSignals signals = std::exchange(model.window, {});
       signals.max_replicas = model.cfg.max_replicas;
       signals.pending_replicas = PendingReplicas(m);
       double busy = 0.0;
       int active = 0;
       for (const int id : model.replicas) {
         Replica& r = replica(id);
-        if (r.state != Replica::State::kActive && r.state != Replica::State::kDraining) {
+        if (!r.running()) {
           continue;
         }
         if (r.busy) {  // account the running batch's elapsed part
@@ -1654,10 +1454,6 @@ class ClusterEngine {
         case serving::ScaleDecision::kHold:
           break;
       }
-      model.w_arrivals = 0;
-      model.w_completions = 0;
-      model.w_slo_met = 0;
-      model.w_shed = 0;
     }
     sim_.ScheduleAfter(period, [this] { EvalAutoscaler(); });
   }
@@ -1710,12 +1506,10 @@ class ClusterEngine {
       for (const int id : model.replicas) {
         const Replica& r = replica(id);
         left += r.batcher.size() + r.in_flight.size();
-        if (r.state == Replica::State::kActive) {
-          ++out.final_replicas;
-          AccountReplicaTime(r.active_since);
-        } else if (r.state == Replica::State::kDraining) {
+        if (r.running()) {
           AccountReplicaTime(r.active_since);
         }
+        out.final_replicas += r.state == Replica::State::kActive ? 1 : 0;
       }
       out.left_in_system = left;
       // Export the closing term of the accounting identity so a metrics
@@ -1743,36 +1537,21 @@ class ClusterEngine {
     result.replacement_failures =
         static_cast<std::size_t>(replacement_failures_->AsCount());
     result.replica_seconds = replica_seconds_->value();
-    for (const GpuShard& shard : gpus_) {
-      if (shard.alive) {
-        ++result.gpus_alive_end;
-      }
-    }
+    result.gpus_alive_end = static_cast<std::size_t>(std::count_if(
+        gpus_.begin(), gpus_.end(), [](const GpuShard& shard) { return shard.alive; }));
     metrics_->GetGauge("serving.gpus_alive")
         ->Set(static_cast<double>(result.gpus_alive_end));
 
-    for (int n = 0; n < spec_.num_nodes; ++n) {
-      const NodeState& node = node_state(n);
-      NodeSummary summary;
-      summary.node = n;
-      summary.alive_end = node.alive;
-      summary.replicas_created = node.replicas_created;
-      summary.replicas_killed = node.replicas_killed;
-      summary.batches = node.batches;
-      summary.requests = node.requests;
-      cluster.nodes.push_back(summary);
-      if (node.alive) {
-        ++cluster.nodes_alive_end;
-      }
-    }
-    cluster.node_faults = node_faults_;
-    cluster.requests_forwarded = requests_forwarded_;
-    for (const auto& fabric : fabrics_) {
-      // Each mini-topology has one link (the NIC); forward is host -> node.
-      cluster.request_bytes_moved += fabric->BytesMoved(/*link=*/0, /*forward=*/true);
-      cluster.response_bytes_moved += fabric->BytesMoved(/*link=*/0, /*forward=*/false);
-    }
-    if (spec_.num_nodes > 1) {
+    cluster.nodes = nodes_;
+    cluster.nodes_alive_end = static_cast<std::size_t>(
+        std::count_if(nodes_.begin(), nodes_.end(),
+                      [](const NodeSummary& node) { return node.alive_end; }));
+    // Every applied kNodeDown kills one live node for good.
+    cluster.node_faults = nodes_.size() - cluster.nodes_alive_end;
+    if (network_.has_value()) {
+      cluster.requests_forwarded = static_cast<std::size_t>(requests_forwarded_->AsCount());
+      cluster.request_bytes_moved = network_->BytesMoved(/*toward_nodes=*/true);
+      cluster.response_bytes_moved = network_->BytesMoved(/*toward_nodes=*/false);
       metrics_->GetGauge("datacenter.nodes_alive")
           ->Set(static_cast<double>(cluster.nodes_alive_end));
     }
@@ -1784,24 +1563,14 @@ class ClusterEngine {
   Simulator sim_;
   serving::Router router_;
   TimeUs horizon_;
-  std::vector<NodeState> nodes_;
+  // Per-node activity, reported as is; alive_end is the node's liveness
+  // while the run goes on.
+  std::vector<NodeSummary> nodes_;
   std::vector<GpuShard> gpus_;    // by global (node-major) GPU index
   std::deque<Replica> replicas_;  // by replica id; stable addresses
-  // One fabric per node NIC (empty when the network is off). Single-hop star
-  // routes never share links, so per-NIC fabrics are model-identical to one
-  // fabric over the whole star (see the constructor).
-  std::vector<std::unique_ptr<interconnect::Fabric>> fabrics_;
+  std::optional<NicNetwork> network_;  // engaged when num_nodes > 1
   std::vector<std::unique_ptr<ModelState>> models_;
   std::uint64_t next_request_id_ = 0;
-
-  // In-flight network legs: a slot pool with a free list, so a leg costs no
-  // allocation once the pool is warm. Op ids grow monotonically; the
-  // node-down sweep cancels in their order.
-  std::vector<NetOp> net_ops_;
-  std::vector<std::uint32_t> free_net_ops_;
-  std::uint32_t next_op_id_ = 0;
-  std::size_t node_faults_ = 0;
-  std::size_t requests_forwarded_ = 0;
   // Routing scratch: PickNode's per-node best (by node) and Deliver's
   // candidate views. Neither is read after a call that can re-enter routing.
   std::vector<NodePick> node_picks_;
@@ -1824,8 +1593,8 @@ class ClusterEngine {
   telemetry::Counter* replacements_ = nullptr;
   telemetry::Counter* replacement_failures_ = nullptr;
   telemetry::Counter* replica_seconds_ = nullptr;  // replica-seconds accrue monotonically
-  telemetry::Counter* node_faults_c_ = nullptr;           // num_nodes > 1 only
-  telemetry::Counter* requests_forwarded_c_ = nullptr;    // num_nodes > 1 only
+  telemetry::Counter* node_faults_ = nullptr;         // num_nodes > 1 only
+  telemetry::Counter* requests_forwarded_ = nullptr;  // num_nodes > 1 only
 };
 
 // Bitwise double equality: distinguishes -0.0 from 0.0 and NaN payloads,
@@ -1835,17 +1604,8 @@ bool BitsEq(double a, double b) {
 }
 
 bool RecordersEq(const LatencyRecorder& a, const LatencyRecorder& b) {
-  const std::vector<double>& sa = a.samples();
-  const std::vector<double>& sb = b.samples();
-  if (sa.size() != sb.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    if (!BitsEq(sa[i], sb[i])) {
-      return false;
-    }
-  }
-  return true;
+  return std::equal(a.samples().begin(), a.samples().end(), b.samples().begin(),
+                    b.samples().end(), BitsEq);
 }
 
 }  // namespace
@@ -1890,25 +1650,14 @@ bool ClusterResultsBitIdentical(const ClusterResult& a, const ClusterResult& b) 
       return false;
     }
   }
-  if (a.nodes.size() != b.nodes.size() ||
-      a.nodes_alive_end != b.nodes_alive_end ||
+  if (a.nodes_alive_end != b.nodes_alive_end ||
       a.node_faults != b.node_faults ||
       a.requests_forwarded != b.requests_forwarded ||
       !BitsEq(a.request_bytes_moved, b.request_bytes_moved) ||
       !BitsEq(a.response_bytes_moved, b.response_bytes_moved)) {
     return false;
   }
-  for (std::size_t n = 0; n < a.nodes.size(); ++n) {
-    const NodeSummary& na = a.nodes[n];
-    const NodeSummary& nb = b.nodes[n];
-    if (na.node != nb.node || na.alive_end != nb.alive_end ||
-        na.replicas_created != nb.replicas_created ||
-        na.replicas_killed != nb.replicas_killed ||
-        na.batches != nb.batches || na.requests != nb.requests) {
-      return false;
-    }
-  }
-  return true;
+  return a.nodes == b.nodes;
 }
 
 ClusterResult RunCluster(const ClusterConfig& config) {

@@ -96,6 +96,60 @@ double CostSavings(double dedicated_throughput, double collocated_throughput) {
   return 2.0 * collocated_throughput / dedicated_throughput;
 }
 
+namespace {
+
+bool SharesGpu(SchedulerKind kind) {
+  return kind != SchedulerKind::kDedicated && kind != SchedulerKind::kMig;
+}
+
+// The device of each partition: MIG shrinks SMs, compute, bandwidth and
+// memory to a static 1/N slice, which a client can never grow into its
+// neighbours' idle capacity (§4).
+gpusim::DeviceSpec PartitionDevice(const ExperimentConfig& config) {
+  gpusim::DeviceSpec spec = config.device;
+  if (config.scheduler == SchedulerKind::kMig) {
+    const int n = std::max(1, static_cast<int>(config.clients.size()));
+    spec.name += "-mig-1of" + std::to_string(n);
+    spec.num_sms = std::max(1, spec.num_sms / n);
+    spec.peak_fp32_tflops /= n;
+    spec.peak_membw_gbps /= n;
+    spec.memory_bytes /= static_cast<std::size_t>(n);
+  }
+  return spec;
+}
+
+std::size_t StateBytes(const gpusim::DeviceSpec& device, const ClientConfig& client) {
+  return workloads::SharedRequestTemplate(device, client.workload, client.use_cuda_graphs)
+      .state_bytes;
+}
+
+// FirstMemoryOverflow with paging left out.
+std::optional<MemoryOverflow> FirstOverflow(const ExperimentConfig& config) {
+  const bool shares_gpu = SharesGpu(config.scheduler);
+  const gpusim::DeviceSpec spec = PartitionDevice(config);
+  std::size_t shared_state = 0;
+  for (std::size_t i = 0; i < config.clients.size(); ++i) {
+    const std::size_t state = StateBytes(spec, config.clients[i]);
+    if (!shares_gpu && state > spec.memory_bytes) {
+      return MemoryOverflow{i, spec.memory_bytes, state - spec.memory_bytes};
+    }
+    shared_state += state;
+  }
+  if (shares_gpu && shared_state > spec.memory_bytes) {
+    return MemoryOverflow{0, spec.memory_bytes, shared_state - spec.memory_bytes};
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<MemoryOverflow> FirstMemoryOverflow(const ExperimentConfig& config) {
+  if (config.paging.enabled && SharesGpu(config.scheduler)) {
+    return std::nullopt;
+  }
+  return FirstOverflow(config);
+}
+
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
   ORION_CHECK(!config.clients.empty());
 
@@ -132,31 +186,19 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     }
   }
 
-  // --- Memory admission (§5.1.3). Shared-GPU collocations must fit in
-  // device memory unless unified-memory paging (src/memsub) is enabled: the
-  // pager admits any footprint and services the overflow as demand faults.
-  const bool shares_gpu = config.scheduler != SchedulerKind::kDedicated &&
-                          config.scheduler != SchedulerKind::kMig;
+  // --- Memory admission (§5.1.3). With paging enabled, unified-memory
+  // paging (src/memsub) admits any shared footprint and services the
+  // overflow as demand faults.
+  const std::optional<MemoryOverflow> overflow = FirstMemoryOverflow(config);
+  ORION_CHECK_MSG(!overflow.has_value(),
+                  "partition " << overflow->partition << " exceeds GPU memory by "
+                               << overflow->excess_bytes
+                               << " bytes; on a shared GPU, enable config.paging to page the "
+                                  "overflow (§5.1.3)");
+  const bool shares_gpu = SharesGpu(config.scheduler);
   const bool paging = config.paging.enabled && shares_gpu;
-  std::vector<std::size_t> state(config.clients.size(), 0);
-  std::size_t memory_deficit = 0;
-  if (shares_gpu) {
-    std::size_t total_state = 0;
-    for (std::size_t i = 0; i < config.clients.size(); ++i) {
-      const ClientConfig& cc = config.clients[i];
-      state[i] =
-          workloads::SharedRequestTemplate(config.device, cc.workload, cc.use_cuda_graphs)
-              .state_bytes;
-      total_state += state[i];
-    }
-    if (total_state > config.device.memory_bytes) {
-      memory_deficit = total_state - config.device.memory_bytes;
-    }
-    ORION_CHECK_MSG(memory_deficit == 0 || paging,
-                    "collocation exceeds GPU memory by "
-                        << memory_deficit
-                        << " bytes; enable config.paging to page the overflow (§5.1.3)");
-  }
+  const std::size_t memory_deficit =
+      paging ? FirstOverflow(config).value_or(MemoryOverflow{}).excess_bytes : 0;
 
   // --- Per-client telemetry labels, shared by the attribution sinks and
   // the result-mirror step below.
@@ -188,34 +230,19 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   Rng root_rng(config.seed);
 
   // Partitions: a shared run puts every client on one device; Ideal gives
-  // each client a private full device; MIG a private 1/N static partition —
-  // SMs, compute, bandwidth and memory all shrink, and a client can never
-  // harvest its neighbours' idle capacity (§4).
-  const int num_clients = static_cast<int>(config.clients.size());
+  // each client a private full device; MIG a private 1/N static partition.
   std::vector<std::vector<int>> partitions(shares_gpu ? 1 : config.clients.size());
-  for (int i = 0; i < num_clients; ++i) {
+  for (int i = 0; i < static_cast<int>(config.clients.size()); ++i) {
     partitions[shares_gpu ? 0 : static_cast<std::size_t>(i)].push_back(i);
   }
-  gpusim::DeviceSpec spec = config.device;
-  if (config.scheduler == SchedulerKind::kMig) {
-    const int n = std::max(1, num_clients);
-    spec.name += "-mig-1of" + std::to_string(n);
-    spec.num_sms = std::max(1, spec.num_sms / n);
-    spec.peak_fp32_tflops /= n;
-    spec.peak_membw_gbps /= n;
-    spec.memory_bytes /= static_cast<std::size_t>(n);
-  }
+  const gpusim::DeviceSpec spec = PartitionDevice(config);
   // Utilization and end-of-run memory are read from the high-priority
-  // client's device.
-  std::size_t hp_partition = 0;
-  for (std::size_t p = 0; p < partitions.size(); ++p) {
-    if (std::any_of(partitions[p].begin(), partitions[p].end(), [&config](int i) {
-          return config.clients[static_cast<std::size_t>(i)].high_priority;
-        })) {
-      hp_partition = p;
-      break;
-    }
-  }
+  // client's device (partition 0 when no client is high priority).
+  const auto hp = std::find_if(config.clients.begin(), config.clients.end(),
+                               [](const ClientConfig& cc) { return cc.high_priority; });
+  const std::size_t hp_partition = shares_gpu || hp == config.clients.end()
+                                       ? 0
+                                       : static_cast<std::size_t>(hp - config.clients.begin());
 
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     const std::vector<int>& members = partitions[p];
@@ -255,7 +282,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
           // Training state mutates every iteration: its evictions pay a
           // writeback. Inference state is read-only.
           pager->RegisterClient(i, workloads::WorkloadName(cc.workload),
-                                state[static_cast<std::size_t>(i)], pinned,
+                                StateBytes(config.device, cc), pinned,
                                 cc.workload.task == workloads::TaskType::kTraining,
                                 cc.paging_ws_fraction);
         }

@@ -9,7 +9,9 @@
 #ifndef SRC_HARNESS_EXPERIMENT_H_
 #define SRC_HARNESS_EXPERIMENT_H_
 
+#include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,8 +59,8 @@ struct ExperimentConfig {
   // in on demand and paging traffic rides the real copy engine. A shared run
   // whose collocation exceeds device memory requires it (RunExperiment
   // rejects the run otherwise). Inert when the collocation fits (no faults,
-  // bit-identical results). Ignored for Dedicated/MIG (each client owns its
-  // device's memory).
+  // bit-identical results). Ignored for Dedicated/MIG: each client owns its
+  // partition's memory, which must hold its state (FirstMemoryOverflow).
   memsub::PagingOptions paging;
 
   // Streaming telemetry export: when `telemetry` is set and period_us > 0,
@@ -136,6 +138,17 @@ struct ExperimentResult {
 };
 
 ExperimentResult RunExperiment(const ExperimentConfig& config);
+
+// §5.1.3 memory admission, which RunExperiment enforces. A shared run puts
+// every client on one device, Ideal gives each a full device and MIG a 1/N
+// slice of one; a partition must hold its clients' model state, unless it is
+// a shared GPU with paging enabled. Returns the first that does not.
+struct MemoryOverflow {
+  std::size_t partition = 0;  // 0 on a shared run, else the client's index
+  std::size_t capacity_bytes = 0;
+  std::size_t excess_bytes = 0;
+};
+std::optional<MemoryOverflow> FirstMemoryOverflow(const ExperimentConfig& config);
 
 // Paper Table 4 / §6.2: cost savings of collocating on 1 GPU vs running each
 // job on its own GPU:  2 * Throughput_collocated / Throughput_dedicated.

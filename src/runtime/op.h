@@ -8,8 +8,8 @@
 #define SRC_RUNTIME_OP_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <span>
+#include <type_traits>
 
 #include "src/gpusim/kernel.h"
 
@@ -37,8 +37,9 @@ struct Op {
   gpusim::KernelDesc kernel;
 
   // kGraphLaunch: the captured kernel sequence (executes in order on the
-  // target stream).
-  std::vector<gpusim::KernelDesc> graph_kernels;
+  // target stream). A view: the kernels live in storage that outlives every
+  // submission of the op, such as the RequestTemplate that captured them.
+  std::span<const gpusim::KernelDesc> graph_kernels;
 
   // Memory ops.
   std::size_t bytes = 0;
@@ -52,6 +53,8 @@ struct Op {
   std::uint32_t index_in_request = 0;
   bool end_of_request = false;
 };
+static_assert(std::is_trivially_copyable_v<Op>,
+              "Op is copied per submission; keep it allocation-free");
 
 }  // namespace runtime
 }  // namespace orion

@@ -403,8 +403,11 @@ std::size_t ApproxModelStateBytes(const WorkloadSpec& spec) {
   return static_cast<std::size_t>(param_bytes + act_bytes + overhead);
 }
 
-std::vector<runtime::Op> CaptureCudaGraphs(const std::vector<runtime::Op>& ops) {
+std::vector<runtime::Op> CaptureCudaGraphs(const std::vector<runtime::Op>& ops,
+                                           std::vector<gpusim::KernelDesc>* kernels) {
   constexpr std::size_t kGraphCaptureLimit = 32;
+  kernels->clear();
+  kernels->reserve(ops.size());  // no regrowth, so the views below stay valid
   std::vector<runtime::Op> captured;
   std::size_t i = 0;
   while (i < ops.size()) {
@@ -413,14 +416,16 @@ std::vector<runtime::Op> CaptureCudaGraphs(const std::vector<runtime::Op>& ops) 
       ++i;
       continue;
     }
-    runtime::Op graph;
-    graph.type = runtime::OpType::kGraphLaunch;
+    const std::size_t first = kernels->size();
     while (i < ops.size() && ops[i].type == runtime::OpType::kKernelLaunch &&
-           graph.graph_kernels.size() < kGraphCaptureLimit) {
-      graph.graph_kernels.push_back(ops[i].kernel);
+           kernels->size() - first < kGraphCaptureLimit) {
+      kernels->push_back(ops[i].kernel);
       ++i;
     }
-    captured.push_back(std::move(graph));
+    runtime::Op graph;
+    graph.type = runtime::OpType::kGraphLaunch;
+    graph.graph_kernels = std::span<const gpusim::KernelDesc>(*kernels).subspan(first);
+    captured.push_back(graph);
   }
   for (std::size_t j = 0; j < captured.size(); ++j) {
     captured[j].index_in_request = static_cast<std::uint32_t>(j);
@@ -471,7 +476,7 @@ const RequestTemplate& SharedRequestTemplate(const gpusim::DeviceSpec& device,
   RequestTemplate built;
   built.ops = BuildRequestOps(device, spec);
   if (cuda_graphs) {
-    built.ops = CaptureCudaGraphs(built.ops);
+    built.ops = CaptureCudaGraphs(built.ops, &built.graph_kernels);
   }
   built.state_bytes = ApproxModelStateBytes(spec);
   const std::lock_guard<std::mutex> lock(memo.mutex);

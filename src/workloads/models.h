@@ -76,14 +76,25 @@ std::size_t ApproxModelStateBytes(const WorkloadSpec& spec);
 
 // §7 extension: captures each run of consecutive kernel launches into graph
 // ops of at most 32 kernels (frameworks capture per layer block); other ops
-// pass through. Renumbers index_in_request and marks the last op.
-std::vector<runtime::Op> CaptureCudaGraphs(const std::vector<runtime::Op>& ops);
+// pass through. Renumbers index_in_request and marks the last op. The graph
+// ops view their kernels in `*kernels`, which the call replaces and which
+// must outlive them (moving the vector keeps them valid).
+std::vector<runtime::Op> CaptureCudaGraphs(const std::vector<runtime::Op>& ops,
+                                           std::vector<gpusim::KernelDesc>* kernels);
 
 // Everything a run needs of one workload on one device that does not change
-// between requests or runs.
+// between requests or runs. Not copyable: graph ops view graph_kernels.
 struct RequestTemplate {
+  RequestTemplate() = default;
+  RequestTemplate(const RequestTemplate&) = delete;
+  RequestTemplate& operator=(const RequestTemplate&) = delete;
+  RequestTemplate(RequestTemplate&&) = default;
+  RequestTemplate& operator=(RequestTemplate&&) = default;
+
   // BuildRequestOps(device, spec), captured by CaptureCudaGraphs when asked.
   std::vector<runtime::Op> ops;
+  // The kernels the captured graph ops view; empty without capture.
+  std::vector<gpusim::KernelDesc> graph_kernels;
   std::size_t state_bytes = 0;  // ApproxModelStateBytes(spec)
 };
 

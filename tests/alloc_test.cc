@@ -8,7 +8,8 @@
 //     scheduler at two window lengths, differenced into allocations per
 //     added kernel, which must be zero up to the logarithmic growth of the
 //     latency-sample vectors, so a new per-kernel allocation fails here
-//     instead of showing up as bench wall clock.
+//     instead of showing up as bench wall clock; the same under Streams
+//     with CUDA-graph capture on.
 //   * Datacenter: a warm 4-node x 2-GPU RunCluster with the network on,
 //     printed and bounded the same way per offered request; and a warm
 //     fabric, whose transfers start and complete without allocating.
@@ -136,31 +137,45 @@ PairRun MeasurePair(const harness::ExperimentConfig& config) {
 // geometric regrowths of the latency-sample vectors (three recorders per
 // client, each regrowing once or twice when its sample count doubles), a
 // handful against the ~13k kernels the second window adds.
-TEST(AllocTest, Fig06PairAllocationsPerKernel) {
+void ExpectWindowDoublingAddsNoAllocations(const harness::ExperimentConfig& shorter,
+                                           const char* label) {
   constexpr std::size_t kSampleVectorRegrowths = 2 * 3 * 2;  // per recorder, per client
+  harness::ExperimentConfig longer = shorter;
+  longer.duration_us *= 2.0;
+  const PairRun a = MeasurePair(shorter);
+  const PairRun b = MeasurePair(longer);
+  ASSERT_GT(b.kernels, a.kernels) << label;
+  const std::size_t added_kernels = b.kernels - a.kernels;
+  const double per_added =
+      (static_cast<double>(b.allocations) - static_cast<double>(a.allocations)) /
+      static_cast<double>(added_kernels);
+  std::printf("fig06 pair %-14s %6zu allocations over %6zu kernels, %6zu over %6zu "
+              "(%.4f per added kernel)\n",
+              label, a.allocations, a.kernels, b.allocations, b.kernels, per_added);
+  EXPECT_LE(b.allocations, a.allocations + kSampleVectorRegrowths) << label;
+}
+
+TEST(AllocTest, Fig06PairAllocationsPerKernel) {
   const harness::SchedulerKind schedulers[] = {
       harness::SchedulerKind::kDedicated, harness::SchedulerKind::kTemporal,
       harness::SchedulerKind::kStreams,   harness::SchedulerKind::kMps,
       harness::SchedulerKind::kReef,      harness::SchedulerKind::kOrion,
   };
   for (const harness::SchedulerKind scheduler : schedulers) {
-    const harness::ExperimentConfig shorter = Fig06Pair(scheduler);
-    harness::ExperimentConfig longer = shorter;
-    longer.duration_us *= 2.0;
-    const PairRun a = MeasurePair(shorter);
-    const PairRun b = MeasurePair(longer);
-    ASSERT_GT(b.kernels, a.kernels);
-    const std::size_t added_kernels = b.kernels - a.kernels;
-    const double per_added =
-        (static_cast<double>(b.allocations) - static_cast<double>(a.allocations)) /
-        static_cast<double>(added_kernels);
-    std::printf("fig06 pair %-9s %6zu allocations over %6zu kernels, %6zu over %6zu "
-                "(%.4f per added kernel)\n",
-                harness::SchedulerKindName(scheduler), a.allocations, a.kernels, b.allocations,
-                b.kernels, per_added);
-    EXPECT_LE(b.allocations, a.allocations + kSampleVectorRegrowths)
-        << harness::SchedulerKindName(scheduler);
+    ExpectWindowDoublingAddsNoAllocations(Fig06Pair(scheduler),
+                                          harness::SchedulerKindName(scheduler));
   }
+}
+
+// The pair under Streams with both clients submitting captured CUDA graphs:
+// a graph op views its kernels in the shared request template, so a graph
+// submission copies no kernel list.
+TEST(AllocTest, Fig06GraphPairAllocationsPerKernel) {
+  harness::ExperimentConfig config = Fig06Pair(harness::SchedulerKind::kStreams);
+  for (harness::ClientConfig& client : config.clients) {
+    client.use_cuda_graphs = true;
+  }
+  ExpectWindowDoublingAddsNoAllocations(config, "streams+graphs");
 }
 
 // perf_sim_core's cluster_serving shape: ResNet50 inference at 180 rps per

@@ -12,8 +12,9 @@ namespace orion {
 namespace bench {
 namespace {
 
-// Runs ParseBenchArgs over "bench <flags...>" and returns the leftover argc.
-int Parse(std::vector<std::string> flags) {
+// Runs ParseBenchArgs over "bench <flags...>" for a bench that honours the
+// `honoured` telemetry flags and returns the leftover argc.
+int Parse(std::vector<std::string> flags, unsigned honoured = kAllExports) {
   std::vector<char*> argv;
   static char program[] = "bench";
   argv.push_back(program);
@@ -21,7 +22,7 @@ int Parse(std::vector<std::string> flags) {
     argv.push_back(flag.data());
   }
   int argc = static_cast<int>(argv.size());
-  ParseBenchArgs(&argc, argv.data());
+  ParseBenchArgs(&argc, argv.data(), honoured);
   return argc;
 }
 
@@ -67,6 +68,27 @@ TEST(BenchArgsTest, FlushPeriodMustBeAFiniteNonNegativeNumber) {
   ExpectRejected("--flush-period-ms=inf", "invalid value for --flush-period-ms");
   ExpectRejected("--flush-period-ms=10ms", "invalid value for --flush-period-ms: '10ms'");
   ExpectRejected("--flush-period-ms=-1", "--flush-period-ms must be >= 0");
+}
+
+// A bench rejects, by name, each telemetry flag it would otherwise ignore,
+// in both spellings, and accepts the ones it honours.
+TEST(BenchArgsTest, UnhonouredExportFlagsAreRejected) {
+  for (const char* flag : {"--trace-out=t.json", "--metrics-out=m.csv", "--attr-out=a.csv",
+                           "--flush-period-ms=5"}) {
+    const std::string name = std::string(flag).substr(0, std::string(flag).find('='));
+    EXPECT_EXIT(Parse({flag}, kNoExports), testing::ExitedWithCode(2),
+                "bench does not support " + name)
+        << flag;
+  }
+  EXPECT_EXIT(Parse({"--trace-out", "t.json"}, kMetricsOut), testing::ExitedWithCode(2),
+              "does not support --trace-out");
+  EXPECT_EXIT(Parse({"--attr-out=a.csv"}, kTraceOut | kMetricsOut),
+              testing::ExitedWithCode(2), "does not support --attr-out");
+  GlobalBenchArgs() = BenchArgs();
+  EXPECT_EQ(Parse({"--trace-out=t.json", "--metrics-out", "m.csv"}, kTraceOut | kMetricsOut), 1);
+  EXPECT_EQ(GlobalBenchArgs().trace_out, "t.json");
+  EXPECT_EQ(GlobalBenchArgs().metrics_out, "m.csv");
+  GlobalBenchArgs() = BenchArgs();
 }
 
 TEST(BenchArgsTest, LpThreadsIsAnUnknownArgument) {

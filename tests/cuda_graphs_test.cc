@@ -22,11 +22,12 @@ TEST(GraphLaunchTest, ExecutesKernelsInOrderWithOneCompletion) {
   rt.device().set_kernel_trace_sink(
       [&](const gpusim::KernelExecRecord& rec) { order.push_back(rec.name.str()); });
 
+  const gpusim::KernelDesc kernels[] = {MakeKernel("g0", 50.0, 0.5, 0.2, 10),
+                                        MakeKernel("g1", 50.0, 0.2, 0.6, 10),
+                                        MakeKernel("g2", 50.0, 0.5, 0.2, 10)};
   runtime::Op graph;
   graph.type = runtime::OpType::kGraphLaunch;
-  graph.graph_kernels = {MakeKernel("g0", 50.0, 0.5, 0.2, 10),
-                         MakeKernel("g1", 50.0, 0.2, 0.6, 10),
-                         MakeKernel("g2", 50.0, 0.5, 0.2, 10)};
+  graph.graph_kernels = kernels;
   int completions = 0;
   TimeUs done_at = 0.0;
   rt.Submit(graph, stream, [&]() {
@@ -51,11 +52,13 @@ TEST(OpViewTest, KernelViewMatchesDescriptor) {
 }
 
 TEST(OpViewTest, GraphViewAggregates) {
+  const gpusim::KernelDesc kernels[] = {
+      MakeKernel("a", 100.0, 0.9, 0.1, 10),   // compute, 100us
+      MakeKernel("b", 300.0, 0.1, 0.9, 40),   // memory, 300us
+      MakeKernel("c", 50.0, 0.9, 0.1, 20)};   // compute, 50us
   runtime::Op op;
   op.type = runtime::OpType::kGraphLaunch;
-  op.graph_kernels = {MakeKernel("a", 100.0, 0.9, 0.1, 10),   // compute, 100us
-                      MakeKernel("b", 300.0, 0.1, 0.9, 40),   // memory, 300us
-                      MakeKernel("c", 50.0, 0.9, 0.1, 20)};   // compute, 50us
+  op.graph_kernels = kernels;
   const auto view = core::ViewOf(op, nullptr);
   EXPECT_DOUBLE_EQ(view.duration_us, 450.0);
   EXPECT_EQ(view.sm_needed, 40);  // max across the graph

@@ -1,6 +1,7 @@
 // MIG baseline tests (§4: coarse-grained static spatial partitioning).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <utility>
 
 #include "src/harness/experiment.h"
@@ -83,15 +84,26 @@ TEST(MigTest, CannotHarvestIdleNeighbourCapacity) {
 }
 
 TEST(MigTest, PartitionMemoryShrinks) {
-  // Two 10 GB jobs fit a 16 GB GPU spatially shared, but not two 8 GB MIG
-  // partitions -> the harness must reject it (no swapping path for MIG).
+  // A ResNet101 batch-48 trainer (10.04 GB of state) fits a whole V100 but
+  // not its half-V100 MIG partition, and MIG has no paging path, so the
+  // harness rejects the run, even with paging enabled.
   ExperimentConfig config = PairConfig(SchedulerKind::kMig);
   config.clients[1].workload = MakeWorkload(ModelId::kResNet101, TaskType::kTraining, 48);
-  // State ~10 GB > 8 GB partition; the partition device runs out of memory
-  // only at the accounting level we model, so just verify the run completes
-  // and the partition spec halves memory (behavioural check).
-  const ExperimentResult result = RunExperiment(config);
-  EXPECT_GT(result.hp().completed, 0u);
+  const std::size_t half = config.device.memory_bytes / 2;
+  const std::size_t state = workloads::ApproxModelStateBytes(config.clients[1].workload);
+  ASSERT_GT(state, half);
+  ASSERT_LT(state, config.device.memory_bytes);
+  const std::optional<MemoryOverflow> overflow = FirstMemoryOverflow(config);
+  ASSERT_TRUE(overflow.has_value());
+  EXPECT_EQ(overflow->partition, 1u);
+  EXPECT_EQ(overflow->capacity_bytes, half);
+  EXPECT_EQ(overflow->excess_bytes, state - half);
+  config.paging.enabled = true;
+  EXPECT_TRUE(FirstMemoryOverflow(config).has_value());
+  EXPECT_DEATH((void)RunExperiment(config), "partition 1 exceeds GPU memory");
+  // On a whole device (Ideal) the same pair fits.
+  config.scheduler = SchedulerKind::kDedicated;
+  EXPECT_FALSE(FirstMemoryOverflow(config).has_value());
 }
 
 TEST(MigTest, HpDeviceMetricsFollowTheHpClient) {

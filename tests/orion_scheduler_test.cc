@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/core/op_view.h"
@@ -343,13 +344,14 @@ TEST(KernelViewTest, ProfiledOnlyWhenTheProfileCoversEveryKernel) {
   EXPECT_FALSE(conservative.profiled);
   EXPECT_EQ(conservative.profile, gpusim::ResourceProfile::kMemoryBound);
 
+  const gpusim::KernelDesc graph_kernels[] = {known, known, unknown};
   runtime::Op graph;
   graph.type = runtime::OpType::kGraphLaunch;
   EXPECT_FALSE(ViewOf(graph, &profile).profiled);  // empty graph
-  graph.graph_kernels = {known, known};
+  graph.graph_kernels = std::span(graph_kernels).first(2);
   EXPECT_TRUE(ViewOf(graph, &profile).profiled);
   EXPECT_FALSE(ViewOf(graph, nullptr).profiled);
-  graph.graph_kernels.push_back(unknown);
+  graph.graph_kernels = graph_kernels;
   const KernelView partial = ViewOf(graph, &profile);
   EXPECT_FALSE(partial.profiled);
   EXPECT_DOUBLE_EQ(partial.duration_us, 280.0);  // still the whole graph's time

@@ -206,7 +206,8 @@ TEST_P(ModelZooTest, SharedTemplateEqualsFreshBuild) {
       SCOPED_TRACE(device.name + (graphs ? " graphs" : " kernels"));
       const RequestTemplate& shared = SharedRequestTemplate(device, spec, graphs);
       const std::vector<runtime::Op> fresh = BuildRequestOps(device, spec);
-      ExpectSameOps(shared.ops, graphs ? CaptureCudaGraphs(fresh) : fresh);
+      std::vector<gpusim::KernelDesc> fresh_kernels;
+      ExpectSameOps(shared.ops, graphs ? CaptureCudaGraphs(fresh, &fresh_kernels) : fresh);
       EXPECT_EQ(shared.state_bytes, ApproxModelStateBytes(spec));
       EXPECT_EQ(&SharedRequestTemplate(device, spec, graphs), &shared);  // built once
     }
