@@ -7,15 +7,16 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
-#include <cerrno>
-#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/common/parse.h"
 #include "src/common/table.h"
 #include "src/harness/experiment.h"
 #include "src/harness/sm_tuner.h"
@@ -52,35 +53,17 @@ inline BenchArgs& GlobalBenchArgs() {
   return args;
 }
 
-[[noreturn]] inline void BadFlagValue(std::string_view flag, const char* text) {
-  std::cerr << "invalid value for " << flag << ": '" << text << "' (try --help)\n";
-  std::exit(2);
-}
-
-// Numeric flag values must parse completely: no trailing characters, no sign
-// on an unsigned value, nothing out of range. Anything else exits with 2.
-inline std::uint64_t ParseUintFlag(std::string_view flag, const char* text) {
-  if (*text < '0' || *text > '9') {
-    BadFlagValue(flag, text);
+// A numeric flag's value, parsed by `parse` (orion::ParseUint or ParseDouble:
+// the whole value is the number, finite and in range); anything else exits
+// with 2.
+template <typename T>
+T FlagValue(std::string_view flag, const char* text, std::optional<T> (*parse)(std::string_view)) {
+  const std::optional<T> value = parse(text);
+  if (!value) {
+    std::cerr << "invalid value for " << flag << ": '" << text << "' (try --help)\n";
+    std::exit(2);
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno == ERANGE) {
-    BadFlagValue(flag, text);
-  }
-  return value;
-}
-
-// As ParseUintFlag, for doubles; inf and nan are rejected too.
-inline double ParseDoubleFlag(std::string_view flag, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(value)) {
-    BadFlagValue(flag, text);
-  }
-  return value;
+  return *value;
 }
 
 // The telemetry flags a bench honours, or'ed together. A bench that records
@@ -124,9 +107,9 @@ inline void ParseBenchArgs(int* argc, char** argv, unsigned honoured = kNoExport
     if (arg == "--quick") {
       args.quick = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      args.seed = ParseUintFlag("--seed", argv[i] + 7);
+      args.seed = FlagValue("--seed", argv[i] + 7, ParseUint);
     } else if (arg.rfind("--window-scale=", 0) == 0) {
-      args.window_scale = ParseDoubleFlag("--window-scale", argv[i] + 15);
+      args.window_scale = FlagValue("--window-scale", argv[i] + 15, ParseDouble);
       if (args.window_scale <= 0.0) {
         std::cerr << "--window-scale must be > 0\n";
         std::exit(2);
@@ -144,7 +127,7 @@ inline void ParseBenchArgs(int* argc, char** argv, unsigned honoured = kNoExport
     } else if (arg == "--attr-out" && i + 1 < *argc) {
       args.attr_out = argv[++i];
     } else if (arg.rfind("--flush-period-ms=", 0) == 0) {
-      args.flush_period_ms = ParseDoubleFlag("--flush-period-ms", argv[i] + 18);
+      args.flush_period_ms = FlagValue("--flush-period-ms", argv[i] + 18, ParseDouble);
       if (args.flush_period_ms < 0.0) {
         std::cerr << "--flush-period-ms must be >= 0\n";
         std::exit(2);
@@ -193,6 +176,17 @@ inline bool TelemetryRequested() {
 // True when --attr-out was given: the instrumented arm should also call
 // Hub::EnableAttribution() so per-request latency ledgers are kept.
 inline bool AttributionRequested() { return !GlobalBenchArgs().attr_out.empty(); }
+
+// Turns on what the telemetry flags ask `hub` to record beyond metrics:
+// spans for --trace-out, per-request latency ledgers for --attr-out.
+inline void EnableRequestedTelemetry(telemetry::Hub& hub) {
+  if (!GlobalBenchArgs().trace_out.empty()) {
+    hub.EnableTracing();
+  }
+  if (AttributionRequested()) {
+    hub.EnableAttribution();
+  }
+}
 
 // Writes the hub's trace/metrics to the --trace-out / --metrics-out paths
 // (whichever were given) and prints where they went. Call once, after the
@@ -301,6 +295,14 @@ inline core::OrionOptions OrionOptionsFor(const harness::ClientConfig& hp,
   return options;
 }
 
+// A workload's model state rounded up to whole pager pages: the memory it
+// occupies once the unified-memory pager manages it.
+inline std::size_t PagedStateBytes(const workloads::WorkloadSpec& workload) {
+  const std::size_t pages =
+      (workloads::ApproxModelStateBytes(workload) + memsub::kPageBytes - 1) / memsub::kPageBytes;
+  return pages * memsub::kPageBytes;
+}
+
 // Best-effort throughput of a two-client result.
 inline double BeThroughput(const harness::ExperimentResult& result) {
   double throughput = 0.0;
@@ -318,11 +320,38 @@ inline void PrintHeader(const std::string& artefact, const std::string& title) {
                "are the reproduction target)\n\n";
 }
 
-// All five models in the paper's order.
-inline std::vector<workloads::ModelId> AllModels() {
-  return {workloads::ModelId::kResNet50, workloads::ModelId::kMobileNetV2,
-          workloads::ModelId::kResNet101, workloads::ModelId::kBert,
-          workloads::ModelId::kTransformer};
+inline const char* YesNo(bool held) { return held ? "yes" : "no"; }
+
+// One predicate of an ACCEPTANCE line. A predicate that reads a latency
+// percentile also gives `sample`, the size of the smallest latency sample it
+// reads: the percentile of an empty sample is 0, which would let a bound such
+// as "p99 <= 1.05x ideal" hold on runs that completed nothing.
+struct Predicate {
+  std::string_view name;
+  bool held = false;
+  std::optional<std::size_t> sample = std::nullopt;
+};
+
+// Prints the verdict line `ACCEPTANCE <artefact>: name=yes|no ...` that CI
+// greps. A predicate whose latency sample is empty prints `no`, and a
+// `sample guard:` line above the verdict names it. Returns whether every
+// predicate printed `yes`.
+inline bool PrintAcceptance(std::string_view artefact, const std::vector<Predicate>& predicates) {
+  for (const Predicate& predicate : predicates) {
+    if (predicate.sample == 0u) {
+      std::cout << "sample guard: " << predicate.name
+                << " reads a latency percentile of 0 requests, so it prints no\n";
+    }
+  }
+  bool all = true;
+  std::cout << "ACCEPTANCE " << artefact << ":";
+  for (const Predicate& predicate : predicates) {
+    const bool held = predicate.held && predicate.sample != 0u;
+    std::cout << " " << predicate.name << "=" << YesNo(held);
+    all = all && held;
+  }
+  std::cout << "\n";
+  return all;
 }
 
 }  // namespace bench

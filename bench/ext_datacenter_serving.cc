@@ -204,9 +204,7 @@ void DiurnalArm() {
 void TelemetryArm() {
   std::cout << "\n-- Telemetry arm: instrumented node-death run --\n";
   telemetry::Hub hub;
-  if (!bench::GlobalBenchArgs().trace_out.empty()) {
-    hub.EnableTracing();
-  }
+  bench::EnableRequestedTelemetry(hub);
   datacenter::ClusterConfig config = BaseCluster(4, 180.0);
   fault::FaultEvent death;
   death.kind = fault::FaultKind::kNodeDown;
@@ -234,15 +232,12 @@ int main(int argc, char** argv) {
   if (bench::TelemetryRequested()) {
     TelemetryArm();
   }
-  auto yes = [](bool ok) { return ok ? "yes" : "no"; };
-  std::cout << "\nACCEPTANCE datacenter: n1-forwards-0=" << yes(acceptance.n1_forwards_none)
-            << " req-bytes-rise-with-nodes=" << yes(acceptance.request_bytes_rise)
-            << " node-death-drops-0=" << yes(acceptance.death_drops_none)
-            << " node-death-replaces-all=" << yes(acceptance.death_replaces_all)
-            << " node-death-rerun-bit-identical=" << yes(acceptance.death_rerun_identical)
-            << "\n";
-  const bool all = acceptance.n1_forwards_none && acceptance.request_bytes_rise &&
-                   acceptance.death_drops_none && acceptance.death_replaces_all &&
-                   acceptance.death_rerun_identical;
+  std::cout << "\n";
+  const bool all = bench::PrintAcceptance(
+      "datacenter", {{"n1-forwards-0", acceptance.n1_forwards_none},
+                     {"req-bytes-rise-with-nodes", acceptance.request_bytes_rise},
+                     {"node-death-drops-0", acceptance.death_drops_none},
+                     {"node-death-replaces-all", acceptance.death_replaces_all},
+                     {"node-death-rerun-bit-identical", acceptance.death_rerun_identical}});
   return all ? 0 : 1;
 }

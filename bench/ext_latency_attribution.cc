@@ -35,12 +35,6 @@ using namespace orion;
 
 namespace {
 
-constexpr std::size_t kPageBytes = std::size_t{2} * 1024 * 1024;
-
-std::size_t RoundUpToPages(std::size_t bytes) {
-  return (bytes + kPageBytes - 1) / kPageBytes * kPageBytes;
-}
-
 // Dedicated-GPU baseline of one client: measured capacity (closed-loop
 // throughput) and p50 latency, the anchors the regimes' offered load and SLO
 // are set from.
@@ -165,10 +159,9 @@ int main(int argc, char** argv) {
     paging_hp.slo_us = 1.5 * paging_base.p50_us;
     regime.config.scheduler = harness::SchedulerKind::kMps;
     regime.config.clients = {paging_hp};
-    const std::size_t footprint =
-        RoundUpToPages(workloads::ApproxModelStateBytes(paging_hp.workload));
+    const std::size_t footprint = bench::PagedStateBytes(paging_hp.workload);
     regime.config.device.memory_bytes =
-        static_cast<std::size_t>(footprint * 0.6) / kPageBytes * kPageBytes;
+        static_cast<std::size_t>(footprint * 0.6) / memsub::kPageBytes * memsub::kPageBytes;
     regime.config.paging.enabled = true;
     regime.hp_label = workloads::WorkloadName(paging_hp.workload) + "/hp";
     regimes.push_back(std::move(regime));
@@ -181,9 +174,7 @@ int main(int argc, char** argv) {
 
   // --- Blame arms: one shared hub so --attr-out exports all regimes. ---
   telemetry::Hub hub;
-  if (!bench::GlobalBenchArgs().trace_out.empty()) {
-    hub.EnableTracing();
-  }
+  bench::EnableRequestedTelemetry(hub);
   hub.EnableAttribution();
   Table table({"regime", "completed", "misses", "hp p50 ms", "hp p99 ms",
                "dominant blame", "expected", "ok"});
@@ -195,7 +186,7 @@ int main(int argc, char** argv) {
     table.AddRow({regime.name, Cell(hp.completed), Cell(outcome.misses),
                   Cell(UsToMs(hp.latency.p50()), 2), Cell(UsToMs(hp.latency.p99()), 2),
                   attribution::PhaseName(outcome.blame),
-                  attribution::PhaseName(regime.expected), outcome.ok ? "yes" : "no"});
+                  attribution::PhaseName(regime.expected), bench::YesNo(outcome.ok)});
     regime_ok.push_back(outcome.ok);
     outcomes.push_back(std::move(outcome));
   }
@@ -233,9 +224,9 @@ int main(int argc, char** argv) {
 
   bench::ExportTelemetry(hub);
 
-  std::cout << "ACCEPTANCE attribution: queue-bound=" << (regime_ok[0] ? "yes" : "no")
-            << " interference-bound=" << (regime_ok[1] ? "yes" : "no")
-            << " paging-bound=" << (regime_ok[2] ? "yes" : "no")
-            << " inert=" << (inert_ok ? "yes" : "no") << "\n";
+  bench::PrintAcceptance("attribution", {{"queue-bound", regime_ok[0]},
+                                         {"interference-bound", regime_ok[1]},
+                                         {"paging-bound", regime_ok[2]},
+                                         {"inert", inert_ok}});
   return 0;
 }

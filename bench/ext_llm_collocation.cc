@@ -6,7 +6,10 @@
 // workloads. This bench quantifies that: an LLM-decode service (high
 // priority) collocated with a compute-heavy best-effort training job, under
 // Ideal / MPS / REEF / Orion. CI greps the ACCEPTANCE line.
+#include <algorithm>
+#include <cstddef>
 #include <iostream>
+#include <limits>
 
 #include "bench/bench_util.h"
 
@@ -68,11 +71,13 @@ int main(int argc, char** argv) {
   double mps_p99 = 0.0;
   double orion_p99 = 0.0;
   double orion_train = 0.0;
+  std::size_t decode_sample = std::numeric_limits<std::size_t>::max();  // fewest behind a p99
   for (auto scheduler :
        {harness::SchedulerKind::kDedicated, harness::SchedulerKind::kMps,
         harness::SchedulerKind::kReef, harness::SchedulerKind::kOrion}) {
     const auto result = bench::RunPair(hp, be, scheduler, device);
     const double p99 = UsToMs(result.hp().latency.p99());
+    decode_sample = std::min(decode_sample, result.hp().latency.count());
     if (scheduler == harness::SchedulerKind::kDedicated) {
       ideal_p99 = p99;
     } else if (scheduler == harness::SchedulerKind::kMps) {
@@ -90,10 +95,11 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: decode kernels are memory-bound, training convs are\n"
                "compute-bound, so Orion's opposite-profile rule collocates them with\n"
                "little decode-latency damage while the trainer makes progress.\n";
-  auto yes = [](bool ok) { return ok ? "yes" : "no"; };
-  std::cout << "ACCEPTANCE llm-collocation: orion-decode-p99@<=1.05x-ideal="
-            << yes(orion_p99 <= kMaxDecodeP99VsIdeal * ideal_p99)
-            << " orion-trainer-progresses=" << yes(orion_train > 0.0)
-            << " mps-decode-p99-above-orion=" << yes(mps_p99 > orion_p99) << "\n";
+  bench::PrintAcceptance(
+      "llm-collocation",
+      {{"orion-decode-p99@<=1.05x-ideal", orion_p99 <= kMaxDecodeP99VsIdeal * ideal_p99,
+        decode_sample},
+       {"orion-trainer-progresses", orion_train > 0.0},
+       {"mps-decode-p99-above-orion", mps_p99 > orion_p99, decode_sample}});
   return 0;
 }

@@ -17,7 +17,10 @@
 // the CI smoke run; `--trace-out` attaches a telemetry hub and writes the
 // decode-step span timeline. The last line encodes the EXPERIMENTS.md
 // verdicts as ACCEPTANCE predicates; CI greps those that hold.
+#include <algorithm>
+#include <cstddef>
 #include <iostream>
+#include <limits>
 
 #include "bench/bench_util.h"
 #include "src/serving/serving.h"
@@ -74,9 +77,9 @@ double GoodputRps(const serving::ServingResult& result) {
   return static_cast<double>(Llm(result).slo_met) / UsToSec(result.window_us);
 }
 
-// Returns whether continuous TPOT p99 is strictly below request-level at
-// every load.
-bool BatchingModeArm() {
+// Returns the predicate that continuous TPOT p99 is strictly below
+// request-level at every load.
+bench::Predicate BatchingModeArm() {
   std::cout << "-- Arm 1: continuous vs request-level batching --\n"
             << "One LLM service (128-token prompts, 8..64 decode tokens, 2\n"
             << "replicas / 2 GPUs). Request-level decodes every batch to its\n"
@@ -85,6 +88,7 @@ bool BatchingModeArm() {
                "mean batch", "attainment"});
   const std::vector<double> loads = {40.0, 80.0, 120.0};
   bool continuous_dominates = true;
+  std::size_t tpot_sample = std::numeric_limits<std::size_t>::max();
   for (const double rps : loads) {
     double request_level_tpot = 0.0;
     for (const bool continuous : {false, true}) {
@@ -96,6 +100,7 @@ bool BatchingModeArm() {
       config.admission.enabled = false;
       const serving::ServingResult result = serving::RunServing(config);
       const serving::ModelServingResult& m = Llm(result);
+      tpot_sample = std::min(tpot_sample, m.tpot.count());
       if (continuous) {
         continuous_dominates =
             continuous_dominates && m.tpot.p99() < request_level_tpot;
@@ -111,7 +116,8 @@ bool BatchingModeArm() {
   table.Print(std::cout);
   std::cout << "\ncontinuous TPOT p99 strictly below request-level at every load: "
             << (continuous_dominates ? "yes" : "NO — regression") << "\n";
-  return continuous_dominates;
+  return {"continuous-tpot-p99-below-request-level@every-load", continuous_dominates,
+          tpot_sample};
 }
 
 struct KvVerdicts {
@@ -179,12 +185,7 @@ bool DeterminismArm() {
 void TelemetryArm() {
   std::cout << "\n-- Telemetry arm: instrumented run (120 rps, continuous) --\n";
   telemetry::Hub hub;
-  if (!bench::GlobalBenchArgs().trace_out.empty()) {
-    hub.EnableTracing();
-  }
-  if (bench::AttributionRequested()) {
-    hub.EnableAttribution();
-  }
+  bench::EnableRequestedTelemetry(hub);
   serving::ServingConfig config = BaseConfig(120.0, /*continuous=*/true);
   config.telemetry = &hub;
   const serving::ServingResult result = serving::RunServing(config);
@@ -204,17 +205,15 @@ int main(int argc, char** argv) {
   bench::ParseBenchArgs(&argc, argv, bench::kTraceOut | bench::kMetricsOut | bench::kAttrOut);
   bench::PrintHeader("Extension (LLM serving)",
                      "continuous batching, KV-cache pressure, per-token SLOs");
-  const bool continuous_tpot_below = BatchingModeArm();
+  const bench::Predicate continuous_tpot_below = BatchingModeArm();
   const KvVerdicts kv = KvPressureArm();
   const bool rerun_identical = DeterminismArm();
   if (bench::TelemetryRequested()) {
     TelemetryArm();
   }
-  auto yes = [](bool ok) { return ok ? "yes" : "no"; };
-  std::cout << "ACCEPTANCE llm-serving: continuous-tpot-p99-below-request-level@every-load="
-            << yes(continuous_tpot_below)
-            << " kv-evictions-0@16x=" << yes(kv.plentiful_evicts_none)
-            << " kv-evicts@4x,1.8x=" << yes(kv.tight_evict)
-            << " rerun-bit-identical=" << yes(rerun_identical) << "\n";
+  bench::PrintAcceptance("llm-serving", {continuous_tpot_below,
+                                         {"kv-evictions-0@16x", kv.plentiful_evicts_none},
+                                         {"kv-evicts@4x,1.8x", kv.tight_evict},
+                                         {"rerun-bit-identical", rerun_identical}});
   return 0;
 }

@@ -27,8 +27,10 @@
 // run without it. From 1.5x the study expects nvshare-TQ to beat naive
 // paging on aggregate throughput while Orion holds the hp job's p99 inside
 // its SLO. CI greps the ACCEPTANCE line.
+#include <algorithm>
 #include <cstddef>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -98,16 +100,10 @@ std::vector<Mix> Mixes() {
   return mixes;
 }
 
-constexpr std::size_t kPageBytes = std::size_t{2} * 1024 * 1024;
-
 // Orion keeps the hp job's p99 within this multiple of its dedicated-GPU p99
 // while the best-effort job pages (compute interference + PCIe contention,
 // never hp faults: hp state is pinned).
 constexpr double kHpSloMultiplier = 3.0;
-
-std::size_t RoundUpToPages(std::size_t bytes) {
-  return (bytes + kPageBytes - 1) / kPageBytes * kPageBytes;
-}
 
 harness::ExperimentConfig BaseConfig(const Mix& mix, std::size_t memory_bytes) {
   harness::ExperimentConfig config;
@@ -174,10 +170,12 @@ int main(int argc, char** argv) {
   bool inert_ok = true;
   bool tq_beats_paging = true;
   bool hp_slo_ok = true;
+  // Fewest hp latencies behind a p99 the SLO predicate compares.
+  std::size_t slo_sample = std::numeric_limits<std::size_t>::max();
 
   for (const Mix& mix : Mixes()) {
-    const std::size_t aggregate = RoundUpToPages(workloads::ApproxModelStateBytes(mix.hp.workload)) +
-                                  RoundUpToPages(workloads::ApproxModelStateBytes(mix.be.workload));
+    const std::size_t aggregate =
+        bench::PagedStateBytes(mix.hp.workload) + bench::PagedStateBytes(mix.be.workload);
 
     // Dedicated reference: one full GPU per job, memory never constrained.
     harness::ExperimentConfig ded_config = BaseConfig(mix, gpusim::DeviceSpec::V100_16GB().memory_bytes);
@@ -196,8 +194,8 @@ int main(int argc, char** argv) {
       // Device memory shrinks instead of the models growing: same sweep, one
       // profile. Page-aligned so 1.0x fits exactly.
       const std::size_t memory =
-          static_cast<std::size_t>(static_cast<double>(aggregate) / factor) / kPageBytes *
-          kPageBytes;
+          static_cast<std::size_t>(static_cast<double>(aggregate) / factor) / memsub::kPageBytes *
+          memsub::kPageBytes;
 
       std::size_t mps_total = 0;
       std::size_t tq_total = 0;
@@ -231,6 +229,8 @@ int main(int argc, char** argv) {
           }
         }
         if (factor >= 1.5 && kind == harness::SchedulerKind::kOrion) {
+          slo_sample = std::min({slo_sample, result.hp().latency.count(),
+                                 dedicated.hp().latency.count()});
           if (result.hp().latency.p99() >
               kHpSloMultiplier * dedicated.hp().latency.p99()) {
             hp_slo_ok = false;
@@ -258,17 +258,12 @@ int main(int argc, char** argv) {
   if (bench::TelemetryRequested()) {
     std::cout << "-- Telemetry arm: train mix @2.0x under nvshare-tq --\n";
     telemetry::Hub hub;
-    if (!bench::GlobalBenchArgs().trace_out.empty()) {
-      hub.EnableTracing();
-    }
-    if (bench::AttributionRequested()) {
-      hub.EnableAttribution();
-    }
+    bench::EnableRequestedTelemetry(hub);
     const Mix mix = Mixes().front();
-    const std::size_t aggregate = RoundUpToPages(workloads::ApproxModelStateBytes(mix.hp.workload)) +
-                                  RoundUpToPages(workloads::ApproxModelStateBytes(mix.be.workload));
+    const std::size_t aggregate =
+        bench::PagedStateBytes(mix.hp.workload) + bench::PagedStateBytes(mix.be.workload);
     harness::ExperimentConfig config =
-        PagingConfig(mix, aggregate / 2 / kPageBytes * kPageBytes,
+        PagingConfig(mix, aggregate / 2 / memsub::kPageBytes * memsub::kPageBytes,
                      harness::SchedulerKind::kTimeQuantum);
     config.telemetry = &hub;
     config.telemetry_flush = bench::FlushOptions();
@@ -280,10 +275,9 @@ int main(int argc, char** argv) {
     bench::ExportTelemetry(hub);
   }
 
-  const char* inert = inert_ok ? "yes" : "no";
-  const char* tq = tq_beats_paging ? "yes" : "no";
-  const char* slo = hp_slo_ok ? "yes" : "no";
-  std::cout << "ACCEPTANCE oversub: pager-inert@1.0x=" << inert
-            << " tq-beats-paging@>=1.5x=" << tq << " orion-hp-slo@>=1.5x=" << slo << "\n";
-  return inert_ok && tq_beats_paging && hp_slo_ok ? 0 : 1;
+  const bool all = bench::PrintAcceptance("oversub",
+                                          {{"pager-inert@1.0x", inert_ok},
+                                           {"tq-beats-paging@>=1.5x", tq_beats_paging},
+                                           {"orion-hp-slo@>=1.5x", hp_slo_ok, slo_sample}});
+  return all ? 0 : 1;
 }

@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
       }
       const auto result = harness::RunDdpExperiment(config);
       allreduce_us[nvlink][hog] = result.allreduce_us.mean();
-      interference.AddRow({nvlink ? "NVLink pair" : "PCIe only", hog ? "yes" : "no",
+      interference.AddRow({nvlink ? "NVLink pair" : "PCIe only", bench::YesNo(hog),
                            Cell(UsToMs(result.allreduce_us.mean()), 3),
                            Cell(UsToMs(result.iteration_us.mean()), 2),
                            Cell(result.hog_copies)});
@@ -149,9 +149,7 @@ int main(int argc, char** argv) {
   if (bench::TelemetryRequested()) {
     std::cout << "\n-- Telemetry arm: instrumented 4-GPU run --\n";
     telemetry::Hub hub;
-    if (!bench::GlobalBenchArgs().trace_out.empty()) {
-      hub.EnableTracing();
-    }
+    bench::EnableRequestedTelemetry(hub);
     auto config = BaseConfig(interconnect::NodeTopology::NvLinkPairs(4), 4);
     config.telemetry = &hub;
     const auto result = harness::RunDdpExperiment(config);
@@ -161,10 +159,9 @@ int main(int argc, char** argv) {
               << "\n";
     bench::ExportTelemetry(hub);
   }
-  auto yes = [](bool ok) { return ok ? "yes" : "no"; };
-  std::cout << "ACCEPTANCE ddp: ring-traffic-exact=" << yes(ring_traffic_exact)
-            << " nvlink-ring-unaffected-by-hog=" << yes(nvlink_unaffected)
-            << " pcie-ring-slowed-by-hog=" << yes(pcie_slowed)
-            << " iter-time-falls-1-2-4-gpus=" << yes(iter_time_falls) << "\n";
+  bench::PrintAcceptance("ddp", {{"ring-traffic-exact", ring_traffic_exact},
+                                 {"nvlink-ring-unaffected-by-hog", nvlink_unaffected},
+                                 {"pcie-ring-slowed-by-hog", pcie_slowed},
+                                 {"iter-time-falls-1-2-4-gpus", iter_time_falls}});
   return 0;
 }

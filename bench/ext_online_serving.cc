@@ -190,9 +190,7 @@ void FailoverArm(Acceptance* acceptance) {
 void TelemetryArm() {
   std::cout << "\n-- Telemetry arm: instrumented run (250 rps, 2 GPUs) --\n";
   telemetry::Hub hub;
-  if (!bench::GlobalBenchArgs().trace_out.empty()) {
-    hub.EnableTracing();
-  }
+  bench::EnableRequestedTelemetry(hub);
   serving::ServingConfig config = BaseConfig(250.0);
   config.telemetry = &hub;
   const serving::ServingResult result = serving::RunServing(config);
@@ -221,12 +219,13 @@ int main(int argc, char** argv) {
   if (bench::TelemetryRequested()) {
     TelemetryArm();
   }
-  auto yes = [](bool ok) { return ok ? "yes" : "no"; };
-  std::cout << "\nACCEPTANCE online-serving: all-policies-slo@<=300rps="
-            << yes(acceptance.all_policies_slo_to_300)
-            << " ia>=lo>=rr@400rps=" << yes(acceptance.ia_ge_lo_ge_rr_at_400)
-            << " batching-raises-tput=" << yes(acceptance.batching_raises_tput)
-            << " autoscaler-raises-attainment=" << yes(acceptance.autoscaler_raises_attainment)
-            << " gpu-death-drops-0=" << yes(acceptance.gpu_death_drops_0) << "\n";
+  std::cout << "\n";
+  bench::PrintAcceptance(
+      "online-serving",
+      {{"all-policies-slo@<=300rps", acceptance.all_policies_slo_to_300},
+       {"ia>=lo>=rr@400rps", acceptance.ia_ge_lo_ge_rr_at_400},
+       {"batching-raises-tput", acceptance.batching_raises_tput},
+       {"autoscaler-raises-attainment", acceptance.autoscaler_raises_attainment},
+       {"gpu-death-drops-0", acceptance.gpu_death_drops_0}});
   return 0;
 }

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   Table trace({"probe_threshold", "hp_it/s", "acceptable"});
   for (const auto& step : tuned.steps) {
     trace.AddRow({Cell(step.threshold), Cell(step.hp_metric, 2),
-                  step.acceptable ? "yes" : "no"});
+                  bench::YesNo(step.acceptable)});
   }
   trace.Print(std::cout);
 
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   // The floor the probes enforce, checked again on the measurement window.
   const bool floor_held = tuned_run.hp().throughput_rps >=
                           (1.0 - harness::kMaxHpDegradation) * tuned.hp_dedicated_metric;
-  std::cout << "ACCEPTANCE sm-tuner: tuned-be-above-default=" << (be_raised ? "yes" : "no")
-            << " tuned-hp-floor@0.84x=" << (floor_held ? "yes" : "no") << "\n";
+  bench::PrintAcceptance("sm-tuner", {{"tuned-be-above-default", be_raised},
+                                      {"tuned-hp-floor@0.84x", floor_held}});
   return 0;
 }

@@ -17,7 +17,7 @@ void Report(workloads::TaskType task, const char* title) {
   Table table({"workload", "kernels", "compute_%", "memory_%", "unknown_%", "min_us",
                "median_us", "max_us"});
   const gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();
-  for (auto model : bench::AllModels()) {
+  for (auto model : workloads::kAllModels) {
     const auto spec = workloads::MakeWorkload(model, task);
     const auto kernels = workloads::BuildKernels(device, spec);
     int compute = 0;

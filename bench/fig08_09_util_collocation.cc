@@ -62,9 +62,7 @@ int main(int argc, char** argv) {
   if (bench::TelemetryRequested()) {
     std::cout << "\n-- Telemetry arm: instrumented collocated run --\n";
     telemetry::Hub hub;
-    if (!bench::GlobalBenchArgs().trace_out.empty()) {
-      hub.EnableTracing();
-    }
+    bench::EnableRequestedTelemetry(hub);
     const auto traced = Run(true, &hub);
     std::cout << "hp completed: " << traced.hp().completed
               << "  be kernels submitted: "

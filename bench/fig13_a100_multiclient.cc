@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
       harness::SchedulerKind::kOrion,
   };
 
-  for (auto hp_model : bench::AllModels()) {
+  for (auto hp_model : workloads::kAllModels) {
     // The four best-effort clients serve the other four models.
     harness::ExperimentConfig config;
     config.seed = bench::GlobalBenchArgs().seed;
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     config.clients.push_back(bench::InferenceClient(
         hp_model, trace::ArrivalKind::kPoisson,
         trace::RequestsPerSecond(hp_model, trace::CollocationCase::kInfInfPoisson), true));
-    for (auto be_model : bench::AllModels()) {
+    for (auto be_model : workloads::kAllModels) {
       if (be_model == hp_model) {
         continue;
       }

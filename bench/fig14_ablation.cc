@@ -15,19 +15,13 @@ using namespace orion;
 namespace {
 
 harness::ExperimentResult Run(harness::SchedulerKind kind, core::OrionOptions options) {
-  harness::ExperimentConfig config;
-  config.seed = bench::GlobalBenchArgs().seed;
-  config.scheduler = kind;
-  config.orion = options;
-  config.warmup_us = bench::WarmupWindowUs();
-  config.duration_us = bench::MeasureWindowUs();
-  config.clients.push_back(bench::InferenceClient(
-      workloads::ModelId::kResNet50, trace::ArrivalKind::kPoisson,
-      trace::RequestsPerSecond(workloads::ModelId::kResNet50,
-                               trace::CollocationCase::kInfTrainPoisson),
-      true));
-  config.clients.push_back(bench::TrainingClient(workloads::ModelId::kResNet50, false));
-  return harness::RunExperiment(config);
+  const double rps = trace::RequestsPerSecond(workloads::ModelId::kResNet50,
+                                              trace::CollocationCase::kInfTrainPoisson);
+  return bench::RunPair(
+      bench::InferenceClient(workloads::ModelId::kResNet50, trace::ArrivalKind::kPoisson, rps,
+                             true),
+      bench::TrainingClient(workloads::ModelId::kResNet50, false), kind,
+      gpusim::DeviceSpec::V100_16GB(), options);
 }
 
 }  // namespace

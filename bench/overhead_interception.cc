@@ -25,7 +25,7 @@ namespace {
 void PrintInterceptionOverheadTable() {
   bench::PrintHeader("Overheads (Section 6.5)", "kernel-launch interception");
   Table table({"workload", "direct_ms", "intercepted_ms", "overhead_%"});
-  for (auto model : bench::AllModels()) {
+  for (auto model : workloads::kAllModels) {
     for (auto task : {workloads::TaskType::kInference, workloads::TaskType::kTraining}) {
       const auto workload = workloads::MakeWorkload(model, task);
 

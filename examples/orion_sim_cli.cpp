@@ -14,23 +14,26 @@
 //   hp        mark as the high-priority client
 //   swap      page memory overflow through the unified-memory pager (§5.1.3);
 //             on any client it enables paging for the whole run
-// Scheduler: ideal | mig | temporal | streams | mps | reef | ticktock | orion.
+// Scheduler: any name harness::SchedulerKindName gives a SchedulerKind; the
+// CLI keeps no name table of its own, so it accepts every kind the harness
+// runs.
 //
-// Bad input exits with status 2 and a message: unknown flags or client specs,
-// numeric values that do not parse completely or are not finite, and a shared
-// collocation that exceeds GPU memory with no :swap client.
+// Bad input exits with status 2 and a message: unknown flags, client specs or
+// scheduler names (the message lists the valid names), numeric values that
+// orion::ParseUint / ParseDouble reject, and a shared collocation that
+// exceeds GPU memory with no :swap client.
 
-#include <cerrno>
-#include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/parse.h"
 #include "src/common/table.h"
 #include "src/harness/experiment.h"
 
@@ -49,48 +52,20 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-int BadValue(const char* flag, const std::string& text) {
+int BadValue(const std::string& flag, const std::string& text) {
   std::cerr << "invalid value for " << flag << ": '" << text << "'\n";
   return 2;
 }
 
-// Numeric values must parse completely; doubles must also be finite (the
-// rule bench flags follow, see bench/bench_util.h).
-bool ParseDouble(const std::string& text, double* value) {
-  errno = 0;
-  char* end = nullptr;
-  *value = std::strtod(text.c_str(), &end);
-  return end != text.c_str() && *end == '\0' && errno != ERANGE && std::isfinite(*value);
-}
-
-bool ParseUint(const std::string& text, std::uint64_t* value) {
-  if (text.empty() || text[0] < '0' || text[0] > '9') {
-    return false;
+// The value `token` names in `table`, if any.
+template <typename T, std::size_t N>
+std::optional<T> Lookup(const std::pair<const char*, T> (&table)[N], const std::string& token) {
+  for (const auto& [name, value] : table) {
+    if (token == name) {
+      return value;
+    }
   }
-  errno = 0;
-  char* end = nullptr;
-  *value = std::strtoull(text.c_str(), &end, 10);
-  return *end == '\0' && errno != ERANGE;
-}
-
-bool ParseModel(const std::string& token, workloads::ModelId* model) {
-  using workloads::ModelId;
-  if (token == "resnet50") {
-    *model = ModelId::kResNet50;
-  } else if (token == "mobilenetv2") {
-    *model = ModelId::kMobileNetV2;
-  } else if (token == "resnet101") {
-    *model = ModelId::kResNet101;
-  } else if (token == "bert") {
-    *model = ModelId::kBert;
-  } else if (token == "transformer") {
-    *model = ModelId::kTransformer;
-  } else if (token == "llm") {
-    *model = ModelId::kLlmDecode;
-  } else {
-    return false;
-  }
-  return true;
+  return std::nullopt;
 }
 
 // A :swap token sets `*paging` (paging is per run, not per client).
@@ -104,38 +79,37 @@ bool ParseClient(const std::string& spec, harness::ClientConfig* client, bool* p
   if (tokens.size() < 2) {
     return false;
   }
-  workloads::ModelId model;
-  if (!ParseModel(tokens[0], &model)) {
+  using workloads::ModelId;
+  static constexpr std::pair<const char*, ModelId> kModels[] = {
+      {"resnet50", ModelId::kResNet50}, {"mobilenetv2", ModelId::kMobileNetV2},
+      {"resnet101", ModelId::kResNet101}, {"bert", ModelId::kBert},
+      {"transformer", ModelId::kTransformer}, {"llm", ModelId::kLlmDecode}};
+  static constexpr std::pair<const char*, workloads::TaskType> kTasks[] = {
+      {"inf", workloads::TaskType::kInference}, {"train", workloads::TaskType::kTraining}};
+  static constexpr std::pair<const char*, trace::ArrivalKind> kOpenLoop[] = {
+      {"poisson", trace::ArrivalKind::kPoisson},
+      {"uniform", trace::ArrivalKind::kUniform},
+      {"apollo", trace::ArrivalKind::kApollo}};
+  const std::optional<ModelId> model = Lookup(kModels, tokens[0]);
+  const std::optional<workloads::TaskType> task = Lookup(kTasks, tokens[1]);
+  if (!model || !task) {
     return false;
   }
-  workloads::TaskType task;
-  if (tokens[1] == "inf") {
-    task = workloads::TaskType::kInference;
-  } else if (tokens[1] == "train") {
-    task = workloads::TaskType::kTraining;
-  } else {
-    return false;
-  }
-  client->workload = workloads::MakeWorkload(model, task);
+  client->workload = workloads::MakeWorkload(*model, *task);
   client->arrivals = trace::ArrivalKind::kClosedLoop;
   std::size_t index = 2;
   if (index < tokens.size()) {
-    if (tokens[index] == "poisson" || tokens[index] == "uniform" ||
-        tokens[index] == "apollo") {
-      if (tokens[index] == "poisson") {
-        client->arrivals = trace::ArrivalKind::kPoisson;
-      } else if (tokens[index] == "uniform") {
-        client->arrivals = trace::ArrivalKind::kUniform;
-      } else {
-        client->arrivals = trace::ArrivalKind::kApollo;
-      }
+    if (const auto arrivals = Lookup(kOpenLoop, tokens[index])) {
+      client->arrivals = *arrivals;
       ++index;
       if (index >= tokens.size()) {
         return false;  // open-loop arrivals need a rate
       }
-      if (!ParseDouble(tokens[index], &client->rps) || client->rps <= 0.0) {
+      const std::optional<double> rps = ParseDouble(tokens[index]);
+      if (!rps || *rps <= 0.0) {
         return false;
       }
+      client->rps = *rps;
       ++index;
     } else if (tokens[index] == "closed") {
       ++index;
@@ -153,28 +127,20 @@ bool ParseClient(const std::string& spec, harness::ClientConfig* client, bool* p
   return true;
 }
 
-bool ParseScheduler(const std::string& name, harness::SchedulerKind* kind) {
-  using harness::SchedulerKind;
-  if (name == "ideal") {
-    *kind = SchedulerKind::kDedicated;
-  } else if (name == "mig") {
-    *kind = SchedulerKind::kMig;
-  } else if (name == "temporal") {
-    *kind = SchedulerKind::kTemporal;
-  } else if (name == "streams") {
-    *kind = SchedulerKind::kStreams;
-  } else if (name == "mps") {
-    *kind = SchedulerKind::kMps;
-  } else if (name == "reef") {
-    *kind = SchedulerKind::kReef;
-  } else if (name == "ticktock") {
-    *kind = SchedulerKind::kTickTock;
-  } else if (name == "orion") {
-    *kind = SchedulerKind::kOrion;
-  } else {
-    return false;
+// The SchedulerKind that harness::SchedulerKindName calls `name`, trying
+// every kind (kTimeQuantum is the last); an unknown name is reported with the
+// valid ones.
+std::optional<harness::SchedulerKind> ParseScheduler(const std::string& name) {
+  std::string valid;
+  for (int k = 0; k <= static_cast<int>(harness::SchedulerKind::kTimeQuantum); ++k) {
+    const auto kind = static_cast<harness::SchedulerKind>(k);
+    if (name == harness::SchedulerKindName(kind)) {
+      return kind;
+    }
+    valid += std::string(" ") + harness::SchedulerKindName(kind);
   }
-  return true;
+  std::cerr << "unknown scheduler '" << name << "'; valid names:" << valid << "\n";
+  return std::nullopt;
 }
 
 }  // namespace
@@ -185,50 +151,54 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value_of = [&](const char* prefix) -> std::string {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg.rfind("--scheduler=", 0) == 0) {
-      if (!ParseScheduler(value_of("--scheduler="), &config.scheduler)) {
-        return Usage(argv[0]);
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    if (arg == "--pcie-priority") {
+      config.pcie_priority_scheduling = true;
+    } else if (eq == std::string::npos) {
+      return Usage(argv[0]);
+    } else if (flag == "--scheduler") {
+      const std::optional<harness::SchedulerKind> kind = ParseScheduler(value);
+      if (!kind) {
+        return 2;
       }
-    } else if (arg.rfind("--device=", 0) == 0) {
-      const std::string device = value_of("--device=");
-      if (device == "v100") {
+      config.scheduler = *kind;
+    } else if (flag == "--device") {
+      if (value == "v100") {
         config.device = gpusim::DeviceSpec::V100_16GB();
-      } else if (device == "a100") {
+      } else if (value == "a100") {
         config.device = gpusim::DeviceSpec::A100_40GB();
       } else {
         return Usage(argv[0]);
       }
-    } else if (arg.rfind("--seconds=", 0) == 0) {
-      double seconds = 0.0;
-      if (!ParseDouble(value_of("--seconds="), &seconds) || seconds <= 0.0) {
-        return BadValue("--seconds", value_of("--seconds="));
+    } else if (flag == "--seconds") {
+      const std::optional<double> seconds = ParseDouble(value);
+      if (!seconds || *seconds <= 0.0) {
+        return BadValue(flag, value);
       }
-      config.duration_us = SecToUs(seconds);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      if (!ParseUint(value_of("--seed="), &config.seed)) {
-        return BadValue("--seed", value_of("--seed="));
+      config.duration_us = SecToUs(*seconds);
+    } else if (flag == "--seed") {
+      const std::optional<std::uint64_t> seed = ParseUint(value);
+      if (!seed) {
+        return BadValue(flag, value);
       }
-    } else if (arg.rfind("--dur-threshold=", 0) == 0) {
-      double pct = 0.0;
-      if (!ParseDouble(value_of("--dur-threshold="), &pct)) {
-        return BadValue("--dur-threshold", value_of("--dur-threshold="));
+      config.seed = *seed;
+    } else if (flag == "--dur-threshold") {
+      const std::optional<double> pct = ParseDouble(value);
+      if (!pct) {
+        return BadValue(flag, value);
       }
-      config.orion.dur_threshold_frac = pct / 100.0;
-    } else if (arg.rfind("--sm-threshold=", 0) == 0) {
-      std::uint64_t sms = 0;
-      if (!ParseUint(value_of("--sm-threshold="), &sms) ||
-          sms > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-        return BadValue("--sm-threshold", value_of("--sm-threshold="));
+      config.orion.dur_threshold_frac = *pct / 100.0;
+    } else if (flag == "--sm-threshold") {
+      const std::optional<std::uint64_t> sms = ParseUint(value);
+      if (!sms || *sms > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+        return BadValue(flag, value);
       }
-      config.orion.sm_threshold = static_cast<int>(sms);
-    } else if (arg == "--pcie-priority") {
-      config.pcie_priority_scheduling = true;
-    } else if (arg.rfind("--client=", 0) == 0) {
+      config.orion.sm_threshold = static_cast<int>(*sms);
+    } else if (flag == "--client") {
       harness::ClientConfig client;
-      if (!ParseClient(value_of("--client="), &client, &config.paging.enabled)) {
+      if (!ParseClient(value, &client, &config.paging.enabled)) {
         std::cerr << "bad client spec: " << arg << "\n";
         return Usage(argv[0]);
       }

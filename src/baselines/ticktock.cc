@@ -63,7 +63,6 @@ void TickTockScheduler::Drain() {
       core::SchedOp op = std::move(state.queue.front());
       state.queue.pop_front();
       ++state.outstanding;
-      state.submitted_any = true;
       auto on_complete = std::move(op.on_complete);
       rt_->Submit(op.op, state.stream, [this, &state, on_complete = std::move(on_complete)]() {
         ORION_CHECK(state.outstanding > 0);
@@ -108,9 +107,6 @@ void TickTockScheduler::MaybeAdvanceRound() {
       return;
     }
     ++round_;
-    for (ClientState& state : clients_) {
-      state.submitted_any = false;
-    }
     Drain();
   }
 }

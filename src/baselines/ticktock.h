@@ -35,8 +35,7 @@ class TickTockScheduler : public core::Scheduler {
     core::ClientId id = 0;
     gpusim::StreamId stream = gpusim::kInvalidStream;
     common::Ring<core::SchedOp> queue;
-    int outstanding = 0;      // submitted-but-not-completed ops
-    bool submitted_any = false;  // submitted something during this round
+    int outstanding = 0;  // submitted-but-not-completed ops
   };
 
   // Which half `client_index` may run during the current round: clients

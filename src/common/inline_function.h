@@ -178,7 +178,16 @@ class InlineFunction<R(Args...), InlineBytes> {
   void MoveFrom(InlineFunction& other) noexcept {
     if (other.ops_ != nullptr) {
       if (other.ops_->trivial) {
+        // Runs only when a target is set; gcc cannot see that once an empty
+        // InlineFunction's move is inlined, and warns of uninitialized bytes.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
         std::memcpy(&storage_, &other.storage_, InlineBytes);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
       } else {
         other.ops_->relocate(&other.storage_, &storage_);
       }

@@ -1,8 +1,5 @@
 #include "src/profiler/profiler.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <map>
@@ -13,6 +10,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/parse.h"
 #include "src/common/stats.h"
 #include "src/runtime/gpu_runtime.h"
 #include "src/sim/simulator.h"
@@ -327,29 +325,21 @@ class ProfileParser {
     return false;
   }
 
-  // The whole of `text` must be a finite number.
   bool ParseDouble(const std::string& what, const std::string& text, double* out) {
-    char* end = nullptr;
-    errno = 0;
-    const double value = std::strtod(text.c_str(), &end);
-    if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE ||
-        !std::isfinite(value)) {
+    const std::optional<double> value = orion::ParseDouble(text);
+    if (!value) {
       return Fail(what + " '" + text + "' is not a number");
     }
-    *out = value;
+    *out = *value;
     return true;
   }
 
-  // The whole of `text` must be a non-negative integer.
   bool ParseUint(const std::string& what, const std::string& text, std::uint64_t* out) {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || text.front() == '-' || end != text.c_str() + text.size() ||
-        errno == ERANGE) {
+    const std::optional<std::uint64_t> value = orion::ParseUint(text);
+    if (!value) {
       return Fail(what + " '" + text + "' is not a non-negative integer");
     }
-    *out = value;
+    *out = *value;
     return true;
   }
 

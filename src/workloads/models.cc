@@ -193,8 +193,9 @@ void BuildLlmDecode(GraphBuilder& g, int batch) {
   }
 }
 
-std::vector<gpusim::KernelDesc> FinishLlmGraph(const gpusim::DeviceSpec& device,
-                                               GraphBuilder& g, std::uint64_t base) {
+// Lowers `g`'s layers to kernels with ids `base | index`.
+std::vector<gpusim::KernelDesc> FinishGraph(const gpusim::DeviceSpec& device, GraphBuilder& g,
+                                            std::uint64_t base) {
   std::vector<KernelWork> work = g.Finish();
   std::vector<gpusim::KernelDesc> kernels;
   kernels.reserve(work.size());
@@ -234,8 +235,6 @@ WorkloadSpec MakeWorkload(ModelId model, TaskType task) {
   int batch = 1;
   if (task == TaskType::kInference) {
     batch = model == ModelId::kBert ? 2 : 4;
-  } else if (model == ModelId::kLlmDecode) {
-    batch = 4;  // decode is memory-bound regardless of (small) batch
   } else {
     switch (model) {
       case ModelId::kResNet50:
@@ -250,7 +249,7 @@ WorkloadSpec MakeWorkload(ModelId model, TaskType task) {
         batch = 8;
         break;
       case ModelId::kLlmDecode:
-        batch = 4;
+        batch = 4;  // decode is memory-bound regardless of (small) batch
         break;
     }
   }
@@ -328,17 +327,11 @@ std::vector<gpusim::KernelDesc> BuildKernels(const gpusim::DeviceSpec& device,
                   "LLM decode is an inference-only workload");
   GraphBuilder g(spec.task);
   BuildModelGraph(g, spec);
-  std::vector<KernelWork> work = g.Finish();
-  std::vector<gpusim::KernelDesc> kernels;
-  kernels.reserve(work.size());
   // Stable kernel ids: (model, task, index). Index fits comfortably in 24
   // bits; model/task select the upper bits.
   const std::uint64_t base = (static_cast<std::uint64_t>(spec.model) << 40) |
                              (static_cast<std::uint64_t>(spec.task) << 32);
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    kernels.push_back(BuildKernel(device, work[i], base | static_cast<std::uint64_t>(i)));
-  }
-  return kernels;
+  return FinishGraph(device, g, base);
 }
 
 std::vector<runtime::Op> BuildRequestOps(const gpusim::DeviceSpec& device,
@@ -508,7 +501,7 @@ std::vector<gpusim::KernelDesc> BuildLlmPrefillKernels(const gpusim::DeviceSpec&
   g.Linear("prefill.lm_head", 1.0, cfg.hidden, kLlmVocab / 8.0);
   const std::uint64_t base =
       (0x70ull << 56) | (static_cast<std::uint64_t>(prompt_tokens) << 20);
-  return FinishLlmGraph(device, g, base);
+  return FinishGraph(device, g, base);
 }
 
 std::vector<gpusim::KernelDesc> BuildLlmDecodeStepKernels(const gpusim::DeviceSpec& device,
@@ -528,7 +521,7 @@ std::vector<gpusim::KernelDesc> BuildLlmDecodeStepKernels(const gpusim::DeviceSp
   const std::uint64_t base = (0x71ull << 56) |
                              (static_cast<std::uint64_t>(batch) << 40) |
                              (static_cast<std::uint64_t>(context_tokens) << 20);
-  return FinishLlmGraph(device, g, base);
+  return FinishGraph(device, g, base);
 }
 
 std::size_t LlmKvBytesPerToken(const LlmModelConfig& cfg) {

@@ -41,8 +41,17 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
+// The replaced pair is consistent (malloc in new, free in delete), but gcc
+// sees a free() of memory from operator new once they are inlined together.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace orion {
 namespace {

@@ -58,6 +58,8 @@ TEST(BenchArgsTest, WindowScaleMustBeAFinitePositiveNumber) {
   ExpectRejected("--window-scale=nan", "invalid value for --window-scale: 'nan'");
   ExpectRejected("--window-scale=inf", "invalid value for --window-scale: 'inf'");
   ExpectRejected("--window-scale=1e999", "invalid value for --window-scale");
+  ExpectRejected("--window-scale= 0.5", "invalid value for --window-scale: ' 0.5'");
+  ExpectRejected("--window-scale=0.5 ", "invalid value for --window-scale: '0.5 '");
   ExpectRejected("--window-scale=0", "--window-scale must be > 0");
   ExpectRejected("--window-scale=-1", "--window-scale must be > 0");
 }

@@ -1,16 +1,20 @@
 // Unit tests for src/common: RNG determinism and distributions, statistics,
-// table rendering, the inline callable and the ring FIFO.
+// table rendering, checked number parsing, the inline callable and the ring
+// FIFO.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/common/inline_function.h"
+#include "src/common/parse.h"
 #include "src/common/ring.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -161,6 +165,66 @@ TEST(TimeTypesTest, Conversions) {
   EXPECT_DOUBLE_EQ(SecToUs(2.0), 2e6);
   EXPECT_DOUBLE_EQ(UsToMs(2500.0), 2.5);
   EXPECT_DOUBLE_EQ(UsToSec(5e5), 0.5);
+}
+
+// --- ParseUint / ParseDouble: the one number rule of every input boundary
+// (bench and CLI flags, profile files). ---
+
+TEST(ParseTest, UintTable) {
+  struct Case {
+    std::string_view text;
+    std::optional<std::uint64_t> want;
+  };
+  const Case cases[] = {
+      {"0", 0u},
+      {"42", 42u},
+      {"007", 7u},
+      {"18446744073709551615", 18446744073709551615u},
+      {"18446744073709551616", std::nullopt},  // out of range
+      {"", std::nullopt},
+      {"+5", std::nullopt},
+      {"-1", std::nullopt},
+      {" 5", std::nullopt},
+      {"5 ", std::nullopt},
+      {"\t5", std::nullopt},
+      {"12x", std::nullopt},
+      {"1.5", std::nullopt},
+      {"0x10", std::nullopt},
+      {std::string_view("5\0" "7", 3), std::nullopt},  // the NUL is part of the text
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(ParseUint(c.text), c.want) << "'" << c.text << "'";
+  }
+}
+
+TEST(ParseTest, DoubleTable) {
+  struct Case {
+    std::string_view text;
+    std::optional<double> want;
+  };
+  const Case cases[] = {
+      {"0", 0.0},
+      {"0.5", 0.5},
+      {"-2.25", -2.25},
+      {"+3", 3.0},
+      {"1e3", 1000.0},
+      {".5", 0.5},
+      {"", std::nullopt},
+      {" 0.5", std::nullopt},
+      {"\n0.5", std::nullopt},
+      {"0.5 ", std::nullopt},
+      {"2x", std::nullopt},
+      {"nan", std::nullopt},
+      {"-nan", std::nullopt},
+      {"inf", std::nullopt},
+      {"-infinity", std::nullopt},
+      {"1e999", std::nullopt},   // overflows
+      {"1e-400", std::nullopt},  // underflows
+      {std::string_view("0.5\0" "1", 4), std::nullopt},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(ParseDouble(c.text), c.want) << "'" << c.text << "'";
+  }
 }
 
 // --- InlineFunction: the simulator's small-buffer callback type. ---

@@ -273,6 +273,17 @@ TEST_F(ProfilerTest, LoadReportsNonNumericField) {
   EXPECT_EQ(LoadError(Join(lines, lines.size())), "line 9: duration '9.5x' is not a number");
 }
 
+// Profile fields follow the rule of every input boundary (orion::ParseUint):
+// no sign and no blank on either side of an integer.
+TEST_F(ProfilerTest, LoadRejectsSignedOrBlankPaddedInteger) {
+  for (const char* sm_needed : {"+5", " 5", "5 "}) {
+    std::vector<std::string> lines = ValidLines();
+    lines[8] = std::string("12,bn,9.5,0.1,0.7,1,") + sm_needed;
+    EXPECT_EQ(LoadError(Join(lines, lines.size())),
+              std::string("line 9: sm_needed '") + sm_needed + "' is not a non-negative integer");
+  }
+}
+
 TEST_F(ProfilerTest, LoadReportsOutOfRangeClass) {
   std::vector<std::string> lines = ValidLines();
   lines[7] = "11,conv,40.5,0.8,0.2,3,60";
