@@ -43,9 +43,6 @@ struct BenchArgs {
   std::string metrics_out;   // --metrics-out=P: write a metrics CSV snapshot
   std::string attr_out;      // --attr-out=P: write the per-service latency
                              // attribution (SLO blame ledger) as CSV
-  double flush_period_ms = 0.0;  // --flush-period-ms=X: stream exports during
-                                 // the run every X ms of sim time (0 = only
-                                 // at the end)
 };
 
 inline BenchArgs& GlobalBenchArgs() {
@@ -73,17 +70,14 @@ enum ExportFlags : unsigned {
   kTraceOut = 1u << 0,    // --trace-out
   kMetricsOut = 1u << 1,  // --metrics-out
   kAttrOut = 1u << 2,     // --attr-out
-  kFlushPeriod = 1u << 3, // --flush-period-ms
-  kAllExports = kTraceOut | kMetricsOut | kAttrOut | kFlushPeriod,
+  kAllExports = kTraceOut | kMetricsOut | kAttrOut,
 };
 
 // Parses --quick / --seed=N / --window-scale=X / --help and the telemetry
-// flags in `honoured`, and removes them from argv. A telemetry flag the
-// bench does not honour is rejected by name rather than ignored. Leftover
-// --benchmark_* flags are kept for binaries that forward to google benchmark
-// (overhead_interception); any other leftover flag is an error. Every error
+// flags in `honoured`. A telemetry flag the bench does not honour is rejected
+// by name rather than ignored, and any other flag is an error. Every error
 // exits with status 2. Call first thing in main().
-inline void ParseBenchArgs(int* argc, char** argv, unsigned honoured = kNoExports) {
+inline void ParseBenchArgs(int argc, char** argv, unsigned honoured = kNoExports) {
   BenchArgs& args = GlobalBenchArgs();
   const auto require = [&](unsigned flag, std::string_view name) {
     if ((honoured & flag) == 0) {
@@ -92,8 +86,7 @@ inline void ParseBenchArgs(int* argc, char** argv, unsigned honoured = kNoExport
       std::exit(2);
     }
   };
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     if (arg.rfind("--trace-out", 0) == 0) {
       require(kTraceOut, "--trace-out");
@@ -101,8 +94,6 @@ inline void ParseBenchArgs(int* argc, char** argv, unsigned honoured = kNoExport
       require(kMetricsOut, "--metrics-out");
     } else if (arg.rfind("--attr-out", 0) == 0) {
       require(kAttrOut, "--attr-out");
-    } else if (arg.rfind("--flush-period-ms", 0) == 0) {
-      require(kFlushPeriod, "--flush-period-ms");
     }
     if (arg == "--quick") {
       args.quick = true;
@@ -116,28 +107,21 @@ inline void ParseBenchArgs(int* argc, char** argv, unsigned honoured = kNoExport
       }
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       args.trace_out = std::string(arg.substr(12));
-    } else if (arg == "--trace-out" && i + 1 < *argc) {
+    } else if (arg == "--trace-out" && i + 1 < argc) {
       args.trace_out = argv[++i];
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       args.metrics_out = std::string(arg.substr(14));
-    } else if (arg == "--metrics-out" && i + 1 < *argc) {
+    } else if (arg == "--metrics-out" && i + 1 < argc) {
       args.metrics_out = argv[++i];
     } else if (arg.rfind("--attr-out=", 0) == 0) {
       args.attr_out = std::string(arg.substr(11));
-    } else if (arg == "--attr-out" && i + 1 < *argc) {
+    } else if (arg == "--attr-out" && i + 1 < argc) {
       args.attr_out = argv[++i];
-    } else if (arg.rfind("--flush-period-ms=", 0) == 0) {
-      args.flush_period_ms = FlagValue("--flush-period-ms", argv[i] + 18, ParseDouble);
-      if (args.flush_period_ms < 0.0) {
-        std::cerr << "--flush-period-ms must be >= 0\n";
-        std::exit(2);
-      }
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "Usage: " << argv[0] << " [--quick] [--seed=N] [--window-scale=X]"
                 << ((honoured & kTraceOut) != 0 ? " [--trace-out=P]" : "")
                 << ((honoured & kMetricsOut) != 0 ? " [--metrics-out=P]" : "")
-                << ((honoured & kAttrOut) != 0 ? " [--attr-out=P]" : "")
-                << ((honoured & kFlushPeriod) != 0 ? " [--flush-period-ms=X]" : "") << "\n"
+                << ((honoured & kAttrOut) != 0 ? " [--attr-out=P]" : "") << "\n"
                 << "  --quick           ~8x shorter measurement windows (CI smoke)\n"
                 << "  --seed=N          experiment seed (default 42)\n"
                 << "  --window-scale=X  multiply warmup+measurement windows by X\n";
@@ -151,23 +135,16 @@ inline void ParseBenchArgs(int* argc, char** argv, unsigned honoured = kNoExport
         std::cout << "  --attr-out=P      write that run's per-service latency attribution\n"
                      "                    (SLO-miss blame ledger) as CSV to P\n";
       }
-      if ((honoured & kFlushPeriod) != 0) {
-        std::cout << "  --flush-period-ms=X  also rewrite those artefacts every X ms of\n"
-                     "                    simulated time during the run (streaming export)\n";
-      }
       std::exit(0);
-    } else if (arg.rfind("--benchmark", 0) == 0) {
-      argv[kept++] = argv[i];  // google-benchmark flag: leave for the caller
     } else {
       std::cerr << "unknown argument: " << arg << " (try --help)\n";
       std::exit(2);
     }
   }
-  *argc = kept;
 }
 
-// True when --trace-out or --metrics-out was given, i.e. the bench should
-// run one arm with a telemetry hub attached.
+// True when --trace-out, --metrics-out or --attr-out was given, i.e. the
+// bench should run one arm with a telemetry hub attached.
 inline bool TelemetryRequested() {
   const BenchArgs& args = GlobalBenchArgs();
   return !args.trace_out.empty() || !args.metrics_out.empty() || !args.attr_out.empty();
@@ -207,18 +184,6 @@ inline void ExportTelemetry(telemetry::Hub& hub) {
     std::cout << "wrote attribution: " << args.attr_out
               << " (render with tools/attribution_report.py)\n";
   }
-}
-
-// Streaming-export options for the instrumented arm: folds the
-// --flush-period-ms / --trace-out / --metrics-out flags into the harness's
-// telemetry_flush config (disabled unless all relevant flags were given).
-inline telemetry::StreamingExporter::Options FlushOptions() {
-  const BenchArgs& args = GlobalBenchArgs();
-  telemetry::StreamingExporter::Options options;
-  options.period_us = MsToUs(args.flush_period_ms);
-  options.trace_path = args.trace_out;
-  options.metrics_path = args.metrics_out;
-  return options;
 }
 
 // Standard windows with --quick / --window-scale applied.

@@ -21,7 +21,7 @@
 using namespace orion;
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Extension (Section 7)", "CUDA graphs vs kernel-level interception");
 
   // --- Part 1: dedicated host-overhead savings. ---

@@ -197,10 +197,10 @@ void DiurnalArm() {
             << "  replica-s: " << Cell(result.serving.replica_seconds, 1) << "\n";
 }
 
-// Instrumented arm (only with --trace-out / --metrics-out): the failover
-// scenario with a telemetry hub attached, so node tracks ("n<i>/gpu<j>"),
-// route/dispatch/scale reason attributes and the datacenter.* counters land
-// in the exported artefacts.
+// Instrumented arm (only with --trace-out / --metrics-out / --attr-out): the
+// failover scenario with a telemetry hub attached, so node tracks
+// ("n<i>/gpu<j>"), route/dispatch/scale reason attributes, the datacenter.*
+// counters and the per-service blame ledger land in the exported artefacts.
 void TelemetryArm() {
   std::cout << "\n-- Telemetry arm: instrumented node-death run --\n";
   telemetry::Hub hub;
@@ -222,7 +222,7 @@ void TelemetryArm() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv, bench::kTraceOut | bench::kMetricsOut);
+  bench::ParseBenchArgs(argc, argv, bench::kTraceOut | bench::kMetricsOut | bench::kAttrOut);
   bench::PrintHeader("Extension (datacenter serving)",
                      "multi-node clusters, node faults, diurnal load");
   Acceptance acceptance;

@@ -63,7 +63,7 @@ harness::MultiGpuConfig DdpConfig() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Extension (fault tolerance)",
                      "graceful degradation under injected faults");
 

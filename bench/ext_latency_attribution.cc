@@ -92,7 +92,7 @@ RegimeOutcome RunRegime(const Regime& regime, telemetry::Hub* hub) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv, bench::kTraceOut | bench::kMetricsOut | bench::kAttrOut);
+  bench::ParseBenchArgs(argc, argv, bench::kTraceOut | bench::kMetricsOut | bench::kAttrOut);
   bench::PrintHeader("Extension (latency attribution)",
                      "SLO-miss blame ledger vs injected bottleneck");
 

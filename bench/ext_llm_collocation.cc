@@ -24,7 +24,7 @@ constexpr double kMaxDecodeP99VsIdeal = 1.05;
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Extension (Section 7)", "LLM token-generation collocation");
 
   // The device every leg of the bench runs on — classification included.

@@ -202,7 +202,7 @@ void TelemetryArm() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv, bench::kTraceOut | bench::kMetricsOut | bench::kAttrOut);
+  bench::ParseBenchArgs(argc, argv, bench::kTraceOut | bench::kMetricsOut | bench::kAttrOut);
   bench::PrintHeader("Extension (LLM serving)",
                      "continuous batching, KV-cache pressure, per-token SLOs");
   const bench::Predicate continuous_tpot_below = BatchingModeArm();

@@ -159,7 +159,7 @@ bool SameResults(const harness::ExperimentResult& a, const harness::ExperimentRe
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv, bench::kAllExports);
+  bench::ParseBenchArgs(argc, argv, bench::kAllExports);
   bench::PrintHeader("Extension (memory oversubscription)",
                      "Orion vs nvshare time-quantum vs naive paging vs dedicated");
 
@@ -251,10 +251,9 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  // Instrumented arm (only with --trace-out / --metrics-out): the training
-  // mix at 2x under nvshare-TQ, with streaming flushes when
-  // --flush-period-ms was given. The trace carries memsub fault bursts and
-  // tq enter_exclusive markers on the device timeline.
+  // Instrumented arm (only with --trace-out / --metrics-out / --attr-out):
+  // the training mix at 2x under nvshare-TQ. The trace carries memsub fault
+  // bursts and tq enter_exclusive markers on the device timeline.
   if (bench::TelemetryRequested()) {
     std::cout << "-- Telemetry arm: train mix @2.0x under nvshare-tq --\n";
     telemetry::Hub hub;
@@ -266,12 +265,10 @@ int main(int argc, char** argv) {
         PagingConfig(mix, aggregate / 2 / memsub::kPageBytes * memsub::kPageBytes,
                      harness::SchedulerKind::kTimeQuantum);
     config.telemetry = &hub;
-    config.telemetry_flush = bench::FlushOptions();
     const auto result = harness::RunExperiment(config);
     std::cout << "total " << Cell(result.TotalThroughput(), 1) << " req/s, "
               << result.paging.faults << " faults, " << result.tq_exclusive_entries
-              << " exclusive entries, " << result.telemetry_flushes
-              << " streamed flushes\n";
+              << " exclusive entries\n";
     bench::ExportTelemetry(hub);
   }
 

@@ -47,7 +47,7 @@ std::string RingName(const std::vector<int>& ring) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv, bench::kTraceOut | bench::kMetricsOut);
+  bench::ParseBenchArgs(argc, argv, bench::kTraceOut | bench::kMetricsOut);
   bench::PrintHeader("Extension (Section 7)", "multi-GPU DDP over the node interconnect");
 
   // --- Claim 1: fixed-global-batch scaling on an NVLink-pairs node. ---

@@ -182,11 +182,11 @@ void FailoverArm(Acceptance* acceptance) {
   table.Print(std::cout);
 }
 
-// Instrumented arm, run only when --trace-out / --metrics-out was given:
-// one interference-aware run at 250 rps with a telemetry hub attached. The
-// summary rows below are read from the ServingResult, which RunServing
-// assembles from the hub's metric registry — so the CSV written next to the
-// trace reproduces exactly these numbers.
+// Instrumented arm, run only when --trace-out / --metrics-out / --attr-out
+// was given: one interference-aware run at 250 rps with a telemetry hub
+// attached. The summary rows below are read from the ServingResult, which
+// RunServing assembles from the hub's metric registry — so the CSV written
+// next to the trace reproduces exactly these numbers.
 void TelemetryArm() {
   std::cout << "\n-- Telemetry arm: instrumented run (250 rps, 2 GPUs) --\n";
   telemetry::Hub hub;
@@ -208,7 +208,7 @@ void TelemetryArm() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv, bench::kTraceOut | bench::kMetricsOut);
+  bench::ParseBenchArgs(argc, argv, bench::kTraceOut | bench::kMetricsOut | bench::kAttrOut);
   bench::PrintHeader("Extension (online serving)",
                      "SLO-aware routing, batching, autoscaling and failover");
   Acceptance acceptance;

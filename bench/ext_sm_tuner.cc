@@ -15,7 +15,7 @@
 using namespace orion;
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Extension (Section 5.1.1)", "SM_THRESHOLD binary-search auto-tuning");
 
   harness::ExperimentConfig config;

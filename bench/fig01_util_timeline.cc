@@ -15,7 +15,7 @@
 using namespace orion;
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Figure 1", "MobileNetV2 training (bs=96) utilization timeline");
 
   const gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();

@@ -16,7 +16,7 @@
 using namespace orion;
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Figure 2", "existing collocation techniques vs Orion (closed loop)");
 
   using workloads::ModelId;

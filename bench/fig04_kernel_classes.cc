@@ -51,7 +51,7 @@ void Report(workloads::TaskType task, const char* title) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Figure 4", "compute- vs memory-intensive kernel mix per workload");
   Report(workloads::TaskType::kInference, "-- inference request (paper: kernels 10s-100s us)");
   Report(workloads::TaskType::kTraining,

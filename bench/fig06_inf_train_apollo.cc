@@ -11,7 +11,7 @@
 using namespace orion;
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Figure 6", "inference-training collocation, Apollo trace arrivals");
   bench::MatrixOptions options;
   options.hp_arrivals = trace::ArrivalKind::kApollo;

@@ -9,7 +9,7 @@
 using namespace orion;
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Figure 7", "inference-training collocation, Poisson arrivals");
   bench::MatrixOptions options;
   options.hp_arrivals = trace::ArrivalKind::kPoisson;

@@ -34,7 +34,7 @@ harness::ExperimentResult Run(bool collocated, telemetry::Hub* hub = nullptr) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv, bench::kTraceOut | bench::kMetricsOut);
+  bench::ParseBenchArgs(argc, argv, bench::kTraceOut | bench::kMetricsOut);
   bench::PrintHeader("Figures 8-9",
                      "ResNet50 inference utilization: alone vs collocated with training");
 

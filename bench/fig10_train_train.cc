@@ -7,13 +7,15 @@
 // (within 8%) but starves the best-effort job; Orion keeps hp within ~16%
 // of ideal while the best-effort job progresses, reducing makespan ~1.29x.
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 
 using namespace orion;
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Figure 10", "training-training collocation throughput");
 
   using workloads::ModelId;
@@ -27,32 +29,40 @@ int main(int argc, char** argv) {
       {ModelId::kMobileNetV2, ModelId::kResNet50},
       {ModelId::kTransformer, ModelId::kBert},
   };
+  // The dedicated run comes first: it is every row's ideal.
   const harness::SchedulerKind schedulers[] = {
       harness::SchedulerKind::kDedicated, harness::SchedulerKind::kStreams,
       harness::SchedulerKind::kMps,       harness::SchedulerKind::kTickTock,
       harness::SchedulerKind::kReef,      harness::SchedulerKind::kOrion,
   };
+  constexpr std::size_t kMpsRow = 2;
+  constexpr std::size_t kOrionRow = 5;
 
   // Per-scheduler aggregates across pairs (normalised to dedicated).
   OnlineStats hp_norm[6];
   OnlineStats be_norm[6];
+  // The first pair's runs, one per scheduler, which the makespan study reads.
+  std::vector<harness::ExperimentResult> first_pair;
 
   for (const PairSpec& pair : pairs) {
     const auto hp = bench::TrainingClient(pair.hp, true);
     const auto be = bench::TrainingClient(pair.be, false);
-    const auto ideal = bench::RunPair(hp, be, harness::SchedulerKind::kDedicated);
-    const double hp_ideal = ideal.hp().throughput_rps;
-    const double be_ideal = bench::BeThroughput(ideal);
 
     // Per §5.1.1, SM_THRESHOLD is tuned when the hp job is training.
     const core::OrionOptions orion_options = bench::OrionOptionsFor(hp, be);
     std::cout << "-- hp: " << workloads::WorkloadName(hp.workload)
               << "  be: " << workloads::WorkloadName(be.workload)
               << "  (orion SM_THRESHOLD tuned to " << orion_options.sm_threshold << ")\n";
+    std::vector<harness::ExperimentResult> results;
+    for (const harness::SchedulerKind scheduler : schedulers) {
+      results.push_back(
+          bench::RunPair(hp, be, scheduler, gpusim::DeviceSpec::V100_16GB(), orion_options));
+    }
+    const double hp_ideal = results[0].hp().throughput_rps;
+    const double be_ideal = bench::BeThroughput(results[0]);
     Table table({"technique", "hp_it/s", "hp_vs_ideal", "be_it/s", "be_vs_ideal"});
     for (std::size_t s = 0; s < std::size(schedulers); ++s) {
-      const auto result = bench::RunPair(hp, be, schedulers[s],
-                                         gpusim::DeviceSpec::V100_16GB(), orion_options);
+      const harness::ExperimentResult& result = results[s];
       const double hp_tput = result.hp().throughput_rps;
       const double be_tput = bench::BeThroughput(result);
       const double hpn = hp_ideal > 0 ? hp_tput / hp_ideal : 0;
@@ -64,6 +74,9 @@ int main(int argc, char** argv) {
     }
     table.Print(std::cout);
     std::cout << "\n";
+    if (first_pair.empty()) {
+      first_pair = std::move(results);
+    }
   }
 
   std::cout << "-- summary across pairs (fraction of dedicated-GPU throughput)\n";
@@ -77,16 +90,12 @@ int main(int argc, char** argv) {
   // Makespan study (§6.2.2): complete N iterations of each job in a pair on
   // one GPU. Sequential = run them one after the other at dedicated speed;
   // collocated = run together until the slower one finishes, then the
-  // remainder at dedicated speed. Uses the measured throughputs above.
+  // remainder at dedicated speed. Uses the first pair's throughputs above.
   std::cout << "\n-- makespan: 1000 iterations each, hp=resnet50-train be=mobilenetv2-train\n";
   {
-    const auto hp = bench::TrainingClient(ModelId::kResNet50, true);
-    const auto be = bench::TrainingClient(ModelId::kMobileNetV2, false);
-    const auto ideal = bench::RunPair(hp, be, harness::SchedulerKind::kDedicated);
-    const auto orion = bench::RunPair(hp, be, harness::SchedulerKind::kOrion,
-                                      gpusim::DeviceSpec::V100_16GB(),
-                                      bench::OrionOptionsFor(hp, be));
-    const auto mps = bench::RunPair(hp, be, harness::SchedulerKind::kMps);
+    const harness::ExperimentResult& ideal = first_pair[0];
+    const harness::ExperimentResult& orion = first_pair[kOrionRow];
+    const harness::ExperimentResult& mps = first_pair[kMpsRow];
     constexpr double kIters = 1000.0;
     const double t_seq =
         kIters / ideal.hp().throughput_rps + kIters / bench::BeThroughput(ideal);

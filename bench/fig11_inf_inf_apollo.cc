@@ -9,7 +9,7 @@
 using namespace orion;
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Figure 11", "inference-inference collocation, Apollo trace");
   bench::MatrixOptions options;
   options.hp_arrivals = trace::ArrivalKind::kApollo;

@@ -8,7 +8,7 @@
 using namespace orion;
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Figure 12", "inference-inference collocation, Poisson arrivals");
   bench::MatrixOptions options;
   options.hp_arrivals = trace::ArrivalKind::kPoisson;

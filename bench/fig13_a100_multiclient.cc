@@ -11,7 +11,7 @@
 using namespace orion;
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Figure 13", "five inference clients on an A100-40GB");
 
   const gpusim::DeviceSpec device = gpusim::DeviceSpec::A100_40GB();

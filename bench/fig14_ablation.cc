@@ -27,7 +27,7 @@ harness::ExperimentResult Run(harness::SchedulerKind kind, core::OrionOptions op
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Figure 14", "Orion performance-analysis breakdown (inf-train Poisson)");
 
   struct Step {

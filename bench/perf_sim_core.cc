@@ -488,7 +488,7 @@ int main(int argc, char** argv) {
     }
   }
   argc = kept;
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   const bool quick = bench::GlobalBenchArgs().quick;
   const int repeats = quick ? 3 : 5;
 

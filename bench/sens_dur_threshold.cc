@@ -12,7 +12,7 @@
 using namespace orion;
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Sensitivity (Section 6.4)", "DUR_THRESHOLD sweep");
 
   const harness::ClientConfig hp = bench::InferenceClient(

@@ -36,7 +36,7 @@ const PaperRow kPaper[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Table 1", "average GPU utilization of popular DNN workloads");
 
   const gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();

@@ -70,7 +70,7 @@ DurationUs RunCollocated(const gpusim::KernelDesc& a, const gpusim::KernelDesc& 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Table 2", "toy Conv2d/BN2d kernel collocation");
 
   struct Pair {

@@ -15,7 +15,7 @@
 using namespace orion;
 
 int main(int argc, char** argv) {
-  bench::ParseBenchArgs(&argc, argv);
+  bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader("Table 4", "training cost savings under Orion collocation");
 
   const harness::ClientConfig hp = bench::InferenceClient(

@@ -8,6 +8,7 @@
 //
 // Client syntax:  model:task[:arrivals[:rps]][:hp][:swap]
 //   model     resnet50 | mobilenetv2 | resnet101 | bert | transformer | llm
+//             (llm takes only inf)
 //   task      inf | train
 //   arrivals  closed | poisson | uniform | apollo   (default: closed)
 //   rps       arrival rate (required for open-loop arrivals)
@@ -20,9 +21,10 @@
 //
 // Bad input exits with status 2 and a message: unknown flags, client specs or
 // scheduler names (the message lists the valid names), numeric values that
-// orion::ParseUint / ParseDouble reject, and a shared collocation that
-// exceeds GPU memory with no :swap client.
+// orion::ParseUint / ParseDouble reject, a client set the scheduler cannot
+// run, and a shared collocation that exceeds GPU memory with no :swap client.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iostream>
@@ -92,7 +94,9 @@ bool ParseClient(const std::string& spec, harness::ClientConfig* client, bool* p
       {"apollo", trace::ArrivalKind::kApollo}};
   const std::optional<ModelId> model = Lookup(kModels, tokens[0]);
   const std::optional<workloads::TaskType> task = Lookup(kTasks, tokens[1]);
-  if (!model || !task) {
+  // LLM decode is an inference-only workload.
+  if (!model || !task ||
+      (*model == ModelId::kLlmDecode && *task == workloads::TaskType::kTraining)) {
     return false;
   }
   client->workload = workloads::MakeWorkload(*model, *task);
@@ -141,6 +145,30 @@ std::optional<harness::SchedulerKind> ParseScheduler(const std::string& name) {
   }
   std::cerr << "unknown scheduler '" << name << "'; valid names:" << valid << "\n";
   return std::nullopt;
+}
+
+// Whether `kind` can run `clients`; if not, says why. Orion takes exactly one
+// :hp client, REEF at most one, and Tick-Tock exactly two clients. The
+// schedulers CHECK the same rules as internal invariants.
+bool SchedulerTakes(harness::SchedulerKind kind,
+                    const std::vector<harness::ClientConfig>& clients) {
+  const auto hp = std::count_if(clients.begin(), clients.end(),
+                                [](const harness::ClientConfig& c) { return c.high_priority; });
+  const char* name = harness::SchedulerKindName(kind);
+  if (kind == harness::SchedulerKind::kOrion && hp != 1) {
+    std::cerr << "scheduler " << name << " needs exactly one :hp client, got " << hp << "\n";
+    return false;
+  }
+  if (kind == harness::SchedulerKind::kReef && hp > 1) {
+    std::cerr << "scheduler " << name << " takes at most one :hp client, got " << hp << "\n";
+    return false;
+  }
+  if (kind == harness::SchedulerKind::kTickTock && clients.size() != 2) {
+    std::cerr << "scheduler " << name << " collocates exactly two clients, got "
+              << clients.size() << "\n";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -220,6 +248,9 @@ int main(int argc, char** argv) {
         workloads::MakeWorkload(workloads::ModelId::kResNet50, workloads::TaskType::kTraining);
     config.clients = {hp, be};
     std::cout << "(no --client given; running the default resnet50 inf+train demo)\n";
+  }
+  if (!SchedulerTakes(config.scheduler, config.clients)) {
+    return 2;
   }
 
   // §5.1.3: every partition must hold its clients' state, unless the pager

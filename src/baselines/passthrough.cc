@@ -9,9 +9,8 @@
 namespace orion {
 namespace baselines {
 
-PassthroughScheduler::PassthroughScheduler(std::string name, bool use_priorities,
-                                           double gil_penalty)
-    : name_(std::move(name)), use_priorities_(use_priorities), gil_penalty_(gil_penalty) {}
+PassthroughScheduler::PassthroughScheduler(bool use_priorities, double gil_penalty)
+    : use_priorities_(use_priorities), gil_penalty_(gil_penalty) {}
 
 double PassthroughScheduler::HostOverheadMultiplier(int num_clients) const {
   return 1.0 + gil_penalty_ * std::max(0, num_clients - 1);
@@ -39,14 +38,12 @@ void PassthroughScheduler::Enqueue(core::ClientId client, core::SchedOp op) {
 
 std::unique_ptr<core::Scheduler> MakeStreamsBaseline() {
   // GIL contention: each extra client thread adds ~60% to per-op host cost.
-  return std::make_unique<PassthroughScheduler>("streams", /*use_priorities=*/true,
-                                                /*gil_penalty=*/0.6);
+  return std::make_unique<PassthroughScheduler>(/*use_priorities=*/true, /*gil_penalty=*/0.6);
 }
 
 std::unique_ptr<core::Scheduler> MakeMpsBaseline() {
   // Separate processes: no GIL, but also no stream priorities under MPS.
-  return std::make_unique<PassthroughScheduler>("mps", /*use_priorities=*/false,
-                                                /*gil_penalty=*/0.0);
+  return std::make_unique<PassthroughScheduler>(/*use_priorities=*/false, /*gil_penalty=*/0.0);
 }
 
 }  // namespace baselines

@@ -22,16 +22,14 @@ class PassthroughScheduler : public core::Scheduler {
  public:
   // `use_priorities`: map the hp client to a high-priority stream.
   // `gil_penalty`: per-extra-client host overhead multiplier increment.
-  PassthroughScheduler(std::string name, bool use_priorities, double gil_penalty);
+  PassthroughScheduler(bool use_priorities, double gil_penalty);
 
-  std::string name() const override { return name_; }
   double HostOverheadMultiplier(int num_clients) const override;
   void Attach(Simulator* sim, runtime::GpuRuntime* rt,
               std::vector<core::SchedClientInfo> clients) override;
   void Enqueue(core::ClientId client, core::SchedOp op) override;
 
  private:
-  std::string name_;
   bool use_priorities_;
   double gil_penalty_;
   runtime::GpuRuntime* rt_ = nullptr;

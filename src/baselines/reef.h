@@ -26,7 +26,6 @@ class ReefScheduler : public core::Scheduler {
  public:
   static constexpr int kQueueDepth = 12;  // from discussion with REEF authors (§6.1)
 
-  std::string name() const override { return "reef"; }
   // Best-effort kernels currently submitted-but-not-completed (tests/stats).
   int be_outstanding() const { return be_outstanding_; }
   void Attach(Simulator* sim, runtime::GpuRuntime* rt,

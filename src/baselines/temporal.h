@@ -18,7 +18,6 @@ namespace baselines {
 
 class TemporalScheduler : public core::Scheduler {
  public:
-  std::string name() const override { return "temporal"; }
   void Attach(Simulator* sim, runtime::GpuRuntime* rt,
               std::vector<core::SchedClientInfo> clients) override;
   void Enqueue(core::ClientId client, core::SchedOp op) override;

@@ -22,7 +22,6 @@ namespace baselines {
 
 class TickTockScheduler : public core::Scheduler {
  public:
-  std::string name() const override { return "ticktock"; }
   void Attach(Simulator* sim, runtime::GpuRuntime* rt,
               std::vector<core::SchedClientInfo> clients) override;
   void Enqueue(core::ClientId client, core::SchedOp op) override;

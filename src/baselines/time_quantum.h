@@ -41,7 +41,6 @@ class TimeQuantumScheduler : public core::Scheduler {
   // mode forever.
   void set_pager(memsub::UnifiedMemoryPager* pager);
 
-  std::string name() const override { return "nvshare-tq"; }
   void Attach(Simulator* sim, runtime::GpuRuntime* rt,
               std::vector<core::SchedClientInfo> clients) override;
   void Enqueue(core::ClientId client, core::SchedOp op) override;

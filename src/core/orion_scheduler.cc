@@ -143,16 +143,12 @@ void OrionScheduler::OnDeviceDegraded() {
 
 void OrionScheduler::SubmitHp(SchedOp op) {
   if (IsComputeOp(op.op)) {
-    ++hp_outstanding_;
     hp_running_profiles_.push_back(
         ViewOf(op.op, hp_profile_, options_.conservative_profile_miss).profile);
     auto on_complete = std::move(op.on_complete);
     rt_->Submit(op.op, hp_stream_, [this, on_complete = std::move(on_complete)]() {
-      ORION_CHECK(hp_outstanding_ > 0);
-      --hp_outstanding_;
-      if (!hp_running_profiles_.empty()) {
-        hp_running_profiles_.pop_front();
-      }
+      ORION_CHECK(!hp_running_profiles_.empty());
+      hp_running_profiles_.pop_front();
       if (on_complete) {
         on_complete();
       }
@@ -168,7 +164,7 @@ void OrionScheduler::SubmitHp(SchedOp op) {
 
 bool OrionScheduler::ScheduleBe(const KernelView& view) const {
   // Listing 1, schedule_be(): suitable when no hp task is running...
-  if (hp_outstanding_ == 0) {
+  if (hp_running_profiles_.empty()) {
     return true;
   }
   // ...or when it is small enough and has the opposite resource profile.
@@ -178,10 +174,7 @@ bool OrionScheduler::ScheduleBe(const KernelView& view) const {
     return false;
   }
   if (options_.use_profile_check) {
-    const gpusim::ResourceProfile hp_profile = hp_running_profiles_.empty()
-                                                   ? gpusim::ResourceProfile::kUnknown
-                                                   : hp_running_profiles_.front();
-    if (!gpusim::HaveDifferentProfiles(hp_profile, view.profile)) {
+    if (!gpusim::HaveDifferentProfiles(hp_running_profiles_.front(), view.profile)) {
       return false;
     }
   }
@@ -227,7 +220,7 @@ void OrionScheduler::SubmitBe(BeClient& be, SchedOp op, const KernelView& view) 
   be_kernels_submitted_->Inc();
   const double expected = view.duration_us;
   const double trusted = view.profiled ? expected : 0.0;
-  if (hp_outstanding_ > 0) {
+  if (!hp_running_profiles_.empty()) {
     // Submitted alongside outstanding hp work: this is the dispatch decision
     // the hp tenant's kInterference phase traces back to.
     be.collocated_us->Inc(expected);

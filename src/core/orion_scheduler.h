@@ -70,7 +70,6 @@ class OrionScheduler : public Scheduler {
  public:
   explicit OrionScheduler(OrionOptions options = {});
 
-  std::string name() const override { return "orion"; }
   void Attach(Simulator* sim, runtime::GpuRuntime* rt,
               std::vector<SchedClientInfo> clients) override;
   void Enqueue(ClientId client, SchedOp op) override;
@@ -149,8 +148,8 @@ class OrionScheduler : public Scheduler {
   gpusim::StreamId hp_stream_ = gpusim::kInvalidStream;
   const profiler::WorkloadProfile* hp_profile_ = nullptr;
   DurationUs hp_target_latency_ = 0.0;
-  int hp_outstanding_ = 0;  // submitted-but-not-completed hp kernels
-  // Profiles of outstanding hp kernels, FIFO; front = currently executing.
+  // Profiles of submitted-but-not-completed hp kernels, FIFO; front =
+  // currently executing. Empty when no hp kernel is outstanding.
   common::Ring<gpusim::ResourceProfile> hp_running_profiles_;
 
   // Best-effort state.

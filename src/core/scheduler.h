@@ -71,8 +71,6 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  virtual std::string name() const = 0;
-
   // Host-side submission cost model: schedulers whose clients must share one
   // Python process (GPU Streams baseline) suffer GIL contention, inflating
   // per-op host overhead with the client count (§6.2.1).

@@ -16,7 +16,6 @@
 #include "src/memsub/pager.h"
 #include "src/runtime/gpu_runtime.h"
 #include "src/sim/simulator.h"
-#include "src/telemetry/exporters.h"
 
 namespace orion {
 namespace harness {
@@ -49,11 +48,11 @@ std::unique_ptr<core::Scheduler> MakeScheduler(SchedulerKind kind,
                                                const core::OrionOptions& orion_options) {
   switch (kind) {
     case SchedulerKind::kDedicated:
-      // Per-device pass-through; RunExperiment gives each client a device.
-      return std::make_unique<baselines::PassthroughScheduler>("ideal", true, 0.0);
     case SchedulerKind::kMig:
-      // Per-partition pass-through; RunExperiment gives each client a slice.
-      return std::make_unique<baselines::PassthroughScheduler>("mig", true, 0.0);
+      // Pass-through; RunExperiment gives each client a device (Ideal) or a
+      // slice of one (MIG).
+      return std::make_unique<baselines::PassthroughScheduler>(/*use_priorities=*/true,
+                                                               /*gil_penalty=*/0.0);
     case SchedulerKind::kTemporal:
       return std::make_unique<baselines::TemporalScheduler>();
     case SchedulerKind::kStreams:
@@ -357,16 +356,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     driver->set_measure_from(measure_from);
     driver->Start();
   }
-  std::unique_ptr<telemetry::StreamingExporter> streamer;
-  if (config.telemetry != nullptr && config.telemetry_flush.period_us > 0.0) {
-    streamer = std::make_unique<telemetry::StreamingExporter>(&sim, config.telemetry,
-                                                              config.telemetry_flush);
-    streamer->Start();
-  }
   sim.RunUntil(horizon);
-  if (streamer != nullptr) {
-    streamer->Stop();
-  }
 
   // --- Collect. ---
   ExperimentResult result;
@@ -377,7 +367,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   if (pager != nullptr) {
     result.paging = pager->totals();
   }
-  result.telemetry_flushes = streamer != nullptr ? streamer->flushes() : 0;
   for (auto& driver : drivers) {
     ClientResult cr;
     cr.name = driver->name();

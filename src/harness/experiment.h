@@ -22,7 +22,6 @@
 #include "src/harness/client_driver.h"
 #include "src/memsub/pager.h"
 #include "src/profiler/profiler.h"
-#include "src/telemetry/exporters.h"
 #include "src/telemetry/telemetry.h"
 
 namespace orion {
@@ -62,11 +61,6 @@ struct ExperimentConfig {
   // bit-identical results). Ignored for Dedicated/MIG: each client owns its
   // partition's memory, which must hold its state (FirstMemoryOverflow).
   memsub::PagingOptions paging;
-
-  // Streaming telemetry export: when `telemetry` is set and period_us > 0,
-  // the trace/metrics artefacts are rewritten every period of *simulated*
-  // time during the run (see telemetry::StreamingExporter).
-  telemetry::StreamingExporter::Options telemetry_flush;
 
   DurationUs warmup_us = SecToUs(1.0);
   DurationUs duration_us = SecToUs(20.0);  // measurement window after warmup
@@ -130,8 +124,6 @@ struct ExperimentResult {
   std::size_t tq_exclusive_entries = 0;
   std::size_t tq_quanta = 0;
   DurationUs tq_exclusive_us = 0.0;
-  // Streaming telemetry flushes performed during the run.
-  std::size_t telemetry_flushes = 0;
 
   const ClientResult& hp() const;
   double TotalThroughput() const;

@@ -178,34 +178,5 @@ void ExportChromeTrace(const SpanTracer& spans, const std::string& path) {
   ORION_CHECK_MSG(os.good(), "failed writing trace to " << path);
 }
 
-StreamingExporter::StreamingExporter(Simulator* sim, const Hub* hub, Options options)
-    : sim_(sim), hub_(hub), options_(std::move(options)) {
-  ORION_CHECK(sim_ != nullptr && hub_ != nullptr);
-  ORION_CHECK(options_.period_us >= 0.0);
-}
-
-StreamingExporter::~StreamingExporter() { Stop(); }
-
-void StreamingExporter::Start() {
-  if (options_.period_us <= 0.0 ||
-      (options_.trace_path.empty() && options_.metrics_path.empty())) {
-    return;
-  }
-  next_flush_ = sim_->ScheduleAfter(options_.period_us, [this]() { Flush(); });
-}
-
-void StreamingExporter::Stop() { sim_->Cancel(next_flush_); }
-
-void StreamingExporter::Flush() {
-  if (!options_.metrics_path.empty()) {
-    ExportMetricsCsv(hub_->metrics(), options_.metrics_path);
-  }
-  if (!options_.trace_path.empty() && hub_->tracing()) {
-    ExportChromeTrace(hub_->spans(), options_.trace_path);
-  }
-  ++flushes_;
-  next_flush_ = sim_->ScheduleAfter(options_.period_us, [this]() { Flush(); });
-}
-
 }  // namespace telemetry
 }  // namespace orion

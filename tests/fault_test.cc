@@ -497,7 +497,7 @@ TEST_F(SchedulerFaultTest, CrashWithPendingThrottleRecreditsBudget) {
   const auto small = MakeKernel("be_small", 50.0, 0.1, 0.8, 20);
   Attach(core::OrionOptions{}, {hp}, {big, small}, /*num_be=*/2);
 
-  EnqueueKernel(0, hp);  // keeps hp_outstanding > 0 so the throttle matters
+  EnqueueKernel(0, hp);  // keeps an hp kernel outstanding so the throttle matters
   EnqueueKernel(1, big);
   EnqueueKernel(2, small);
   sim_.RunUntil(10.0);

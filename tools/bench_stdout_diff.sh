@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Runs every fig*/tab*/ext_*/sens_* bench of two build trees with --quick and
-# fails on any stdout difference. perf_sim_core and overhead_interception
-# print host timings and are skipped. Each line also gives the bench's wall
-# time in seconds in BUILD_A and BUILD_B, and the last line the totals, so
-# the run that proves byte-identity also measures the speed change.
+# Runs every fig*/tab*/ext_*/sens_*/overhead_* bench of two build trees with
+# --quick and fails on any stdout difference. perf_sim_core prints host
+# timings and is skipped. Each line also gives the bench's wall time in
+# seconds in BUILD_A and BUILD_B, and the last line the totals, so the run
+# that proves byte-identity also measures the speed change.
 #
 # The same bench list feeds the golden-stdout ctests (tests/CMakeLists.txt,
 # label `golden`), which diff each bench against tests/data/bench_golden/.
@@ -17,7 +17,7 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # The deterministic benches, one name per line, from the bench sources.
 benches() {
   for src in "$root"/bench/fig*.cc "$root"/bench/tab*.cc "$root"/bench/ext_*.cc \
-             "$root"/bench/sens_*.cc; do
+             "$root"/bench/sens_*.cc "$root"/bench/overhead_*.cc; do
     basename "$src" .cc
   done
 }

@@ -2,9 +2,10 @@
 """Checks that the paper benches link only the paper core.
 
 Reads the dot file that `cmake --graphviz=<file>` writes and follows every
-link edge from each fig*/tab*/sens_* bench. The check fails if any of them
-reaches an extension library: the serving and datacenter stack, cluster
-placement, the collective engine, the link fabric or the multi-GPU harness.
+link edge from each fig*/tab*/sens_*/overhead_* bench. The check fails if any
+of them reaches an extension library: the serving and datacenter stack,
+cluster placement, the collective engine, the link fabric or the multi-GPU
+harness.
 
 Usage:
   cmake -S . -B build --graphviz=build/graphviz/orion.dot
@@ -14,7 +15,7 @@ Usage:
 import re
 import sys
 
-PAPER_BENCH = re.compile(r"^(fig|tab|sens_)")
+PAPER_BENCH = re.compile(r"^(fig|tab|sens_|overhead_)")
 EXTENSIONS = {
     "orion_serving",
     "orion_datacenter",
@@ -65,7 +66,7 @@ def main(argv):
     graph = read_graph(argv[1])
     benches = sorted(name for name in graph if PAPER_BENCH.match(name))
     if not benches:
-        print(f"no fig*/tab*/sens_* target in {argv[1]}", file=sys.stderr)
+        print(f"no fig*/tab*/sens_*/overhead_* target in {argv[1]}", file=sys.stderr)
         return 1
     status = 0
     for bench in benches:
